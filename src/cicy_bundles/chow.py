@@ -57,7 +57,8 @@ class CicyContext:
             if md not in KNOWN_MULTIDEGREES:
                 names = ", ".join(",".join(map(str, m)) for m in KNOWN_MULTIDEGREES)
                 raise ValueError(f"unknown threefold {md}; valid multidegrees: {names}")
-            assert self.v + 4 == self.ambient_dim + 1
+            if self.v + 4 != self.ambient_dim + 1:
+                raise ValueError(f"multidegree {md}: floor(u/4) + 4 != ambient dimension + 1")
             return
         if sum(md) != self.ambient_dim + 1:
             raise ValueError(

@@ -19,14 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import bounds
+from . import bounds, chow, constructions, ruled
 from .chow import (
     CicyContext,
     chern_from_resolution,
     chern_of_extension,
-    h0_line_bundle,
     max_rank_no_trivial,
-    twist_rank2,
 )
 from .constructions import (
     CurveCandidate,
@@ -48,7 +46,8 @@ from .ruled import (
     embedding_degree,
     intersect,
 )
-from .verdicts import RULE_ORDER, RULES, RuleKind, Status, Trail, TrailEntry, Verdict, annotations
+from .verdicts import (RULE_ORDER, RULES, RuleKind, Status, Trail, TrailEntry, Verdict,
+                       annotations, decode, encode, record)
 
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
@@ -177,13 +176,36 @@ class _Routes:
 # --------------------------------------------------------------------------
 
 
-def _ci_check(degrees: list[int], n: int) -> dict:
-    inv = bounds.ci_curve_invariants(degrees, n)
-    return {"op": "ci_curve_invariants", "args": [degrees, n], "result": list(inv)}
+def _berzolari(route: _Route, **values) -> None:
+    """Sectional genus of the degree-6 surface: the bound for a sextic in P^4."""
+    pi, check = record(bounds.castelnuovo_pi, 6, 4)
+    route.hypothesis("A-berzolari", sectional_genus=pi, **values, checks=[check])
 
 
-def _pi_check(d: int, r: int) -> dict:
-    return {"op": "castelnuovo_pi", "args": [d, r], "result": bounds.castelnuovo_pi(d, r)}
+def _mu_d_viable() -> tuple[list[int], list[dict]]:
+    """Degrees d = 15 / mu >= 4 whose genus d + 1 fits the Castelnuovo bound in
+    P^4, with the payloads of the bounds that exclude the other degrees."""
+    viable, checks = [], []
+    for d in (15 // mu for mu in (1, 3, 5, 15) if 15 // mu >= 4):
+        pi, check = record(bounds.castelnuovo_pi, d, 4)
+        if d + 1 <= pi:
+            viable.append(d)
+        else:
+            checks.append(check)
+    return viable, checks
+
+
+def _harris_surface(route: _Route, d: int, r: int, **values) -> None:
+    """Genus at or above the refined bound puts the curve on a low-degree surface."""
+    bound, check = record(bounds.pi_one, d, r)
+    route.hypothesis("A-harris-surface", refined_bound=bound, **values, checks=[check])
+
+
+def _fire_ci_omega(route: _Route, degrees: list[int], **values) -> None:
+    """A complete-intersection curve in P^5 needs dualizing twist 2."""
+    inv, check = record(bounds.ci_curve_invariants, degrees, 5)
+    route.fire("R-ci-omega", inv.omega_twist == 2, degrees=degrees,
+               omega_twist=inv.omega_twist, required=2, checks=[check], **values)
 
 
 def _fire_ruled_38(route: _Route) -> None:
@@ -194,24 +216,19 @@ def _fire_ruled_38(route: _Route) -> None:
     q = 2, never the required 34.
     """
     table = {}
-    hits_34 = False
     for q in (0, 1, 2):
         for e in (-4, -2, 0, 2):
             if e < -q:
                 continue
             s = RuledSurface(e, q)
-            a = 8 + (3 * e) // 2
-            cls = DivisorClass(3, a)
-            hyper = DivisorClass(1, 3 + e // 2)
-            assert embedding_degree(cls, hyper, s) == 17
-            value = intersect(cls, cls + canonical_class(s), s)
-            assert value == 26 + 6 * q
-            table[f"q={q},e={e}"] = value
-            if value == 34:
-                hits_34 = True
-    route.hypothesis("A-berzolari", sectional_genus=2, degree=6,
-                     checks=[_pi_check(6, 4)])
-    route.fire("R-ruled-38", False, required=34, value_at_q2=38,
+            cls = DivisorClass(3, 8 + (3 * e) // 2)
+            degree = embedding_degree(cls, DivisorClass(1, 3 + e // 2), s)
+            if degree != 17:
+                raise ValueError(f"class {tuple(cls)} on e={e}, q={q} has degree {degree}")
+            table[f"q={q},e={e}"] = intersect(cls, cls + canonical_class(s), s)
+    hits_34 = 34 in table.values()
+    _berzolari(route, degree=6)
+    route.fire("R-ruled-38", hits_34, required=34, value_at_q2=table["q=2,e=0"],
                table=dict(sorted(table.items())), never_34=not hits_34)
 
 
@@ -224,7 +241,7 @@ def _fire_ruled_58(route: _Route) -> None:
         for e in range(-q if q else 0, 7)
         if e % 2 == 0 and -3 * e + 6 * q + 58 == 32
     ]
-    route.fire("R-ruled-58", False, equation="-3e + 6q + 58 = 32",
+    route.fire("R-ruled-58", bool(solutions), equation="-3e + 6q + 58 = 32",
                divisibility="3e = 6q + 26 has no integer solution",
                even_solutions=solutions)
 
@@ -236,11 +253,11 @@ def _fire_clifford(route: _Route) -> None:
     g = required_genus(2, 16)
     cliff_options = [2, g - 3]
     h0 = (16 + 2 - 2) // 2
-    pi = bounds.castelnuovo_pi(16, 7)
-    route.fire("R-clifford", False, genus=g, clifford_options=cliff_options,
+    pi, check = record(bounds.castelnuovo_pi, 16, 7)
+    route.fire("R-clifford", g <= pi, genus=g, clifford_options=cliff_options,
                sections_from_index_2=h0, bound_in_p7=pi,
                contradiction=f"{g} > {pi}",
-               checks=[_pi_check(16, 7)])
+               checks=[check])
 
 
 def _fire_ruled_e2q20(route: _Route) -> None:
@@ -248,29 +265,27 @@ def _fire_ruled_e2q20(route: _Route) -> None:
     e = 2q - 20, far below the Segre-Nagata floor e >= -q for q <= 2."""
     table = {q: 2 * q - 20 for q in (0, 1, 2)}
     feasible = [q for q, e in table.items() if e >= -q]
-    route.fire("R-ruled-e2q20", False, equation="2q + 16 - e = 36",
+    route.fire("R-ruled-e2q20", bool(feasible), equation="2q + 16 - e = 36",
                forced_e=table, feasible=feasible)
 
 
 def _fire_adjunction_table(route: _Route) -> None:
     """The five ruled-surface adjunction numbers against the required 2d."""
     cases = [
-        ("deg3-smooth", RuledSurface(1), DivisorClass(4, 8), DivisorClass(1, 2), 28),
-        ("deg3-cone", RuledSurface(3), DivisorClass(4, 12), DivisorClass(1, 3), 28),
-        ("deg4-product", RuledSurface(0), DivisorClass(4, 8), DivisorClass(1, 2), 40),
-        ("deg4-even", RuledSurface(2), DivisorClass(4, 12), DivisorClass(1, 3), 40),
-        ("deg4-cone", RuledSurface(4), DivisorClass(4, 16), DivisorClass(1, 4), 40),
+        ("deg3-smooth", RuledSurface(1), DivisorClass(4, 8), DivisorClass(1, 2)),
+        ("deg3-cone", RuledSurface(3), DivisorClass(4, 12), DivisorClass(1, 3)),
+        ("deg4-product", RuledSurface(0), DivisorClass(4, 8), DivisorClass(1, 2)),
+        ("deg4-even", RuledSurface(2), DivisorClass(4, 12), DivisorClass(1, 3)),
+        ("deg4-cone", RuledSurface(4), DivisorClass(4, 16), DivisorClass(1, 4)),
     ]
-    values = {}
-    checks = []
-    for name, s, cls, hyper, expected in cases:
-        two_g_minus_2 = 2 * adjunction_genus(cls, s) - 2
-        assert two_g_minus_2 == expected
-        degree = embedding_degree(cls, hyper, s)
-        values[name] = {"2g-2": two_g_minus_2, "required": 2 * degree}
-        checks.append({"op": "adjunction_genus", "args": [[cls.a, cls.b], [s.e, s.q]],
-                       "result": adjunction_genus(cls, s)})
-    route.fire("R-adjunction-28-40", False, cases=values, checks=checks)
+    values, checks = {}, []
+    for name, s, cls, hyper in cases:
+        genus, check = record(adjunction_genus, cls, s)
+        values[name] = {"2g-2": 2 * genus - 2,
+                        "required": 2 * embedding_degree(cls, hyper, s)}
+        checks.append(check)
+    ok = any(v["2g-2"] == v["required"] for v in values.values())
+    route.fire("R-adjunction-28-40", ok, cases=values, checks=checks)
 
 
 # --------------------------------------------------------------------------
@@ -283,21 +298,18 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) ->
     r = routes.route("extension")
     z = cand.total_degree - ctx.u
     if z == 0:
-        r.fire("R-ext-z", True, z=0, residual="empty",
-               checks=[{"op": "chern_of_extension",
-                        "args": [1, 1, 0, list(ctx.multidegree)],
-                        "result": [2, ctx.u]}])
-        r.mark_survivor(witnesses_for(ctx.multidegree, 2, ctx.u) or ["hyperplane-pair-split"])
+        inv, check = record(chern_of_extension, 1, 1, z, ctx)
+        r.fire("R-ext-z", True, z=0, residual="empty", checks=[check])
+        r.mark_survivor(witnesses_for(ctx.multidegree, inv.c1, inv.c2)
+                        or ["hyperplane-pair-split"])
         return
     if z == 3 and ctx.ambient_dim >= 5:
         r.hypothesis("A-ext-plane-cubic", z=3,
                      linear_sections_through_plane=ctx.ambient_dim - 2)
+        inv, check = record(chern_of_extension, 1, 1, z, ctx)
         r.fire("R-ext-z", True, z=3, residual="plane cubic",
-               residual_omega_twist=0,
-               checks=[{"op": "chern_of_extension",
-                        "args": [1, 1, 3, list(ctx.multidegree)],
-                        "result": [2, ctx.u + 3]}])
-        r.mark_survivor(witnesses_for(ctx.multidegree, 2, ctx.u + 3)
+               residual_omega_twist=0, checks=[check])
+        r.mark_survivor(witnesses_for(ctx.multidegree, inv.c1, inv.c2)
                         or ["plane-cubic-extension"])
         return
     values = {"z": z, "allowed": [0, 3]}
@@ -305,8 +317,11 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) ->
         values["note"] = "plane cubic needs at least 3 linear sections of its ideal"
         values["linear_sections_through_plane"] = ctx.ambient_dim - 2
     if z == ctx.u:
-        values["checks"] = [_ci_check([1, 1, *ctx.multidegree], ctx.ambient_dim)]
-        values["note"] = "residual would be a bi-hyperplane section with dualizing twist 2"
+        section, check = record(bounds.ci_curve_invariants,
+                                [1, 1, *ctx.multidegree], ctx.ambient_dim)
+        values["checks"] = [check]
+        values["note"] = ("residual would be a bi-hyperplane section with "
+                          f"dualizing twist {section.omega_twist}")
     r.fire("R-ext-z", False, **values)
 
 
@@ -324,23 +339,14 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Route
         return
     if s == 1 and spans == [4]:
         d = cand.components[0].d
-        viable = []
-        for mu in (1, 3, 5, 15):
-            dd = 15 // mu
-            if dd >= 4 and dd + 1 <= bounds.castelnuovo_pi(dd, 4):
-                viable.append(dd)
-        r.fire("R-mu-d", d in viable, mu_d=15, d=d, viable=viable,
-               checks=[_pi_check(5, 4)])
+        viable, checks = _mu_d_viable()
+        r.fire("R-mu-d", d in viable, mu_d=15, d=d, viable=viable, checks=checks)
         if d != 15:
             return
-        f1 = RuledSurface(1)
-        search1 = GenusSearch(DivisorClass(1, 2), 15, genus=16)
-        hits1 = eliminate_by_genus(search1, f1)
-        r.fire("R-hirzebruch-F1", bool(hits1), classes=[[c.a, c.b] for c in hits1],
-               quadratic="-3a^2 + 31a - 60 = 0",
-               checks=[{"op": "eliminate_by_genus",
-                        "args": [[1, 2], 15, 16, [], 1000, [1, 0]],
-                        "result": [[c.a, c.b] for c in hits1]}])
+        hits1, check = record(eliminate_by_genus,
+                              GenusSearch(DivisorClass(1, 2), 15, genus=16), RuledSurface(1))
+        r.fire("R-hirzebruch-F1", bool(hits1), classes=encode(hits1),
+               quadratic="-3a^2 + 31a - 60 = 0", checks=[check])
         f3 = RuledSurface(3)
         pairings = {
             "(c,3c+1).(d,3d+1)": intersect(DivisorClass(1, 4), DivisorClass(1, 4), f3),
@@ -349,22 +355,18 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Route
         }
         r.fire("R-cone-disjointness", all(v > 0 for v in pairings.values()),
                pairings=pairings, conclusion="any curve on the cone is connected")
-        search3 = GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),))
-        hits3 = eliminate_by_genus(search3, f3)
-        genus = adjunction_genus(DivisorClass(5, 15), f3)
+        hits3, search_check = record(
+            eliminate_by_genus,
+            GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),)), f3)
+        genus, genus_check = record(adjunction_genus, DivisorClass(5, 15), f3)
         r.fire("R-hirzebruch-F3", genus == 16,
-               classes=[[c.a, c.b] for c in hits3], genus=genus, required=16,
-               checks=[{"op": "eliminate_by_genus",
-                        "args": [[1, 3], 15, None, [[-3, 1, 0, 1]], 1000, [3, 0]],
-                        "result": [[c.a, c.b] for c in hits3]},
-                       {"op": "adjunction_genus", "args": [[5, 15], [3, 0]],
-                        "result": genus}])
+               classes=encode(hits3), genus=genus, required=16,
+               checks=[search_check, genus_check])
         return
     if s == 2 and spans == [2, 2]:
-        p_a = union_genus([c.g for c in cand.components])
+        p_a, check = record(union_genus, [c.g for c in cand.components])
         r.fire("R-union-genus", p_a - 1 == cand.total_degree,
-               union_genus=p_a, total_degree=cand.total_degree,
-               checks=[{"op": "union_genus", "args": [[6, 6], 0], "result": p_a}])
+               union_genus=p_a, total_degree=cand.total_degree, checks=[check])
         r.hypothesis("A-two-planes")
         r.mark_survivor(witnesses_for((5,), 2, 10))
         return
@@ -383,10 +385,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
         cap_ok = ci.fire("R-quadric-cap", d <= 16, d=d, cap=16)
         if cap_ok:
             if d == 16:
-                inv = bounds.ci_curve_invariants([2, 2, 2, 2], 5)
-                ci.fire("R-ci-omega", inv.omega_twist == 2,
-                        degrees=[2, 2, 2, 2], omega_twist=inv.omega_twist,
-                        required=2, checks=[_ci_check([2, 2, 2, 2], 5)])
+                _fire_ci_omega(ci, [2, 2, 2, 2])
                 ci.mark_survivor(witnesses_for((2, 4), 2, 16))
             else:
                 if ci.hypothesis("A-ci-connected", ci_degree=16):
@@ -400,10 +399,8 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
         deg_s = d // 4
         surf.fire("R-x24-mod4", True, d=d, surface_degree=deg_s)
         if deg_s == 4:
-            surf.fire("R-ci-omega", False, degrees=[2, 2, 2, 4],
-                      omega_twist=bounds.ci_curve_invariants([2, 2, 2, 4], 5).omega_twist,
-                      required=2, checks=[_ci_check([2, 2, 2, 4], 5)],
-                      note="three-quadric surface cut by the quartic")
+            _fire_ci_omega(surf, [2, 2, 2, 4],
+                           note="three-quadric surface cut by the quartic")
         elif deg_s == 5:
             f1 = canonical_class(RuledSurface(1)) + DivisorClass(2, 6)
             f3 = canonical_class(RuledSurface(3)) + DivisorClass(2, 8)
@@ -412,8 +409,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
                       scroll_dualizing_sections={"F1": f1.b + 1, "F3": f3.b + 1,
                                                  "F5-cone": 4})
         elif deg_s == 6:
-            surf.hypothesis("A-berzolari", sectional_genus=2,
-                            checks=[_pi_check(6, 4)])
+            _berzolari(surf)
             h0_omega = 8 + 1 - 2  # Riemann-Roch for a degree-8 pencil on genus 2
             surf.fire("A-deg-S-6", False, surface_degree=6,
                       hyperplane_genus=2, twisted_dualizing_sections=h0_omega)
@@ -435,8 +431,10 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
             r.mark_survivor(witnesses_for((2, 4), 2, 16), unresolved=True)
         return
     for comp in span5:
+        # the floor: genus 15 of a (14, 15, 5) component meets the bound
+        _, check = record(bounds.castelnuovo_pi, 14, 5)
         r.fire("R-x24-s2-span5", False, d=comp.d, genus_floor=14,
-               residual_cap=12, checks=[_pi_check(14, 5)])
+               residual_cap=12, checks=[check])
     for comp in span4:
         if comp.d % 4 or not 2 <= comp.d // 4 <= 7:
             r.fire("R-x24-si-degree", False, d=comp.d,
@@ -458,10 +456,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, routes: _Routes) -> None:
     ci = routes.route("base-locus-curve")
     cap_ok = ci.fire("R-quadric-cap", d <= 16, d=d, cap=16)
     if cap_ok and d == 16:
-        inv = bounds.ci_curve_invariants([2, 2, 2, 2], 5)
-        ci.fire("R-ci-omega", inv.omega_twist == 2, degrees=[2, 2, 2, 2],
-                omega_twist=inv.omega_twist, required=2,
-                checks=[_ci_check([2, 2, 2, 2], 5)])
+        _fire_ci_omega(ci, [2, 2, 2, 2])
         ci.mark_survivor(witnesses_for((3, 3), 2, 16), unresolved=True)
     elif cap_ok:
         if ci.hypothesis("A-ci-connected", ci_degree=16):
@@ -480,26 +475,21 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, routes: _Routes) -> None:
 
     if d == 14:
         r = routes.route("surface-deg-le-4")
-        r.hypothesis("A-harris-surface", refined_bound=bounds.pi_one(14, 5),
-                     genus=g, surface_degree_cap=4,
-                     checks=[{"op": "pi_one", "args": [14, 5], "result": 11}])
+        _harris_surface(r, d, 5, genus=g, surface_degree_cap=4)
         r.fire("R-pi1-cut", False, d=d, cut_cap=3 * 4,
                note="cut by cubics on a surface of degree at most 4")
         r5 = routes.route("surface-deg-5")
         # inside the quintic surface a cubic cut has degree 15 = d + 1: the
         # leftover line meets the curve in the three cubic points, so the
         # union genus 16 caps g at 14 while the twist requires 15
+        p_a, check = record(union_genus, [g, 0], 3)
         r5.fire("R-union-genus", False, ci_union_genus=16,
-                forced_meets=3, union_genus_with_meets=union_genus([g, 0], 3),
-                required_genus=g,
-                checks=[{"op": "union_genus", "args": [[g, 0], 3],
-                         "result": union_genus([g, 0], 3)}])
+                forced_meets=3, union_genus_with_meets=p_a,
+                required_genus=g, checks=[check])
         return
     if d == 15:
         r = routes.route("surface-deg-5")
-        r.hypothesis("A-harris-surface", refined_bound=bounds.pi_one(15, 5),
-                     genus=g, surface_degree_cap=5,
-                     checks=[{"op": "pi_one", "args": [15, 5], "result": 16}])
+        _harris_surface(r, d, 5, genus=g, surface_degree_cap=5)
         r.fire("R-pi1-cut", True, d=d, cut_cap=15,
                note="equality: the curve is the cubic cut of the surface")
         r.hypothesis("A-delpezzo5", surface_twist=-1)
@@ -546,11 +536,10 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, routes: _Routes) -> None:
 
 
 def _fire_liaison(route: _Route, d: int) -> None:
-    total = bounds.ci_curve_invariants([2, 2, 2, 3], 5)
-    linked = liaison_solve(total.degree, total.omega_twist, 2, 3)
+    total, ci_check = record(bounds.ci_curve_invariants, [2, 2, 2, 3], 5)
+    linked, liaison_check = record(liaison_solve, total.degree, total.omega_twist, 2, 3)
     route.fire("R-liaison-18", linked == d, linked_degree=linked, d=d,
-               checks=[_ci_check([2, 2, 2, 3], 5),
-                       {"op": "liaison_solve", "args": [24, 3, 2, 3], "result": linked}])
+               checks=[ci_check, liaison_check])
 
 
 def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -> None:
@@ -581,15 +570,12 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
             if d > 12:
                 r.fire("R-cut-cap", False, d=d, surface_degree=4, cap=12)
             elif d == 11:
-                ci_total = union_genus([12, 0], 2)
-                r.fire("R-union-genus", False, ci_union_genus=13,
+                ci_total, check = record(union_genus, [12, 0], 2)
+                r.fire("R-union-genus", False, ci_union_genus=ci_total,
                        forced_meets=2,
                        dualizing_degree_on_line={"required": 2, "computed": -2 + 2},
-                       checks=[{"op": "union_genus", "args": [[12, 0], 2],
-                                "result": ci_total}])
-                r.hypothesis("A-harris-surface", refined_bound=bounds.pi_one(11, 4),
-                             genus=12, surface_degree_cap=3,
-                             checks=[{"op": "pi_one", "args": [11, 4], "result": 8}])
+                       checks=[check])
+                _harris_surface(r, d, comp.span, genus=12, surface_degree_cap=3)
                 r.fire("R-pi1-cut", False, d=11, cut_cap=9)
             else:  # d == 12
                 if sections:
@@ -598,9 +584,7 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
                     r.fire("A-x33-two-ci", False, d=12)
         else:  # span 5 beside other components
             if d == 14:
-                r.hypothesis("A-harris-surface", refined_bound=bounds.pi_one(14, 5),
-                             genus=15, surface_degree_cap=4,
-                             checks=[{"op": "pi_one", "args": [14, 5], "result": 11}])
+                _harris_surface(r, d, comp.span, genus=15, surface_degree_cap=4)
                 r.fire("R-pi1-cut", False, d=14, cut_cap=12)
             elif d == 15:
                 r.fire("A-ample-connected", False, d=15,
@@ -629,12 +613,10 @@ def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -> No
         return
     # several components would have to fill the connected section curve
     section = section_curve_invariants(ctx)
-    p_a = union_genus([c.g for c in cand.components])
+    p_a, check = record(union_genus, [c.g for c in cand.components])
     r.hypothesis("A-ci-connected")
     r.fire("R-union-genus", p_a == section.genus, union_genus=p_a,
-           section_genus=section.genus,
-           checks=[{"op": "union_genus",
-                    "args": [[c.g for c in cand.components], 0], "result": p_a}])
+           section_genus=section.genus, checks=[check])
 
 
 def judge_candidate(
@@ -647,10 +629,8 @@ def judge_candidate(
     routes = _Routes(disabled)
     if cand.is_empty:
         r = routes.route("split")
-        r.fire("R-ext-split", True, c1=c1, c2=0,
-               checks=[{"op": "chern_of_extension",
-                        "args": [0, c1, 0, list(ctx.multidegree)],
-                        "result": [c1, 0]}])
+        inv, check = record(chern_of_extension, 0, c1, 0, ctx)
+        r.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2, checks=[check])
         r.mark_survivor(["trivial-twist-split"])
         return routes.verdict(cand)
     cap = bounds.max_curve_degree(ctx, c1, 2)
@@ -710,19 +690,15 @@ def _higher_rank_verdicts(
         t = Trail(disabled)
         if prelude:
             t.entries.extend(prelude)
-        inv = chern_from_resolution(sub, quot, ctx)
-        trivial_part = max_rank_no_trivial(sub, ctx)
+        inv, chern_check = record(chern_from_resolution, sub, quot, ctx)
+        if inv.c1 != c1:
+            raise ValueError(f"resolution shape {label!r} has c1 = {inv.c1}, not {c1}")
+        trivial_part, rank_check = record(max_rank_no_trivial, sub, ctx)
         extras = sum(1 for q in quot if q != 0)
         window = (3, trivial_part + extras)
         t.fire("R-resolution-shape", True, sub=sub, quot_twists=sorted(set(quot)),
                c1=inv.c1, c2=inv.c2, rank_window=list(window),
-               checks=[{"op": "chern_from_resolution",
-                        "args": [sub, quot, list(ctx.multidegree)],
-                        "result": [inv.rank, inv.c1, inv.c2]},
-                       {"op": "max_rank_no_trivial",
-                        "args": [sub, list(ctx.multidegree)],
-                        "result": trivial_part}])
-        assert inv.c1 == c1
+               checks=[chern_check, rank_check])
         verdicts.append(Verdict(label, Status.SURVIVES, t.entries, witnesses=names))
         windows[inv.c2] = window
         results.append((c1, inv.c2, names))
@@ -737,8 +713,7 @@ def _higher_rank_verdicts(
         # the smooth-scroll branch dies on the recorded spannedness axiom
         t = Trail(disabled)
         t.hypothesis("A-base-locus")
-        viable = [15 // mu for mu in (1, 3, 5, 15)
-                  if 15 // mu >= 4 and 15 // mu + 1 <= bounds.castelnuovo_pi(15 // mu, 4)]
+        viable, _ = _mu_d_viable()
         t.fire("R-mu-d", True, mu_d=15, viable=viable)
         lattice = [a for a in range(-50, 51) if 3 * a * a - 31 * a + 60 <= 0]
         t.fire("A-scroll-spannedness", False,
@@ -973,68 +948,50 @@ def report_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-_AUDIT_OPS = {
-    "castelnuovo_pi": lambda args: bounds.castelnuovo_pi(*args),
-    "pi_one": lambda args: bounds.pi_one(*args),
-    "plane_genus": lambda args: bounds.plane_genus(*args),
-    "ci_curve_invariants": lambda args: list(bounds.ci_curve_invariants(args[0], args[1])),
-    "union_genus": lambda args: union_genus(args[0], args[1]),
-    "liaison_solve": lambda args: liaison_solve(*args),
-    "adjunction_genus": lambda args: adjunction_genus(
-        DivisorClass(*args[0]), RuledSurface(*args[1])
-    ),
-    "eliminate_by_genus": lambda args: [
-        [c.a, c.b]
-        for c in eliminate_by_genus(
-            GenusSearch(
-                DivisorClass(*args[0]),
-                args[1],
-                genus=args[2],
-                bands=tuple(tuple(b) for b in args[3]),
-                box=args[4],
-            ),
-            RuledSurface(*args[5]),
-        )
-    ],
-    "h0_line_bundle": lambda args: h0_line_bundle(CicyContext(tuple(args[0])), args[1]),
-    "max_rank_no_trivial": lambda args: max_rank_no_trivial(
-        list(args[0]), CicyContext(tuple(args[1]))
-    ),
-    "chern_from_resolution": lambda args: _inv_triple(
-        chern_from_resolution(list(args[0]), list(args[1]), CicyContext(tuple(args[2])))
-    ),
-    "chern_of_extension": lambda args: _inv_pair(
-        chern_of_extension(args[0], args[1], args[2], CicyContext(tuple(args[3])))
-    ),
-    "twist_rank2": lambda args: list(
-        twist_rank2(args[0], args[1], args[2], CicyContext(tuple(args[3])))
-    ),
+#: Every kernel operation a rule records: its module and argument types.  Replay
+#: looks the function up on the module, so a wrapper installed there sees it.
+KERNEL_OPS: dict[str, tuple] = {
+    "castelnuovo_pi": (bounds, int, int),
+    "pi_one": (bounds, int, int),
+    "plane_genus": (bounds, int),
+    "ci_curve_invariants": (bounds, list, int),
+    "union_genus": (constructions, list, int),
+    "liaison_solve": (constructions, int, int, int, int),
+    "adjunction_genus": (ruled, DivisorClass, RuledSurface),
+    "eliminate_by_genus": (ruled, GenusSearch, RuledSurface),
+    "chern_of_extension": (chow, int, int, int, CicyContext),
+    "chern_from_resolution": (chow, list, list, CicyContext),
+    "max_rank_no_trivial": (chow, list, CicyContext),
 }
 
 
-def _inv_triple(inv) -> list[int]:
-    return [inv.rank, inv.c1, inv.c2]
-
-
-def _inv_pair(inv) -> list[int]:
-    return [inv.c1, inv.c2]
+def _replay(check: dict):
+    """Recompute one check payload; raises when it cannot be replayed."""
+    module, *kinds = KERNEL_OPS[check["op"]]
+    args = check["args"]
+    if len(args) > len(kinds):
+        raise TypeError(f"{len(args)} arguments, at most {len(kinds)} expected")
+    return encode(getattr(module, check["op"])(*map(decode, kinds, args)))
 
 
 def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
     """Replay every recorded kernel computation; return mismatch descriptions.
 
     An empty list certifies that the values stored in the verdict trails are
-    reproducible by rerunning the cited kernel operations.
+    reproducible by rerunning the cited kernel operations.  An unknown op,
+    arguments that do not decode and a raising kernel are mismatches too.
     """
     mismatches = []
     for verdict in verdicts:
         for entry in verdict.trail:
             for check in entry.values.get("checks", ()):  # type: ignore[union-attr]
-                op = check["op"]
-                recomputed = _AUDIT_OPS[op](check["args"])
-                if recomputed != check["result"]:
-                    mismatches.append(
-                        f"{entry.rule_id}/{op}{check['args']}: "
-                        f"recorded {check['result']}, recomputed {recomputed}"
-                    )
+                where = f"{entry.rule_id}/{check.get('op')}{check.get('args')}"
+                try:
+                    recomputed = _replay(check)
+                except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+                    mismatches.append(f"{where}: cannot replay: {type(exc).__name__}: {exc}")
+                    continue
+                if recomputed != check.get("result"):
+                    mismatches.append(f"{where}: recorded {check.get('result')}, "
+                                      f"recomputed {recomputed}")
     return mismatches

@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .chow import BundleInvariants, CicyContext
+from .ruled import DivisorClass, GenusSearch, RuledSurface
+
 
 class RuleKind(str, Enum):
     ARITHMETIC = "ARITHMETIC"
@@ -363,3 +366,47 @@ class Trail:
 
     def failing_kinds(self) -> set[RuleKind]:
         return {RULES[e.rule_id].kind for e in self.entries if e.outcome == "fail"}
+
+
+#: JSON encoder and decoder of each structured kernel argument or value type.
+_CODECS = {
+    DivisorClass: (lambda c: [c.a, c.b], lambda v: DivisorClass(*v)),
+    RuledSurface: (lambda s: [s.e, s.q], lambda v: RuledSurface(*v)),
+    CicyContext: (lambda ctx: list(ctx.multidegree), lambda v: CicyContext(tuple(v))),
+    GenusSearch: (
+        lambda g: [encode(g.hyperplane), g.degree, g.genus, encode(g.bands), g.box],
+        lambda v: GenusSearch(DivisorClass(*v[0]), v[1], v[2], tuple(map(tuple, v[3])), v[4]),
+    ),
+    BundleInvariants: (lambda inv: [inv.rank, inv.c1, inv.c2, inv.c3], None),
+}
+
+
+def encode(value):
+    """JSON form of a kernel argument or value; tuples become lists."""
+    if type(value) is int or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    return _CODECS[type(value)][0](value)
+
+
+def decode(kind: type, value):
+    """Rebuild a kernel argument of the given type from its JSON form."""
+    return _CODECS[kind][1](value) if kind in _CODECS else value
+
+
+def record(fn, *args) -> tuple[object, dict]:
+    """Call a kernel function; return its value for the rule to use and the
+    check payload of this very call.  `fn` comes from the caller's module."""
+    value = fn(*args)
+    for a in args:
+        if type(a) is not int:
+            encoded = [encode(a) for a in args]
+            break
+    else:  # int arguments only: the hot path, nothing to encode
+        encoded = list(args)
+    return value, {
+        "op": fn.__name__,
+        "args": encoded,
+        "result": value if type(value) is int else encode(value),
+    }

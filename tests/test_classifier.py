@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -19,8 +20,12 @@ from cicy_bundles import (
     judge_candidate,
     rule_report,
 )
-from cicy_bundles.classifier import HIGHER_RANK, RANK2, report_json, report_markdown
-from cicy_bundles.verdicts import RULES, RuleKind
+from cicy_bundles.classifier import (HIGHER_RANK, KERNEL_OPS, RANK2, report_json,
+                                    report_markdown)
+from cicy_bundles.ruled import DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus
+from cicy_bundles.verdicts import RULES, RuleKind, TrailEntry, Verdict, decode, record
+
+FOUR_CASES = ((QUINTIC, RANK2), (X24, RANK2), (X33, RANK2), (QUINTIC, HIGHER_RANK))
 
 
 def cand(*triples):
@@ -319,3 +324,44 @@ class TestReports:
                             (QUINTIC, HIGHER_RANK)):
             result = classify(ctx, 2, regime)
             assert audit_verdicts(result.verdicts + result.component_verdicts) == []
+
+
+class TestAuditPayloads:
+    def test_record_payload_is_the_call(self):
+        search = GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),))
+        hits, check = record(eliminate_by_genus, search, RuledSurface(3))
+        assert hits == [DivisorClass(5, 15)]
+        assert check == {"op": "eliminate_by_genus",
+                         "args": [[[1, 3], 15, None, [[-3, 1, 0, 1]], 1000], [3, 0]],
+                         "result": [[5, 15]]}
+        assert decode(GenusSearch, check["args"][0]) == search
+
+    def test_op_table_is_exactly_the_recorded_ops(self):
+        recorded = set()
+        for ctx, regime in FOUR_CASES:
+            result = classify(ctx, 2, regime)
+            recorded |= {check["op"]
+                         for v in result.verdicts + result.component_verdicts
+                         for e in v.trail for check in e.values.get("checks", ())}
+        assert recorded == set(KERNEL_OPS)
+
+    def test_tampered_result_is_one_mismatch_naming_its_rule(self):
+        verdicts = copy.deepcopy(classify(X33, 2).verdicts)
+        entry = next(e for v in verdicts for e in v.trail if e.rule_id == "R-liaison-18")
+        entry.values["checks"][1]["result"] += 1
+        mismatches = audit_verdicts(verdicts)
+        assert len(mismatches) == 1
+        assert mismatches[0].startswith("R-liaison-18/liaison_solve")
+
+    @pytest.mark.parametrize("check", [
+        {"op": "no_such_op", "args": [1], "result": 1},
+        {"op": "adjunction_genus", "args": [[1], [0, 0]], "result": 0},
+        {"op": "castelnuovo_pi", "args": [2, 5], "result": 0},
+        {"op": "castelnuovo_pi", "args": [5, 4, 1], "result": 1},
+        {"op": "castelnuovo_pi", "result": 1},
+    ], ids=["unknown-op", "bad-args", "kernel-raises", "extra-args", "no-args"])
+    def test_unreplayable_payload_is_a_mismatch(self, check):
+        verdict = Verdict("payload", Status.SURVIVES,
+                          [TrailEntry("R-genus-bound", "pass", {"checks": [check]})])
+        mismatches = audit_verdicts([verdict])
+        assert len(mismatches) == 1 and "cannot replay" in mismatches[0]

@@ -128,6 +128,13 @@ class TestQuery:
         assert code == 2 and "unsupported" in err
 
 
+@pytest.mark.parametrize("command", [("classify", "--threefold", "5"), ("registry",)],
+                         ids=["classify", "registry"])
+def test_unwritable_out_exits_2(capsys, tmp_path, command):
+    code, _, err = run(capsys, *command, "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and err.startswith("error:")
+
+
 class TestRegistryCommand:
     def test_validate(self, capsys):
         code, out, _ = run(capsys, "registry", "--validate")
