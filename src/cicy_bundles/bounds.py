@@ -34,7 +34,7 @@ def castelnuovo_pi(d: int, r: int) -> int:
 
 #: Verified values of the refined bound, keyed by (degree, span).
 #: The main term m1(m1-1)r/2 + m1*eps1 with d - 1 = m1*r + eps1 accounts for
-#: the first and third entries (correction term 0); the correction term's
+#: the first two entries (correction term 0); the correction term's
 #: general form is not pinned down here, so other inputs are refused.
 _PI_ONE: dict[tuple[int, int], int] = {
     (11, 4): 8,

@@ -9,10 +9,8 @@ ambient projective space restricted to the threefold.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 #: The five multidegrees of smooth complete-intersection Calabi-Yau threefolds.
 KNOWN_MULTIDEGREES: tuple[tuple[int, ...], ...] = (
@@ -41,8 +39,7 @@ class CicyContext:
 
     In strict mode (the default) only the five smooth CICY multidegrees are
     accepted.  Lax mode accepts any multidegree satisfying the Calabi-Yau
-    condition (degrees summing to ambient dimension + 1) and warns when the
-    floor-quarter encoding of the ambient dimension breaks down.
+    condition (degrees summing to ambient dimension + 1).
     """
 
     multidegree: tuple[int, ...]
@@ -57,19 +54,11 @@ class CicyContext:
             if md not in KNOWN_MULTIDEGREES:
                 names = ", ".join(",".join(map(str, m)) for m in KNOWN_MULTIDEGREES)
                 raise ValueError(f"unknown threefold {md}; valid multidegrees: {names}")
-            if self.v + 4 != self.ambient_dim + 1:
-                raise ValueError(f"multidegree {md}: floor(u/4) + 4 != ambient dimension + 1")
             return
         if sum(md) != self.ambient_dim + 1:
             raise ValueError(
                 f"multidegree {md} is not Calabi-Yau: degrees must sum to "
                 f"{self.ambient_dim + 1} in P^{self.ambient_dim}"
-            )
-        if self.v + 4 != self.ambient_dim + 1:
-            warnings.warn(
-                f"multidegree {md}: floor(u/4) + 4 != ambient dimension + 1; "
-                "the Euler-characteristic formula is unverified here",
-                stacklevel=2,
             )
 
     @property
@@ -84,10 +73,6 @@ class CicyContext:
         for d in self.multidegree:
             u *= d
         return u
-
-    @property
-    def v(self) -> int:
-        return self.u // 4
 
     def label(self) -> str:
         return ",".join(str(d) for d in self.multidegree)
@@ -227,17 +212,30 @@ def chern_of_extension(a: int, b: int, z_degree: int, ctx: CicyContext) -> Bundl
     return BundleInvariants(rank=2, c1=a + b, c2=a * b * ctx.u + z_degree)
 
 
+def c2_dot_hyperplane(ctx: CicyContext) -> int:
+    """Degree c2(X).H of the threefold's second Chern class.
+
+    By adjunction c(TX) = (1 + H)^(n+1) / prod(1 + d_i H) in Q[H]/(H^4); the
+    H^2 coefficient times the degree u is c2(X).H (50 on the quintic).
+    """
+    n = ctx.ambient_dim
+    tangent = TruncatedClass.of(*(math.comb(n + 1, k) for k in range(4)))
+    normal = TruncatedClass.unit()
+    for d in ctx.multidegree:
+        normal = normal * TruncatedClass.line(d)
+    return _integer((tangent * normal.invert()).coeffs[2] * ctx.u, "c2(X).H")
+
+
 def chi_rank2(ctx: CicyContext, c1: int, c2: int) -> Fraction:
     """Euler characteristic of a rank-2 bundle with Chern numbers (c1, c2).
 
-    chi = (u/6)c1^3 - c1*c2/2 + (c1/12)(12(v+4) - 2u) with v = floor(u/4);
-    on the five CICYs v + 4 equals the ambient dimension + 1.
+    Hirzebruch-Riemann-Roch with td(X) = 1 + c2(X)/12 on a Calabi-Yau
+    threefold: chi = (u/6)c1^3 - c1*c2/2 + (c1/12) c2(X).H.
     """
-    u, v = ctx.u, ctx.v
     return (
-        Fraction(u, 6) * c1**3
+        Fraction(ctx.u, 6) * c1**3
         - Fraction(c1 * c2, 2)
-        + Fraction(c1, 12) * (12 * (v + 4) - 2 * u)
+        + Fraction(c1 * c2_dot_hyperplane(ctx), 12)
     )
 
 
@@ -247,21 +245,20 @@ def twist_rank2(c1: int, c2: int, t: int, ctx: CicyContext) -> tuple[int, int]:
 
 
 def h0_line_bundle(ctx: CicyContext, t: int) -> int:
-    """Number of global sections of O_X(t), via inclusion-exclusion.
+    """Number of global sections of O_X(t), from the Koszul resolution.
 
     Sections of O(t) on the ambient space restrict onto X with kernel cut by
-    the defining equations; alternating over subsets S of the multidegree:
-    sum (-1)^|S| C(n + t - sum(S), n), binomials with negative top being 0.
+    the defining equations: h0 = sum_k a_k C(n + t - k, n), where a_k are the
+    coefficients of prod(1 - x^d_i) and binomials with top < n are 0.
     """
     if t < 0:
         return 0
     n = ctx.ambient_dim
-    md = ctx.multidegree
-    total = 0
-    for size in range(len(md) + 1):
-        for subset in combinations(md, size):
-            total += (-1) ** size * _comb0(n + t - sum(subset), n)
-    return total
+    poly = [1] + [0] * sum(ctx.multidegree)
+    for d in ctx.multidegree:
+        for k in range(len(poly) - 1, d - 1, -1):
+            poly[k] -= poly[k - d]
+    return sum(a * _comb0(n + t - k, n) for k, a in enumerate(poly) if a)
 
 
 def max_rank_no_trivial(sub_twists: list[int], ctx: CicyContext) -> int:

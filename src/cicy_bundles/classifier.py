@@ -94,7 +94,12 @@ def enumerate_candidates(
     if c1 == 0:
         return [CurveCandidate(())]
     components, _ = admissible_components(ctx, c1)
-    cap = bounds.max_curve_degree(ctx, c1, 2)
+    return _candidates(components, bounds.max_curve_degree(ctx, c1, 2))
+
+
+def _candidates(components: list[CurveComponent], cap: int) -> list[CurveCandidate]:
+    """The empty curve and every multiset of the components within the cap,
+    ordered by component count, then lexicographically."""
     found: set[tuple] = set()
 
     def extend(start: int, chosen: tuple[CurveComponent, ...], total: int) -> None:
@@ -848,9 +853,9 @@ def classify(
             pairs.add((c1, 0))
     elif c1_max >= 1:
         for c1 in range(1, c1_max + 1):
-            _, comp_verdicts = admissible_components(ctx, c1, disabled)
+            components, comp_verdicts = admissible_components(ctx, c1, disabled)
             component_verdicts.extend(comp_verdicts)
-            candidates = enumerate_candidates(ctx, c1)
+            candidates = _candidates(components, bounds.max_curve_degree(ctx, c1, 2))
             for verdict in apply_rules(candidates, ctx, c1, RANK2, disabled):
                 verdicts.append(verdict)
                 if not verdict.survives:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bounds
 from .chow import (
@@ -245,23 +245,6 @@ def _ctx(md: tuple[int, ...]) -> CicyContext:
     return CicyContext(md)
 
 
-#: Admissible c2 values per threefold (0 always, from trivial/split bundles).
-#: For the codimension-3 threefold only the registered example is listed; the
-#: engine makes no completeness claim there.
-FINAL_C2: dict[tuple[int, ...], frozenset[int]] = {
-    (5,): frozenset({0, 5, 10, 15, 20}),
-    (2, 4): frozenset({0, 4, 8, 11, 16}),
-    (3, 3): frozenset({0, 9, 12, 15, 16, 18}),
-    (2, 2, 3): frozenset({0, 18}),
-    (2, 2, 2, 2): frozenset({0}),
-}
-
-#: Admissible (c1, c2) pairs for nontrivial rank-2 bundles on the quintic.
-QUINTIC_RANK2_PAIRS: frozenset[tuple[int, int]] = frozenset(
-    {(1, 0), (2, 0), (2, 5), (2, 10)}
-)
-
-
 REGISTRY: tuple[Construction, ...] = (
     Construction("trivial-twist-split", (5,), 2, 1, 0, (), "split", (0, 1),
                  "O + O(1); the empty-curve sentinel"),
@@ -453,7 +436,6 @@ def _validate_entry(entry: Construction) -> ConstructionReport:
 
     expect("c1", entry.c1, invariants.c1)
     expect("c2", entry.c2, invariants.c2)
-    expect("c2-in-final-list", True, entry.c2 in FINAL_C2[entry.threefold])
     if entry.rank == 2:
         cap = entry.c1**2 * ctx.u
         expect("c2-cap", True, 0 <= entry.c2 <= cap)

@@ -14,7 +14,9 @@ from .chow import (
     X24,
     X33,
     X223,
+    X2222,
     TruncatedClass,
+    c2_dot_hyperplane,
     chern_from_resolution,
     chern_of_extension,
     chi_rank2,
@@ -61,11 +63,14 @@ def _true(condition: bool, label: str) -> str:
 
 
 def check_chi_hyperplane_oracle() -> str:
-    """chi(O(1) + O) doubles to the ambient section count on all five."""
+    """chi(O(1) + O) is the ambient section count n + 1 on all five."""
+    _eq([(ctx.ambient_dim, ctx.u, c2_dot_hyperplane(ctx)) for ctx in ALL_CONTEXTS],
+        [(4, 5, 50), (5, 8, 56), (5, 9, 54), (6, 12, 60), (7, 16, 64)],
+        "(n, u, c2(X).H) of the five")
     out = []
-    for ctx in ALL_CONTEXTS:
-        out.append(_eq(chi_rank2(ctx, 1, 0), Fraction(ctx.ambient_dim + 1),
-                       f"chi({ctx.label()},1,0)"))
+    for ctx, expected in zip(ALL_CONTEXTS, (5, 6, 6, 7, 8)):
+        _eq(expected, ctx.ambient_dim + 1, f"n+1 on {ctx.label()}")
+        out.append(_eq(chi_rank2(ctx, 1, 0), Fraction(expected), f"chi({ctx.label()},1,0)"))
     return "; ".join(out)
 
 
@@ -76,6 +81,7 @@ def check_chi_trivial_zero() -> str:
 
 
 def check_chi_twisted_pair() -> str:
+    _eq(chi_rank2(X33, 1, 1), Fraction(11, 2), "chi(3,3,1,1)")
     return _eq(chi_rank2(QUINTIC, 2, 5), Fraction(10), "chi(5,2,5)")
 
 
@@ -109,6 +115,7 @@ def check_resolution_chern() -> str:
         (([-2], [0, 0, 0, 0], QUINTIC), (3, 2, 20)),
         (([-1], [0, 0, 0, 0, 0], QUINTIC), (4, 1, 5)),
         (([], [0, 0], QUINTIC), (2, 0, 0)),
+        (([], [0, 0], X223), (2, 0, 0)),
         (([-1], [0, 0, 0, 1], QUINTIC), (3, 2, 10)),
         (([-1, -1], [0, 0, 0, 0, 0], QUINTIC), (3, 2, 15)),
     ]
@@ -138,6 +145,7 @@ def check_extension_chern() -> str:
 def check_twist_examples() -> str:
     _eq(twist_rank2(2, 10, -1, QUINTIC), (0, 5), "twist(2,10,-1) on 5")
     _eq(twist_rank2(3, 7, 0, X24), (3, 7), "twist identity")
+    _eq(twist_rank2(4, -3, 0, X223), (4, -3), "twist identity on 2,2,3")
     _eq(twist_rank2(0, 0, 1, X24), (2, 8), "twist(0,0,1) on 2,4")
     rng = random.Random(11)
     for _ in range(200):
@@ -151,6 +159,7 @@ def check_twist_examples() -> str:
 def check_h0_values() -> str:
     _eq(h0_line_bundle(QUINTIC, 2), 15, "h0(O_X5(2))")
     _eq(h0_line_bundle(X24, 1), 6, "h0(O_X24(1))")
+    _eq(h0_line_bundle(X2222, -2), 0, "h0(O_X2222(-2))")
     for ctx in ALL_CONTEXTS:
         _eq(h0_line_bundle(ctx, 0), 1, f"h0(O_{ctx.label()})")
         _eq(h0_line_bundle(ctx, 1), ctx.ambient_dim + 1, f"h0(O_{ctx.label()}(1))")
@@ -171,11 +180,11 @@ def check_max_rank() -> str:
 
 
 def check_castelnuovo_anchors() -> str:
-    anchors = {(6, 3): 4, (7, 3): 6, (8, 3): 9, (5, 4): 1, (6, 4): 2,
+    anchors = {(6, 3): 4, (7, 3): 6, (8, 3): 9, (5, 4): 1, (6, 4): 2, (7, 4): 3,
                (11, 4): 12, (14, 5): 15, (16, 7): 12, (3, 3): 0}
     for (d, r), value in sorted(anchors.items()):
         _eq(bounds.castelnuovo_pi(d, r), value, f"pi({d},{r})")
-    return "nine genus-bound anchors"
+    return "ten genus-bound anchors"
 
 
 def check_castelnuovo_ranges() -> str:
@@ -215,6 +224,7 @@ def check_pi_one() -> str:
 def check_plane_genus() -> str:
     _eq(bounds.plane_genus(5), 6, "plane quintic genus")
     _eq(bounds.plane_genus(1), 0, "line genus")
+    _eq(bounds.plane_genus(3), 1, "plane cubic genus")
     return _eq(bounds.plane_genus(4), 3, "plane quartic genus")
 
 
@@ -225,6 +235,12 @@ def check_ci_invariants() -> str:
         "linear section of the (2,4) threefold")
     _eq(tuple(bounds.ci_curve_invariants([2, 2, 2, 3], 5)), (24, 3, 37),
         "three quadrics and a cubic")
+    _eq(tuple(bounds.ci_curve_invariants([1, 1, 3, 3], 5)), (9, 2, 10),
+        "linear section of the (3,3) threefold")
+    _eq(tuple(bounds.ci_curve_invariants([1, 1, 5], 4)), (5, 2, 6),
+        "plane section of the quintic")
+    _eq(tuple(bounds.ci_curve_invariants([2, 2, 2], 4)), (8, 1, 5),
+        "three quadrics in P^4")
     try:
         bounds.ci_curve_invariants([1, 1], 2)
     except ValueError:
@@ -234,6 +250,8 @@ def check_ci_invariants() -> str:
 
 def check_max_curve_degree() -> str:
     _eq(bounds.max_curve_degree(QUINTIC, 2, 2), 17, "cap on 5 (rank 2)")
+    _eq(bounds.max_curve_degree(X24, 2, 2), 29, "cap on 2,4 (rank 2)")
+    _eq(bounds.max_curve_degree(X33, 2, 2), 33, "cap on 3,3 (rank 2)")
     _eq(bounds.max_curve_degree(X24, 2, 3), 32, "cap on 2,4 (higher rank)")
     return _eq(bounds.max_curve_degree(X33, 1, 2), 9, "cap on 3,3 (twist one)")
 
@@ -248,6 +266,8 @@ def check_intersection_anchors() -> str:
         "(4h+8f).(2h+5f) on e=1")
     _eq(intersect(DivisorClass(0, 1), DivisorClass(0, 1), RuledSurface(2, 1)), 0,
         "f.f")
+    _eq(intersect(DivisorClass(0, 1), DivisorClass(0, 1), RuledSurface(4, 2)), 0,
+        "f.f on e=4, q=2")
     _eq(intersect(DivisorClass(4, 12), DivisorClass(2, 7), RuledSurface(3)), 28,
         "(4h+12f).(2h+7f) on e=3")
     return _eq(intersect(DivisorClass(4, 8), DivisorClass(2, 6), RuledSurface(0)),
@@ -282,6 +302,8 @@ def check_embedding_degrees() -> str:
     for a, b in ((1, 2), (2, 5), (3, 4)):
         _eq(embedding_degree(DivisorClass(a, b), DivisorClass(1, 2), RuledSurface(1)),
             a + b, "cubic-scroll degree a+b")
+    _eq(embedding_degree(DivisorClass(0, 1), DivisorClass(1, 9), RuledSurface(5)),
+        1, "fibers are lines on F5")
     return _eq(embedding_degree(DivisorClass(0, 1), DivisorClass(1, 7),
                                 RuledSurface(2)), 1, "fibers are lines")
 
@@ -305,8 +327,8 @@ def check_f3_elimination() -> str:
 def check_f0_conic() -> str:
     hits = eliminate_by_genus(GenusSearch(DivisorClass(1, 1), 2, genus=0),
                               RuledSurface(0))
-    _true(DivisorClass(1, 1) in hits, "conic class on the quadric surface")
-    return "degree-2 genus-0 search contains (1,1)"
+    _eq(hits, [DivisorClass(1, 1)], "conic class on the quadric surface")
+    return "degree-2 genus-0 search finds exactly (1,1)"
 
 
 def check_adjunction_table() -> str:
@@ -387,6 +409,7 @@ def _registry_check(name: str):
 def check_required_genus() -> str:
     _eq(required_genus(2, 5), 6, "twist two, degree 5")
     _eq(required_genus(1, 4), 3, "twist one, degree 4")
+    _eq(required_genus(2, 18), 19, "twist two, degree 18")
     _eq(required_genus(0, 0), None, "empty curve sentinel")
     try:
         required_genus(2, 0)
@@ -404,6 +427,7 @@ def check_required_genus() -> str:
 def check_union_genus() -> str:
     _eq(union_genus([12, 0], 2), 13, "component plus line with two meets")
     _eq(union_genus([6, 6]), 11, "two disjoint plane quintics")
+    _eq(union_genus([9]), 9, "single part of genus 9")
     return _eq(union_genus([7]), 7, "single part")
 
 
@@ -436,6 +460,8 @@ def check_registry_serialization() -> str:
     _eq(keys, ["name", "threefold", "rank", "c1", "c2", "components", "ref"],
         "stable key order")
     _eq(json.dumps(records, indent=2), text, "round-trip is byte-identical")
+    _eq([(r["c1"], r["c2"]) for r in records if r["threefold"] == "2,2,3"], [(2, 18)],
+        "the one codimension-3 example")
     return f"{len(records)} records serialized with stable keys"
 
 
@@ -444,11 +470,30 @@ def check_registry_serialization() -> str:
 # --------------------------------------------------------------------------
 
 
+def _registry_admissible(result) -> None:
+    """Every registry entry on the threefold, of the result's rank regime,
+    sits on an admissible (c1, c2) pair."""
+    higher = result.rank_regime == classifier.HIGHER_RANK
+    for e in constructions.REGISTRY:
+        if e.threefold == result.ctx.multidegree and (e.rank > 2) == higher:
+            _true((e.c1, e.c2) in result.admissible_pairs,
+                  f"registry {e.name} at (c1, c2) = ({e.c1}, {e.c2}) is admissible")
+
+
+def _witnessed(result) -> None:
+    for c2 in result.admissible_c2:
+        _true(bool(result.witnesses.get(c2)), f"witness at c2={c2}")
+
+
 def check_quintic_rank2_pairs() -> str:
     result = classifier.classify(QUINTIC, 2, classifier.RANK2)
-    _eq(set(result.admissible_pairs), set(constructions.QUINTIC_RANK2_PAIRS),
+    _eq(result.admissible_pairs, [(1, 0), (2, 0), (2, 5), (2, 10)],
         "rank-2 pairs on the quintic")
-    return "pairs {(1,0), (2,0), (2,5), (2,10)}"
+    _eq(result.admissible_c2, [0, 5, 10], "rank-2 c2 set on 5")
+    _eq(result.unresolved, [], "nothing unresolved")
+    _witnessed(result)
+    _registry_admissible(result)
+    return "pairs {(1,0), (2,0), (2,5), (2,10)}, witnesses attached"
 
 
 def check_quintic_higher_rank() -> str:
@@ -457,15 +502,17 @@ def check_quintic_higher_rank() -> str:
     _eq(result.rank_windows.get(20), (3, 14), "window at c2=20")
     _eq(result.rank_windows.get(15), (3, 8), "window at c2=15")
     _eq(result.rank_windows.get(10), (3, 5), "window at c2=10")
-    return "c2 in {0,5,10,15,20} with rank windows 14/8/5"
+    _eq(result.rank_windows.get(5), (3, 4), "window at c2=5")
+    _registry_admissible(result)
+    return "c2 in {0,5,10,15,20} with rank windows 14/8/5/4"
 
 
 def check_x24_classification() -> str:
     result = classifier.classify(X24, 2, classifier.RANK2)
     _eq(result.admissible_c2, [0, 4, 8, 11, 16], "c2 set on 2,4")
     _eq(result.unresolved, [16], "unresolved case")
-    for c2 in (4, 8, 11, 16):
-        _true(bool(result.witnesses.get(c2)), f"witness at c2={c2}")
+    _witnessed(result)
+    _registry_admissible(result)
     return "c2 in {0,4,8,11,16}, 16 unresolved, witnesses attached"
 
 
@@ -473,8 +520,8 @@ def check_x33_classification() -> str:
     result = classifier.classify(X33, 2, classifier.RANK2)
     _eq(result.admissible_c2, [0, 9, 12, 15, 16, 18], "c2 set on 3,3")
     _eq(result.unresolved, [16], "unresolved case")
-    for c2 in (9, 12, 15, 16, 18):
-        _true(bool(result.witnesses.get(c2)), f"witness at c2={c2}")
+    _witnessed(result)
+    _registry_admissible(result)
     return "c2 in {0,9,12,15,16,18}, 16 unresolved, witnesses attached"
 
 
@@ -482,6 +529,7 @@ def check_trivial_regime() -> str:
     for ctx in ALL_CONTEXTS:
         result = classifier.classify(ctx, 0, classifier.RANK2)
         _eq(result.admissible_c2, [0], f"c1=0 on {ctx.label()}")
+        _eq(result.admissible_pairs, [], f"no c1 >= 1 pair on {ctx.label()}")
     return "first Chern class 0 forces the trivial bundle on all five"
 
 

