@@ -74,6 +74,7 @@ from .ruled import (
     disjointness_obstruction,
     eliminate_by_genus,
     embedding_degree,
+    genus_quadratic,
     intersect,
 )
 from .verdicts import Rule, RuleKind, Status, Verdict

@@ -44,6 +44,7 @@ from .ruled import (
     canonical_class,
     eliminate_by_genus,
     embedding_degree,
+    genus_quadratic,
     intersect,
 )
 from .verdicts import (RULE_ORDER, RULES, RuleKind, Status, Trail, TrailEntry, Verdict,
@@ -348,10 +349,12 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Route
         r.fire("R-mu-d", d in viable, mu_d=15, d=d, viable=viable, checks=checks)
         if d != 15:
             return
-        hits1, check = record(eliminate_by_genus,
-                              GenusSearch(DivisorClass(1, 2), 15, genus=16), RuledSurface(1))
+        f1_search, f1 = GenusSearch(DivisorClass(1, 2), 15, genus=16), RuledSurface(1)
+        hits1, check = record(eliminate_by_genus, f1_search, f1)
+        qa, qb, qc = genus_quadratic(f1_search, f1)
         r.fire("R-hirzebruch-F1", bool(hits1), classes=encode(hits1),
-               quadratic="-3a^2 + 31a - 60 = 0", checks=[check])
+               quadratic=f"{qa}a^2 {'-+'[qb >= 0]} {abs(qb)}a {'-+'[qc >= 0]} {abs(qc)} = 0",
+               checks=[check])
         f3 = RuledSurface(3)
         pairings = {
             "(c,3c+1).(d,3d+1)": intersect(DivisorClass(1, 4), DivisorClass(1, 4), f3),

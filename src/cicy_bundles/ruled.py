@@ -4,12 +4,15 @@ A ruled surface here is a P^1-bundle over a smooth curve of genus q with a
 section h of minimal self-intersection -e and fiber f; the Picard lattice is
 Z<h, f> with h^2 = -e, h.f = 1, f^2 = 0.  q = 0 gives the Hirzebruch surface
 F_e.  The module provides the intersection pairing, canonical classes,
-adjunction genus, embedding degrees, and a finite Diophantine search used to
-certify case eliminations.
+adjunction genus, embedding degrees, and a divisor-class search used to
+certify case eliminations.  The search is solved exactly (a congruence, a
+quadratic and linear bounds in the h-coefficient a) and clipped to a box;
+the brute-force scan it replaces lives on in the tests as their oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -74,13 +77,14 @@ def embedding_degree(c: DivisorClass, hyperplane: DivisorClass, s: RuledSurface)
 
 @dataclass(frozen=True)
 class GenusSearch:
-    """Constraints for a finite search over integer classes a*h + b*f.
+    """Constraints for a search over integer classes a*h + b*f.
 
     A class qualifies when its embedding degree matches `degree`, its
     adjunction genus matches `genus` (if given), and every linear band
-    lo <= ca*a + cb*b <= hi holds (None bounds are open).  The search scans
-    a over [-box, box] and solves the degree equation for b, so the
-    hyperplane class must have a nonzero h-coefficient.
+    lo <= ca*a + cb*b <= hi holds (None bounds are open).  The degree
+    equation fixes b as a function of a, so the hyperplane class must have a
+    nonzero h-coefficient; the search is then solved exactly in a and its
+    result clipped to |a| <= box.
     """
 
     hyperplane: DivisorClass
@@ -90,38 +94,63 @@ class GenusSearch:
     box: int = 1000
 
 
-def eliminate_by_genus(search: GenusSearch, s: RuledSurface) -> list[DivisorClass]:
-    """All integer classes meeting the search constraints, in lex order.
+def genus_quadratic(search: GenusSearch, s: RuledSurface) -> tuple[int, int, int]:
+    """Coefficients (A, B, C0) of the genus condition A*a^2 + B*a + C0 = 0.
 
-    An empty result certifies that no curve class satisfies the constraints.
-    This is deliberately a brute-force box scan: it *is* the reference
-    computation, cross-checked in the tests against an independent 2-d scan.
+    With b = (degree + a*t)/ha and t = e*ha - hb substituted from the degree
+    equation, ha * (C.(C + K) - (2g - 2)) is this quadratic in a.
     """
-    ha, hb = search.hyperplane.a, search.hyperplane.b
+    ha, hb, d = search.hyperplane.a, search.hyperplane.b, search.degree
+    t = s.e * ha - hb
+    return (s.e * ha - 2 * hb,
+            2 * d + (s.e + 2 * s.q - 2) * ha - 2 * t,
+            -2 * d - ha * (2 * search.genus - 2))
+
+
+def eliminate_by_genus(search: GenusSearch, s: RuledSurface) -> list[DivisorClass]:
+    """All integer classes meeting the search constraints with |a| <= box, in lex order.
+
+    An empty result certifies that no curve class with |a| <= box satisfies
+    the constraints.  The search is solved exactly: the degree equation
+    b = (degree + a*t)/ha is a congruence on a, the genus condition is the
+    quadratic `genus_quadratic`, and each band bound is a one-sided bound on
+    a.  The tests check it against an independent brute-force scan.
+    """
+    ha, hb, d = search.hyperplane.a, search.hyperplane.b, search.degree
     if ha == 0:
         raise SearchNotFiniteError("search not finite: hyperplane class has no h-component")
-    found = []
-    for a in range(-search.box, search.box + 1):
-        # degree equation: -e*a*ha + a*hb + ha*b = degree
-        numerator = search.degree + s.e * a * ha - a * hb
-        if numerator % ha:
-            continue
-        b = numerator // ha
-        cls = DivisorClass(a, b)
-        if search.genus is not None and adjunction_genus(cls, s) != search.genus:
-            continue
-        ok = True
-        for ca, cb, lo, hi in search.bands:
-            value = ca * a + cb * b
-            if lo is not None and value < lo:
-                ok = False
-                break
-            if hi is not None and value > hi:
-                ok = False
-                break
-        if ok:
-            found.append(cls)
-    return sorted(found, key=lambda c: (c.a, c.b))
+    t = s.e * ha - hb
+    sign = 1 if ha > 0 else -1
+    lo, hi = -search.box, search.box
+    # ha*(ca*a + cb*b) = k*a + cb*degree: each bound is k*a >= rhs, signs normalized
+    for ca, cb, band_lo, band_hi in search.bands:
+        k = sign * (ca * ha + cb * t)
+        offset = sign * cb * d
+        for k_a, rhs in ((k, None if band_lo is None else abs(ha) * band_lo - offset),
+                         (-k, None if band_hi is None else offset - abs(ha) * band_hi)):
+            if rhs is None:
+                continue
+            if k_a > 0:
+                lo = max(lo, -(-rhs // k_a))
+            elif k_a < 0:
+                hi = min(hi, rhs // k_a)
+            elif rhs > 0:
+                return []
+    if search.genus is None:
+        values = range(lo, hi + 1)
+    else:
+        qa, qb, qc = genus_quadratic(search, s)
+        if qa:
+            disc = qb * qb - 4 * qa * qc
+            root = math.isqrt(disc) if disc >= 0 else -1
+            values = sorted({n // (2 * qa) for n in (-qb - root, -qb + root)
+                             if root * root == disc and n % (2 * qa) == 0})
+        elif qb:
+            values = [] if qc % qb else [-qc // qb]
+        else:
+            values = range(lo, hi + 1) if qc == 0 else []
+    return [DivisorClass(a, (d + a * t) // ha) for a in values
+            if lo <= a <= hi and (d + a * t) % ha == 0]
 
 
 def disjointness_obstruction(classes: list[DivisorClass], s: RuledSurface) -> bool:

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from cicy_bundles import (
     disjointness_obstruction,
     eliminate_by_genus,
     embedding_degree,
+    genus_quadratic,
     intersect,
 )
 
@@ -43,7 +46,8 @@ def scan(search, s):
             kf = 2 * s.q - 2 - s.e
             if genus is not None and -s.e * a * (a - 2) + a * (b + kf) + (a - 2) * b != 2 * genus - 2:
                 continue
-            if any(not (lo <= ca * a + cb * b <= hi) for ca, cb, lo, hi in search.bands):
+            if any(lo is not None and ca * a + cb * b < lo or hi is not None and ca * a + cb * b > hi
+                   for ca, cb, lo, hi in search.bands):
                 continue
             found.append(DivisorClass(a, b))
     return sorted(found, key=tuple)
@@ -161,6 +165,61 @@ class TestEliminations:
                           rng.randint(-10, 0), rng.randint(0, 10)),)
             search = GenusSearch(hyper, degree, genus=genus, bands=bands, box=box)
             assert eliminate_by_genus(search, s) == scan(search, s), f"trial {trial}"
+
+
+def test_f1_quadratic_has_no_integer_root():
+    # the F1 genus condition is a true quadratic with a non-square
+    # discriminant, so the F1 search is empty over all integers, not just the box
+    qa, qb, qc = genus_quadratic(GenusSearch(DivisorClass(1, 2), 15, genus=16), F1)
+    disc = qb * qb - 4 * qa * qc
+    assert qa != 0 and disc >= 0 and math.isqrt(disc) ** 2 != disc
+
+
+def test_paper_searches_unbounded_box():
+    for search, s in ((GenusSearch(DivisorClass(1, 2), 15, genus=16), F1),
+                      (GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),)), F3),
+                      (GenusSearch(DivisorClass(1, 1), 2, genus=0), F0)):
+        wide = dataclasses.replace(search, box=10**9)
+        assert eliminate_by_genus(wide, s) == eliminate_by_genus(search, s)
+
+
+def test_closed_form_matches_scan_on_every_branch():
+    # seeded searches built around a random class, so most have hits; the
+    # branch counters make sure every case of the exact solve was exercised
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(("ha3", "e<0", "open", "k=0", "two-bands", "box0",
+                          "A=0", "g<0", "hits"), 0)
+    for trial in range(1000):
+        q = rng.randint(0, 3)
+        s = RuledSurface(rng.randint(-q, 3), q)
+        ha = rng.choice([-3, -2, -1, 1, 2, 3])
+        hb = s.e * ha // 2 if rng.random() < 0.25 and s.e * ha % 2 == 0 else rng.randint(-3, 3)
+        hyper = DivisorClass(ha, hb)
+        box = rng.choice([0, 1, 2, 4, 6])
+        c = DivisorClass(rng.randint(-box - 1, box + 1), rng.randint(-8, 8))
+        degree = embedding_degree(c, hyper, s) if rng.random() < 0.8 else rng.randint(-20, 20)
+        genus = rng.choice([None, adjunction_genus(c, s), adjunction_genus(c, s),
+                            rng.randint(-6, 12)])
+        bands = []
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            t = s.e * ha - hb
+            ca, cb = (-t, ha) if rng.random() < 0.25 else (rng.randint(-3, 3), rng.randint(-3, 3))
+            value = ca * c.a + cb * c.b
+            bands.append((ca, cb, rng.choice([None, value - rng.randint(-1, 3)]),
+                          rng.choice([None, value + rng.randint(-1, 3)])))
+        search = GenusSearch(hyper, degree, genus=genus, bands=tuple(bands), box=box)
+        hits = eliminate_by_genus(search, s)
+        assert hits == scan(search, s), f"trial {trial}: {search} on {s}"
+        seen["ha3"] += abs(ha) == 3
+        seen["e<0"] += s.e < 0 < s.q
+        seen["open"] += any(None in band for band in bands)
+        seen["k=0"] += any(ca * ha + cb * (s.e * ha - hb) == 0 for ca, cb, _, _ in bands)
+        seen["two-bands"] += len(bands) == 2
+        seen["box0"] += box == 0
+        seen["A=0"] += genus is not None and genus_quadratic(search, s)[0] == 0
+        seen["g<0"] += genus is not None and genus < 0
+        seen["hits"] += bool(hits)
+    assert all(seen.values()), seen
 
 
 def test_disjointness_obstruction():
