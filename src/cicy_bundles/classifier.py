@@ -9,14 +9,14 @@ run; geometric steps enter as toggleable axioms, so the claim certified here
 is that the case tree is faithfully encoded and its arithmetic is sound, not
 that the classification theorems are machine-proved.
 
-Candidates killed only by axioms are AXIOM-ELIMINATED; a candidate is
-ELIMINATED only when every escape route dies on a recomputed arithmetic
-rule.  Disabling an axiom can only grow the survivor set.
+Every status comes from `verdicts.Trail.verdict`, so disabling an axiom can
+only grow the survivor set.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import bounds, chow, constructions, ruled
@@ -47,8 +47,8 @@ from .ruled import (
     genus_quadratic,
     intersect,
 )
-from .verdicts import (RULE_ORDER, RULES, RuleKind, Status, Trail, TrailEntry, Verdict,
-                       annotations, decode, encode, record)
+from .verdicts import (RULE_ORDER, RULES, Route, Trail, Verdict, annotations, decode, encode,
+                       record)
 
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
@@ -83,15 +83,9 @@ def admissible_components(
     return survivors, verdicts
 
 
-def enumerate_candidates(
-    ctx: CicyContext, c1: int, rank_regime: str = RANK2
-) -> list[CurveCandidate]:
-    """All candidate curves: multisets of admissible components within the
-    degree cap, in lex order, preceded by the empty curve (split bundles)."""
-    if rank_regime != RANK2 and c1 > 1:
-        raise UnsupportedClassificationError(
-            "curve enumeration is defined for the rank-2 regime"
-        )
+def enumerate_candidates(ctx: CicyContext, c1: int) -> list[CurveCandidate]:
+    """All rank-2 candidate curves: multisets of admissible components within
+    the degree cap, in lex order, preceded by the empty curve (split bundles)."""
     if c1 == 0:
         return [CurveCandidate(())]
     components, _ = admissible_components(ctx, c1)
@@ -118,71 +112,11 @@ def _candidates(components: list[CurveComponent], cap: int) -> list[CurveCandida
 
 
 # --------------------------------------------------------------------------
-# route bookkeeping
-# --------------------------------------------------------------------------
-
-
-class _Route:
-    """One escape route for a candidate; killed when a fired rule fails."""
-
-    def __init__(self, name: str, trail: Trail):
-        self.name = name
-        self.trail = trail
-        self.fail_kinds: set[RuleKind] = set()
-        self.survivor = False
-        self.witnesses: list[str] = []
-        self.unresolved = False
-
-    def fire(self, rule_id: str, ok: bool, **values) -> bool | None:
-        result = self.trail.fire(rule_id, ok, route=self.name, **values)
-        if result is False:
-            self.fail_kinds.add(RULES[rule_id].kind)
-        return result
-
-    def hypothesis(self, rule_id: str, **values) -> bool:
-        return self.trail.hypothesis(rule_id, route=self.name, **values)
-
-    def mark_survivor(self, witnesses: list[str], unresolved: bool = False) -> None:
-        self.survivor = True
-        self.witnesses = witnesses
-        self.unresolved = unresolved
-
-    @property
-    def killed(self) -> bool:
-        return bool(self.fail_kinds)
-
-
-class _Routes:
-    def __init__(self, disabled: frozenset[str]):
-        self.trail = Trail(disabled)
-        self.routes: list[_Route] = []
-
-    def route(self, name: str) -> _Route:
-        r = _Route(name, self.trail)
-        self.routes.append(r)
-        return r
-
-    def verdict(self, candidate) -> Verdict:
-        live = [r for r in self.routes if not r.killed]
-        if live:
-            witnesses = sorted({w for r in live for w in r.witnesses})
-            unresolved = any(r.unresolved for r in live)
-            return Verdict(candidate, Status.SURVIVES, self.trail.entries,
-                           witnesses, unresolved)
-        # every route died; purely arithmetic certificates give ELIMINATED
-        if all(RuleKind.ARITHMETIC in r.fail_kinds for r in self.routes):
-            status = Status.ELIMINATED
-        else:
-            status = Status.AXIOM_ELIMINATED
-        return Verdict(candidate, status, self.trail.entries)
-
-
-# --------------------------------------------------------------------------
 # shared arithmetic helpers (recorded with replayable check payloads)
 # --------------------------------------------------------------------------
 
 
-def _berzolari(route: _Route, **values) -> None:
+def _berzolari(route: Route, **values) -> None:
     """Sectional genus of the degree-6 surface: the bound for a sextic in P^4."""
     pi, check = record(bounds.castelnuovo_pi, 6, 4)
     route.hypothesis("A-berzolari", sectional_genus=pi, **values, checks=[check])
@@ -201,20 +135,49 @@ def _mu_d_viable() -> tuple[list[int], list[dict]]:
     return viable, checks
 
 
-def _harris_surface(route: _Route, d: int, r: int, **values) -> None:
+#: The degree-15 curve searches on the two cubic scrolls: genus 16 on the smooth
+#: scroll F1, the smoothness band on the cone F3.
+_F1 = (GenusSearch(DivisorClass(1, 2), 15, genus=16), RuledSurface(1))
+_F3 = (GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),)), RuledSurface(3))
+
+
+def _cone_class() -> tuple[list[DivisorClass], int, list[dict]]:
+    """The F3 band search, the genus of the class (5,15) it forces, both payloads."""
+    hits, search_check = record(eliminate_by_genus, *_F3)
+    genus, genus_check = record(adjunction_genus, DivisorClass(5, 15), _F3[1])
+    return hits, genus, [search_check, genus_check]
+
+
+def _polynomial(a: int, b: int, c: int, relation: str) -> str:
+    """The text `{a}a^2 + {b}a + {c} {relation} 0` with signed terms."""
+    return f"{a}a^2 {'-+'[b >= 0]} {abs(b)}a {'-+'[c >= 0]} {abs(c)} {relation} 0"
+
+
+def _nonnegative_integers(a: int, b: int, c: int) -> list[int]:
+    """Every integer x with a*x^2 + b*x + c >= 0, for a < 0."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    # -4a * (a*x^2 + b*x + c) = disc - (m*x - b)^2 with m = -2a > 0, so x is a
+    # solution exactly when the integer |m*x - b| is at most isqrt(disc)
+    root, m = math.isqrt(disc), -2 * a
+    return list(range(-(-(b - root) // m), (b + root) // m + 1))
+
+
+def _harris_surface(route: Route, d: int, r: int, **values) -> None:
     """Genus at or above the refined bound puts the curve on a low-degree surface."""
     bound, check = record(bounds.pi_one, d, r)
     route.hypothesis("A-harris-surface", refined_bound=bound, **values, checks=[check])
 
 
-def _fire_ci_omega(route: _Route, degrees: list[int], **values) -> None:
+def _fire_ci_omega(route: Route, degrees: list[int], **values) -> None:
     """A complete-intersection curve in P^5 needs dualizing twist 2."""
     inv, check = record(bounds.ci_curve_invariants, degrees, 5)
     route.fire("R-ci-omega", inv.omega_twist == 2, degrees=degrees,
                omega_twist=inv.omega_twist, required=2, checks=[check], **values)
 
 
-def _fire_ruled_38(route: _Route) -> None:
+def _fire_ruled_38(route: Route) -> None:
     """Degree-17 curve on a degree-6 ruled surface over a genus-q curve.
 
     The degree equation pins the fiber coefficient to 8 + 3e/2, and the
@@ -238,7 +201,7 @@ def _fire_ruled_38(route: _Route) -> None:
                table=dict(sorted(table.items())), never_34=not hits_34)
 
 
-def _fire_ruled_58(route: _Route) -> None:
+def _fire_ruled_58(route: Route) -> None:
     """Triple-section case of a degree-16 curve: -3e + 6q + 58 = 32 needs
     3e = 6q + 26, impossible since 26 is not divisible by 3."""
     solutions = [
@@ -252,7 +215,7 @@ def _fire_ruled_58(route: _Route) -> None:
                even_solutions=solutions)
 
 
-def _fire_clifford(route: _Route) -> None:
+def _fire_clifford(route: Route) -> None:
     """Double-section case of a degree-16 curve of genus 17: a primitive
     pencil of Clifford index 2 forces h0 = 8, putting the curve in P^7 where
     the Castelnuovo bound 12 is exceeded."""
@@ -266,7 +229,7 @@ def _fire_clifford(route: _Route) -> None:
                checks=[check])
 
 
-def _fire_ruled_e2q20(route: _Route) -> None:
+def _fire_ruled_e2q20(route: Route) -> None:
     """Triple-section case of a degree-18 curve: 2q + 16 - e = 36 forces
     e = 2q - 20, far below the Segre-Nagata floor e >= -q for q <= 2."""
     table = {q: 2 * q - 20 for q in (0, 1, 2)}
@@ -275,7 +238,7 @@ def _fire_ruled_e2q20(route: _Route) -> None:
                forced_e=table, feasible=feasible)
 
 
-def _fire_adjunction_table(route: _Route) -> None:
+def _fire_adjunction_table(route: Route) -> None:
     """The five ruled-surface adjunction numbers against the required 2d."""
     cases = [
         ("deg3-smooth", RuledSurface(1), DivisorClass(4, 8), DivisorClass(1, 2)),
@@ -299,15 +262,15 @@ def _fire_adjunction_table(route: _Route) -> None:
 # --------------------------------------------------------------------------
 
 
-def _judge_extension(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -> None:
+def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     """Degenerate curve: the bundle also arises from a twisted extension."""
-    r = routes.route("extension")
+    r = trail.route("extension")
     z = cand.total_degree - ctx.u
     if z == 0:
         inv, check = record(chern_of_extension, 1, 1, z, ctx)
         r.fire("R-ext-z", True, z=0, residual="empty", checks=[check])
-        r.mark_survivor(witnesses_for(ctx.multidegree, inv.c1, inv.c2)
-                        or ["hyperplane-pair-split"])
+        r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2)
+                  or ["hyperplane-pair-split"])
         return
     if z == 3 and ctx.ambient_dim >= 5:
         r.hypothesis("A-ext-plane-cubic", z=3,
@@ -315,8 +278,8 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) ->
         inv, check = record(chern_of_extension, 1, 1, z, ctx)
         r.fire("R-ext-z", True, z=3, residual="plane cubic",
                residual_omega_twist=0, checks=[check])
-        r.mark_survivor(witnesses_for(ctx.multidegree, inv.c1, inv.c2)
-                        or ["plane-cubic-extension"])
+        r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2)
+                  or ["plane-cubic-extension"])
         return
     values = {"z": z, "allowed": [0, 3]}
     if z == 3:
@@ -331,10 +294,10 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) ->
     r.fire("R-ext-z", False, **values)
 
 
-def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -> None:
+def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     spans = [c.span for c in cand.components]
     s = len(cand.components)
-    r = routes.route("base-locus-surface")
+    r = trail.route("base-locus-surface")
     if not r.hypothesis("A-base-locus", components=cand.label()):
         return
     minima = {2: 1, 3: 2, 4: 3}
@@ -349,13 +312,10 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Route
         r.fire("R-mu-d", d in viable, mu_d=15, d=d, viable=viable, checks=checks)
         if d != 15:
             return
-        f1_search, f1 = GenusSearch(DivisorClass(1, 2), 15, genus=16), RuledSurface(1)
-        hits1, check = record(eliminate_by_genus, f1_search, f1)
-        qa, qb, qc = genus_quadratic(f1_search, f1)
+        hits1, check = record(eliminate_by_genus, *_F1)
         r.fire("R-hirzebruch-F1", bool(hits1), classes=encode(hits1),
-               quadratic=f"{qa}a^2 {'-+'[qb >= 0]} {abs(qb)}a {'-+'[qc >= 0]} {abs(qc)} = 0",
-               checks=[check])
-        f3 = RuledSurface(3)
+               quadratic=_polynomial(*genus_quadratic(*_F1), "="), checks=[check])
+        f3 = _F3[1]
         pairings = {
             "(c,3c+1).(d,3d+1)": intersect(DivisorClass(1, 4), DivisorClass(1, 4), f3),
             "(c,3c+1).(d,3d)": intersect(DivisorClass(1, 4), DivisorClass(1, 3), f3),
@@ -363,20 +323,16 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Route
         }
         r.fire("R-cone-disjointness", all(v > 0 for v in pairings.values()),
                pairings=pairings, conclusion="any curve on the cone is connected")
-        hits3, search_check = record(
-            eliminate_by_genus,
-            GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),)), f3)
-        genus, genus_check = record(adjunction_genus, DivisorClass(5, 15), f3)
+        hits3, genus, checks = _cone_class()
         r.fire("R-hirzebruch-F3", genus == 16,
-               classes=encode(hits3), genus=genus, required=16,
-               checks=[search_check, genus_check])
+               classes=encode(hits3), genus=genus, required=16, checks=checks)
         return
     if s == 2 and spans == [2, 2]:
         p_a, check = record(union_genus, [c.g for c in cand.components])
         r.fire("R-union-genus", p_a - 1 == cand.total_degree,
                union_genus=p_a, total_degree=cand.total_degree, checks=[check])
         r.hypothesis("A-two-planes")
-        r.mark_survivor(witnesses_for((5,), 2, 10))
+        r.witness(witnesses_for((5,), 2, 10))
         return
     if s == 3 and spans == [2, 2, 2]:
         r.fire("A-three-planes", False, planes=3)
@@ -384,23 +340,23 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Route
     # remaining shapes exhaust the degree budget above
 
 
-def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -> None:
+def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     comps = cand.components
     s = len(comps)
     if s == 1:
         d = comps[0].d
-        ci = routes.route("base-locus-curve")
+        ci = trail.route("base-locus-curve")
         cap_ok = ci.fire("R-quadric-cap", d <= 16, d=d, cap=16)
         if cap_ok:
             if d == 16:
                 _fire_ci_omega(ci, [2, 2, 2, 2])
-                ci.mark_survivor(witnesses_for((2, 4), 2, 16))
+                ci.witness(witnesses_for((2, 4), 2, 16))
             else:
                 if ci.hypothesis("A-ci-connected", ci_degree=16):
                     ci.fire("R-ci-residual", False, d=d, residual_degree=16 - d,
                             forced_meets=">= 1", required_meets=0,
                             note="meeting the residual lowers the dualizing twist")
-        surf = routes.route("base-locus-surface")
+        surf = trail.route("base-locus-surface")
         if d % 4:
             surf.fire("R-x24-mod4", False, d=d, modulus=4)
             return
@@ -426,7 +382,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
                       link="three quadrics link the surface to a plane")
         return
     # several components
-    r = routes.route("component-surfaces")
+    r = trail.route("component-surfaces")
     span5 = [c for c in comps if c.span == 5]
     span4 = [c for c in comps if c.span == 4]
     sections = [c for c in comps if c.span == 3]
@@ -436,7 +392,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
                component_floor=8, components=cand.label())
         if ok:
             r.hypothesis("A-section-pair")
-            r.mark_survivor(witnesses_for((2, 4), 2, 16), unresolved=True)
+            r.witness(witnesses_for((2, 4), 2, 16), unresolved=True)
         return
     for comp in span5:
         # the floor: genus 15 of a (14, 15, 5) component meets the bound
@@ -459,19 +415,19 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
         r.fire("A-x24-three-quadrics", False, sections=len(sections))
 
 
-def _judge_x33_single_span5(d: int, ctx: CicyContext, routes: _Routes) -> None:
+def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
     g = d + 1
-    ci = routes.route("base-locus-curve")
+    ci = trail.route("base-locus-curve")
     cap_ok = ci.fire("R-quadric-cap", d <= 16, d=d, cap=16)
     if cap_ok and d == 16:
         _fire_ci_omega(ci, [2, 2, 2, 2])
-        ci.mark_survivor(witnesses_for((3, 3), 2, 16), unresolved=True)
+        ci.witness(witnesses_for((3, 3), 2, 16), unresolved=True)
     elif cap_ok:
         if ci.hypothesis("A-ci-connected", ci_degree=16):
             ci.fire("R-ci-residual", False, d=d, residual_degree=16 - d,
                     forced_meets=">= 1", required_meets=0)
 
-    dim3 = routes.route("base-locus-threefold")
+    dim3 = trail.route("base-locus-threefold")
     matches = [deg for deg in (3, 4) if 9 * deg == d]
     dim3.fire("R-dim3-degree", bool(matches), d=d,
               possible_degrees={"deg3": 27, "deg4": 36})
@@ -482,11 +438,11 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, routes: _Routes) -> None:
                   omega_twist=4, required=2)
 
     if d == 14:
-        r = routes.route("surface-deg-le-4")
+        r = trail.route("surface-deg-le-4")
         _harris_surface(r, d, 5, genus=g, surface_degree_cap=4)
         r.fire("R-pi1-cut", False, d=d, cut_cap=3 * 4,
                note="cut by cubics on a surface of degree at most 4")
-        r5 = routes.route("surface-deg-5")
+        r5 = trail.route("surface-deg-5")
         # inside the quintic surface a cubic cut has degree 15 = d + 1: the
         # leftover line meets the curve in the three cubic points, so the
         # union genus 16 caps g at 14 while the twist requires 15
@@ -496,67 +452,67 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, routes: _Routes) -> None:
                 required_genus=g, checks=[check])
         return
     if d == 15:
-        r = routes.route("surface-deg-5")
+        r = trail.route("surface-deg-5")
         _harris_surface(r, d, 5, genus=g, surface_degree_cap=5)
         r.fire("R-pi1-cut", True, d=d, cut_cap=15,
                note="equality: the curve is the cubic cut of the surface")
         r.hypothesis("A-delpezzo5", surface_twist=-1)
         r.fire("R-surface-cut-twist", -1 + 3 == 2, surface_twist=-1,
                cutting_degree=3, required=2)
-        r.mark_survivor(witnesses_for((3, 3), 2, 15))
+        r.witness(witnesses_for((3, 3), 2, 15))
         return
     if d == 16:
         # the degree-6 base-surface branch at d = 16 stays open: this is the
         # unresolved value, flagged on the surviving four-quadric route
         return
     if d == 17:
-        r = routes.route("surface-deg-6")
+        r = trail.route("surface-deg-6")
         _fire_ruled_38(r)
-        r7 = routes.route("surface-deg-7")
+        r7 = trail.route("surface-deg-7")
         r7.fire("A-linked-plane-7", False, surface_degree=7)
-        r8 = routes.route("surface-deg-8")
+        r8 = trail.route("surface-deg-8")
         _fire_liaison(r8, d)
         return
     if d == 18:
-        r = routes.route("surface-deg-8")
+        r = trail.route("surface-deg-8")
         twist = sum((2, 2, 2)) - 5 - 1
         r.fire("R-s-omega", twist == 0, degrees=[2, 2, 2], omega_twist=twist)
         _fire_liaison(r, d)
-        r.mark_survivor(witnesses_for((3, 3), 2, 18))
+        r.witness(witnesses_for((3, 3), 2, 18))
         return
     # d >= 19: surface routes by degree
     if d <= 24:
         for deg_s in (5, 6):
-            r = routes.route(f"surface-deg-{deg_s}")
+            r = trail.route(f"surface-deg-{deg_s}")
             r.fire("R-cut-cap", d <= 3 * deg_s, d=d, surface_degree=deg_s,
                    cap=3 * deg_s)
         if d <= 21:
-            r7 = routes.route("surface-deg-7")
+            r7 = trail.route("surface-deg-7")
             r7.fire("A-linked-plane-7", False, surface_degree=7)
         else:
-            r7 = routes.route("surface-deg-7")
+            r7 = trail.route("surface-deg-7")
             r7.fire("R-cut-cap", False, d=d, surface_degree=7, cap=21)
-        r8 = routes.route("surface-deg-8")
+        r8 = trail.route("surface-deg-8")
         _fire_liaison(r8, d)
     else:
-        r = routes.route("surface")
+        r = trail.route("surface")
         r.fire("R-cut-cap", False, d=d, surface_degree=8, cap=24)
 
 
-def _fire_liaison(route: _Route, d: int) -> None:
+def _fire_liaison(route: Route, d: int) -> None:
     total, ci_check = record(bounds.ci_curve_invariants, [2, 2, 2, 3], 5)
     linked, liaison_check = record(liaison_solve, total.degree, total.omega_twist, 2, 3)
     route.fire("R-liaison-18", linked == d, linked_degree=linked, d=d,
                checks=[ci_check, liaison_check])
 
 
-def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -> None:
+def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     comps = cand.components
     s = len(comps)
     if s == 1:
-        _judge_x33_single_span5(comps[0].d, ctx, routes)
+        _judge_x33_single_span5(comps[0].d, ctx, trail)
         return
-    r = routes.route("component-surfaces")
+    r = trail.route("component-surfaces")
     sections = [c for c in comps if c.span == 3]
     others = [c for c in comps if c.span > 3]
     if others:
@@ -568,7 +524,7 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
     if not others:
         if s == 2:
             r.hypothesis("A-section-pair")
-            r.mark_survivor(witnesses_for((3, 3), 2, 18))
+            r.witness(witnesses_for((3, 3), 2, 18))
         else:
             r.fire("A-x33-three-sections", False, sections=s)
         return
@@ -613,11 +569,11 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -
                 r.fire("R-cut-cap", False, d=d, surface_degree=8, cap=24)
 
 
-def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, routes: _Routes) -> None:
-    r = routes.route("twist-one")
+def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
+    r = trail.route("twist-one")
     if len(cand.components) == 1:
         r.hypothesis("A-plane-in-quadric")
-        r.mark_survivor(witnesses_for(ctx.multidegree, 1, cand.total_degree))
+        r.witness(witnesses_for(ctx.multidegree, 1, cand.total_degree))
         return
     # several components would have to fill the connected section curve
     section = section_curve_invariants(ctx)
@@ -634,43 +590,39 @@ def judge_candidate(
     disabled: frozenset[str] = frozenset(),
 ) -> Verdict:
     """Route one candidate through the elimination tree of its regime."""
-    routes = _Routes(disabled)
+    trail = Trail(disabled)
     if cand.is_empty:
-        r = routes.route("split")
+        r = trail.route("split")
         inv, check = record(chern_of_extension, 0, c1, 0, ctx)
         r.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2, checks=[check])
-        r.mark_survivor(["trivial-twist-split"])
-        return routes.verdict(cand)
+        r.witness(["trivial-twist-split"])
+        return trail.verdict(cand)
     cap = bounds.max_curve_degree(ctx, c1, 2)
-    routes.trail.fire("R-degree-cap", cand.total_degree <= cap,
-                      total=cand.total_degree, cap=cap)
+    trail.fire("R-degree-cap", cand.total_degree <= cap, total=cand.total_degree, cap=cap)
     if c1 == 1:
-        _judge_c1_one(cand, ctx, routes)
+        _judge_c1_one(cand, ctx, trail)
     elif cand.span_max < ctx.ambient_dim:
-        _judge_extension(cand, ctx, routes)
+        _judge_extension(cand, ctx, trail)
     elif ctx.multidegree == (5,):
-        _judge_quintic_nondeg(cand, ctx, routes)
+        _judge_quintic_nondeg(cand, ctx, trail)
     elif ctx.multidegree == (2, 4):
-        _judge_x24_nondeg(cand, ctx, routes)
+        _judge_x24_nondeg(cand, ctx, trail)
     elif ctx.multidegree == (3, 3):
-        _judge_x33_nondeg(cand, ctx, routes)
+        _judge_x33_nondeg(cand, ctx, trail)
     else:  # pragma: no cover - enumeration is gated earlier
         raise UnsupportedClassificationError(
             f"no rank-2 case tree for {ctx.label()}"
         )
-    return routes.verdict(cand)
+    return trail.verdict(cand)
 
 
 def apply_rules(
     candidates: list[CurveCandidate],
     ctx: CicyContext,
     c1: int,
-    rank_regime: str = RANK2,
     disabled: frozenset[str] = frozenset(),
 ) -> list[Verdict]:
     """Judge every candidate; pure per candidate, deterministic order."""
-    if rank_regime != RANK2:
-        raise UnsupportedClassificationError("rule application enumerates rank-2 curves")
     return [judge_candidate(cand, ctx, c1, disabled) for cand in candidates]
 
 
@@ -693,11 +645,8 @@ def _higher_rank_verdicts(
     windows: dict[int, tuple[int, int]] = {}
     results: list[tuple[int, int, list[str]]] = []
 
-    def shape(label: str, sub: list[int], quot: list[int], names: list[str],
-              c1: int, prelude: list[TrailEntry] | None = None) -> None:
-        t = Trail(disabled)
-        if prelude:
-            t.entries.extend(prelude)
+    def shape(t: Trail, label: str, sub: list[int], quot: list[int], names: list[str],
+              c1: int) -> None:
         inv, chern_check = record(chern_from_resolution, sub, quot, ctx)
         if inv.c1 != c1:
             raise ValueError(f"resolution shape {label!r} has c1 = {inv.c1}, not {c1}")
@@ -707,53 +656,51 @@ def _higher_rank_verdicts(
         t.fire("R-resolution-shape", True, sub=sub, quot_twists=sorted(set(quot)),
                c1=inv.c1, c2=inv.c2, rank_window=list(window),
                checks=[chern_check, rank_check])
-        verdicts.append(Verdict(label, Status.SURVIVES, t.entries, witnesses=names))
-        windows[inv.c2] = window
-        results.append((c1, inv.c2, names))
+        t.witness(names)
+        verdicts.append(t.verdict(label))
+        if verdicts[-1].survives:
+            windows[inv.c2] = window
+            results.append((c1, inv.c2, names))
 
     if c1_max >= 1:
-        shape("resolution O(-1) -> O^5 (twist one)", [-1], [0] * 5,
+        shape(Trail(disabled), "resolution O(-1) -> O^5 (twist one)", [-1], [0] * 5,
               ["euler-restriction", "pullback-projected-tangent"], 1)
     if c1_max >= 2:
-        shape("resolution O(-2) -> O^(r+1)", [-2], [0] * 4,
+        shape(Trail(disabled), "resolution O(-2) -> O^(r+1)", [-2], [0] * 4,
               ["quintic-resolution-r14"], 2)
 
         # the smooth-scroll branch dies on the recorded spannedness axiom
         t = Trail(disabled)
         t.hypothesis("A-base-locus")
-        viable, _ = _mu_d_viable()
-        t.fire("R-mu-d", True, mu_d=15, viable=viable)
-        lattice = [a for a in range(-50, 51) if 3 * a * a - 31 * a + 60 <= 0]
+        viable, checks = _mu_d_viable()
+        t.fire("R-mu-d", 15 in viable, mu_d=15, viable=viable, checks=checks)
+        qa, qb, qc = genus_quadratic(*_F1)
         t.fire("A-scroll-spannedness", False,
                stated="30a^2 - 31a + 60 <= 0 (no integer solutions)",
-               lattice="3a^2 - 31a + 60 <= 0",
-               lattice_solutions=lattice)
-        verdicts.append(Verdict("smooth-scroll curve of degree 15",
-                                Status.AXIOM_ELIMINATED, t.entries))
+               lattice=_polynomial(-qa, -qb, -qc, "<="),
+               lattice_solutions=_nonnegative_integers(qa, qb, qc))
+        verdicts.append(t.verdict("smooth-scroll curve of degree 15"))
 
         # the cone branch lands on the class (5,15) and realizes one shape
         t = Trail(disabled)
         t.hypothesis("A-base-locus")
-        f3 = RuledSurface(3)
-        hits = eliminate_by_genus(GenusSearch(DivisorClass(1, 3), 15,
-                                              bands=((-3, 1, 0, 1),)), f3)
+        hits, genus, checks = _cone_class()
         t.fire("R-hirzebruch-F3", hits == [DivisorClass(5, 15)],
-               classes=[[c.a, c.b] for c in hits],
-               genus=adjunction_genus(DivisorClass(5, 15), f3),
-               note="genus 26 is allowed here: rank >= 3 needs only d <= g - 1")
-        shape("resolution O(-1)^2 -> O^(r+2)", [-1, -1], [0] * 5,
-              ["quintic-resolution-r8"], 2, prelude=t.entries)
+               classes=encode(hits), genus=genus,
+               note="genus 26 is allowed here: rank >= 3 needs only d <= g - 1",
+               checks=checks)
+        shape(t, "resolution O(-1)^2 -> O^(r+2)", [-1, -1], [0] * 5,
+              ["quintic-resolution-r8"], 2)
 
-        shape("resolution O(-1) -> O^r + O(1)", [-1], [0, 0, 0, 1],
+        shape(Trail(disabled), "resolution O(-1) -> O^r + O(1)", [-1], [0, 0, 0, 1],
               ["quintic-resolution-r5", "pullback-projected-cotangent"], 2)
 
         t = Trail(disabled)
         t.hypothesis("A-minimal-resolution")
         t.fire("R-ext-split", True, c1=2, c2=ctx.u,
                split="O(1) + O(1) + trivial factors")
-        verdicts.append(Verdict("plane-section curve (split route)",
-                                Status.SURVIVES, t.entries,
-                                witnesses=["hyperplane-pair-split"]))
+        t.witness(["hyperplane-pair-split"])
+        verdicts.append(t.verdict("plane-section curve (split route)"))
         # contributes its c2 only: the split carries trivial factors
         results.append((-1, ctx.u, ["hyperplane-pair-split"]))
     return verdicts, windows, results
@@ -764,7 +711,7 @@ def _higher_rank_verdicts(
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassificationResult:
     ctx: CicyContext
     c1_max: int
@@ -859,7 +806,7 @@ def classify(
             components, comp_verdicts = admissible_components(ctx, c1, disabled)
             component_verdicts.extend(comp_verdicts)
             candidates = _candidates(components, bounds.max_curve_degree(ctx, c1, 2))
-            for verdict in apply_rules(candidates, ctx, c1, RANK2, disabled):
+            for verdict in apply_rules(candidates, ctx, c1, disabled):
                 verdicts.append(verdict)
                 if not verdict.survives:
                     continue

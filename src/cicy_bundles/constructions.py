@@ -22,7 +22,7 @@ from .chow import (
     max_rank_no_trivial,
     twist_rank2,
 )
-from .verdicts import RuleKind, Status, Trail, Verdict, record
+from .verdicts import Trail, Verdict, record
 
 
 class ParityError(ValueError):
@@ -210,14 +210,7 @@ def component_admissible(
     cap = bounds.max_curve_degree(ctx, c1, rank)
     t.fire("R-degree-cap", d <= cap, d=d, cap=cap)
 
-    kinds = t.failing_kinds()
-    if not kinds:
-        status = Status.SURVIVES
-    elif kinds == {RuleKind.AXIOM}:
-        status = Status.AXIOM_ELIMINATED
-    else:
-        status = Status.ELIMINATED
-    return Verdict(candidate=comp, status=status, trail=t.entries)
+    return t.verdict(comp)
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,9 @@ is toggleable so the arithmetic skeleton can be audited on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .chow import BundleInvariants, CicyContext
 from .ruled import DivisorClass, GenusSearch, RuledSurface
@@ -37,8 +38,7 @@ class Rule:
     annotation: str | None = None
 
 
-@dataclass
-class TrailEntry:
+class TrailEntry(NamedTuple):
     rule_id: str
     outcome: str  # "pass", "fail" or "hypothesis"
     values: dict
@@ -47,13 +47,12 @@ class TrailEntry:
         return {"rule": self.rule_id, "outcome": self.outcome, "values": self.values}
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     candidate: object
     status: Status
-    trail: list[TrailEntry]
-    witnesses: list[str] = field(default_factory=list)
-    unresolved: bool = False
+    trail: tuple[TrailEntry, ...]
+    witnesses: list[str]
+    unresolved: bool
 
     @property
     def survives(self) -> bool:
@@ -325,10 +324,6 @@ RULES: dict[str, Rule] = {rule.id: rule for rule in _CORPUS}
 RULE_ORDER: dict[str, int] = {rule.id: i for i, rule in enumerate(_CORPUS)}
 
 
-def get_rule(rule_id: str) -> Rule:
-    return RULES[rule_id]
-
-
 def annotations() -> list[dict]:
     """The recorded discrepancy annotations, in corpus order."""
     return [
@@ -338,12 +333,46 @@ def annotations() -> list[dict]:
     ]
 
 
+_SOLE_ROUTE = {None: ((), False)}  # a trail with no routes opened, never witnessed
+
+
+class Route(NamedTuple):
+    """An escape route of a trail: its firings and witnesses are recorded on
+    the trail under its name."""
+
+    trail: Trail
+    name: str
+
+    def fire(self, rule_id: str, ok: bool, **values) -> bool | None:
+        return self.trail.fire(rule_id, ok, route=self.name, **values)
+
+    def hypothesis(self, rule_id: str, **values) -> bool:
+        return self.trail.hypothesis(rule_id, route=self.name, **values)
+
+    def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
+        self.trail.routes[self.name] = (witnesses, unresolved)
+
+
 class Trail:
-    """Mutable trail builder honoring a set of disabled rule ids."""
+    """The judgement of one candidate: rule firings, honoring a set of
+    disabled rule ids, made on escape routes that share its entries.  A firing
+    on the trail itself belongs to every route; with no routes opened the
+    trail counts as one route.  `verdict` derives the status."""
 
     def __init__(self, disabled: frozenset[str] = frozenset()):
         self.entries: list[TrailEntry] = []
         self.disabled = disabled
+        # route name -> (witnesses, unresolved); names only, so no reference cycle
+        self.routes: dict[str | None, tuple[list[str], bool]] = {}
+
+    def route(self, name: str) -> Route:
+        """Open the escape route `name`, which shares this trail's entries."""
+        self.routes.setdefault(name, ([], False))
+        return Route(self, name)
+
+    def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
+        """Name the constructions that realize a trail with no routes opened."""
+        self.routes[None] = (witnesses, unresolved)
 
     def active(self, rule_id: str) -> bool:
         if rule_id not in RULES:
@@ -354,18 +383,47 @@ class Trail:
         """Record a pass/fail firing; returns None when the rule is disabled."""
         if not self.active(rule_id):
             return None
-        self.entries.append(TrailEntry(rule_id, "pass" if ok else "fail", values))
+        # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
+        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass" if ok else "fail",
+                                                       values)))
         return ok
 
     def hypothesis(self, rule_id: str, **values) -> bool:
         """Record an axiom hypothesis; returns False when disabled."""
         if not self.active(rule_id):
             return False
-        self.entries.append(TrailEntry(rule_id, "hypothesis", values))
+        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "hypothesis", values)))
         return True
 
-    def failing_kinds(self) -> set[RuleKind]:
-        return {RULES[e.rule_id].kind for e in self.entries if e.outcome == "fail"}
+    def verdict(self, candidate: object) -> Verdict:
+        """The status of the judged candidate, derived from the firings.
+
+        A failure kills the route it was fired on.  A live route gives
+        SURVIVES, with the witnesses and unresolved flag of the live routes.
+        When every route is dead the status is ELIMINATED if each route died
+        on an arithmetic rule, and AXIOM-ELIMINATED otherwise.
+        """
+        trail = tuple(self.entries)
+        dead, arithmetic = set(), set()  # route names; None: fired on the trail itself
+        for rule_id, outcome, values in trail:
+            if outcome == "fail":
+                route = values.get("route")
+                dead.add(route)
+                if RULES[rule_id].kind is RuleKind.ARITHMETIC:
+                    arithmetic.add(route)
+        routes = self.routes or _SOLE_ROUTE
+        if None not in dead:  # plain loops: cheaper than comprehensions on this hot path
+            live, witnesses, unresolved = False, set(), False
+            for route, (names, flag) in routes.items():
+                if route not in dead:
+                    live = True
+                    witnesses.update(names)
+                    unresolved = unresolved or flag
+            if live:
+                return Verdict(candidate, Status.SURVIVES, trail, sorted(witnesses), unresolved)
+        if None in arithmetic or routes.keys() <= arithmetic:
+            return Verdict(candidate, Status.ELIMINATED, trail, [], False)
+        return Verdict(candidate, Status.AXIOM_ELIMINATED, trail, [], False)
 
 
 #: JSON encoder and decoder of each structured kernel argument or value type.

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 
 import pytest
@@ -24,8 +25,9 @@ from cicy_bundles import (
 )
 from cicy_bundles.classifier import (HIGHER_RANK, KERNEL_OPS, RANK2, report_json,
                                     report_markdown)
-from cicy_bundles.ruled import DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus
-from cicy_bundles.verdicts import TrailEntry, Verdict, decode, record
+from cicy_bundles.ruled import (DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus,
+                                genus_quadratic)
+from cicy_bundles.verdicts import RULES, RuleKind, Trail, TrailEntry, Verdict, decode, record
 
 FOUR_CASES = ((QUINTIC, RANK2), (X24, RANK2), (X33, RANK2), (QUINTIC, HIGHER_RANK))
 
@@ -110,6 +112,12 @@ class TestQuinticVerdicts:
             assert v.status is Status.ELIMINATED, d
             assert any(e.rule_id == "R-mu-d" and e.outcome == "fail"
                        for e in v.trail)
+
+    def test_over_cap_twist_one_is_eliminated(self):
+        # a failure fired on the trail itself kills every route
+        v = verdict_for(cand((12, 7, 3)), QUINTIC, 1)
+        assert ("R-degree-cap", "fail") in {(e.rule_id, e.outcome) for e in v.trail}
+        assert v.status is Status.ELIMINATED
 
     def test_mixed_pair_fails_budget(self):
         v = verdict_for(cand((5, 6, 2), (11, 12, 4)), QUINTIC)
@@ -293,6 +301,20 @@ class TestToggles:
                 assert c2 not in toggled.witnesses
         assert gained == {"2,4": [(1, 6)], "3,3": [(1, 6), (1, 8)]}
 
+    def test_higher_rank_toggles_only_grow(self):
+        base = classify(QUINTIC, 2, HIGHER_RANK)
+        kept = {v.candidate for v in base.verdicts if v.survives}
+        axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
+        assert len(axioms) == 27
+        for axiom in axioms:
+            toggled = classify(QUINTIC, 2, HIGHER_RANK, frozenset({axiom}))
+            statuses = {v.candidate: v.status for v in toggled.verdicts}
+            assert kept <= {c for c, status in statuses.items() if status is Status.SURVIVES}
+            assert toggled.admissible_c2 == base.admissible_c2, axiom
+            assert toggled.rank_windows == base.rank_windows, axiom
+            if axiom == "A-scroll-spannedness":
+                assert statuses["smooth-scroll curve of degree 15"] is Status.SURVIVES
+
     def test_three_planes_toggle(self):
         triple = cand((5, 6, 2), (5, 6, 2), (5, 6, 2))
         on = judge_candidate(triple, QUINTIC, 2)
@@ -341,6 +363,21 @@ class TestReports:
         assert firing["values"]["classes"] == []
         assert "-3a^2 + 31a - 60" in firing["values"]["quadratic"]
 
+    def test_f1_lattice_solutions_match_a_scan(self):
+        report = rule_report(QUINTIC, 2, HIGHER_RANK)
+        rule = next(r for r in report["rules"] if r["id"] == "A-scroll-spannedness")
+        values = rule["fired"][0]["values"]
+        qa, qb, qc = genus_quadratic(GenusSearch(DivisorClass(1, 2), 15, genus=16),
+                                     RuledSurface(1))
+        assert values["lattice"] == f"{-qa}a^2 - {qb}a + {-qc} <= 0"
+        assert values["lattice_solutions"] == [
+            a for a in range(-10**4, 10**4) if qa * a * a + qb * a + qc >= 0]
+        # the solver against the same scan on a grid of downward parabolas
+        for a, b, c in itertools.product((-1, -2, -3, -7), range(-40, 41, 3),
+                                         range(-60, 61, 7)):
+            assert classifier._nonnegative_integers(a, b, c) == [
+                x for x in range(-200, 201) if a * x * x + b * x + c >= 0], (a, b, c)
+
     def test_markdown_renders(self):
         report = rule_report(X33, 2)
         text = report_markdown(report)
@@ -352,6 +389,32 @@ class TestReports:
         # the candidates only a disabled axiom lets through
         result = classify(X33, 2, disabled=frozenset({"A-spannedness-h0"}))
         assert audit_verdicts(result.verdicts + result.component_verdicts) == []
+
+
+class TestTrailVerdict:
+    def test_status_rule(self):
+        trail = Trail()
+        arithmetic, axiom = trail.route("arithmetic"), trail.route("axiom")
+        arithmetic.fire("R-genus-bound", False)
+        axiom.fire("A-three-planes", False)
+        assert trail.verdict("both dead").status is Status.AXIOM_ELIMINATED
+        live = trail.route("live")
+        live.witness(["w2", "w1"], unresolved=True)
+        arithmetic.witness(["dead"])
+        verdict = trail.verdict("one live")
+        assert (verdict.status, verdict.witnesses, verdict.unresolved) == (
+            Status.SURVIVES, ["w1", "w2"], True)
+        trail.fire("R-degree-cap", False)
+        assert trail.verdict("shared failure").status is Status.ELIMINATED
+        shared = Trail()
+        shared.route("unfired")
+        shared.fire("A-three-planes", False)
+        assert shared.verdict("shared axiom").status is Status.AXIOM_ELIMINATED
+        alone = Trail()
+        alone.witness(["w"])
+        assert alone.verdict("no routes").witnesses == ["w"]
+        alone.fire("A-three-planes", False)
+        assert alone.verdict("no routes").status is Status.AXIOM_ELIMINATED
 
 
 class TestAuditPayloads:
@@ -390,6 +453,6 @@ class TestAuditPayloads:
     ], ids=["unknown-op", "bad-args", "kernel-raises", "extra-args", "no-args"])
     def test_unreplayable_payload_is_a_mismatch(self, check):
         verdict = Verdict("payload", Status.SURVIVES,
-                          [TrailEntry("R-genus-bound", "pass", {"checks": [check]})])
+                          (TrailEntry("R-genus-bound", "pass", {"checks": [check]}),), [], False)
         mismatches = audit_verdicts([verdict])
         assert len(mismatches) == 1 and "cannot replay" in mismatches[0]

@@ -17,3 +17,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_verdicts_built_in_one_place():
+    # every status comes from Trail.verdict
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "verdicts.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Verdict"
+             or getattr(node.func, "attr", None) == "Verdict")
+    ]
+    assert found == []
