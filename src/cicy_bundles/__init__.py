@@ -41,7 +41,6 @@ from .classifier import (
     RANK2,
     ClassificationResult,
     UnsupportedClassificationError,
-    apply_rules,
     audit_verdicts,
     classify,
     enumerate_candidates,

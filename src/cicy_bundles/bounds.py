@@ -14,7 +14,7 @@ from .chow import CicyContext
 
 
 class UnsupportedBoundError(ValueError):
-    """Raised when a refined bound is requested outside its verified range."""
+    """Raised when a refined bound is requested outside its valid range."""
 
 
 def castelnuovo_pi(d: int, r: int) -> int:
@@ -32,31 +32,21 @@ def castelnuovo_pi(d: int, r: int) -> int:
     return m * (m - 1) * (r - 1) // 2 + m * eps
 
 
-#: Verified values of the refined bound, keyed by (degree, span).
-#: The main term m1(m1-1)r/2 + m1*eps1 with d - 1 = m1*r + eps1 accounts for
-#: the first two entries (correction term 0); the correction term's
-#: general form is not pinned down here, so other inputs are refused.
-_PI_ONE: dict[tuple[int, int], int] = {
-    (11, 4): 8,
-    (14, 5): 11,
-    (15, 5): 16,
-}
-
-
 def pi_one(d: int, r: int) -> int:
-    """Refined genus bound for curves on no surface of minimal degree r-1.
+    """Harris's bound for integral nondegenerate curves on no surface of
+    degree below r in P^r (Eisenbud-Harris, Curves in projective space).
 
-    Implemented only on the anchored inputs; anything else raises rather than
-    risk a silently wrong extrapolation.
+    With d - 1 = m1*r + eps1: pi_1(d, r) = m1(m1-1)r/2 + m1(eps1+1) + mu1,
+    where mu1 = 1 exactly when eps1 = r - 1.  Valid for d >= 2r + 1; below
+    that, UnsupportedBoundError.
     """
     if d < r or r < 3:
         raise ValueError(f"degenerate for this span: degree {d} < span {r}")
-    try:
-        return _PI_ONE[(d, r)]
-    except KeyError:
+    if d < 2 * r + 1:
         raise UnsupportedBoundError(
-            f"unsupported: refined bound not verified at (d, r) = ({d}, {r})"
-        ) from None
+            f"unsupported: the refined bound needs d >= 2r + 1, got (d, r) = ({d}, {r})")
+    m1, eps1 = divmod(d - 1, r)
+    return m1 * (m1 - 1) * r // 2 + m1 * (eps1 + 1) + (eps1 == r - 1)
 
 
 def plane_genus(d: int) -> int:

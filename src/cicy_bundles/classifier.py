@@ -15,6 +15,7 @@ only grow the survivor set.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -116,10 +117,11 @@ def _candidates(components: list[CurveComponent], cap: int) -> list[CurveCandida
 # --------------------------------------------------------------------------
 
 
-def _berzolari(route: Route, **values) -> None:
+def _berzolari(route: Route, **values) -> int:
     """Sectional genus of the degree-6 surface: the bound for a sextic in P^4."""
     pi, check = record(bounds.castelnuovo_pi, 6, 4)
     route.hypothesis("A-berzolari", sectional_genus=pi, **values, checks=[check])
+    return pi
 
 
 def _mu_d_viable() -> tuple[list[int], list[dict]]:
@@ -140,12 +142,26 @@ def _mu_d_viable() -> tuple[list[int], list[dict]]:
 _F1 = (GenusSearch(DivisorClass(1, 2), 15, genus=16), RuledSurface(1))
 _F3 = (GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),)), RuledSurface(3))
 
+#: The complete intersection of four quadrics in P^5: its degree caps every
+#: curve cut out by quadrics there.
+_FOUR_QUADRICS = bounds.ci_curve_invariants([2, 2, 2, 2], 5)
+
+#: The least degree whose twist-two genus d + 1 fits the Castelnuovo bound in P^5.
+_SPAN5_FLOOR = next(d for d in itertools.count(5) if d + 1 <= bounds.castelnuovo_pi(d, 5))
+
 
 def _cone_class() -> tuple[list[DivisorClass], int, list[dict]]:
-    """The F3 band search, the genus of the class (5,15) it forces, both payloads."""
+    """The F3 band search, the genus of the one class it finds, both payloads."""
     hits, search_check = record(eliminate_by_genus, *_F3)
-    genus, genus_check = record(adjunction_genus, DivisorClass(5, 15), _F3[1])
+    if len(hits) != 1:
+        raise ValueError(f"the F3 smoothness band holds {len(hits)} classes, not one")
+    genus, genus_check = record(adjunction_genus, hits[0], _F3[1])
     return hits, genus, [search_check, genus_check]
+
+
+def _minimal_surface_degree(span: int) -> int:
+    """An irreducible surface holding a curve that spans P^span has degree >= span - 1."""
+    return span - 1
 
 
 def _polynomial(a: int, b: int, c: int, relation: str) -> str:
@@ -300,8 +316,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
     r = trail.route("base-locus-surface")
     if not r.hypothesis("A-base-locus", components=cand.label()):
         return
-    minima = {2: 1, 3: 2, 4: 3}
-    budget = [minima[sp] for sp in spans]
+    budget = [_minimal_surface_degree(sp) for sp in spans]
     ok = sum(budget) <= 3
     r.fire("R-surface-budget", ok, minima=budget, budget=3)
     if not ok:
@@ -324,8 +339,9 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         r.fire("R-cone-disjointness", all(v > 0 for v in pairings.values()),
                pairings=pairings, conclusion="any curve on the cone is connected")
         hits3, genus, checks = _cone_class()
-        r.fire("R-hirzebruch-F3", genus == 16,
-               classes=encode(hits3), genus=genus, required=16, checks=checks)
+        required = required_genus(2, d)
+        r.fire("R-hirzebruch-F3", genus == required,
+               classes=encode(hits3), genus=genus, required=required, checks=checks)
         return
     if s == 2 and spans == [2, 2]:
         p_a, check = record(union_genus, [c.g for c in cand.components])
@@ -346,14 +362,15 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
     if s == 1:
         d = comps[0].d
         ci = trail.route("base-locus-curve")
-        cap_ok = ci.fire("R-quadric-cap", d <= 16, d=d, cap=16)
+        cap = _FOUR_QUADRICS.degree
+        cap_ok = ci.fire("R-quadric-cap", d <= cap, d=d, cap=cap)
         if cap_ok:
-            if d == 16:
+            if d == cap:
                 _fire_ci_omega(ci, [2, 2, 2, 2])
-                ci.witness(witnesses_for((2, 4), 2, 16))
+                ci.witness(witnesses_for((2, 4), 2, d))
             else:
-                if ci.hypothesis("A-ci-connected", ci_degree=16):
-                    ci.fire("R-ci-residual", False, d=d, residual_degree=16 - d,
+                if ci.hypothesis("A-ci-connected", ci_degree=cap):
+                    ci.fire("R-ci-residual", False, d=d, residual_degree=cap - d,
                             forced_meets=">= 1", required_meets=0,
                             note="meeting the residual lowers the dualizing twist")
         surf = trail.route("base-locus-surface")
@@ -373,10 +390,10 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
                       scroll_dualizing_sections={"F1": f1.b + 1, "F3": f3.b + 1,
                                                  "F5-cone": 4})
         elif deg_s == 6:
-            _berzolari(surf)
-            h0_omega = 8 + 1 - 2  # Riemann-Roch for a degree-8 pencil on genus 2
+            genus = _berzolari(surf)
+            h0_omega = 8 + 1 - genus  # Riemann-Roch for a degree-8 pencil
             surf.fire("A-deg-S-6", False, surface_degree=6,
-                      hyperplane_genus=2, twisted_dualizing_sections=h0_omega)
+                      hyperplane_genus=genus, twisted_dualizing_sections=h0_omega)
         elif deg_s == 7:
             surf.fire("A-linked-plane-7", False, surface_degree=7,
                       link="three quadrics link the surface to a plane")
@@ -395,9 +412,8 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
             r.witness(witnesses_for((2, 4), 2, 16), unresolved=True)
         return
     for comp in span5:
-        # the floor: genus 15 of a (14, 15, 5) component meets the bound
-        _, check = record(bounds.castelnuovo_pi, 14, 5)
-        r.fire("R-x24-s2-span5", False, d=comp.d, genus_floor=14,
+        _, check = record(bounds.castelnuovo_pi, _SPAN5_FLOOR, 5)
+        r.fire("R-x24-s2-span5", False, d=comp.d, genus_floor=_SPAN5_FLOOR,
                residual_cap=12, checks=[check])
     for comp in span4:
         if comp.d % 4 or not 2 <= comp.d // 4 <= 7:
@@ -418,21 +434,22 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
 def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
     g = d + 1
     ci = trail.route("base-locus-curve")
-    cap_ok = ci.fire("R-quadric-cap", d <= 16, d=d, cap=16)
-    if cap_ok and d == 16:
+    cap = _FOUR_QUADRICS.degree
+    cap_ok = ci.fire("R-quadric-cap", d <= cap, d=d, cap=cap)
+    if cap_ok and d == cap:
         _fire_ci_omega(ci, [2, 2, 2, 2])
-        ci.witness(witnesses_for((3, 3), 2, 16), unresolved=True)
+        ci.witness(witnesses_for((3, 3), 2, d), unresolved=True)
     elif cap_ok:
-        if ci.hypothesis("A-ci-connected", ci_degree=16):
-            ci.fire("R-ci-residual", False, d=d, residual_degree=16 - d,
+        if ci.hypothesis("A-ci-connected", ci_degree=cap):
+            ci.fire("R-ci-residual", False, d=d, residual_degree=cap - d,
                     forced_meets=">= 1", required_meets=0)
 
     dim3 = trail.route("base-locus-threefold")
-    matches = [deg for deg in (3, 4) if 9 * deg == d]
+    matches = [deg for deg in (3, 4) if ctx.u * deg == d]
     dim3.fire("R-dim3-degree", bool(matches), d=d,
-              possible_degrees={"deg3": 27, "deg4": 36})
+              possible_degrees={"deg3": 3 * ctx.u, "deg4": 4 * ctx.u})
     if matches == [3]:
-        dim3.fire("A-x33-cubic-3fold", False, d=27)
+        dim3.fire("A-x33-cubic-3fold", False, d=d)
     elif matches == [4]:
         dim3.fire("R-ci-omega", False, degrees=[2, 2],
                   omega_twist=4, required=2)
@@ -516,7 +533,7 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
     sections = [c for c in comps if c.span == 3]
     others = [c for c in comps if c.span > 3]
     if others:
-        minima = [max(c.span - 1, -(-c.d // 3)) for c in others]
+        minima = [max(_minimal_surface_degree(c.span), -(-c.d // 3)) for c in others]
         ok = sum(minima) <= 8
         r.fire("R-x33-surface-budget", ok, minima=minima, budget=8)
         if not ok:
@@ -534,12 +551,15 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
             if d > 12:
                 r.fire("R-cut-cap", False, d=d, surface_degree=4, cap=12)
             elif d == 11:
-                ci_total, check = record(union_genus, [12, 0], 2)
+                g, meets = required_genus(2, d), 2
+                line_genus, line_check = record(bounds.plane_genus, 1)
+                ci_total, check = record(union_genus, [g, line_genus], meets)
                 r.fire("R-union-genus", False, ci_union_genus=ci_total,
-                       forced_meets=2,
-                       dualizing_degree_on_line={"required": 2, "computed": -2 + 2},
-                       checks=[check])
-                _harris_surface(r, d, comp.span, genus=12, surface_degree_cap=3)
+                       forced_meets=meets,
+                       dualizing_degree_on_line={"required": 2,
+                                                 "computed": 2 * line_genus - 2 + meets},
+                       checks=[line_check, check])
+                _harris_surface(r, d, comp.span, genus=g, surface_degree_cap=3)
                 r.fire("R-pi1-cut", False, d=11, cut_cap=9)
             else:  # d == 12
                 if sections:
@@ -548,7 +568,8 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
                     r.fire("A-x33-two-ci", False, d=12)
         else:  # span 5 beside other components
             if d == 14:
-                _harris_surface(r, d, comp.span, genus=15, surface_degree_cap=4)
+                _harris_surface(r, d, comp.span, genus=required_genus(2, d),
+                                surface_degree_cap=4)
                 r.fire("R-pi1-cut", False, d=14, cut_cap=12)
             elif d == 15:
                 r.fire("A-ample-connected", False, d=15,
@@ -616,34 +637,26 @@ def judge_candidate(
     return trail.verdict(cand)
 
 
-def apply_rules(
-    candidates: list[CurveCandidate],
-    ctx: CicyContext,
-    c1: int,
-    disabled: frozenset[str] = frozenset(),
-) -> list[Verdict]:
-    """Judge every candidate; pure per candidate, deterministic order."""
-    return [judge_candidate(cand, ctx, c1, disabled) for cand in candidates]
-
-
 # --------------------------------------------------------------------------
 # higher-rank shapes (quintic)
 # --------------------------------------------------------------------------
 
 
 def _higher_rank_verdicts(
-    ctx: CicyContext, c1_max: int, disabled: frozenset[str]
-) -> tuple[list[Verdict], dict[int, tuple[int, int]], list[tuple[int, int, list[str]]]]:
+    ctx: CicyContext, c1_max: int, disabled: frozenset[str],
+    pairs: set[tuple[int, int]], witnesses: dict[int, set[str]],
+) -> tuple[list[Verdict], dict[int, tuple[int, int]]]:
     """Shape-based survivors for rank >= 3 on the quintic.
 
     Bundles with no trivial factor are cokernels of twisted free resolutions
     (or pullbacks sharing their invariants); each shape carries the rank
-    window [3, section-count bound].  Returns (verdicts, windows keyed by c2,
-    survivor triples (c1, c2, witnesses)).
+    window [3, section-count bound].  A surviving shape adds its (c1, c2) to
+    `pairs` and its witnesses to `witnesses`; the split route adds its
+    witness only, since its bundles carry trivial factors.  Returns the
+    verdicts and the windows keyed by c2.
     """
     verdicts: list[Verdict] = []
     windows: dict[int, tuple[int, int]] = {}
-    results: list[tuple[int, int, list[str]]] = []
 
     def shape(t: Trail, label: str, sub: list[int], quot: list[int], names: list[str],
               c1: int) -> None:
@@ -660,7 +673,8 @@ def _higher_rank_verdicts(
         verdicts.append(t.verdict(label))
         if verdicts[-1].survives:
             windows[inv.c2] = window
-            results.append((c1, inv.c2, names))
+            pairs.add((c1, inv.c2))
+            witnesses.setdefault(inv.c2, set()).update(names)
 
     if c1_max >= 1:
         shape(Trail(disabled), "resolution O(-1) -> O^5 (twist one)", [-1], [0] * 5,
@@ -681,13 +695,13 @@ def _higher_rank_verdicts(
                lattice_solutions=_nonnegative_integers(qa, qb, qc))
         verdicts.append(t.verdict("smooth-scroll curve of degree 15"))
 
-        # the cone branch lands on the class (5,15) and realizes one shape
+        # the cone branch lands on one class and realizes one shape
         t = Trail(disabled)
         t.hypothesis("A-base-locus")
         hits, genus, checks = _cone_class()
-        t.fire("R-hirzebruch-F3", hits == [DivisorClass(5, 15)],
+        t.fire("R-hirzebruch-F3", _F3[0].degree <= genus - 1,
                classes=encode(hits), genus=genus,
-               note="genus 26 is allowed here: rank >= 3 needs only d <= g - 1",
+               note=f"genus {genus} is allowed here: rank >= 3 needs only d <= g - 1",
                checks=checks)
         shape(t, "resolution O(-1)^2 -> O^(r+2)", [-1, -1], [0] * 5,
               ["quintic-resolution-r8"], 2)
@@ -697,13 +711,14 @@ def _higher_rank_verdicts(
 
         t = Trail(disabled)
         t.hypothesis("A-minimal-resolution")
-        t.fire("R-ext-split", True, c1=2, c2=ctx.u,
-               split="O(1) + O(1) + trivial factors")
+        inv, check = record(chern_of_extension, 1, 1, 0, ctx)
+        t.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2,
+               split="O(1) + O(1) + trivial factors", checks=[check])
         t.witness(["hyperplane-pair-split"])
         verdicts.append(t.verdict("plane-section curve (split route)"))
-        # contributes its c2 only: the split carries trivial factors
-        results.append((-1, ctx.u, ["hyperplane-pair-split"]))
-    return verdicts, windows, results
+        if verdicts[-1].survives:
+            witnesses.setdefault(inv.c2, set()).update(verdicts[-1].witnesses)
+    return verdicts, windows
 
 
 # --------------------------------------------------------------------------
@@ -792,25 +807,18 @@ def classify(
     windows: dict[int, tuple[int, int]] = {}
 
     if c1_max >= 1 and rank_regime == HIGHER_RANK:
-        hverdicts, windows, results = _higher_rank_verdicts(ctx, c1_max, disabled)
-        verdicts.extend(hverdicts)
-        for c1, c2, names in results:
-            if c1 >= 1:
-                pairs.add((c1, c2))
-            for name in names:
-                witnesses.setdefault(c2, set()).add(name)
+        verdicts, windows = _higher_rank_verdicts(ctx, c1_max, disabled, pairs, witnesses)
         for c1 in range(1, c1_max + 1):
             pairs.add((c1, 0))
     elif c1_max >= 1:
         for c1 in range(1, c1_max + 1):
             components, comp_verdicts = admissible_components(ctx, c1, disabled)
             component_verdicts.extend(comp_verdicts)
-            candidates = _candidates(components, bounds.max_curve_degree(ctx, c1, 2))
-            for verdict in apply_rules(candidates, ctx, c1, disabled):
+            for cand in _candidates(components, bounds.max_curve_degree(ctx, c1, 2)):
+                verdict = judge_candidate(cand, ctx, c1, disabled)
                 verdicts.append(verdict)
                 if not verdict.survives:
                     continue
-                cand = verdict.candidate
                 c2 = 0 if cand.is_empty else cand.total_degree
                 pairs.add((c1, c2))
                 if verdict.unresolved:

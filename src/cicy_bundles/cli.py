@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     q_pi.add_argument("--d", type=int, required=True)
     q_pi.add_argument("--r", type=int, required=True)
 
-    q_pi1 = qsub.add_parser("pi1", help="refined genus bound (anchored inputs)")
+    q_pi1 = qsub.add_parser("pi1", help="Harris refined genus bound, valid for d >= 2r + 1")
     q_pi1.add_argument("--d", type=int, required=True)
     q_pi1.add_argument("--r", type=int, required=True)
 

@@ -234,10 +234,6 @@ class Construction:
     rank_window: tuple[int, int] | None = None
 
 
-def _ctx(md: tuple[int, ...]) -> CicyContext:
-    return CicyContext(md)
-
-
 REGISTRY: tuple[Construction, ...] = (
     Construction("trivial-twist-split", (5,), 2, 1, 0, (), "split", (0, 1),
                  "O + O(1); the empty-curve sentinel"),
@@ -351,7 +347,7 @@ class RegistryValidationError(ValueError):
 
 
 def _validate_entry(entry: Construction) -> ConstructionReport:
-    ctx = _ctx(entry.threefold)
+    ctx = CicyContext(entry.threefold)
     checks: list[Check] = []
 
     def expect(name: str, expected, computed) -> None:

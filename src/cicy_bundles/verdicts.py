@@ -223,7 +223,14 @@ _CORPUS: tuple[Rule, ...] = (
     Rule("A-harris-surface", _A,
          "genus meeting or exceeding the refined bound forces the curve onto "
          "a surface of low degree",
-         "refined-bound-surface"),
+         "refined-bound-surface",
+         annotation=(
+             "recorded discrepancy: the refined bound was earlier taken as 8 at "
+             "(d, r) = (11, 4) and 11 at (14, 5), the main term alone; Harris's "
+             "bound gives 10 and 13 (and 16 at (15, 5)); the printed values "
+             "could not be checked against the paper's text, and every firing "
+             "still has genus at or above the bound (12, 15, 16)"
+         )),
     Rule("R-pi1-cut", _R,
          "the refined-bound surface is cut by the cubics: d <= 3 * deg(T)",
          "cubic-cut-cap"),

