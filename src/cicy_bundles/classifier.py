@@ -77,7 +77,7 @@ def admissible_components(
                 continue
             g = required_genus(c1, d)
             comp = CurveComponent(d, g, span)
-            verdict = component_admissible(comp, ctx, c1, 2, disabled)
+            verdict = component_admissible(comp, ctx, c1, disabled)
             verdicts.append(verdict)
             if verdict.survives:
                 survivors.append(comp)
@@ -180,10 +180,15 @@ def _nonnegative_integers(a: int, b: int, c: int) -> list[int]:
     return list(range(-(-(b - root) // m), (b + root) // m + 1))
 
 
-def _harris_surface(route: Route, d: int, r: int, **values) -> None:
-    """Genus at or above the refined bound puts the curve on a low-degree surface."""
+def _harris_surface(route: Route, d: int, r: int, genus: int, surface_degree_cap: int,
+                    **note) -> None:
+    """Genus at or above the refined bound puts the curve on a surface of degree
+    at most the cap, where cubics cut it in degree at most three times the cap."""
     bound, check = record(bounds.pi_one, d, r)
-    route.hypothesis("A-harris-surface", refined_bound=bound, **values, checks=[check])
+    route.hypothesis("A-harris-surface", refined_bound=bound, genus=genus,
+                     surface_degree_cap=surface_degree_cap, checks=[check])
+    cut_cap = 3 * surface_degree_cap
+    route.fire("R-pi1-cut", d <= cut_cap, d=d, cut_cap=cut_cap, **note)
 
 
 def _fire_ci_omega(route: Route, degrees: list[int], **values) -> None:
@@ -235,10 +240,11 @@ def _fire_clifford(route: Route) -> None:
     """Double-section case of a degree-16 curve of genus 17: a primitive
     pencil of Clifford index 2 forces h0 = 8, putting the curve in P^7 where
     the Castelnuovo bound 12 is exceeded."""
-    g = required_genus(2, 16)
-    cliff_options = [2, g - 3]
-    h0 = (16 + 2 - 2) // 2
-    pi, check = record(bounds.castelnuovo_pi, 16, 7)
+    d, cliff = 16, 2
+    g = required_genus(2, d)
+    cliff_options = [cliff, g - 3]
+    h0 = (d - cliff) // 2 + 1  # Clifford index d - 2(h0 - 1)
+    pi, check = record(bounds.castelnuovo_pi, d, h0 - 1)
     route.fire("R-clifford", g <= pi, genus=g, clifford_options=cliff_options,
                sections_from_index_2=h0, bound_in_p7=pi,
                contradiction=f"{g} > {pi}",
@@ -383,12 +389,10 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
             _fire_ci_omega(surf, [2, 2, 2, 4],
                            note="three-quadric surface cut by the quartic")
         elif deg_s == 5:
-            f1 = canonical_class(RuledSurface(1)) + DivisorClass(2, 6)
-            f3 = canonical_class(RuledSurface(3)) + DivisorClass(2, 8)
+            scrolls = {name: (canonical_class(RuledSurface(e)) + DivisorClass(2, 5 + e)).b + 1
+                       for name, e in (("F1", 1), ("F3", 3), ("F5-cone", 5))}
             surf.fire("A-deg-S-5", False, surface_degree=5,
-                      sectional_twist=-1 + 4,
-                      scroll_dualizing_sections={"F1": f1.b + 1, "F3": f3.b + 1,
-                                                 "F5-cone": 4})
+                      sectional_twist=-1 + 4, scroll_dualizing_sections=scrolls)
         elif deg_s == 6:
             genus = _berzolari(surf)
             h0_omega = 8 + 1 - genus  # Riemann-Roch for a degree-8 pencil
@@ -450,15 +454,11 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
               possible_degrees={"deg3": 3 * ctx.u, "deg4": 4 * ctx.u})
     if matches == [3]:
         dim3.fire("A-x33-cubic-3fold", False, d=d)
-    elif matches == [4]:
-        dim3.fire("R-ci-omega", False, degrees=[2, 2],
-                  omega_twist=4, required=2)
 
     if d == 14:
         r = trail.route("surface-deg-le-4")
-        _harris_surface(r, d, 5, genus=g, surface_degree_cap=4)
-        r.fire("R-pi1-cut", False, d=d, cut_cap=3 * 4,
-               note="cut by cubics on a surface of degree at most 4")
+        _harris_surface(r, d, 5, genus=g, surface_degree_cap=4,
+                        note="cut by cubics on a surface of degree at most 4")
         r5 = trail.route("surface-deg-5")
         # inside the quintic surface a cubic cut has degree 15 = d + 1: the
         # leftover line meets the curve in the three cubic points, so the
@@ -470,9 +470,8 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         return
     if d == 15:
         r = trail.route("surface-deg-5")
-        _harris_surface(r, d, 5, genus=g, surface_degree_cap=5)
-        r.fire("R-pi1-cut", True, d=d, cut_cap=15,
-               note="equality: the curve is the cubic cut of the surface")
+        _harris_surface(r, d, 5, genus=g, surface_degree_cap=5,
+                        note="equality: the curve is the cubic cut of the surface")
         r.hypothesis("A-delpezzo5", surface_twist=-1)
         r.fire("R-surface-cut-twist", -1 + 3 == 2, surface_twist=-1,
                cutting_degree=3, required=2)
@@ -560,7 +559,6 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
                                                  "computed": 2 * line_genus - 2 + meets},
                        checks=[line_check, check])
                 _harris_surface(r, d, comp.span, genus=g, surface_degree_cap=3)
-                r.fire("R-pi1-cut", False, d=11, cut_cap=9)
             else:  # d == 12
                 if sections:
                     r.fire("A-x33-span-overlap", False, d=12)
@@ -570,7 +568,6 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
             if d == 14:
                 _harris_surface(r, d, comp.span, genus=required_genus(2, d),
                                 surface_degree_cap=4)
-                r.fire("R-pi1-cut", False, d=14, cut_cap=12)
             elif d == 15:
                 r.fire("A-ample-connected", False, d=15,
                        note="the cubic cut of the quintic surface is connected")
@@ -739,7 +736,8 @@ class ClassificationResult:
     verdicts: list[Verdict] = field(default_factory=list)
     component_verdicts: list[Verdict] = field(default_factory=list)
 
-    def to_dict(self, include_verdicts: bool = False) -> dict:
+    def to_dict(self) -> dict:
+        """The classification summary, without verdicts."""
         out = {
             "threefold": self.ctx.label(),
             "c1": self.c1_max,
@@ -753,18 +751,6 @@ class ClassificationResult:
             out["rank_windows"] = {
                 str(k): list(v) for k, v in sorted(self.rank_windows.items())
             }
-        if include_verdicts:
-            out["verdicts"] = [
-                {
-                    "candidate": v.candidate.label()
-                    if isinstance(v.candidate, CurveCandidate)
-                    else str(v.candidate),
-                    "status": v.status.value,
-                    "witnesses": list(v.witnesses),
-                    "trail": [e.to_dict() for e in v.trail],
-                }
-                for v in self.verdicts
-            ]
         return out
 
 
@@ -846,31 +832,45 @@ def classify(
 # --------------------------------------------------------------------------
 
 
+def _verdict_dict(verdict: Verdict) -> dict:
+    """One verdict as a report stores it: the only home of its trail."""
+    candidate = verdict.candidate
+    return {
+        "candidate": candidate.label()
+        if isinstance(candidate, (CurveCandidate, CurveComponent))
+        else str(candidate),
+        "status": verdict.status.value,
+        "witnesses": list(verdict.witnesses),
+        "trail": [e.to_dict() for e in verdict.trail],
+    }
+
+
 def rule_report(
     ctx: CicyContext,
     c1_max: int = 2,
     rank_regime: str = RANK2,
     disabled: frozenset[str] = frozenset(),
 ) -> dict:
-    """Structured report: classification plus every rule fired with values."""
+    """Structured report: the classification, every verdict with its trail,
+    and each rule that fired with its firings counted by outcome."""
     result = classify(ctx, c1_max, rank_regime, disabled)
-    fired: dict[str, list[dict]] = {}
-    all_verdicts = result.component_verdicts + result.verdicts
-    for verdict in all_verdicts:
+    counts: dict[str, dict[str, int]] = {}
+    for verdict in result.component_verdicts + result.verdicts:
         for entry in verdict.trail:
-            fired.setdefault(entry.rule_id, []).append(
-                {"outcome": entry.outcome, "values": entry.values}
-            )
-    report = result.to_dict(include_verdicts=True)
+            tally = counts.setdefault(entry.rule_id, {"pass": 0, "fail": 0, "hypothesis": 0})
+            tally[entry.outcome] += 1
+    report = result.to_dict()
+    report["verdicts"] = [_verdict_dict(v) for v in result.verdicts]
+    report["component_verdicts"] = [_verdict_dict(v) for v in result.component_verdicts]
     report["rules"] = [
         {
             "id": rule_id,
             "kind": RULES[rule_id].kind.value,
             "ref": RULES[rule_id].ref,
             "statement": RULES[rule_id].statement,
-            "fired": firings,
+            "counts": tally,
         }
-        for rule_id, firings in sorted(fired.items(), key=lambda kv: RULE_ORDER[kv[0]])
+        for rule_id, tally in sorted(counts.items(), key=lambda kv: RULE_ORDER[kv[0]])
     ]
     report["annotations"] = annotations()
     return report
@@ -901,7 +901,7 @@ def report_markdown(report: dict) -> str:
     for rule in report.get("rules", []):
         lines.append(
             f"- {rule['id']:<{width}}  {rule['kind']:<10}  "
-            f"[{rule['ref']}]  fired {len(rule['fired'])}x"
+            f"[{rule['ref']}]  fired {sum(rule['counts'].values())}x"
         )
     if report.get("annotations"):
         lines += ["", "## Recorded discrepancies", ""]

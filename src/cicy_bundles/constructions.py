@@ -52,6 +52,9 @@ class CurveComponent:
     def triple(self) -> tuple[int, int, int]:
         return (self.d, self.g, self.span)
 
+    def label(self) -> str:
+        return f"({self.d},{self.g},{self.span})"
+
 
 @dataclass(frozen=True)
 class CurveCandidate:
@@ -90,7 +93,7 @@ class CurveCandidate:
     def label(self) -> str:
         if self.is_empty:
             return "empty"
-        return " + ".join(f"({c.d},{c.g},{c.span})" for c in self.components)
+        return " + ".join(c.label() for c in self.components)
 
 
 def required_genus(c1: int, d: int) -> int | None:
@@ -152,14 +155,13 @@ def component_admissible(
     comp: CurveComponent,
     ctx: CicyContext,
     c1: int,
-    rank: int = 2,
     disabled: frozenset[str] = frozenset(),
 ) -> Verdict:
     """Filter one component through the per-component elimination rules.
 
     Checks, in order: the twist-regime genus identity, plane-section rules,
     3-space section rules, the Castelnuovo bound, the linear-section count
-    for twist one, and the total degree cap.  Returns a verdict with the
+    for twist one, and the rank-2 degree cap.  Returns a verdict with the
     full rule trail; candidates are built only from surviving components.
     """
     t = Trail(disabled)
@@ -207,7 +209,7 @@ def component_admissible(
         t.fire("R-ideal-sections", span <= ctx.ambient_dim - 2,
                span=span, ambient=ctx.ambient_dim,
                linear_sections=ctx.ambient_dim - span)
-    cap = bounds.max_curve_degree(ctx, c1, rank)
+    cap = bounds.max_curve_degree(ctx, c1, 2)
     t.fire("R-degree-cap", d <= cap, d=d, cap=cap)
 
     return t.verdict(comp)
@@ -461,15 +463,10 @@ def registry_names() -> list[str]:
     return sorted({e.name for e in REGISTRY})
 
 
-def witnesses_for(md: tuple[int, ...], c1: int, c2: int, max_rank: int | None = 2) -> list[str]:
-    """Names of registered constructions matching (threefold, c1, c2)."""
-    out = []
-    for e in REGISTRY:
-        if e.threefold == md and e.c1 == c1 and e.c2 == c2:
-            if max_rank is not None and e.rank > max_rank:
-                continue
-            out.append(e.name)
-    return sorted(set(out))
+def witnesses_for(md: tuple[int, ...], c1: int, c2: int) -> list[str]:
+    """Names of registered rank-2 constructions matching (threefold, c1, c2)."""
+    return sorted({e.name for e in REGISTRY
+                   if (e.threefold, e.c1, e.c2, e.rank) == (md, c1, c2, 2)})
 
 
 def serialize_registry() -> str:

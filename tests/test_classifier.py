@@ -114,10 +114,12 @@ class TestQuinticVerdicts:
                        for e in v.trail)
 
     def test_over_cap_twist_one_is_eliminated(self):
-        # a failure fired on the trail itself kills every route
-        v = verdict_for(cand((12, 7, 3)), QUINTIC, 1)
-        assert ("R-degree-cap", "fail") in {(e.rule_id, e.outcome) for e in v.trail}
-        assert v.status is Status.ELIMINATED
+        # a failure fired on the trail itself kills every route, also on 3,3
+        # past the degree cap 33, where no route of the case tree dies first
+        for candidate, ctx, c1 in ((cand((12, 7, 3)), QUINTIC, 1), (cand((36, 37, 5)), X33, 2)):
+            v = verdict_for(candidate, ctx, c1)
+            assert ("R-degree-cap", "fail") in {(e.rule_id, e.outcome) for e in v.trail}
+            assert v.status is Status.ELIMINATED
 
     def test_mixed_pair_fails_budget(self):
         v = verdict_for(cand((5, 6, 2), (11, 12, 4)), QUINTIC)
@@ -344,11 +346,29 @@ class TestReports:
 
     def test_schema_keys(self):
         report = rule_report(X33, 2)
-        for key in ("threefold", "c1", "rank_regime", "admissible_c2",
-                    "witnesses", "unresolved", "rules", "annotations"):
+        for key in ("threefold", "c1", "rank_regime", "admissible_c2", "witnesses",
+                    "unresolved", "verdicts", "component_verdicts", "rules", "annotations"):
             assert key in report
         for rule in report["rules"]:
-            assert set(rule) == {"id", "kind", "ref", "statement", "fired"}
+            assert set(rule) == {"id", "kind", "ref", "statement", "counts"}
+            assert set(rule["counts"]) == {"pass", "fail", "hypothesis"}
+
+    def test_each_firing_stored_once(self):
+        def values_objects(node):
+            if isinstance(node, list):
+                return sum(map(values_objects, node))
+            if isinstance(node, dict):
+                return ("values" in node) + sum(map(values_objects, node.values()))
+            return 0
+
+        for ctx, regime in FOUR_CASES:
+            result = classify(ctx, 2, regime)
+            entries = sum(len(v.trail) for v in result.verdicts + result.component_verdicts)
+            report = json.loads(report_json(rule_report(ctx, 2, regime)))
+            assert values_objects(report) == entries
+            assert sum(sum(r["counts"].values()) for r in report["rules"]) == entries
+            assert [(v["candidate"], v["status"]) for v in report["component_verdicts"]] == [
+                (v.candidate.label(), v.status.value) for v in result.component_verdicts]
 
     def test_annotations_present(self):
         report = rule_report(QUINTIC, 2, HIGHER_RANK)
@@ -357,15 +377,17 @@ class TestReports:
 
     def test_f1_polynomial_in_report(self):
         report = rule_report(QUINTIC, 2)
-        f1 = next(r for r in report["rules"] if r["id"] == "R-hirzebruch-F1")
-        firing = f1["fired"][0]
+        assert next(r for r in report["rules"] if r["id"] == "R-hirzebruch-F1")["counts"] == {
+            "pass": 0, "fail": 1, "hypothesis": 0}
+        firing = next(e for v in report["verdicts"] for e in v["trail"]
+                      if e["rule"] == "R-hirzebruch-F1")
         assert firing["values"]["classes"] == []
         assert "-3a^2 + 31a - 60" in firing["values"]["quadratic"]
 
     def test_f1_lattice_solutions_match_a_scan(self):
         report = rule_report(QUINTIC, 2, HIGHER_RANK)
-        rule = next(r for r in report["rules"] if r["id"] == "A-scroll-spannedness")
-        values = rule["fired"][0]["values"]
+        values = next(e["values"] for v in report["verdicts"] for e in v["trail"]
+                      if e["rule"] == "A-scroll-spannedness")
         qa, qb, qc = genus_quadratic(GenusSearch(DivisorClass(1, 2), 15, genus=16),
                                      RuledSurface(1))
         assert values["lattice"] == f"{-qa}a^2 - {qb}a + {-qc} <= 0"
