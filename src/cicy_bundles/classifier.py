@@ -757,19 +757,7 @@ class ClassificationResult:
 _SUPPORTED_RANK2 = {(5,), (2, 4), (3, 3)}
 
 
-def classify(
-    ctx: CicyContext,
-    c1_max: int,
-    rank_regime: str = RANK2,
-    disabled: frozenset[str] = frozenset(),
-) -> ClassificationResult:
-    """Admissible (c1, c2) data for the regime, with witnesses attached.
-
-    Survivor c2 values are totals of surviving candidate curves plus the
-    split-bundle contributions; 0 is always admissible (trivial and split
-    bundles).  The c2 = 16 cases on the codimension-2 threefolds are flagged
-    unresolved: existence holds but their full classification stays open.
-    """
+def _check_regime(ctx: CicyContext, c1_max: int, rank_regime: str) -> None:
     if rank_regime not in (RANK2, HIGHER_RANK):
         raise UnsupportedClassificationError(f"unknown rank regime {rank_regime!r}")
     if c1_max < 0 or c1_max > 2:
@@ -785,33 +773,39 @@ def classify(
                 "only registered example constructions exist there"
             )
 
+
+def _rank2_level(ctx: CicyContext, c1: int,
+                 disabled: frozenset[str]) -> tuple[list[Verdict], list[Verdict]]:
+    """The component verdicts and candidate verdicts of one twist level."""
+    components, comp_verdicts = admissible_components(ctx, c1, disabled)
+    candidates = _candidates(components, bounds.max_curve_degree(ctx, c1, 2))
+    return comp_verdicts, [judge_candidate(cand, ctx, c1, disabled) for cand in candidates]
+
+
+def _aggregate(ctx: CicyContext, c1_max: int, rank_regime: str,
+               disabled: frozenset[str], levels: list[tuple]) -> ClassificationResult:
+    """The result of the judged rank-2 twist levels c1 = 1, 2, ..., or, in the
+    higher-rank regime, of the shapes judged here under `disabled`."""
     pairs: set[tuple[int, int]] = set()
     witnesses: dict[int, set[str]] = {0: {"trivial-twist-split"}}
     unresolved: set[int] = set()
-    verdicts: list[Verdict] = []
-    component_verdicts: list[Verdict] = []
-    windows: dict[int, tuple[int, int]] = {}
-
-    if c1_max >= 1 and rank_regime == HIGHER_RANK:
+    verdicts, component_verdicts, windows = [], [], {}
+    if rank_regime == HIGHER_RANK:
         verdicts, windows = _higher_rank_verdicts(ctx, c1_max, disabled, pairs, witnesses)
-        for c1 in range(1, c1_max + 1):
-            pairs.add((c1, 0))
-    elif c1_max >= 1:
-        for c1 in range(1, c1_max + 1):
-            components, comp_verdicts = admissible_components(ctx, c1, disabled)
-            component_verdicts.extend(comp_verdicts)
-            for cand in _candidates(components, bounds.max_curve_degree(ctx, c1, 2)):
-                verdict = judge_candidate(cand, ctx, c1, disabled)
-                verdicts.append(verdict)
-                if not verdict.survives:
-                    continue
-                c2 = 0 if cand.is_empty else cand.total_degree
-                pairs.add((c1, c2))
-                if verdict.unresolved:
-                    unresolved.add(c2)
-                for name in verdict.witnesses:
-                    witnesses.setdefault(c2, set()).add(name)
-
+        pairs.update((c1, 0) for c1 in range(1, c1_max + 1))
+    for c1, (comp_verdicts, cand_verdicts) in enumerate(levels, 1):
+        component_verdicts += comp_verdicts
+        verdicts += cand_verdicts
+        for verdict in cand_verdicts:
+            if not verdict.survives:
+                continue
+            cand = verdict.candidate
+            c2 = 0 if cand.is_empty else cand.total_degree
+            pairs.add((c1, c2))
+            if verdict.unresolved:
+                unresolved.add(c2)
+            for name in verdict.witnesses:
+                witnesses.setdefault(c2, set()).add(name)
     admissible = sorted({0} | {c2 for _, c2 in pairs})
     return ClassificationResult(
         ctx=ctx,
@@ -825,6 +819,66 @@ def classify(
         verdicts=verdicts,
         component_verdicts=component_verdicts,
     )
+
+
+def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
+             disabled: frozenset[str] = frozenset()) -> ClassificationResult:
+    """Admissible (c1, c2) data for the regime, with witnesses attached.
+
+    Survivor c2 values are totals of surviving candidate curves plus the
+    split-bundle contributions; 0 is always admissible (trivial and split
+    bundles).  The c2 = 16 cases on the codimension-2 threefolds are flagged
+    unresolved: existence holds but their full classification stays open.
+    Rank-2 verdicts run by c1, each level opening with the empty curve.
+    """
+    _check_regime(ctx, c1_max, rank_regime)
+    levels = [] if rank_regime == HIGHER_RANK else [
+        _rank2_level(ctx, c1, disabled) for c1 in range(1, c1_max + 1)]
+    return _aggregate(ctx, c1_max, rank_regime, disabled, levels)
+
+
+def _cites(verdict: Verdict) -> frozenset[str]:
+    return frozenset(entry.rule_id for entry in verdict.trail)
+
+
+def toggle_sweep(ctx: CicyContext, c1_max: int, rank_regime: str,
+                 toggles: list[frozenset[str]]) -> list[ClassificationResult]:
+    """`classify(ctx, c1_max, rank_regime, disabled)` for each toggle set,
+    derived from one classification with nothing disabled.
+
+    `Trail.active` is the only reader of a disabled set, and `fire` and
+    `hypothesis` record every rule they consult while it is active, so a
+    verdict whose trail cites no rule of a toggle set is judged the same way
+    with that set disabled.  Such verdicts are reused; the others are judged
+    again, and a twist level whose surviving components change gets a new
+    candidate list.  The results share verdict objects with each other, and
+    a higher-rank toggle that changes no verdict returns the base result.
+    """
+    _check_regime(ctx, c1_max, rank_regime)
+    if rank_regime == HIGHER_RANK:
+        base = _aggregate(ctx, c1_max, HIGHER_RANK, frozenset(), [])
+        cited = frozenset().union(*map(_cites, base.verdicts))
+        return [base if cited.isdisjoint(disabled)
+                else _aggregate(ctx, c1_max, HIGHER_RANK, disabled, []) for disabled in toggles]
+    cited = [([(_cites(v), v) for v in comps], {v.candidate: (_cites(v), v) for v in cands})
+             for comps, cands in (_rank2_level(ctx, c1, frozenset())
+                                  for c1 in range(1, c1_max + 1))]
+    results = []
+    for disabled in toggles:
+        levels = []
+        for c1, (comp_cites, cand_cites) in enumerate(cited, 1):
+            comps = [v if ids.isdisjoint(disabled)
+                     else component_admissible(v.candidate, ctx, c1, disabled)
+                     for ids, v in comp_cites]
+            candidates = list(cand_cites)  # the base order, while the survivors stay
+            if any(v.survives != old.survives for v, (_, old) in zip(comps, comp_cites)):
+                candidates = _candidates([v.candidate for v in comps if v.survives],
+                                         bounds.max_curve_degree(ctx, c1, 2))
+            levels.append((comps, [
+                hit[1] if (hit := cand_cites.get(cand)) and hit[0].isdisjoint(disabled)
+                else judge_candidate(cand, ctx, c1, disabled) for cand in candidates]))
+        results.append(_aggregate(ctx, c1_max, RANK2, disabled, levels))
+    return results
 
 
 # --------------------------------------------------------------------------
@@ -845,15 +899,10 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
-def rule_report(
-    ctx: CicyContext,
-    c1_max: int = 2,
-    rank_regime: str = RANK2,
-    disabled: frozenset[str] = frozenset(),
-) -> dict:
+def rule_report(ctx: CicyContext, c1_max: int = 2, rank_regime: str = RANK2) -> dict:
     """Structured report: the classification, every verdict with its trail,
     and each rule that fired with its firings counted by outcome."""
-    result = classify(ctx, c1_max, rank_regime, disabled)
+    result = classify(ctx, c1_max, rank_regime)
     counts: dict[str, dict[str, int]] = {}
     for verdict in result.component_verdicts + result.verdicts:
         for entry in verdict.trail:

@@ -51,7 +51,7 @@ class Verdict(NamedTuple):
     candidate: object
     status: Status
     trail: tuple[TrailEntry, ...]
-    witnesses: list[str]
+    witnesses: tuple[str, ...]
     unresolved: bool
 
     @property
@@ -427,10 +427,11 @@ class Trail:
                     witnesses.update(names)
                     unresolved = unresolved or flag
             if live:
-                return Verdict(candidate, Status.SURVIVES, trail, sorted(witnesses), unresolved)
+                return Verdict(candidate, Status.SURVIVES, trail, tuple(sorted(witnesses)),
+                               unresolved)
         if None in arithmetic or routes.keys() <= arithmetic:
-            return Verdict(candidate, Status.ELIMINATED, trail, [], False)
-        return Verdict(candidate, Status.AXIOM_ELIMINATED, trail, [], False)
+            return Verdict(candidate, Status.ELIMINATED, trail, (), False)
+        return Verdict(candidate, Status.AXIOM_ELIMINATED, trail, (), False)
 
 
 #: JSON encoder and decoder of each structured kernel argument or value type.

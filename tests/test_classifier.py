@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -94,7 +95,7 @@ class TestQuinticVerdicts:
     def test_single_quintic_is_the_split_pair(self):
         v = verdict_for(cand((5, 6, 2)), QUINTIC)
         assert v.status is Status.SURVIVES
-        assert v.witnesses == ["hyperplane-pair-split"]
+        assert v.witnesses == ("hyperplane-pair-split",)
 
     def test_three_planes_axiom_eliminated(self):
         v = verdict_for(cand((5, 6, 2), (5, 6, 2), (5, 6, 2)), QUINTIC)
@@ -143,7 +144,7 @@ class TestX24Verdicts:
     def test_extension_curve_survives(self):
         v = verdict_for(cand((11, 12, 4)), X24)
         assert v.status is Status.SURVIVES
-        assert v.witnesses == ["plane-cubic-extension"]
+        assert v.witnesses == ("plane-cubic-extension",)
 
     def test_wrong_residual_dies(self):
         for d in (12, 13, 14, 15, 16):
@@ -173,7 +174,7 @@ class TestX33Verdicts:
     def test_section_survives(self):
         v = verdict_for(cand((9, 10, 3)), X33)
         assert v.status is Status.SURVIVES
-        assert v.witnesses == ["hyperplane-pair-split"]
+        assert v.witnesses == ("hyperplane-pair-split",)
 
     def test_delpezzo_cut_survives(self):
         v = verdict_for(cand((15, 16, 5)), X33)
@@ -316,6 +317,40 @@ class TestToggles:
             if axiom == "A-scroll-spannedness":
                 assert statuses["smooth-scroll curve of degree 15"] is Status.SURVIVES
 
+    def test_toggle_sweep_is_exact(self):
+        # the sweep reuses each verdict whose trail cites no toggled axiom; every
+        # result must equal a full classification, verdict order and trails
+        # included, and every reuse and re-judging path must be taken
+        axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
+        paths, grown = Counter(), set()
+        for ctx, regime in FOUR_CASES:
+            toggles = [frozenset(), *map(frozenset, itertools.combinations(axioms, 1))]
+            if regime == RANK2:
+                toggles += map(frozenset, itertools.combinations(axioms, 2))
+            results = classifier.toggle_sweep(ctx, 2, regime, toggles)
+            mismatches = [sorted(disabled) for disabled, result in zip(toggles, results)
+                          if result != classify(ctx, 2, regime, disabled)]
+            assert (len(results), mismatches) == (len(toggles), [])
+            base = results[0]
+            if regime == HIGHER_RANK:
+                paths.update("higher-rank base returned" if result is base
+                             else "higher-rank recomputed" for result in results[1:])
+                continue
+            base_ids = {id(v) for v in base.verdicts + base.component_verdicts}
+            base_cands = {v.candidate for v in base.verdicts}
+            for disabled, result in zip(toggles[1:], results[1:]):
+                paths.update("component re-judged" for v in result.component_verdicts
+                             if id(v) not in base_ids)
+                for v in result.verdicts:
+                    if v.candidate not in base_cands:
+                        paths["new candidate judged"] += 1
+                        grown.add((ctx.label(), *sorted(disabled)))
+                    else:
+                        paths["candidate reused" if id(v) in base_ids
+                              else "candidate re-judged"] += 1
+        assert len(paths) == 6 and min(paths.values()) >= 1, paths
+        assert {("2,4", "A-spannedness-h0"), ("3,3", "A-spannedness-h0")} <= grown
+
     def test_three_planes_toggle(self):
         triple = cand((5, 6, 2), (5, 6, 2), (5, 6, 2))
         on = judge_candidate(triple, QUINTIC, 2)
@@ -424,7 +459,7 @@ class TestTrailVerdict:
         arithmetic.witness(["dead"])
         verdict = trail.verdict("one live")
         assert (verdict.status, verdict.witnesses, verdict.unresolved) == (
-            Status.SURVIVES, ["w1", "w2"], True)
+            Status.SURVIVES, ("w1", "w2"), True)
         trail.fire("R-degree-cap", False)
         assert trail.verdict("shared failure").status is Status.ELIMINATED
         shared = Trail()
@@ -433,7 +468,7 @@ class TestTrailVerdict:
         assert shared.verdict("shared axiom").status is Status.AXIOM_ELIMINATED
         alone = Trail()
         alone.witness(["w"])
-        assert alone.verdict("no routes").witnesses == ["w"]
+        assert alone.verdict("no routes").witnesses == ("w",)
         alone.fire("A-three-planes", False)
         assert alone.verdict("no routes").status is Status.AXIOM_ELIMINATED
 

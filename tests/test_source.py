@@ -46,3 +46,28 @@ def test_no_answer_tables():
                 for v in node.value.values)
     ]
     assert found == []
+
+
+def test_disabled_set_read_only_by_trail_active():
+    # toggle_sweep reuses a verdict whose trail cites no disabled rule: sound
+    # only while Trail.active alone reads the disabled set, since fire and
+    # hypothesis record every rule it finds active
+    allowed = {("verdicts.py", "Trail.__init__"), ("verdicts.py", "Trail.active")}
+    found = []
+
+    def visit(path, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            named = (isinstance(child, ast.Attribute) and child.attr == "disabled") or (
+                isinstance(child, ast.Call) and getattr(child.func, "id", None) in
+                ("getattr", "setattr", "delattr") and any(
+                    isinstance(a, ast.Constant) and a.value == "disabled" for a in child.args))
+            if named and (path.name, scope) not in allowed:
+                found.append(f"{path.name}:{child.lineno} in {scope or 'module'}")
+            visit(path, child, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    assert found == []
