@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import bounds, chow, constructions, ruled
 from .chow import (
@@ -841,28 +841,38 @@ def _cites(verdict: Verdict) -> frozenset[str]:
     return frozenset(entry.rule_id for entry in verdict.trail)
 
 
-def toggle_sweep(ctx: CicyContext, c1_max: int, rank_regime: str,
+def _fresh(result: ClassificationResult) -> ClassificationResult:
+    """`result` with containers of its own around the same verdicts."""
+    return replace(result, admissible_c2=list(result.admissible_c2),
+                   admissible_pairs=list(result.admissible_pairs),
+                   witnesses={c2: list(names) for c2, names in result.witnesses.items()},
+                   unresolved=list(result.unresolved), rank_windows=dict(result.rank_windows),
+                   verdicts=list(result.verdicts),
+                   component_verdicts=list(result.component_verdicts))
+
+
+def toggle_sweep(ctx: CicyContext, rank_regime: str,
                  toggles: list[frozenset[str]]) -> list[ClassificationResult]:
-    """`classify(ctx, c1_max, rank_regime, disabled)` for each toggle set,
-    derived from one classification with nothing disabled.
+    """`classify(ctx, 2, rank_regime, disabled)` for each toggle set, derived
+    from one classification with nothing disabled.
 
     `Trail.active` is the only reader of a disabled set, and `fire` and
     `hypothesis` record every rule they consult while it is active, so a
     verdict whose trail cites no rule of a toggle set is judged the same way
     with that set disabled.  Such verdicts are reused; the others are judged
     again, and a twist level whose surviving components change gets a new
-    candidate list.  The results share verdict objects with each other, and
-    a higher-rank toggle that changes no verdict returns the base result.
+    candidate list.  A higher-rank toggle that changes no verdict gets a copy
+    of the base result.  Every result has lists and dicts of its own, but the
+    results share verdict objects with each other.
     """
-    _check_regime(ctx, c1_max, rank_regime)
+    _check_regime(ctx, 2, rank_regime)
     if rank_regime == HIGHER_RANK:
-        base = _aggregate(ctx, c1_max, HIGHER_RANK, frozenset(), [])
+        base = _aggregate(ctx, 2, HIGHER_RANK, frozenset(), [])
         cited = frozenset().union(*map(_cites, base.verdicts))
-        return [base if cited.isdisjoint(disabled)
-                else _aggregate(ctx, c1_max, HIGHER_RANK, disabled, []) for disabled in toggles]
+        return [_fresh(base) if cited.isdisjoint(disabled)
+                else _aggregate(ctx, 2, HIGHER_RANK, disabled, []) for disabled in toggles]
     cited = [([(_cites(v), v) for v in comps], {v.candidate: (_cites(v), v) for v in cands})
-             for comps, cands in (_rank2_level(ctx, c1, frozenset())
-                                  for c1 in range(1, c1_max + 1))]
+             for comps, cands in (_rank2_level(ctx, c1, frozenset()) for c1 in (1, 2))]
     results = []
     for disabled in toggles:
         levels = []
@@ -877,7 +887,7 @@ def toggle_sweep(ctx: CicyContext, c1_max: int, rank_regime: str,
             levels.append((comps, [
                 hit[1] if (hit := cand_cites.get(cand)) and hit[0].isdisjoint(disabled)
                 else judge_candidate(cand, ctx, c1, disabled) for cand in candidates]))
-        results.append(_aggregate(ctx, c1_max, RANK2, disabled, levels))
+        results.append(_aggregate(ctx, 2, RANK2, disabled, levels))
     return results
 
 

@@ -3,7 +3,6 @@ classification equalities, grouped by module for the command-line runner."""
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 from fractions import Fraction
@@ -559,25 +558,15 @@ def check_trail_audit() -> str:
     return f"replayed {total} recorded kernel computations"
 
 
-_TOGGLE_CASES = ((QUINTIC, classifier.RANK2), (X24, classifier.RANK2),
-                 (X33, classifier.RANK2), (QUINTIC, classifier.HIGHER_RANK))
-_AXIOMS = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
-
-
-@functools.cache
-def _sweeps() -> list[list]:
-    """Per toggle case: its base classification, then one result per axiom
-    disabled on its own.  Shared by the two checks that read it; each
-    `run_checks` pass starts by clearing it, so every pass sweeps afresh."""
-    toggles = [frozenset(), *(frozenset({axiom}) for axiom in _AXIOMS)]
-    return [classifier.toggle_sweep(ctx, 2, regime, toggles) for ctx, regime in _TOGGLE_CASES]
-
-
 def check_axiom_toggle_monotone() -> str:
+    axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
+    toggles = [frozenset(), *(frozenset({axiom}) for axiom in axioms)]
     grew = 0
-    for (ctx, regime), (base, *toggled) in zip(_TOGGLE_CASES, _sweeps()):
+    for ctx, regime in ((QUINTIC, classifier.RANK2), (X24, classifier.RANK2),
+                        (X33, classifier.RANK2), (QUINTIC, classifier.HIGHER_RANK)):
+        base, *toggled = classifier.toggle_sweep(ctx, regime, toggles)
         kept = _survivors(base)
-        for axiom, result in zip(_AXIOMS, toggled):
+        for axiom, result in zip(axioms, toggled):
             survivors = _survivors(result)
             _true(kept <= survivors, f"disabling {axiom} must not shrink survivors "
                                      f"on {ctx.label()} {regime}")
@@ -589,11 +578,9 @@ def check_axiom_toggle_monotone() -> str:
 
 def check_no_hidden_eliminations() -> str:
     flipped = 0
-    for (ctx, regime), (base, *_) in zip(_TOGGLE_CASES, _sweeps()):
-        if regime != classifier.RANK2:
-            continue
+    for ctx in (QUINTIC, X24, X33):
         c1 = 0
-        for verdict in base.verdicts:
+        for verdict in classifier.classify(ctx, 2).verdicts:
             cand = verdict.candidate
             c1 += cand.is_empty  # each twist level opens with the empty curve
             if verdict.status is not Status.ELIMINATED:
@@ -707,7 +694,6 @@ for _name in constructions.registry_names():
 
 def run_checks(module: str | None = None):
     """Run (module-filtered) checks; yields (module, name, ok, detail)."""
-    _sweeps.cache_clear()
     for mod, name, fn in CHECKS:
         if module and mod != module:
             continue

@@ -327,14 +327,20 @@ class TestToggles:
             toggles = [frozenset(), *map(frozenset, itertools.combinations(axioms, 1))]
             if regime == RANK2:
                 toggles += map(frozenset, itertools.combinations(axioms, 2))
-            results = classifier.toggle_sweep(ctx, 2, regime, toggles)
+            results = classifier.toggle_sweep(ctx, regime, toggles)
             mismatches = [sorted(disabled) for disabled, result in zip(toggles, results)
                           if result != classify(ctx, 2, regime, disabled)]
             assert (len(results), mismatches) == (len(toggles), [])
+            # verdicts may be shared, but no list or dict of one result is another's
+            containers = [id(c) for r in results for c in (
+                r.admissible_c2, r.admissible_pairs, r.witnesses, r.unresolved,
+                r.rank_windows, r.verdicts, r.component_verdicts, *r.witnesses.values())]
+            assert len(set(containers)) == len(containers)
             base = results[0]
             if regime == HIGHER_RANK:
-                paths.update("higher-rank base returned" if result is base
-                             else "higher-rank recomputed" for result in results[1:])
+                paths.update("higher-rank base reused" if list(map(id, result.verdicts))
+                             == list(map(id, base.verdicts)) else "higher-rank recomputed"
+                             for result in results[1:])
                 continue
             base_ids = {id(v) for v in base.verdicts + base.component_verdicts}
             base_cands = {v.candidate for v in base.verdicts}
