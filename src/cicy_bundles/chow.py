@@ -1,9 +1,12 @@
 """Exact arithmetic in the truncated Chow ring of a CICY threefold.
 
 Everything here is a pure function of immutable values and all arithmetic is
-exact rational (`fractions.Fraction`); no floating point is used anywhere.
-The working ring is Q[H]/(H^4), where H is the hyperplane class of the
-ambient projective space restricted to the threefold.
+exact; no floating point is used anywhere.  The working ring is Q[H]/(H^4),
+where H is the hyperplane class of the ambient projective space restricted to
+the threefold.  A `TruncatedClass` holds four integer numerators over one
+positive common denominator in lowest terms, so ring products and inverses
+are integer arithmetic with one gcd per result; `Fraction`s appear only in
+its `coeffs` view and in Euler characteristics.
 """
 
 from __future__ import annotations
@@ -90,57 +93,100 @@ X2222 = CicyContext((2, 2, 2, 2))
 ALL_CONTEXTS = (QUINTIC, X24, X33, X223, X2222)
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _reduced(numerators: tuple[int, int, int, int], denominator: int) -> "TruncatedClass":
+    """The class numerators / denominator (denominator > 0), in lowest terms."""
+    g = math.gcd(*numerators, denominator)
+    if g != 1:
+        numerators = tuple(n // g for n in numerators)
+        denominator //= g
+    value = _new(TruncatedClass)
+    _set(value, "numerators", numerators)
+    _set(value, "denominator", denominator)
+    return value
+
+
+@dataclass(frozen=True, init=False)
 class TruncatedClass:
-    """Polynomial a0 + a1*H + a2*H^2 + a3*H^3 with rational coefficients, H^4 = 0."""
+    """Polynomial a0 + a1*H + a2*H^2 + a3*H^3 with rational coefficients, H^4 = 0.
 
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    Stored as four integer `numerators` over one positive `denominator`, in
+    lowest terms, so each spelling of a class has one representation and ring
+    operations are integer arithmetic with one gcd per result.  `coeffs` is
+    the rational view, built as four `Fraction`s only when it is read.
+    Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if len(self.coeffs) != 4:
+    numerators: tuple[int, int, int, int]
+    denominator: int
+
+    def __init__(self, coeffs) -> None:
+        values = tuple(Fraction(c) for c in coeffs)
+        if len(values) != 4:
             raise ValueError("a truncated class has exactly 4 coefficients")
+        # over the lcm of reduced denominators the numerators share no factor
+        denominator = math.lcm(*(c.denominator for c in values))
+        _set(self, "numerators",
+             tuple(c.numerator * (denominator // c.denominator) for c in values))
+        _set(self, "denominator", denominator)
 
     @classmethod
     def of(cls, *coeffs) -> "TruncatedClass":
-        padded = tuple(coeffs) + (0,) * (4 - len(coeffs))
-        return cls(tuple(Fraction(c) for c in padded))
+        return cls(coeffs + (0,) * (4 - len(coeffs)))
 
     @classmethod
     def unit(cls) -> "TruncatedClass":
-        return cls.of(1)
+        return _reduced((1, 0, 0, 0), 1)
 
     @classmethod
     def line(cls, twist: int) -> "TruncatedClass":
         """Total Chern class 1 + t*H of the line bundle O(t)."""
-        return cls.of(1, twist)
+        return _reduced((1, twist, 0, 0), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def __add__(self, other: "TruncatedClass") -> "TruncatedClass":
-        return TruncatedClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d, e = self.denominator, other.denominator
+        return _reduced(tuple(a * e + b * d for a, b in zip(self.numerators, other.numerators)),
+                        d * e)
 
     def __sub__(self, other: "TruncatedClass") -> "TruncatedClass":
-        return TruncatedClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        d, e = self.denominator, other.denominator
+        return _reduced(tuple(a * e - b * d for a, b in zip(self.numerators, other.numerators)),
+                        d * e)
 
     def __mul__(self, other: "TruncatedClass") -> "TruncatedClass":
-        a, b = self.coeffs, other.coeffs
-        return TruncatedClass(
+        a0, a1, a2, a3 = self.numerators
+        b0, b1, b2, b3 = other.numerators
+        return _reduced(
             (
-                a[0] * b[0],
-                a[0] * b[1] + a[1] * b[0],
-                a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-                a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
-            )
+                a0 * b0,
+                a0 * b1 + a1 * b0,
+                a0 * b2 + a1 * b1 + a2 * b0,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            ),
+            self.denominator * other.denominator,
         )
 
     def invert(self) -> "TruncatedClass":
-        a = self.coeffs
-        if a[0] == 0:
+        """With numerators a_i over D, the inverse is D * B_k / a0^(k+1), where
+        B_0 = 1 and B_k = -sum_{i=1..k} a_i * B_(k-i) * a0^(i-1)."""
+        a0, a1, a2, a3 = self.numerators
+        if a0 == 0:
             raise NotInvertibleError("not invertible: constant term is zero")
-        b0 = 1 / Fraction(a[0])
-        b1 = -(a[1] * b0) / a[0]
-        b2 = -(a[1] * b1 + a[2] * b0) / a[0]
-        b3 = -(a[1] * b2 + a[2] * b1 + a[3] * b0) / a[0]
-        return TruncatedClass((b0, b1, b2, b3))
+        b1 = -a1
+        b2 = -(a1 * b1 + a2 * a0)
+        b3 = -(a1 * b2 + a2 * b1 * a0 + a3 * a0 * a0)
+        d = self.denominator
+        square = a0 * a0
+        # the common denominator a0^4 is positive whatever the sign of a0
+        return _reduced((d * square * a0, d * b1 * square, d * b2 * a0, d * b3),
+                        square * square)
 
 
 def ring_mul(x: TruncatedClass, y: TruncatedClass) -> TruncatedClass:
@@ -170,10 +216,12 @@ class BundleInvariants:
         return (self.c1, self.c2)
 
 
-def _integer(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{what} is not an integer: {x}")
-    return int(x)
+def _integer(c: TruncatedClass, k: int, scale: int, what: str) -> int:
+    """The H^k coefficient of c times scale, which must be an integer."""
+    value, rest = divmod(c.numerators[k] * scale, c.denominator)
+    if rest:
+        raise ValueError(f"{what} is not an integer: {c.coeffs[k] * scale}")
+    return value
 
 
 def chern_from_resolution(
@@ -195,9 +243,9 @@ def chern_from_resolution(
     for s in sub_twists:
         subs = subs * TruncatedClass.line(s)
     c = total * subs.invert()
-    c1 = _integer(c.coeffs[1], "c1")
-    c2 = _integer(c.coeffs[2] * ctx.u, "c2")
-    c3 = _integer(c.coeffs[3] * ctx.u, "c3")
+    c1 = _integer(c, 1, 1, "c1")
+    c2 = _integer(c, 2, ctx.u, "c2")
+    c3 = _integer(c, 3, ctx.u, "c3")
     return BundleInvariants(rank=rank, c1=c1, c2=c2, c3=c3)
 
 
@@ -219,11 +267,11 @@ def c2_dot_hyperplane(ctx: CicyContext) -> int:
     H^2 coefficient times the degree u is c2(X).H (50 on the quintic).
     """
     n = ctx.ambient_dim
-    tangent = TruncatedClass.of(*(math.comb(n + 1, k) for k in range(4)))
+    tangent = _reduced(tuple(math.comb(n + 1, k) for k in range(4)), 1)
     normal = TruncatedClass.unit()
     for d in ctx.multidegree:
         normal = normal * TruncatedClass.line(d)
-    return _integer((tangent * normal.invert()).coeffs[2] * ctx.u, "c2(X).H")
+    return _integer(tangent * normal.invert(), 2, ctx.u, "c2(X).H")
 
 
 def chi_rank2(ctx: CicyContext, c1: int, c2: int) -> Fraction:
