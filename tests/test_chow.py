@@ -1,8 +1,11 @@
+import copy
+import math
+import pickle
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +42,31 @@ units = st.tuples(
     st.fractions(min_value=-10, max_value=10).filter(lambda x: x != 0),
     rationals, rationals, rationals,
 ).map(lambda t: TruncatedClass(tuple(Fraction(c) for c in t)))
+
+
+# denominators up to 10^6, zero and negative coefficients, constant terms of
+# either sign
+wide = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+wide_classes = st.tuples(wide, wide, wide, wide).map(TruncatedClass)
+wide_units = st.tuples(wide.filter(lambda x: x != 0), wide, wide, wide).map(TruncatedClass)
+
+
+def schoolbook_mul(a, b):
+    # the Fraction schoolbook product, kept as the reference for ring_mul
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+                 for k in range(4))
+
+
+def schoolbook_invert(a):
+    # the Fraction recurrence b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0
+    b = [1 / Fraction(a[0])]
+    for k in range(1, 4):
+        b.append(-sum((a[i] * b[k - i] for i in range(1, k + 1)), Fraction(0)) / a[0])
+    return tuple(b)
+
+
+def lowest_terms(x):
+    return x.denominator > 0 and math.gcd(*x.numerators, x.denominator) == 1
 
 
 def lax(*multidegree):
@@ -107,6 +135,57 @@ class TestRing:
         assert ring_mul(x, ring_invert(x)) == TruncatedClass.unit()
         assert ring_mul(ring_invert(x), x) == TruncatedClass.unit()
 
+    @given(wide_classes, wide_classes)
+    def test_mul_matches_schoolbook(self, x, y):
+        product = ring_mul(x, y)
+        assert product.coeffs == schoolbook_mul(x.coeffs, y.coeffs)
+        assert lowest_terms(product)
+
+    @given(wide_units)
+    def test_invert_matches_schoolbook(self, x):
+        inverse = ring_invert(x)
+        assert inverse.coeffs == schoolbook_invert(x.coeffs)
+        assert lowest_terms(inverse)
+
+    @given(wide_classes, wide_classes)
+    def test_add_sub_match_coefficients(self, x, y):
+        assert (x + y).coeffs == tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+        assert (x - y).coeffs == tuple(a - b for a, b in zip(x.coeffs, y.coeffs))
+        assert lowest_terms(x + y) and lowest_terms(x - y)
+
+    def test_spellings_are_one_class(self):
+        half = cls(Fraction(1, 2), Fraction(-3, 6), 0, Fraction(10, 4))
+        other = TruncatedClass((Fraction(2, 4), Fraction(-1, 2), Fraction(0, 7), "5/2"))
+        assert half == other and hash(half) == hash(other)
+        assert half.numerators == (1, -1, 0, 5) and half.denominator == 2
+        assert half + half == cls(1, -1, 0, 5)
+        assert hash(half + half) == hash(cls(1, -1, 0, 5))
+        assert cls(1, 2) != cls(1, 2, 1) and cls(1) != Fraction(1)
+
+    def test_immutable(self):
+        x = cls(Fraction(1, 3), 2)
+        for name in ("numerators", "denominator", "coeffs", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, (1, 0, 0, 0))
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert x == cls(Fraction(1, 3), 2)
+
+    def test_copy_and_pickle(self):
+        x = cls(Fraction(-1, 3), 2, 0, Fraction(5, 9))
+        assert copy.deepcopy(x) == x == pickle.loads(pickle.dumps(x))
+
+    def test_not_four_coefficients(self):
+        with pytest.raises(ValueError, match="exactly 4"):
+            TruncatedClass((1, 2, 3))
+        with pytest.raises(ValueError, match="exactly 4"):
+            cls(1, 2, 3, 4, 5)
+
+    @given(wide_classes)
+    def test_zero_constant_not_invertible(self, x):
+        with pytest.raises(NotInvertibleError, match="not invertible"):
+            ring_invert(TruncatedClass((0, *x.coeffs[1:])))
+
     @given(units, units)
     def test_commutative(self, x, y):
         assert ring_mul(x, y) == ring_mul(y, x)
@@ -162,6 +241,28 @@ class TestResolutions:
     def test_rank_guard(self):
         with pytest.raises(ValueError, match="rank"):
             chern_from_resolution([0, 0], [0], QUINTIC)
+
+    @pytest.mark.parametrize("ctx", (*ALL_CONTEXTS, lax(2, 2, 2, 2, 1)),
+                             ids=lambda ctx: ctx.label())
+    def test_symmetric_function_closed_form(self, ctx):
+        # c(E) = prod(1 + q H) * sum (-1)^k h_k(s) H^k, expanded with no ring code
+        def e(k, xs):
+            return sum(prod(c) for c in combinations(xs, k))
+
+        def h(k, xs):
+            return sum(prod(c) for c in combinations_with_replacement(xs, k))
+
+        rng = random.Random(f"closed form on {ctx.label()}")
+        for _ in range(500):
+            s = [rng.randint(-4, 3) for _ in range(rng.randint(0, 3))]
+            q = [rng.randint(-3, 4) for _ in range(len(s) + rng.randint(1, 5))]
+            inv = chern_from_resolution(s, q, ctx)
+            assert (inv.rank, inv.c1, inv.c2, inv.c3) == (
+                len(q) - len(s),
+                e(1, q) - e(1, s),
+                ctx.u * (e(2, q) - e(1, q) * h(1, s) + h(2, s)),
+                ctx.u * (e(3, q) - e(2, q) * h(1, s) + e(1, q) * h(2, s) - h(3, s)),
+            ), (s, q)
 
     def test_c1_additivity(self):
         rng = random.Random(3)

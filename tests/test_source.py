@@ -78,3 +78,16 @@ def test_disabled_set_read_only_by_trail_active():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
     assert found == []
+
+
+def test_no_floating_point():
+    # the package promises exact arithmetic: no true division, no float
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+        or (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Constant) and type(node.value) is float)
+    ]
+    assert found == []
