@@ -16,7 +16,6 @@ only grow the survivor set.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -49,7 +48,7 @@ from .ruled import (
     intersect,
 )
 from .verdicts import (RULE_ORDER, RULES, Route, Trail, Verdict, annotations, decode, encode,
-                       record)
+                       json_text, record)
 
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
@@ -936,7 +935,7 @@ def rule_report(ctx: CicyContext, c1_max: int = 2, rank_regime: str = RANK2) -> 
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    return json_text(report)
 
 
 def report_markdown(report: dict) -> str:

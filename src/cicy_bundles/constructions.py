@@ -9,7 +9,6 @@ validate_construction recomputes each from first principles.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .chow import (
     max_rank_no_trivial,
     twist_rank2,
 )
-from .verdicts import Trail, Verdict, record
+from .verdicts import Trail, Verdict, json_text, record
 
 
 class ParityError(ValueError):
@@ -484,7 +483,7 @@ def serialize_registry() -> str:
                 "ref": e.note,
             }
         )
-    return json.dumps(records, indent=2)
+    return json_text(records)
 
 
 def incidence_dimension_check() -> dict[str, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _escape
 from typing import NamedTuple
 
 from .chow import BundleInvariants, CicyContext
@@ -459,6 +460,88 @@ def encode(value):
 def decode(kind: type, value):
     """Rebuild a kernel argument of the given type from its JSON form."""
     return _CODECS[kind][1](value) if kind in _CODECS else value
+
+
+_int = int.__repr__  # the stdlib encoder's int text: plain digits for int subclasses too
+
+
+def json_text(value) -> str:
+    """Exactly the text of `json.dumps(value, indent=2)` with its defaults:
+    ASCII output, separators `,` and `": "`, keys in insertion order.
+
+    CPython runs an indented dump on its pure-Python encoder; this one pass
+    over exact types, with the C string escaper, writes the same bytes.
+    Tuples are lists; str, int, bool and None keys and subclasses of str,
+    int, list and dict go as in the stdlib.  Anything else, float included,
+    raises TypeError.
+    """
+    parts = []
+    _write(value, parts.append, "\n")
+    return "".join(parts)
+
+
+def _write(o, append, newline: str) -> None:
+    """Append the text of `o`; `newline` starts each line at its depth."""
+    t = type(o)
+    if t is dict or t is not list and t is not tuple and isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            k = _escape(k) if type(k) is str else _key(k)
+            t = type(v)
+            if t is str:
+                append(f"{sep}{k}: {_escape(v)}")
+            elif t is int:
+                append(f"{sep}{k}: {_int(v)}")
+            else:
+                append(f"{sep}{k}: ")
+                _write(v, append, inner)
+            sep = "," + inner
+        append(newline + "}")
+    elif t is list or t is tuple or isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in o:
+            t = type(v)
+            if t is str:
+                append(sep + _escape(v))
+            elif t is int:
+                append(sep + _int(v))
+            else:
+                append(sep)
+                _write(v, append, inner)
+            sep = "," + inner
+        append(newline + "]")
+    else:
+        append(_scalar(o))
+
+
+def _scalar(o) -> str:
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, int):
+        return f'"{_scalar(k)}"'
+    raise TypeError(f"keys must be str, int, bool or None, not {type(k).__name__}")
 
 
 def record(fn, *args) -> tuple[object, dict]:

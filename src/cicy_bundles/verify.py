@@ -456,6 +456,7 @@ def check_registry_serialization() -> str:
     keys = list(records[0].keys())
     _eq(keys, ["name", "threefold", "rank", "c1", "c2", "components", "ref"],
         "stable key order")
+    # deliberately the stdlib encoder: the check compares two independent encoders
     _eq(json.dumps(records, indent=2), text, "round-trip is byte-identical")
     _eq([(r["c1"], r["c2"]) for r in records if r["threefold"] == "2,2,3"], [(2, 18)],
         "the one codimension-3 example")
@@ -538,6 +539,7 @@ def check_determinism() -> str:
     first = classifier.report_json(classifier.rule_report(X33, 2))
     second = classifier.report_json(classifier.rule_report(X33, 2))
     _true(first == second, "two runs byte-identical")
+    # deliberately the stdlib encoder: the check compares two independent encoders
     reparsed = json.dumps(json.loads(first), indent=2)
     _true(reparsed == first, "JSON round-trip byte-identical")
     return "byte-identical reports and JSON round-trip"

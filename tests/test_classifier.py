@@ -385,6 +385,12 @@ class TestReports:
         text = report_json(rule_report(X24, 2))
         assert json.dumps(json.loads(text), indent=2) == text
 
+    def test_same_bytes_as_stdlib(self):
+        # report_json writes exactly what the stdlib's indented dump writes
+        for ctx, regime in FOUR_CASES:
+            report = rule_report(ctx, 2, regime)
+            assert report_json(report) == json.dumps(report, indent=2)
+
     def test_schema_keys(self):
         report = rule_report(X33, 2)
         for key in ("threefold", "c1", "rank_regime", "admissible_c2", "witnesses",

@@ -91,3 +91,19 @@ def test_no_floating_point():
         or (isinstance(node, ast.Constant) and type(node.value) is float)
     ]
     assert found == []
+
+
+def test_indented_json_written_in_one_place():
+    # verdicts.json_text writes every indented JSON text; only verify's two
+    # round-trip oracles call the stdlib's indented encoder
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "verify.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in ("dump", "dumps", "JSONEncoder")
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == []

@@ -1,0 +1,86 @@
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from cicy_bundles.verdicts import json_text
+
+
+class Label(str):
+    def __str__(self):
+        return "not the text"
+
+
+class Count(int):
+    def __repr__(self):
+        return "not the digits"
+
+    __str__ = __repr__
+
+
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+# escapes, control characters, non-ASCII, astral characters (surrogate pairs)
+# and a lone surrogate, among arbitrary characters
+chars = st.one_of(st.sampled_from('"\\/\x00\x08\x0c\x1f\x7f\n\r\t é€ \ud83d'),
+                  st.characters(min_codepoint=0x10000), st.characters())
+texts = st.text(chars, max_size=8)
+ints = st.one_of(st.integers(-1000, 1000), st.integers(min_value=2**64),
+                 st.integers(max_value=-2**64))
+scalars = st.one_of(texts, ints, st.booleans(), st.none(), st.builds(Label, texts),
+                    st.builds(Count, ints))
+keys = scalars  # str, int, bool and None keys, subclasses included
+
+
+def containers(children, min_size=0, max_size=3):
+    lists = st.lists(children, min_size=min_size, max_size=max_size)
+    dicts = st.dictionaries(keys, children, min_size=min_size, max_size=max_size)
+    return st.one_of(lists, dicts, lists.map(tuple), lists.map(Items), dicts.map(Table))
+
+
+def depth(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(depth, value), default=0)
+    return 0
+
+
+# four non-empty container levels around trees that also hold empty containers
+trees = st.recursive(scalars, containers, max_leaves=4)
+for _ in range(4):
+    trees = containers(trees, min_size=1, max_size=2)
+
+
+@given(trees)
+def test_same_text_as_stdlib(tree):
+    assert depth(tree) >= 4
+    assert json_text(tree) == json.dumps(tree, indent=2)
+
+
+@given(scalars)
+def test_same_text_as_stdlib_at_top_level(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1}, b"x", object()],
+                         ids=["float", "Fraction", "set", "bytes", "object"])
+def test_other_values_raise(value):
+    for tree in (value, [1, value], {"a": value}, (Table(a=[value]),)):
+        with pytest.raises(TypeError):
+            json_text(tree)
+
+
+@pytest.mark.parametrize("key", [1.5, Fraction(1, 2), frozenset({1}), b"x", object()],
+                         ids=["float", "Fraction", "frozenset", "bytes", "object"])
+def test_other_keys_raise(key):
+    for tree in ({key: 1}, [{"a": 1, key: "b"}]):
+        with pytest.raises(TypeError):
+            json_text(tree)
