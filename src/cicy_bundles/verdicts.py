@@ -469,11 +469,11 @@ def json_text(value) -> str:
     """Exactly the text of `json.dumps(value, indent=2)` with its defaults:
     ASCII output, separators `,` and `": "`, keys in insertion order.
 
-    CPython runs an indented dump on its pure-Python encoder; this one pass
-    over exact types, with the C string escaper, writes the same bytes.
-    Tuples are lists; str, int, bool and None keys and subclasses of str,
-    int, list and dict go as in the stdlib.  Anything else, float included,
-    raises TypeError.
+    CPython runs an indented dump on its pure-Python encoder; this one pass,
+    with inline paths for exact str and int values and the C string escaper,
+    writes the same bytes.  Tuples are lists; str, int, bool and None keys
+    and subclasses of str, int, list and dict go as in the stdlib.  Anything
+    else, float included, raises TypeError.
     """
     parts = []
     _write(value, parts.append, "\n")
@@ -482,8 +482,7 @@ def json_text(value) -> str:
 
 def _write(o, append, newline: str) -> None:
     """Append the text of `o`; `newline` starts each line at its depth."""
-    t = type(o)
-    if t is dict or t is not list and t is not tuple and isinstance(o, dict):
+    if isinstance(o, dict):
         if not o:
             append("{}")
             return
@@ -501,7 +500,7 @@ def _write(o, append, newline: str) -> None:
                 _write(v, append, inner)
             sep = "," + inner
         append(newline + "}")
-    elif t is list or t is tuple or isinstance(o, (list, tuple)):
+    elif isinstance(o, (list, tuple)):
         if not o:
             append("[]")
             return

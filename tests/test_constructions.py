@@ -157,13 +157,6 @@ class TestRegistry:
         assert len(records) == len(REGISTRY)
         assert json.dumps(records, indent=2) == text
 
-    def test_same_bytes_as_stdlib(self, monkeypatch):
-        import cicy_bundles.constructions as cons
-
-        text = serialize_registry()
-        monkeypatch.setattr(cons, "json_text", lambda value: json.dumps(value, indent=2))
-        assert serialize_registry() == text
-
     def test_corrupted_entry_is_caught(self, monkeypatch):
         import cicy_bundles.constructions as cons
 
