@@ -53,6 +53,10 @@ from .verdicts import (RULE_ORDER, RULES, Route, Trail, Verdict, annotations, de
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
 
+#: The witness of the empty curve, O + O(c1): no lookup keyed on c1 finds it, as
+#: the registry carries it at c1 = 1 on the quintic but at c1 = 2 on 2,4 and 3,3.
+SPLIT_WITNESS = "trivial-twist-split"
+
 
 class UnsupportedClassificationError(ValueError):
     """Requested regime lies outside the encoded case tree."""
@@ -290,8 +294,7 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> No
     if z == 0:
         inv, check = record(chern_of_extension, 1, 1, z, ctx)
         r.fire("R-ext-z", True, z=0, residual="empty", checks=[check])
-        r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2)
-                  or ["hyperplane-pair-split"])
+        r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
         return
     if z == 3 and ctx.ambient_dim >= 5:
         r.hypothesis("A-ext-plane-cubic", z=3,
@@ -299,13 +302,9 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> No
         inv, check = record(chern_of_extension, 1, 1, z, ctx)
         r.fire("R-ext-z", True, z=3, residual="plane cubic",
                residual_omega_twist=0, checks=[check])
-        r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2)
-                  or ["plane-cubic-extension"])
+        r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
         return
     values = {"z": z, "allowed": [0, 3]}
-    if z == 3:
-        values["note"] = "plane cubic needs at least 3 linear sections of its ideal"
-        values["linear_sections_through_plane"] = ctx.ambient_dim - 2
     if z == ctx.u:
         section, check = record(bounds.ci_curve_invariants,
                                 [1, 1, *ctx.multidegree], ctx.ambient_dim)
@@ -417,7 +416,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
     for comp in span5:
         _, check = record(bounds.castelnuovo_pi, _SPAN5_FLOOR, 5)
         r.fire("R-x24-s2-span5", False, d=comp.d, genus_floor=_SPAN5_FLOOR,
-               residual_cap=12, checks=[check])
+               checks=[check])
     for comp in span4:
         if comp.d % 4 or not 2 <= comp.d // 4 <= 7:
             r.fire("R-x24-si-degree", False, d=comp.d,
@@ -579,11 +578,9 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
             elif d == 18:
                 r.hypothesis("A-secant-dim", secant_dimension=3)
                 _fire_ruled_e2q20(r)
-            elif d <= 24:
+            else:  # R-x33-surface-budget has capped d at 24
                 r.fire("A-x33-s2-deg8", False, d=d)
                 r.fire("A-linked-plane-7", False, surface_degree=7)
-            else:
-                r.fire("R-cut-cap", False, d=d, surface_degree=8, cap=24)
 
 
 def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
@@ -612,7 +609,7 @@ def judge_candidate(
         r = trail.route("split")
         inv, check = record(chern_of_extension, 0, c1, 0, ctx)
         r.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2, checks=[check])
-        r.witness(["trivial-twist-split"])
+        r.witness([SPLIT_WITNESS])
         return trail.verdict(cand)
     cap = bounds.max_curve_degree(ctx, c1, 2)
     trail.fire("R-degree-cap", cand.total_degree <= cap, total=cand.total_degree, cap=cap)
@@ -654,8 +651,7 @@ def _higher_rank_verdicts(
     verdicts: list[Verdict] = []
     windows: dict[int, tuple[int, int]] = {}
 
-    def shape(t: Trail, label: str, sub: list[int], quot: list[int], names: list[str],
-              c1: int) -> None:
+    def shape(t: Trail, label: str, sub: list[int], quot: list[int], c1: int) -> None:
         inv, chern_check = record(chern_from_resolution, sub, quot, ctx)
         if inv.c1 != c1:
             raise ValueError(f"resolution shape {label!r} has c1 = {inv.c1}, not {c1}")
@@ -665,19 +661,17 @@ def _higher_rank_verdicts(
         t.fire("R-resolution-shape", True, sub=sub, quot_twists=sorted(set(quot)),
                c1=inv.c1, c2=inv.c2, rank_window=list(window),
                checks=[chern_check, rank_check])
-        t.witness(names)
+        t.witness(witnesses_for(ctx.multidegree, c1, inv.c2, higher_rank=True))
         verdicts.append(t.verdict(label))
         if verdicts[-1].survives:
             windows[inv.c2] = window
             pairs.add((c1, inv.c2))
-            witnesses.setdefault(inv.c2, set()).update(names)
+            witnesses.setdefault(inv.c2, set()).update(verdicts[-1].witnesses)
 
     if c1_max >= 1:
-        shape(Trail(disabled), "resolution O(-1) -> O^5 (twist one)", [-1], [0] * 5,
-              ["euler-restriction", "pullback-projected-tangent"], 1)
+        shape(Trail(disabled), "resolution O(-1) -> O^5 (twist one)", [-1], [0] * 5, 1)
     if c1_max >= 2:
-        shape(Trail(disabled), "resolution O(-2) -> O^(r+1)", [-2], [0] * 4,
-              ["quintic-resolution-r14"], 2)
+        shape(Trail(disabled), "resolution O(-2) -> O^(r+1)", [-2], [0] * 4, 2)
 
         # the smooth-scroll branch dies on the recorded spannedness axiom
         t = Trail(disabled)
@@ -699,18 +693,16 @@ def _higher_rank_verdicts(
                classes=encode(hits), genus=genus,
                note=f"genus {genus} is allowed here: rank >= 3 needs only d <= g - 1",
                checks=checks)
-        shape(t, "resolution O(-1)^2 -> O^(r+2)", [-1, -1], [0] * 5,
-              ["quintic-resolution-r8"], 2)
+        shape(t, "resolution O(-1)^2 -> O^(r+2)", [-1, -1], [0] * 5, 2)
 
-        shape(Trail(disabled), "resolution O(-1) -> O^r + O(1)", [-1], [0, 0, 0, 1],
-              ["quintic-resolution-r5", "pullback-projected-cotangent"], 2)
+        shape(Trail(disabled), "resolution O(-1) -> O^r + O(1)", [-1], [0, 0, 0, 1], 2)
 
         t = Trail(disabled)
         t.hypothesis("A-minimal-resolution")
         inv, check = record(chern_of_extension, 1, 1, 0, ctx)
         t.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2,
                split="O(1) + O(1) + trivial factors", checks=[check])
-        t.witness(["hyperplane-pair-split"])
+        t.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
         verdicts.append(t.verdict("plane-section curve (split route)"))
         if verdicts[-1].survives:
             witnesses.setdefault(inv.c2, set()).update(verdicts[-1].witnesses)
@@ -786,7 +778,7 @@ def _aggregate(ctx: CicyContext, c1_max: int, rank_regime: str,
     """The result of the judged rank-2 twist levels c1 = 1, 2, ..., or, in the
     higher-rank regime, of the shapes judged here under `disabled`."""
     pairs: set[tuple[int, int]] = set()
-    witnesses: dict[int, set[str]] = {0: {"trivial-twist-split"}}
+    witnesses: dict[int, set[str]] = {0: {SPLIT_WITNESS}}
     unresolved: set[int] = set()
     verdicts, component_verdicts, windows = [], [], {}
     if rank_regime == HIGHER_RANK:

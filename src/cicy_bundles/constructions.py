@@ -73,17 +73,9 @@ class CurveCandidate:
         return sum(c.d for c in self.components)
 
     @property
-    def arithmetic_genus(self) -> int:
-        """Genus of the disjoint union: sum(g_i) - s + 1."""
-        if self.is_empty:
-            raise ValueError("the empty curve has no genus")
-        return sum(c.g for c in self.components) - len(self.components) + 1
-
-    @property
     def span_max(self) -> int:
-        """Largest dimension the union can span: sum(span_i + 1) - 1."""
-        if self.is_empty:
-            return -1
+        """Largest dimension the union can span: sum(span_i + 1) - 1, which is -1
+        for the empty curve."""
         return sum(c.span + 1 for c in self.components) - 1
 
     def triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -320,14 +312,6 @@ class Check:
     def ok(self) -> bool:
         return self.expected == self.computed
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "ok": self.ok,
-        }
-
 
 @dataclass
 class ConstructionReport:
@@ -453,7 +437,7 @@ def validate_construction(name: str) -> list[ConstructionReport]:
 def validate_all() -> list[ConstructionReport]:
     """Validate the whole registry; hard error on the first mismatch."""
     reports = []
-    for name in sorted({e.name for e in REGISTRY}):
+    for name in registry_names():
         reports.extend(validate_construction(name))
     return reports
 
@@ -462,10 +446,11 @@ def registry_names() -> list[str]:
     return sorted({e.name for e in REGISTRY})
 
 
-def witnesses_for(md: tuple[int, ...], c1: int, c2: int) -> list[str]:
-    """Names of registered rank-2 constructions matching (threefold, c1, c2)."""
+def witnesses_for(md: tuple[int, ...], c1: int, c2: int, higher_rank: bool = False) -> list[str]:
+    """Names of registered constructions matching (threefold, c1, c2), of rank 2
+    or, with `higher_rank`, of rank at least 3: the one source of witness names."""
     return sorted({e.name for e in REGISTRY
-                   if (e.threefold, e.c1, e.c2, e.rank) == (md, c1, c2, 2)})
+                   if (e.threefold, e.c1, e.c2, e.rank > 2) == (md, c1, c2, higher_rank)})
 
 
 def serialize_registry() -> str:

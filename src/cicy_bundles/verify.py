@@ -3,11 +3,13 @@ classification equalities, grouped by module for the command-line runner."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 from . import bounds, classifier, constructions
+from .classifier import HIGHER_RANK, RANK2
 from .chow import (
     ALL_CONTEXTS,
     QUINTIC,
@@ -43,6 +45,22 @@ from .verdicts import RULES, RuleKind, Status
 
 class CheckFailure(AssertionError):
     pass
+
+
+#: sha256 of the JSON report of each paper classification at c1 <= 2, and of the
+#: registry text: the one home of these anchors.  A change that alters these
+#: bytes by design updates them and says why in CHANGES.md.
+REPORT_SHA256 = {
+    (QUINTIC, RANK2): "dbfd589d4ece952c58d141efa1dbc29e0b9530ae5a95daa7c37ab74c13e74a13",
+    (X24, RANK2): "19ff7b0d507764e42c80236b15b67764413c505dc1ce86abf1937d48a25c61ba",
+    (X33, RANK2): "e63f864e0f792933497e5d83ba996323442618758e8126d1bfb2091aa359dea9",
+    (QUINTIC, HIGHER_RANK): "e328bf2e165e383755ac3cd8cc311c6b0c7617832cd6e719486f37a7d42b9d32",
+}
+REGISTRY_SHA256 = "577e5ce1b57ca2b1cb00868c5cb1230acb16d975ee4ee2ad793002ee5317b0b6"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _eq(computed, expected, label: str) -> str:
@@ -451,6 +469,7 @@ def check_incidence_dimensions() -> str:
 
 def check_registry_serialization() -> str:
     text = constructions.serialize_registry()
+    _eq(_sha256(text), REGISTRY_SHA256, "registry sha256")
     records = json.loads(text)
     _true(len(records) >= 10, "at least ten registry records")
     keys = list(records[0].keys())
@@ -536,13 +555,14 @@ def check_trivial_regime() -> str:
 
 
 def check_determinism() -> str:
-    first = classifier.report_json(classifier.rule_report(X33, 2))
-    second = classifier.report_json(classifier.rule_report(X33, 2))
-    _true(first == second, "two runs byte-identical")
-    # deliberately the stdlib encoder: the check compares two independent encoders
-    reparsed = json.dumps(json.loads(first), indent=2)
-    _true(reparsed == first, "JSON round-trip byte-identical")
-    return "byte-identical reports and JSON round-trip"
+    for (ctx, regime), pin in REPORT_SHA256.items():
+        text = classifier.report_json(classifier.rule_report(ctx, 2, regime))
+        _eq(_sha256(text), pin, f"sha256 of the {ctx.label()} {regime} report")
+        if ctx is X33:
+            # deliberately the stdlib encoder: the check compares two independent encoders
+            _true(json.dumps(json.loads(text), indent=2) == text,
+                  "JSON round-trip byte-identical")
+    return "four reports match their pinned sha256; the 3,3 JSON round-trips"
 
 
 def check_trail_audit() -> str:

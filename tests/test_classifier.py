@@ -1,10 +1,16 @@
+import ast
 import copy
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cicy_bundles
 from cicy_bundles import (
     QUINTIC,
     X24,
@@ -23,14 +29,25 @@ from cicy_bundles import (
     judge_candidate,
     max_curve_degree,
     rule_report,
+    verify,
 )
 from cicy_bundles.classifier import (HIGHER_RANK, KERNEL_OPS, RANK2, report_json,
                                     report_markdown)
 from cicy_bundles.ruled import (DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus,
                                 genus_quadratic)
-from cicy_bundles.verdicts import RULES, RuleKind, Trail, TrailEntry, Verdict, decode, record
+from cicy_bundles.verdicts import (RULES, Route, RuleKind, Trail, TrailEntry, Verdict, decode,
+                                   record)
 
 FOUR_CASES = ((QUINTIC, RANK2), (X24, RANK2), (X33, RANK2), (QUINTIC, HIGHER_RANK))
+
+
+def sweep_toggles(regime):
+    """No toggle, each axiom alone and, at rank 2, each pair of axioms."""
+    axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
+    toggles = [frozenset(), *map(frozenset, itertools.combinations(axioms, 1))]
+    if regime == RANK2:
+        toggles += map(frozenset, itertools.combinations(axioms, 2))
+    return toggles
 
 
 def cand(*triples):
@@ -264,8 +281,8 @@ class TestClassify:
 
     def test_witness_coverage(self):
         # every witness is a registry entry on the threefold with that c2
-        for ctx in (QUINTIC, X24, X33):
-            result = classify(ctx, 2, RANK2)
+        for ctx, regime in FOUR_CASES:
+            result = classify(ctx, 2, regime)
             for c2, names in result.witnesses.items():
                 assert names, (ctx.label(), c2)
                 for name in names:
@@ -321,12 +338,9 @@ class TestToggles:
         # the sweep reuses each verdict whose trail cites no toggled axiom; every
         # result must equal a full classification, verdict order and trails
         # included, and every reuse and re-judging path must be taken
-        axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
         paths, grown = Counter(), set()
         for ctx, regime in FOUR_CASES:
-            toggles = [frozenset(), *map(frozenset, itertools.combinations(axioms, 1))]
-            if regime == RANK2:
-                toggles += map(frozenset, itertools.combinations(axioms, 2))
+            toggles = sweep_toggles(regime)
             results = classifier.toggle_sweep(ctx, regime, toggles)
             mismatches = [sorted(disabled) for disabled, result in zip(toggles, results)
                           if result != classify(ctx, 2, regime, disabled)]
@@ -357,6 +371,33 @@ class TestToggles:
         assert len(paths) == 6 and min(paths.values()) >= 1, paths
         assert {("2,4", "A-spannedness-h0"), ("3,3", "A-spannedness-h0")} <= grown
 
+    def test_every_rule_site_fires(self, monkeypatch):
+        # every fire, hypothesis and witness call site of the case tree runs in
+        # the sweeps of test_toggle_sweep_is_exact: no judge branch is dead
+        fired = set()
+
+        def recording(method):
+            def wrapper(*args, **kwargs):
+                frame = sys._getframe(1)
+                while frame.f_code.co_filename.endswith("verdicts.py"):
+                    frame = frame.f_back
+                fired.add((Path(frame.f_code.co_filename).name, frame.f_lineno))
+                return method(*args, **kwargs)
+            return wrapper
+
+        for cls, name in ((Trail, "fire"), (Trail, "hypothesis"), (Trail, "witness"),
+                          (Route, "witness")):
+            monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
+        for ctx, regime in FOUR_CASES:
+            classifier.toggle_sweep(ctx, regime, sweep_toggles(regime))
+        sites = {(module, node.lineno)
+                 for module in ("classifier.py", "constructions.py")
+                 for node in ast.walk(ast.parse(
+                     (Path(cicy_bundles.__file__).parent / module).read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("fire", "hypothesis", "witness")}
+        assert sorted(sites - fired) == []
+
     def test_three_planes_toggle(self):
         triple = cand((5, 6, 2), (5, 6, 2), (5, 6, 2))
         on = judge_candidate(triple, QUINTIC, 2)
@@ -380,6 +421,23 @@ class TestReports:
             a = report_json(rule_report(ctx, 2, regime))
             b = report_json(rule_report(ctx, 2, regime))
             assert a == b
+
+    def test_pinned_bytes_under_hash_seeds(self):
+        # the reports and the registry text hash to verify's pins in fresh
+        # interpreters, whatever the string hash seed
+        script = ("import hashlib, json\n"
+                  "from cicy_bundles import classifier, constructions, verify\n"
+                  "texts = [classifier.report_json(classifier.rule_report(ctx, 2, regime))\n"
+                  "         for ctx, regime in verify.REPORT_SHA256]\n"
+                  "texts.append(constructions.serialize_registry())\n"
+                  "print(json.dumps([hashlib.sha256(t.encode()).hexdigest() for t in texts]))\n")
+        src = str(Path(cicy_bundles.__file__).parent.parent)
+        pins = [*verify.REPORT_SHA256.values(), verify.REGISTRY_SHA256]
+        for seed in ("0", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            assert json.loads(proc.stdout) == pins, seed
 
     def test_json_roundtrip(self):
         text = report_json(rule_report(X24, 2))
