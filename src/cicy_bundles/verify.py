@@ -3,13 +3,11 @@ classification equalities, grouped by module for the command-line runner."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from fractions import Fraction
 
 from . import bounds, classifier, constructions
-from .classifier import HIGHER_RANK, RANK2
 from .chow import (
     ALL_CONTEXTS,
     QUINTIC,
@@ -28,6 +26,7 @@ from .chow import (
     ring_mul,
     twist_rank2,
 )
+from .classifier import HIGHER_RANK, RANK2
 from .constructions import incidence_dimension_check, required_genus, union_genus
 from .ruled import (
     DivisorClass,
@@ -60,6 +59,7 @@ REGISTRY_SHA256 = "577e5ce1b57ca2b1cb00868c5cb1230acb16d975ee4ee2ad793002ee5317b
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # imported here: loading it adds about 5 ms to every CLI start
     return hashlib.sha256(text.encode()).hexdigest()
 
 
