@@ -47,12 +47,19 @@ class CicyContext:
 
     multidegree: tuple[int, ...]
     strict: bool = field(default=True, compare=False)
+    #: Dimension n of the ambient projective space (codimension + 3).
+    ambient_dim: int = field(init=False, compare=False, repr=False)
+    #: Degree of the threefold, the product of the defining degrees.
+    u: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         md = tuple(sorted(int(d) for d in self.multidegree))
         object.__setattr__(self, "multidegree", md)
         if not md or any(d < 1 for d in md):
             raise ValueError("multidegree must be a nonempty list of positive integers")
+        # set once here: the judge reads both on its hot path
+        object.__setattr__(self, "ambient_dim", len(md) + 3)
+        object.__setattr__(self, "u", math.prod(md))
         if self.strict:
             if md not in KNOWN_MULTIDEGREES:
                 names = ", ".join(",".join(map(str, m)) for m in KNOWN_MULTIDEGREES)
@@ -63,19 +70,6 @@ class CicyContext:
                 f"multidegree {md} is not Calabi-Yau: degrees must sum to "
                 f"{self.ambient_dim + 1} in P^{self.ambient_dim}"
             )
-
-    @property
-    def ambient_dim(self) -> int:
-        """Dimension n of the ambient projective space (codimension + 3)."""
-        return len(self.multidegree) + 3
-
-    @property
-    def u(self) -> int:
-        """Degree of the threefold, the product of the defining degrees."""
-        u = 1
-        for d in self.multidegree:
-            u *= d
-        return u
 
     def label(self) -> str:
         return ",".join(str(d) for d in self.multidegree)

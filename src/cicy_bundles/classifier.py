@@ -99,20 +99,24 @@ def enumerate_candidates(ctx: CicyContext, c1: int) -> list[CurveCandidate]:
 def _candidates(components: list[CurveComponent], cap: int) -> list[CurveCandidate]:
     """The empty curve and every multiset of the components within the cap,
     ordered by component count, then lexicographically."""
-    found: set[tuple] = set()
+    ordered = sorted(components, key=CurveComponent.triple)
+    buckets: list[list[CurveCandidate]] = []  # buckets[k]: the multisets of k + 1 components
 
     def extend(start: int, chosen: tuple[CurveComponent, ...], total: int) -> None:
-        for i in range(start, len(components)):
-            comp = components[i]
+        # a depth-first walk over non-decreasing indices reaches the multisets
+        # of each size in lexicographic order
+        for i in range(start, len(ordered)):
+            comp = ordered[i]
             if total + comp.d > cap:
-                continue
+                break  # d never decreases along `ordered`
             multiset = chosen + (comp,)
-            found.add(multiset)
+            if len(multiset) > len(buckets):
+                buckets.append([])
+            buckets[len(multiset) - 1].append(CurveCandidate(multiset))
             extend(i, multiset, total + comp.d)
 
     extend(0, (), 0)
-    candidates = [CurveCandidate(())] + [CurveCandidate(ms) for ms in sorted(found)]
-    return sorted(candidates, key=lambda c: (len(c.components), c.triples()))
+    return [CurveCandidate(())] + [cand for bucket in buckets for cand in bucket]
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +356,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         r.fire("R-union-genus", p_a - 1 == cand.total_degree,
                union_genus=p_a, total_degree=cand.total_degree, checks=[check])
         r.hypothesis("A-two-planes")
-        r.witness(witnesses_for((5,), 2, 10))
+        r.witness(witnesses_for(ctx.multidegree, 2, 10))
         return
     if s == 3 and spans == [2, 2, 2]:
         r.fire("A-three-planes", False, planes=3)
@@ -371,7 +375,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         if cap_ok:
             if d == cap:
                 _fire_ci_omega(ci, [2, 2, 2, 2])
-                ci.witness(witnesses_for((2, 4), 2, d))
+                ci.witness(witnesses_for(ctx.multidegree, 2, d))
             else:
                 if ci.hypothesis("A-ci-connected", ci_degree=cap):
                     ci.fire("R-ci-residual", False, d=d, residual_degree=cap - d,
@@ -411,7 +415,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
                component_floor=8, components=cand.label())
         if ok:
             r.hypothesis("A-section-pair")
-            r.witness(witnesses_for((2, 4), 2, 16), unresolved=True)
+            r.witness(witnesses_for(ctx.multidegree, 2, 16), unresolved=True)
         return
     for comp in span5:
         _, check = record(bounds.castelnuovo_pi, _SPAN5_FLOOR, 5)
@@ -440,7 +444,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
     cap_ok = ci.fire("R-quadric-cap", d <= cap, d=d, cap=cap)
     if cap_ok and d == cap:
         _fire_ci_omega(ci, [2, 2, 2, 2])
-        ci.witness(witnesses_for((3, 3), 2, d), unresolved=True)
+        ci.witness(witnesses_for(ctx.multidegree, 2, d), unresolved=True)
     elif cap_ok:
         if ci.hypothesis("A-ci-connected", ci_degree=cap):
             ci.fire("R-ci-residual", False, d=d, residual_degree=cap - d,
@@ -473,7 +477,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         r.hypothesis("A-delpezzo5", surface_twist=-1)
         r.fire("R-surface-cut-twist", -1 + 3 == 2, surface_twist=-1,
                cutting_degree=3, required=2)
-        r.witness(witnesses_for((3, 3), 2, 15))
+        r.witness(witnesses_for(ctx.multidegree, 2, 15))
         return
     if d == 16:
         # the degree-6 base-surface branch at d = 16 stays open: this is the
@@ -492,7 +496,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         twist = sum((2, 2, 2)) - 5 - 1
         r.fire("R-s-omega", twist == 0, degrees=[2, 2, 2], omega_twist=twist)
         _fire_liaison(r, d)
-        r.witness(witnesses_for((3, 3), 2, 18))
+        r.witness(witnesses_for(ctx.multidegree, 2, 18))
         return
     # d >= 19: surface routes by degree
     if d <= 24:
@@ -538,7 +542,7 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
     if not others:
         if s == 2:
             r.hypothesis("A-section-pair")
-            r.witness(witnesses_for((3, 3), 2, 18))
+            r.witness(witnesses_for(ctx.multidegree, 2, 18))
         else:
             r.fire("A-x33-three-sections", False, sections=s)
         return

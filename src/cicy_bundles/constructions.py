@@ -10,7 +10,7 @@ validate_construction recomputes each from first principles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bounds
 from .chow import (
@@ -60,23 +60,21 @@ class CurveCandidate:
     """A disjoint union of components; empty components = the empty curve."""
 
     components: tuple[CurveComponent, ...]
+    total_degree: int = field(init=False, compare=False, repr=False)
+    #: Largest dimension the union can span: sum(span_i + 1) - 1, which is -1
+    #: for the empty curve.
+    span_max: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(sorted(self.components)))
+        components = tuple(sorted(self.components))
+        object.__setattr__(self, "components", components)
+        # set once here: the judge reads both many times per candidate
+        object.__setattr__(self, "total_degree", sum(c.d for c in components))
+        object.__setattr__(self, "span_max", sum(c.span + 1 for c in components) - 1)
 
     @property
     def is_empty(self) -> bool:
         return not self.components
-
-    @property
-    def total_degree(self) -> int:
-        return sum(c.d for c in self.components)
-
-    @property
-    def span_max(self) -> int:
-        """Largest dimension the union can span: sum(span_i + 1) - 1, which is -1
-        for the empty curve."""
-        return sum(c.span + 1 for c in self.components) - 1
 
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(c.triple() for c in self.components)

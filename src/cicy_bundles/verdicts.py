@@ -375,8 +375,9 @@ class Trail:
 
     def route(self, name: str) -> Route:
         """Open the escape route `name`, which shares this trail's entries."""
-        self.routes.setdefault(name, ([], False))
-        return Route(self, name)
+        if name not in self.routes:
+            self.routes[name] = ([], False)
+        return tuple.__new__(Route, (self, name))
 
     def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
         """Name the constructions that realize a trail with no routes opened."""
@@ -420,6 +421,7 @@ class Trail:
                 if RULES[rule_id].kind is RuleKind.ARITHMETIC:
                     arithmetic.add(route)
         routes = self.routes or _SOLE_ROUTE
+        # tuple.__new__ skips the generated __new__, as in fire: ~10^4 verdicts a sweep
         if None not in dead:  # plain loops: cheaper than comprehensions on this hot path
             live, witnesses, unresolved = False, set(), False
             for route, (names, flag) in routes.items():
@@ -428,11 +430,11 @@ class Trail:
                     witnesses.update(names)
                     unresolved = unresolved or flag
             if live:
-                return Verdict(candidate, Status.SURVIVES, trail, tuple(sorted(witnesses)),
-                               unresolved)
+                return tuple.__new__(Verdict, (candidate, Status.SURVIVES, trail,
+                                               tuple(sorted(witnesses)), unresolved))
         if None in arithmetic or routes.keys() <= arithmetic:
-            return Verdict(candidate, Status.ELIMINATED, trail, (), False)
-        return Verdict(candidate, Status.AXIOM_ELIMINATED, trail, (), False)
+            return tuple.__new__(Verdict, (candidate, Status.ELIMINATED, trail, (), False))
+        return tuple.__new__(Verdict, (candidate, Status.AXIOM_ELIMINATED, trail, (), False))
 
 
 #: JSON encoder and decoder of each structured kernel argument or value type.

@@ -56,6 +56,8 @@ REPORT_SHA256 = {
     (QUINTIC, HIGHER_RANK): "e328bf2e165e383755ac3cd8cc311c6b0c7617832cd6e719486f37a7d42b9d32",
 }
 REGISTRY_SHA256 = "577e5ce1b57ca2b1cb00868c5cb1230acb16d975ee4ee2ad793002ee5317b0b6"
+#: The four paper classifications, as (threefold, rank regime).
+PAPER_CASES = tuple(REPORT_SHA256)
 
 
 def _sha256(text: str) -> str:
@@ -490,7 +492,7 @@ def check_registry_serialization() -> str:
 def _registry_admissible(result) -> None:
     """Every registry entry on the threefold, of the result's rank regime,
     sits on an admissible (c1, c2) pair."""
-    higher = result.rank_regime == classifier.HIGHER_RANK
+    higher = result.rank_regime == HIGHER_RANK
     for e in constructions.REGISTRY:
         if e.threefold == result.ctx.multidegree and (e.rank > 2) == higher:
             _true((e.c1, e.c2) in result.admissible_pairs,
@@ -507,7 +509,7 @@ def _witnessed(result) -> None:
 
 
 def check_quintic_rank2_pairs() -> str:
-    result = classifier.classify(QUINTIC, 2, classifier.RANK2)
+    result = classifier.classify(QUINTIC, 2, RANK2)
     _eq(result.admissible_pairs, [(1, 0), (2, 0), (2, 5), (2, 10)],
         "rank-2 pairs on the quintic")
     _eq(result.admissible_c2, [0, 5, 10], "rank-2 c2 set on 5")
@@ -518,7 +520,7 @@ def check_quintic_rank2_pairs() -> str:
 
 
 def check_quintic_higher_rank() -> str:
-    result = classifier.classify(QUINTIC, 2, classifier.HIGHER_RANK)
+    result = classifier.classify(QUINTIC, 2, HIGHER_RANK)
     _eq(result.admissible_c2, [0, 5, 10, 15, 20], "higher-rank c2 set")
     _eq(result.rank_windows.get(20), (3, 14), "window at c2=20")
     _eq(result.rank_windows.get(15), (3, 8), "window at c2=15")
@@ -529,7 +531,7 @@ def check_quintic_higher_rank() -> str:
 
 
 def check_x24_classification() -> str:
-    result = classifier.classify(X24, 2, classifier.RANK2)
+    result = classifier.classify(X24, 2, RANK2)
     _eq(result.admissible_c2, [0, 4, 8, 11, 16], "c2 set on 2,4")
     _eq(result.unresolved, [16], "unresolved case")
     _witnessed(result)
@@ -538,7 +540,7 @@ def check_x24_classification() -> str:
 
 
 def check_x33_classification() -> str:
-    result = classifier.classify(X33, 2, classifier.RANK2)
+    result = classifier.classify(X33, 2, RANK2)
     _eq(result.admissible_c2, [0, 9, 12, 15, 16, 18], "c2 set on 3,3")
     _eq(result.unresolved, [16], "unresolved case")
     _witnessed(result)
@@ -548,7 +550,7 @@ def check_x33_classification() -> str:
 
 def check_trivial_regime() -> str:
     for ctx in ALL_CONTEXTS:
-        result = classifier.classify(ctx, 0, classifier.RANK2)
+        result = classifier.classify(ctx, 0, RANK2)
         _eq(result.admissible_c2, [0], f"c1=0 on {ctx.label()}")
         _eq(result.admissible_pairs, [], f"no c1 >= 1 pair on {ctx.label()}")
     return "first Chern class 0 forces the trivial bundle on all five"
@@ -567,8 +569,7 @@ def check_determinism() -> str:
 
 def check_trail_audit() -> str:
     total = 0
-    for ctx, regime in ((QUINTIC, classifier.RANK2), (X24, classifier.RANK2),
-                        (X33, classifier.RANK2), (QUINTIC, classifier.HIGHER_RANK)):
+    for ctx, regime in PAPER_CASES:
         result = classifier.classify(ctx, 2, regime)
         mismatches = classifier.audit_verdicts(result.verdicts + result.component_verdicts)
         _eq(mismatches, [], f"audit on {ctx.label()} {regime}")
@@ -584,8 +585,7 @@ def check_axiom_toggle_monotone() -> str:
     axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
     toggles = [frozenset(), *(frozenset({axiom}) for axiom in axioms)]
     grew = 0
-    for ctx, regime in ((QUINTIC, classifier.RANK2), (X24, classifier.RANK2),
-                        (X33, classifier.RANK2), (QUINTIC, classifier.HIGHER_RANK)):
+    for ctx, regime in PAPER_CASES:
         base, *toggled = classifier.toggle_sweep(ctx, regime, toggles)
         kept = _survivors(base)
         for axiom, result in zip(axioms, toggled):
@@ -648,13 +648,13 @@ def check_candidate_examples() -> str:
 
 def check_classifier_unsupported() -> str:
     try:
-        classifier.classify(X223, 2, classifier.RANK2)
+        classifier.classify(X223, 2, RANK2)
     except classifier.UnsupportedClassificationError:
         pass
     else:
         raise CheckFailure("codimension-3 classification must be refused")
     try:
-        classifier.classify(X24, 2, classifier.HIGHER_RANK)
+        classifier.classify(X24, 2, HIGHER_RANK)
     except classifier.UnsupportedClassificationError:
         return "out-of-scope regimes refused explicitly"
     raise CheckFailure("higher rank off the quintic must be refused")

@@ -3,6 +3,7 @@ import copy
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -37,8 +38,8 @@ from cicy_bundles.ruled import (DivisorClass, GenusSearch, RuledSurface, elimina
                                 genus_quadratic)
 from cicy_bundles.verdicts import (RULES, Route, RuleKind, Trail, TrailEntry, Verdict, decode,
                                    record)
+from cicy_bundles.verify import PAPER_CASES
 
-FOUR_CASES = ((QUINTIC, RANK2), (X24, RANK2), (X33, RANK2), (QUINTIC, HIGHER_RANK))
 
 
 def sweep_toggles(regime):
@@ -100,6 +101,26 @@ class TestEnumeration:
         second = enumerate_candidates(X33, 2)
         assert first == second
         assert first == sorted(first, key=lambda c: (len(c.components), c.triples()))
+
+    @pytest.mark.parametrize("ctx", [QUINTIC, X24, X33], ids=lambda ctx: ctx.label())
+    def test_report_order_matches_brute_force(self, ctx):
+        # the one-pass walk against every multiset within the cap, sorted into
+        # report order, for the survivors of the base and of each single axiom
+        # toggle (the toggle lists of the higher-rank sweep), in any input order
+        shuffled = random.Random(12).sample
+        for c1 in (1, 2):
+            cap = max_curve_degree(ctx, c1, 2)
+            for disabled in sweep_toggles(HIGHER_RANK):
+                components, _ = classifier.admissible_components(ctx, c1, disabled)
+                ordered = sorted(components)
+                fits = [CurveCandidate(ms) for k in range(1, cap + 1)
+                        if ordered and k * ordered[0].d <= cap
+                        for ms in itertools.combinations_with_replacement(ordered, k)
+                        if sum(comp.d for comp in ms) <= cap]
+                expected = sorted([CurveCandidate(()), *fits],
+                                  key=lambda c: (len(c.components), c.triples()))
+                for given in (components, shuffled(components, len(components))):
+                    assert classifier._candidates(given, cap) == expected, sorted(disabled)
 
 
 class TestQuinticVerdicts:
@@ -281,7 +302,7 @@ class TestClassify:
 
     def test_witness_coverage(self):
         # every witness is a registry entry on the threefold with that c2
-        for ctx, regime in FOUR_CASES:
+        for ctx, regime in PAPER_CASES:
             result = classify(ctx, 2, regime)
             for c2, names in result.witnesses.items():
                 assert names, (ctx.label(), c2)
@@ -339,7 +360,7 @@ class TestToggles:
         # result must equal a full classification, verdict order and trails
         # included, and every reuse and re-judging path must be taken
         paths, grown = Counter(), set()
-        for ctx, regime in FOUR_CASES:
+        for ctx, regime in PAPER_CASES:
             toggles = sweep_toggles(regime)
             results = classifier.toggle_sweep(ctx, regime, toggles)
             mismatches = [sorted(disabled) for disabled, result in zip(toggles, results)
@@ -388,7 +409,7 @@ class TestToggles:
         for cls, name in ((Trail, "fire"), (Trail, "hypothesis"), (Trail, "witness"),
                           (Route, "witness")):
             monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
-        for ctx, regime in FOUR_CASES:
+        for ctx, regime in PAPER_CASES:
             classifier.toggle_sweep(ctx, regime, sweep_toggles(regime))
         sites = {(module, node.lineno)
                  for module in ("classifier.py", "constructions.py")
@@ -445,7 +466,7 @@ class TestReports:
 
     def test_same_bytes_as_stdlib(self):
         # report_json writes exactly what the stdlib's indented dump writes
-        for ctx, regime in FOUR_CASES:
+        for ctx, regime in PAPER_CASES:
             report = rule_report(ctx, 2, regime)
             assert report_json(report) == json.dumps(report, indent=2)
 
@@ -466,7 +487,7 @@ class TestReports:
                 return ("values" in node) + sum(map(values_objects, node.values()))
             return 0
 
-        for ctx, regime in FOUR_CASES:
+        for ctx, regime in PAPER_CASES:
             result = classify(ctx, 2, regime)
             entries = sum(len(v.trail) for v in result.verdicts + result.component_verdicts)
             report = json.loads(report_json(rule_report(ctx, 2, regime)))
@@ -555,7 +576,7 @@ class TestAuditPayloads:
 
     def test_split_firings_carry_their_chern_payload(self):
         fired = 0
-        for ctx, regime in FOUR_CASES:
+        for ctx, regime in PAPER_CASES:
             for v in classify(ctx, 2, regime).verdicts:
                 for e in v.trail:
                     if e.rule_id == "R-ext-split":
@@ -582,7 +603,7 @@ class TestAuditPayloads:
 
     def test_op_table_is_exactly_the_recorded_ops(self):
         recorded = set()
-        for ctx, regime in FOUR_CASES:
+        for ctx, regime in PAPER_CASES:
             result = classify(ctx, 2, regime)
             recorded |= {check["op"]
                          for v in result.verdicts + result.component_verdicts

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cicy_bundles.verdicts import json_text
+from cicy_bundles import CurveCandidate, CurveComponent, classify
+from cicy_bundles.verdicts import Route, Trail, TrailEntry, Verdict, json_text
+from cicy_bundles.verify import PAPER_CASES
 
 
 class Label(str):
@@ -84,3 +86,42 @@ def test_other_keys_raise(key):
     for tree in ({key: 1}, [{"a": 1, key: "b"}]):
         with pytest.raises(TypeError):
             json_text(tree)
+
+
+def test_shortcut_tuples_have_full_arity(monkeypatch):
+    # tuple.__new__ builds routes, entries and verdicts without the generated
+    # __new__, which would have checked their arity
+    routes = []
+    route = Trail.route
+
+    def recording(self, name):
+        routes.append(route(self, name))
+        return routes[-1]
+
+    monkeypatch.setattr(Trail, "route", recording)
+    verdicts = []
+    for ctx, regime in PAPER_CASES:
+        result = classify(ctx, 2, regime)
+        verdicts += result.verdicts + result.component_verdicts
+    entries = [e for v in verdicts for e in v.trail]
+    assert routes and entries
+    for cls, built in ((Verdict, verdicts), (TrailEntry, entries), (Route, routes)):
+        assert {(type(t), len(t)) for t in built} == {(cls, len(cls._fields))}
+
+
+def test_candidate_invariants_are_derived_not_compared():
+    parts = (CurveComponent(9, 10, 3), CurveComponent(5, 6, 2), CurveComponent(6, 7, 3))
+    candidate = CurveCandidate(parts)
+    assert candidate == CurveCandidate(tuple(sorted(parts)))
+    assert hash(candidate) == hash(CurveCandidate(tuple(sorted(parts))))
+    assert (candidate.total_degree, candidate.span_max) == (20, 10)
+    assert (CurveCandidate(()).total_degree, CurveCandidate(()).span_max) == (0, -1)
+    text = repr(candidate)
+    assert "total_degree" not in text and "span_max" not in text
+    altered = CurveCandidate(parts)
+    object.__setattr__(altered, "total_degree", 0)
+    object.__setattr__(altered, "span_max", 0)
+    assert (altered, hash(altered), repr(altered)) == (candidate, hash(candidate), text)
+    for name in ("total_degree", "span_max"):
+        with pytest.raises(TypeError):
+            CurveCandidate(parts, **{name: 20})
