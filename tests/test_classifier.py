@@ -41,7 +41,6 @@ from cicy_bundles.verdicts import (RULES, Route, RuleKind, Trail, TrailEntry, Ve
 from cicy_bundles.verify import PAPER_CASES
 
 
-
 def sweep_toggles(regime):
     """No toggle, each axiom alone and, at rank 2, each pair of axioms."""
     axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
