@@ -314,7 +314,7 @@ def max_rank_no_trivial(sub_twists: list[int], ctx: CicyContext) -> int:
     return sum(h0_line_bundle(ctx, -s) for s in sub_twists) - len(sub_twists)
 
 
-def context_from_label(label: str, strict: bool | None = None) -> CicyContext:
+def context_from_label(label: str, strict: bool = True) -> CicyContext:
     """Parse a threefold label like "5", "2,4" or the degree alias "X9"."""
     text = label.strip()
     aliases = {
@@ -331,6 +331,4 @@ def context_from_label(label: str, strict: bool | None = None) -> CicyContext:
             md = tuple(int(part) for part in text.replace(" ", "").split(","))
         except ValueError as exc:
             raise ValueError(f"cannot parse threefold label {label!r}") from exc
-    if strict is None:
-        return CicyContext(md)
     return CicyContext(md, strict=strict)

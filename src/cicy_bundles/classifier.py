@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import bounds, chow, constructions, ruled
 from .chow import (
@@ -720,16 +721,19 @@ def _higher_rank_verdicts(
 
 @dataclass(frozen=True)
 class ClassificationResult:
+    """An immutable value: tuples and read-only mappings of c2 to tuples, so
+    the results of one sweep may share it and its verdicts."""
+
     ctx: CicyContext
     c1_max: int
     rank_regime: str
-    admissible_c2: list[int]
-    admissible_pairs: list[tuple[int, int]]
-    witnesses: dict[int, list[str]]
-    unresolved: list[int]
-    rank_windows: dict[int, tuple[int, int]] = field(default_factory=dict)
-    verdicts: list[Verdict] = field(default_factory=list)
-    component_verdicts: list[Verdict] = field(default_factory=list)
+    admissible_c2: tuple[int, ...]
+    admissible_pairs: tuple[tuple[int, int], ...]
+    witnesses: MappingProxyType[int, tuple[str, ...]]
+    unresolved: tuple[int, ...]
+    rank_windows: MappingProxyType[int, tuple[int, int]]
+    verdicts: tuple[Verdict, ...]
+    component_verdicts: tuple[Verdict, ...]
 
     def to_dict(self) -> dict:
         """The classification summary, without verdicts."""
@@ -801,18 +805,19 @@ def _aggregate(ctx: CicyContext, c1_max: int, rank_regime: str,
                 unresolved.add(c2)
             for name in verdict.witnesses:
                 witnesses.setdefault(c2, set()).add(name)
-    admissible = sorted({0} | {c2 for _, c2 in pairs})
+    admissible = tuple(sorted({0} | {c2 for _, c2 in pairs}))
     return ClassificationResult(
         ctx=ctx,
         c1_max=c1_max,
         rank_regime=rank_regime,
         admissible_c2=admissible,
-        admissible_pairs=sorted(pairs),
-        witnesses={k: sorted(v) for k, v in witnesses.items() if k in admissible},
-        unresolved=sorted(unresolved),
-        rank_windows=windows,
-        verdicts=verdicts,
-        component_verdicts=component_verdicts,
+        admissible_pairs=tuple(sorted(pairs)),
+        witnesses=MappingProxyType(
+            {k: tuple(sorted(v)) for k, v in witnesses.items() if k in admissible}),
+        unresolved=tuple(sorted(unresolved)),
+        rank_windows=MappingProxyType(windows),
+        verdicts=tuple(verdicts),
+        component_verdicts=tuple(component_verdicts),
     )
 
 
@@ -836,16 +841,6 @@ def _cites(verdict: Verdict) -> frozenset[str]:
     return frozenset(entry.rule_id for entry in verdict.trail)
 
 
-def _fresh(result: ClassificationResult) -> ClassificationResult:
-    """`result` with containers of its own around the same verdicts."""
-    return replace(result, admissible_c2=list(result.admissible_c2),
-                   admissible_pairs=list(result.admissible_pairs),
-                   witnesses={c2: list(names) for c2, names in result.witnesses.items()},
-                   unresolved=list(result.unresolved), rank_windows=dict(result.rank_windows),
-                   verdicts=list(result.verdicts),
-                   component_verdicts=list(result.component_verdicts))
-
-
 def toggle_sweep(ctx: CicyContext, rank_regime: str,
                  toggles: list[frozenset[str]]) -> list[ClassificationResult]:
     """`classify(ctx, 2, rank_regime, disabled)` for each toggle set, derived
@@ -856,22 +851,23 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
     verdict whose trail cites no rule of a toggle set is judged the same way
     with that set disabled.  Such verdicts are reused; the others are judged
     again, and a twist level whose surviving components change gets a new
-    candidate list.  A higher-rank toggle that changes no verdict gets a copy
-    of the base result.  Every result has lists and dicts of its own, but the
-    results share verdict objects with each other.
+    candidate list; higher-rank shapes are all judged again.  A toggle set
+    that no verdict of the base cites gets the base result itself.
     """
     _check_regime(ctx, 2, rank_regime)
-    if rank_regime == HIGHER_RANK:
-        base = _aggregate(ctx, 2, HIGHER_RANK, frozenset(), [])
-        cited = frozenset().union(*map(_cites, base.verdicts))
-        return [_fresh(base) if cited.isdisjoint(disabled)
-                else _aggregate(ctx, 2, HIGHER_RANK, disabled, []) for disabled in toggles]
-    cited = [([(_cites(v), v) for v in comps], {v.candidate: (_cites(v), v) for v in cands})
-             for comps, cands in (_rank2_level(ctx, c1, frozenset()) for c1 in (1, 2))]
+    base_levels = [] if rank_regime == HIGHER_RANK else [
+        _rank2_level(ctx, c1, frozenset()) for c1 in (1, 2)]
+    base = _aggregate(ctx, 2, rank_regime, frozenset(), base_levels)
+    cited = frozenset().union(*map(_cites, base.verdicts + base.component_verdicts))
+    level_cites = [([(_cites(v), v) for v in comps], {v.candidate: (_cites(v), v) for v in cands})
+                   for comps, cands in base_levels]
     results = []
     for disabled in toggles:
+        if cited.isdisjoint(disabled):
+            results.append(base)
+            continue
         levels = []
-        for c1, (comp_cites, cand_cites) in enumerate(cited, 1):
+        for c1, (comp_cites, cand_cites) in enumerate(level_cites, 1):
             comps = [v if ids.isdisjoint(disabled)
                      else component_admissible(v.candidate, ctx, c1, disabled)
                      for ids, v in comp_cites]
@@ -882,7 +878,7 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
             levels.append((comps, [
                 hit[1] if (hit := cand_cites.get(cand)) and hit[0].isdisjoint(disabled)
                 else judge_candidate(cand, ctx, c1, disabled) for cand in candidates]))
-        results.append(_aggregate(ctx, 2, RANK2, disabled, levels))
+        results.append(_aggregate(ctx, 2, rank_regime, disabled, levels))
     return results
 
 

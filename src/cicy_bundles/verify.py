@@ -510,10 +510,10 @@ def _witnessed(result) -> None:
 
 def check_quintic_rank2_pairs() -> str:
     result = classifier.classify(QUINTIC, 2, RANK2)
-    _eq(result.admissible_pairs, [(1, 0), (2, 0), (2, 5), (2, 10)],
+    _eq(result.admissible_pairs, ((1, 0), (2, 0), (2, 5), (2, 10)),
         "rank-2 pairs on the quintic")
-    _eq(result.admissible_c2, [0, 5, 10], "rank-2 c2 set on 5")
-    _eq(result.unresolved, [], "nothing unresolved")
+    _eq(result.admissible_c2, (0, 5, 10), "rank-2 c2 set on 5")
+    _eq(result.unresolved, (), "nothing unresolved")
     _witnessed(result)
     _registry_admissible(result)
     return "pairs {(1,0), (2,0), (2,5), (2,10)}, witnesses attached"
@@ -521,7 +521,7 @@ def check_quintic_rank2_pairs() -> str:
 
 def check_quintic_higher_rank() -> str:
     result = classifier.classify(QUINTIC, 2, HIGHER_RANK)
-    _eq(result.admissible_c2, [0, 5, 10, 15, 20], "higher-rank c2 set")
+    _eq(result.admissible_c2, (0, 5, 10, 15, 20), "higher-rank c2 set")
     _eq(result.rank_windows.get(20), (3, 14), "window at c2=20")
     _eq(result.rank_windows.get(15), (3, 8), "window at c2=15")
     _eq(result.rank_windows.get(10), (3, 5), "window at c2=10")
@@ -532,8 +532,8 @@ def check_quintic_higher_rank() -> str:
 
 def check_x24_classification() -> str:
     result = classifier.classify(X24, 2, RANK2)
-    _eq(result.admissible_c2, [0, 4, 8, 11, 16], "c2 set on 2,4")
-    _eq(result.unresolved, [16], "unresolved case")
+    _eq(result.admissible_c2, (0, 4, 8, 11, 16), "c2 set on 2,4")
+    _eq(result.unresolved, (16,), "unresolved case")
     _witnessed(result)
     _registry_admissible(result)
     return "c2 in {0,4,8,11,16}, 16 unresolved, witnesses attached"
@@ -541,8 +541,8 @@ def check_x24_classification() -> str:
 
 def check_x33_classification() -> str:
     result = classifier.classify(X33, 2, RANK2)
-    _eq(result.admissible_c2, [0, 9, 12, 15, 16, 18], "c2 set on 3,3")
-    _eq(result.unresolved, [16], "unresolved case")
+    _eq(result.admissible_c2, (0, 9, 12, 15, 16, 18), "c2 set on 3,3")
+    _eq(result.unresolved, (16,), "unresolved case")
     _witnessed(result)
     _registry_admissible(result)
     return "c2 in {0,9,12,15,16,18}, 16 unresolved, witnesses attached"
@@ -551,8 +551,8 @@ def check_x33_classification() -> str:
 def check_trivial_regime() -> str:
     for ctx in ALL_CONTEXTS:
         result = classifier.classify(ctx, 0, RANK2)
-        _eq(result.admissible_c2, [0], f"c1=0 on {ctx.label()}")
-        _eq(result.admissible_pairs, [], f"no c1 >= 1 pair on {ctx.label()}")
+        _eq(result.admissible_c2, (0,), f"c1=0 on {ctx.label()}")
+        _eq(result.admissible_pairs, (), f"no c1 >= 1 pair on {ctx.label()}")
     return "first Chern class 0 forces the trivial bundle on all five"
 
 

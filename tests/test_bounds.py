@@ -49,32 +49,11 @@ def test_castelnuovo_anchors(d, r, expected):
     assert castelnuovo_pi(d, r) == expected
 
 
-def test_castelnuovo_linear_ranges():
-    for x in range(3, 6):
-        assert castelnuovo_pi(x, 3) == x - 3
-    for x in range(4, 8):
-        assert castelnuovo_pi(x, 4) == x - 4
-
-
-def test_castelnuovo_monotone():
-    for r in range(3, 10):
-        values = [castelnuovo_pi(d, r) for d in range(r, 41)]
-        assert values == sorted(values)
-    for d in range(9, 41):
-        values = [castelnuovo_pi(d, r) for r in range(3, 10) if r <= d]
-        assert values == sorted(values, reverse=True)
-
-
 def test_castelnuovo_guards():
     with pytest.raises(ValueError, match="degenerate"):
         castelnuovo_pi(4, 5)
     with pytest.raises(ValueError, match="plane_genus"):
         castelnuovo_pi(6, 2)
-
-
-def test_pi_one_is_gruson_peskine_in_p3():
-    for d in range(7, 16):
-        assert pi_one(d, 3) == d * (d - 3) // 6 + 1, d
 
 
 def test_pi_one_refines():

@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import itertools
 import json
 import os
@@ -94,12 +95,6 @@ class TestEnumeration:
             calls.clear()
             classify(ctx, 2)
             assert calls == [1, 2]
-
-    def test_deterministic_order(self):
-        first = enumerate_candidates(X33, 2)
-        second = enumerate_candidates(X33, 2)
-        assert first == second
-        assert first == sorted(first, key=lambda c: (len(c.components), c.triples()))
 
     @pytest.mark.parametrize("ctx", [QUINTIC, X24, X33], ids=lambda ctx: ctx.label())
     def test_report_order_matches_brute_force(self, ctx):
@@ -289,7 +284,7 @@ class TestClassify:
     def _aggregates(result):
         survivors = [v for v in result.verdicts if v.survives]
         degrees = {0 if v.candidate.is_empty else v.candidate.total_degree for v in survivors}
-        assert result.admissible_c2 == sorted(degrees | {0})
+        assert result.admissible_c2 == tuple(sorted(degrees | {0}))
         assert set(result.unresolved) == {v.candidate.total_degree
                                           for v in survivors if v.unresolved}
 
@@ -313,12 +308,12 @@ class TestClassify:
     def test_trivial(self, ctx):
         result = classify(ctx, 0, RANK2)
         # nothing is judged below twist one; only the trivial bundle is left
-        assert result.verdicts == [] and result.component_verdicts == []
-        assert sorted(result.witnesses) == result.admissible_c2
+        assert result.verdicts == () and result.component_verdicts == ()
+        assert tuple(sorted(result.witnesses)) == result.admissible_c2
 
     def test_c1_max_one(self):
         result = classify(X24, 1, RANK2)
-        assert result.admissible_pairs == [(1, 0), (1, 4)]
+        assert result.admissible_pairs == ((1, 0), (1, 4))
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedClassificationError):
@@ -355,9 +350,10 @@ class TestToggles:
                 assert statuses["smooth-scroll curve of degree 15"] is Status.SURVIVES
 
     def test_toggle_sweep_is_exact(self):
-        # the sweep reuses each verdict whose trail cites no toggled axiom; every
-        # result must equal a full classification, verdict order and trails
-        # included, and every reuse and re-judging path must be taken
+        # the sweep reuses each verdict whose trail cites no toggled axiom, and
+        # the base result itself when no base verdict cites one; every result
+        # must equal a full classification, verdict order and trails included,
+        # no field may be mutable, and every reuse and re-judging path is taken
         paths, grown = Counter(), set()
         for ctx, regime in PAPER_CASES:
             toggles = sweep_toggles(regime)
@@ -365,20 +361,26 @@ class TestToggles:
             mismatches = [sorted(disabled) for disabled, result in zip(toggles, results)
                           if result != classify(ctx, 2, regime, disabled)]
             assert (len(results), mismatches) == (len(toggles), [])
-            # verdicts may be shared, but no list or dict of one result is another's
-            containers = [id(c) for r in results for c in (
-                r.admissible_c2, r.admissible_pairs, r.witnesses, r.unresolved,
-                r.rank_windows, r.verdicts, r.component_verdicts, *r.witnesses.values())]
-            assert len(set(containers)) == len(containers)
+            for r in results:
+                for f in dataclasses.fields(r):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(r, f.name, None)
+                for c in (r.admissible_c2, r.admissible_pairs, r.witnesses, r.unresolved,
+                          r.rank_windows, r.verdicts, r.component_verdicts,
+                          *r.witnesses.values(), *r.rank_windows.values()):
+                    assert not hasattr(c, "append")
+                    with pytest.raises(TypeError):
+                        c[0] = None
             base = results[0]
-            if regime == HIGHER_RANK:
-                paths.update("higher-rank base reused" if list(map(id, result.verdicts))
-                             == list(map(id, base.verdicts)) else "higher-rank recomputed"
-                             for result in results[1:])
-                continue
             base_ids = {id(v) for v in base.verdicts + base.component_verdicts}
             base_cands = {v.candidate for v in base.verdicts}
             for disabled, result in zip(toggles[1:], results[1:]):
+                if result is base:
+                    paths[f"{regime} base reused"] += 1
+                    continue
+                if regime == HIGHER_RANK:
+                    paths["higher-rank recomputed"] += 1
+                    continue
                 paths.update("component re-judged" for v in result.component_verdicts
                              if id(v) not in base_ids)
                 for v in result.verdicts:
@@ -388,7 +390,7 @@ class TestToggles:
                     else:
                         paths["candidate reused" if id(v) in base_ids
                               else "candidate re-judged"] += 1
-        assert len(paths) == 6 and min(paths.values()) >= 1, paths
+        assert len(paths) == 7 and min(paths.values()) >= 1, paths
         assert {("2,4", "A-spannedness-h0"), ("3,3", "A-spannedness-h0")} <= grown
 
     def test_every_rule_site_fires(self, monkeypatch):
@@ -435,13 +437,6 @@ class TestToggles:
 
 
 class TestReports:
-    def test_deterministic_bytes(self):
-        # verify's determinism check holds the 3,3 report
-        for ctx, regime in ((QUINTIC, RANK2), (X24, RANK2), (QUINTIC, HIGHER_RANK)):
-            a = report_json(rule_report(ctx, 2, regime))
-            b = report_json(rule_report(ctx, 2, regime))
-            assert a == b
-
     def test_pinned_bytes_under_hash_seeds(self):
         # the reports and the registry text hash to verify's pins in fresh
         # interpreters, whatever the string hash seed
