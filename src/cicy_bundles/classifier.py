@@ -48,8 +48,8 @@ from .ruled import (
     genus_quadratic,
     intersect,
 )
-from .verdicts import (RULE_ORDER, RULES, Route, Trail, Verdict, annotations, decode, encode,
-                       json_text, record)
+from .verdicts import (RULE_ORDER, RULES, SURVIVES, Route, Trail, Verdict, annotations, decode,
+                       encode, json_text, record)
 
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
@@ -83,7 +83,7 @@ def admissible_components(
             comp = CurveComponent(d, g, span)
             verdict = component_admissible(comp, ctx, c1, disabled)
             verdicts.append(verdict)
-            if verdict.survives:
+            if verdict.status is SURVIVES:
                 survivors.append(comp)
     return survivors, verdicts
 
@@ -102,21 +102,28 @@ def _candidates(components: list[CurveComponent], cap: int) -> list[CurveCandida
     ordered by component count, then lexicographically."""
     ordered = sorted(components, key=CurveComponent.triple)
     buckets: list[list[CurveCandidate]] = []  # buckets[k]: the multisets of k + 1 components
+    build = CurveCandidate._sorted
 
-    def extend(start: int, chosen: tuple[CurveComponent, ...], total: int) -> None:
+    def extend(start: int, chosen: tuple[CurveComponent, ...], total: int, width: int) -> None:
         # a depth-first walk over non-decreasing indices reaches the multisets
-        # of each size in lexicographic order
+        # of each size in lexicographic order, each already sorted; `width` is
+        # sum(span + 1) over `chosen`
+        k = len(chosen)
+        if k == len(buckets):
+            buckets.append([])
+        bucket = buckets[k]
         for i in range(start, len(ordered)):
             comp = ordered[i]
-            if total + comp.d > cap:
+            degree = total + comp.d
+            if degree > cap:
                 break  # d never decreases along `ordered`
             multiset = chosen + (comp,)
-            if len(multiset) > len(buckets):
-                buckets.append([])
-            buckets[len(multiset) - 1].append(CurveCandidate(multiset))
-            extend(i, multiset, total + comp.d)
+            span_width = width + comp.span + 1
+            bucket.append(build(multiset, degree, span_width - 1))
+            if degree + comp.d <= cap:  # else no larger multiset fits
+                extend(i, multiset, degree, span_width)
 
-    extend(0, (), 0)
+    extend(0, (), 0, 0)
     return [CurveCandidate(())] + [cand for bucket in buckets for cand in bucket]
 
 
@@ -268,17 +275,21 @@ def _fire_ruled_e2q20(route: Route) -> None:
                forced_e=table, feasible=feasible)
 
 
+#: The degree-3 and degree-4 ruled base surfaces of a quartic-cut curve: the
+#: surface, the curve class and the hyperplane class.
+_ADJUNCTION_CASES = (
+    ("deg3-smooth", RuledSurface(1), DivisorClass(4, 8), DivisorClass(1, 2)),
+    ("deg3-cone", RuledSurface(3), DivisorClass(4, 12), DivisorClass(1, 3)),
+    ("deg4-product", RuledSurface(0), DivisorClass(4, 8), DivisorClass(1, 2)),
+    ("deg4-even", RuledSurface(2), DivisorClass(4, 12), DivisorClass(1, 3)),
+    ("deg4-cone", RuledSurface(4), DivisorClass(4, 16), DivisorClass(1, 4)),
+)
+
+
 def _fire_adjunction_table(route: Route) -> None:
     """The five ruled-surface adjunction numbers against the required 2d."""
-    cases = [
-        ("deg3-smooth", RuledSurface(1), DivisorClass(4, 8), DivisorClass(1, 2)),
-        ("deg3-cone", RuledSurface(3), DivisorClass(4, 12), DivisorClass(1, 3)),
-        ("deg4-product", RuledSurface(0), DivisorClass(4, 8), DivisorClass(1, 2)),
-        ("deg4-even", RuledSurface(2), DivisorClass(4, 12), DivisorClass(1, 3)),
-        ("deg4-cone", RuledSurface(4), DivisorClass(4, 16), DivisorClass(1, 4)),
-    ]
     values, checks = {}, []
-    for name, s, cls, hyper in cases:
+    for name, s, cls, hyper in _ADJUNCTION_CASES:
         genus, check = record(adjunction_genus, cls, s)
         values[name] = {"2g-2": 2 * genus - 2,
                         "required": 2 * embedding_degree(cls, hyper, s)}
@@ -610,14 +621,15 @@ def judge_candidate(
 ) -> Verdict:
     """Route one candidate through the elimination tree of its regime."""
     trail = Trail(disabled)
-    if cand.is_empty:
+    if not cand.components:  # the empty curve
         r = trail.route("split")
         inv, check = record(chern_of_extension, 0, c1, 0, ctx)
         r.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2, checks=[check])
         r.witness([SPLIT_WITNESS])
         return trail.verdict(cand)
     cap = bounds.max_curve_degree(ctx, c1, 2)
-    trail.fire("R-degree-cap", cand.total_degree <= cap, total=cand.total_degree, cap=cap)
+    total = cand.total_degree
+    trail.fire("R-degree-cap", total <= cap, total=total, cap=cap)
     if c1 == 1:
         _judge_c1_one(cand, ctx, trail)
     elif cand.span_max < ctx.ambient_dim:
@@ -796,10 +808,9 @@ def _aggregate(ctx: CicyContext, c1_max: int, rank_regime: str,
         component_verdicts += comp_verdicts
         verdicts += cand_verdicts
         for verdict in cand_verdicts:
-            if not verdict.survives:
+            if verdict.status is not SURVIVES:
                 continue
-            cand = verdict.candidate
-            c2 = 0 if cand.is_empty else cand.total_degree
+            c2 = verdict.candidate.total_degree  # 0 for the empty curve
             pairs.add((c1, c2))
             if verdict.unresolved:
                 unresolved.add(c2)

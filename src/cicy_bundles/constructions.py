@@ -72,6 +72,18 @@ class CurveCandidate:
         object.__setattr__(self, "total_degree", sum(c.d for c in components))
         object.__setattr__(self, "span_max", sum(c.span + 1 for c in components) - 1)
 
+    @classmethod
+    def _sorted(cls, components: tuple[CurveComponent, ...], total_degree: int,
+                span_max: int) -> CurveCandidate:
+        """The candidate of components already in sorted order, with its two
+        invariants: the enumeration hands over every multiset this way, so
+        only the public constructor sorts and sums."""
+        cand = object.__new__(cls)
+        object.__setattr__(cand, "components", components)
+        object.__setattr__(cand, "total_degree", total_degree)
+        object.__setattr__(cand, "span_max", span_max)
+        return cand
+
     @property
     def is_empty(self) -> bool:
         return not self.components

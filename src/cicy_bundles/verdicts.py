@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .chow import BundleInvariants, CicyContext
 from .ruled import DivisorClass, GenusSearch, RuledSurface
@@ -28,6 +29,11 @@ class Status(str, Enum):
     SURVIVES = "SURVIVES"
     ELIMINATED = "ELIMINATED"
     AXIOM_ELIMINATED = "AXIOM-ELIMINATED"
+
+
+# the members by name: on CPython 3.11 `Status.SURVIVES` is a slow class
+# attribute lookup, and the judgement hot path reads them ~10^5 times a sweep
+SURVIVES, ELIMINATED, AXIOM_ELIMINATED = Status
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class Verdict(NamedTuple):
 
     @property
     def survives(self) -> bool:
-        return self.status is Status.SURVIVES
+        return self.status is SURVIVES
 
 
 _R = RuleKind.ARITHMETIC
@@ -342,6 +348,7 @@ def annotations() -> list[dict]:
 
 
 _SOLE_ROUTE = {None: ((), False)}  # a trail with no routes opened, never witnessed
+_ARITHMETIC = frozenset(rule.id for rule in _CORPUS if rule.kind is RuleKind.ARITHMETIC)
 
 
 class Route(NamedTuple):
@@ -350,9 +357,8 @@ class Route(NamedTuple):
 
     trail: Trail
     name: str
-
-    def fire(self, rule_id: str, ok: bool, **values) -> bool | None:
-        return self.trail.fire(rule_id, ok, route=self.name, **values)
+    #: `trail.fire` with `route=name` first in the values, a partial: no frame
+    fire: Callable[..., bool | None]
 
     def hypothesis(self, rule_id: str, **values) -> bool:
         return self.trail.hypothesis(rule_id, route=self.name, **values)
@@ -367,17 +373,22 @@ class Trail:
     on the trail itself belongs to every route; with no routes opened the
     trail counts as one route.  `verdict` derives the status."""
 
+    __slots__ = ("entries", "disabled", "routes", "dead")
+
     def __init__(self, disabled: frozenset[str] = frozenset()):
         self.entries: list[TrailEntry] = []
         self.disabled = disabled
         # route name -> (witnesses, unresolved); names only, so no reference cycle
         self.routes: dict[str | None, tuple[list[str], bool]] = {}
+        # route name -> whether an arithmetic rule failed on it: each route a
+        # failure killed, tallied as the failure fires; None is the trail itself
+        self.dead: dict[str | None, bool] = {}
 
     def route(self, name: str) -> Route:
         """Open the escape route `name`, which shares this trail's entries."""
         if name not in self.routes:
             self.routes[name] = ([], False)
-        return tuple.__new__(Route, (self, name))
+        return tuple.__new__(Route, (self, name, partial(self.fire, route=name)))
 
     def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
         """Name the constructions that realize a trail with no routes opened."""
@@ -389,12 +400,17 @@ class Trail:
         return rule_id not in self.disabled
 
     def fire(self, rule_id: str, ok: bool, **values) -> bool | None:
-        """Record a pass/fail firing; returns None when the rule is disabled."""
+        """Record a pass/fail firing; returns None when the rule is disabled.
+        A failure kills the route it is fired on."""
         if not self.active(rule_id):
             return None
         # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
-        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass" if ok else "fail",
-                                                       values)))
+        if ok:
+            self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass", values)))
+            return ok
+        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "fail", values)))
+        route = values.get("route")
+        self.dead[route] = rule_id in _ARITHMETIC or self.dead.get(route, False)
         return ok
 
     def hypothesis(self, rule_id: str, **values) -> bool:
@@ -405,23 +421,20 @@ class Trail:
         return True
 
     def verdict(self, candidate: object) -> Verdict:
-        """The status of the judged candidate, derived from the firings.
+        """The status of the judged candidate, derived from the routes its
+        failures killed.
 
-        A failure kills the route it was fired on.  A live route gives
-        SURVIVES, with the witnesses and unresolved flag of the live routes.
-        When every route is dead the status is ELIMINATED if each route died
-        on an arithmetic rule, and AXIOM-ELIMINATED otherwise.
+        A live route gives SURVIVES, with the witnesses and unresolved flag of
+        the live routes.  When every route is dead the status is ELIMINATED if
+        each route died on an arithmetic rule, and AXIOM-ELIMINATED otherwise.
         """
         trail = tuple(self.entries)
-        dead, arithmetic = set(), set()  # route names; None: fired on the trail itself
-        for rule_id, outcome, values in trail:
-            if outcome == "fail":
-                route = values.get("route")
-                dead.add(route)
-                if RULES[rule_id].kind is RuleKind.ARITHMETIC:
-                    arithmetic.add(route)
+        dead = self.dead
+        # tuple.__new__ skips the generated __new__, as in fire: ~3.5*10^4
+        # verdicts a sweep, and the component filter's survivors take this exit
+        if not dead and not self.routes:
+            return tuple.__new__(Verdict, (candidate, SURVIVES, trail, (), False))
         routes = self.routes or _SOLE_ROUTE
-        # tuple.__new__ skips the generated __new__, as in fire: ~10^4 verdicts a sweep
         if None not in dead:  # plain loops: cheaper than comprehensions on this hot path
             live, witnesses, unresolved = False, set(), False
             for route, (names, flag) in routes.items():
@@ -430,11 +443,14 @@ class Trail:
                     witnesses.update(names)
                     unresolved = unresolved or flag
             if live:
-                return tuple.__new__(Verdict, (candidate, Status.SURVIVES, trail,
+                return tuple.__new__(Verdict, (candidate, SURVIVES, trail,
                                                tuple(sorted(witnesses)), unresolved))
-        if None in arithmetic or routes.keys() <= arithmetic:
-            return tuple.__new__(Verdict, (candidate, Status.ELIMINATED, trail, (), False))
-        return tuple.__new__(Verdict, (candidate, Status.AXIOM_ELIMINATED, trail, (), False))
+        if not dead.get(None):
+            for route in routes:
+                if not dead.get(route):  # live, or killed by axioms only
+                    return tuple.__new__(Verdict, (candidate, AXIOM_ELIMINATED,
+                                                   trail, (), False))
+        return tuple.__new__(Verdict, (candidate, ELIMINATED, trail, (), False))
 
 
 #: JSON encoder and decoder of each structured kernel argument or value type.

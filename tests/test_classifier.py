@@ -115,6 +115,28 @@ class TestEnumeration:
                                   key=lambda c: (len(c.components), c.triples()))
                 for given in (components, shuffled(components, len(components))):
                     assert classifier._candidates(given, cap) == expected, sorted(disabled)
+                # the walk hands each multiset over sorted, with its invariants:
+                # the same candidate as the public, sorting constructor builds
+                for candidate in classifier._candidates(components, cap):
+                    public = CurveCandidate(candidate.components)
+                    assert (candidate, hash(candidate), candidate.total_degree,
+                            candidate.span_max) == (public, hash(public), public.total_degree,
+                                                    public.span_max), candidate.label()
+
+    def test_classify_sorts_only_the_empty_curve(self, monkeypatch):
+        # the public constructor sorts; _candidates builds every multiset
+        # through the private one, so it runs once per twist level
+        runs = []
+        post_init = CurveCandidate.__post_init__
+
+        def counted(candidate):
+            runs.append(candidate.components)
+            post_init(candidate)
+
+        monkeypatch.setattr(CurveCandidate, "__post_init__", counted)
+        result = classify(X33, 2)
+        assert len(result.verdicts) == 184
+        assert runs == [(), ()]
 
 
 class TestQuinticVerdicts:
@@ -556,6 +578,36 @@ class TestTrailVerdict:
         assert alone.verdict("no routes").witnesses == ("w",)
         alone.fire("A-three-planes", False)
         assert alone.verdict("no routes").status is Status.AXIOM_ELIMINATED
+
+
+    def test_route_deaths_tallied_as_they_fire(self, monkeypatch):
+        # Trail.fire tallies the route each failure kills and whether the rule
+        # is arithmetic; every trail judged in the four paper classifications
+        # and their toggle sweeps must hold the tally a rescan of its entries
+        # gives, the loop Trail.verdict once ran
+        paths = Counter()
+        verdict = Trail.verdict
+
+        def rescanned(trail, candidate):
+            dead, arithmetic = set(), set()
+            for rule_id, outcome, values in trail.entries:
+                if outcome == "fail":
+                    route = values.get("route")
+                    dead.add(route)
+                    if RULES[rule_id].kind is RuleKind.ARITHMETIC:
+                        arithmetic.add(route)
+            tally = (set(trail.dead), {route for route, a in trail.dead.items() if a})
+            assert tally == (dead, arithmetic), candidate
+            paths.update("trail itself" if route is None else "route" for route in dead)
+            paths.update("axiom only" for route in dead - arithmetic)
+            paths["live"] += not dead
+            return verdict(trail, candidate)
+
+        monkeypatch.setattr(Trail, "verdict", rescanned)
+        for ctx, regime in PAPER_CASES:
+            classify(ctx, 2, regime)
+            classifier.toggle_sweep(ctx, regime, sweep_toggles(regime))
+        assert len(paths) == 4 and min(paths.values()) >= 1, paths
 
 
 class TestAuditPayloads:
