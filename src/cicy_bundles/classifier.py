@@ -883,8 +883,9 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
                      else component_admissible(v.candidate, ctx, c1, disabled)
                      for ids, v in comp_cites]
             candidates = list(cand_cites)  # the base order, while the survivors stay
-            if any(v.survives != old.survives for v, (_, old) in zip(comps, comp_cites)):
-                candidates = _candidates([v.candidate for v in comps if v.survives],
+            if any((v.status is SURVIVES) != (old.status is SURVIVES)
+                   for v, (_, old) in zip(comps, comp_cites)):
+                candidates = _candidates([v.candidate for v in comps if v.status is SURVIVES],
                                          bounds.max_curve_degree(ctx, c1, 2))
             levels.append((comps, [
                 hit[1] if (hit := cand_cites.get(cand)) and hit[0].isdisjoint(disabled)
