@@ -104,10 +104,10 @@ def _candidates(components: list[CurveComponent], cap: int) -> list[CurveCandida
     buckets: list[list[CurveCandidate]] = []  # buckets[k]: the multisets of k + 1 components
     build = CurveCandidate._sorted
 
-    def extend(start: int, chosen: tuple[CurveComponent, ...], total: int, width: int) -> None:
+    def extend(start: int, chosen: tuple[CurveComponent, ...], total: int, span: int) -> None:
         # a depth-first walk over non-decreasing indices reaches the multisets
-        # of each size in lexicographic order, each already sorted; `width` is
-        # sum(span + 1) over `chosen`
+        # of each size in lexicographic order, each already sorted; `total`
+        # and `span` are the total degree and span_max of `chosen`
         k = len(chosen)
         if k == len(buckets):
             buckets.append([])
@@ -118,12 +118,12 @@ def _candidates(components: list[CurveComponent], cap: int) -> list[CurveCandida
             if degree > cap:
                 break  # d never decreases along `ordered`
             multiset = chosen + (comp,)
-            span_width = width + comp.span + 1
-            bucket.append(build(multiset, degree, span_width - 1))
+            span_max = span + comp.span + 1
+            bucket.append(build(multiset, degree, span_max))
             if degree + comp.d <= cap:  # else no larger multiset fits
-                extend(i, multiset, degree, span_width)
+                extend(i, multiset, degree, span_max)
 
-    extend(0, (), 0, 0)
+    extend(0, (), 0, -1)
     return [CurveCandidate(())] + [cand for bucket in buckets for cand in bucket]
 
 

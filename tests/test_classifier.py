@@ -579,7 +579,6 @@ class TestTrailVerdict:
         alone.fire("A-three-planes", False)
         assert alone.verdict("no routes").status is Status.AXIOM_ELIMINATED
 
-
     def test_route_deaths_tallied_as_they_fire(self, monkeypatch):
         # Trail.fire tallies the route each failure kills and whether the rule
         # is arithmetic; every trail judged in the four paper classifications
