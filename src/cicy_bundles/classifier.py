@@ -88,18 +88,10 @@ def admissible_components(
     return survivors, verdicts
 
 
-def enumerate_candidates(ctx: CicyContext, c1: int) -> list[CurveCandidate]:
-    """All rank-2 candidate curves: multisets of admissible components within
-    the degree cap, in lex order, preceded by the empty curve (split bundles)."""
-    if c1 == 0:
-        return [CurveCandidate(())]
-    components, _ = admissible_components(ctx, c1)
-    return _candidates(components, bounds.max_curve_degree(ctx, c1, 2))
-
-
-def _candidates(components: list[CurveComponent], cap: int) -> list[CurveCandidate]:
-    """The empty curve and every multiset of the components within the cap,
-    ordered by component count, then lexicographically."""
+def enumerate_candidates(components: list[CurveComponent], cap: int) -> list[CurveCandidate]:
+    """The rank-2 candidate curves of one twist level: the empty curve (split
+    bundles) and every multiset of the surviving components within the degree
+    cap, ordered by component count, then lexicographically."""
     ordered = sorted(components, key=CurveComponent.triple)
     buckets: list[list[CurveCandidate]] = []  # buckets[k]: the multisets of k + 1 components
     build = CurveCandidate._sorted
@@ -243,7 +235,7 @@ def _fire_ruled_58(route: Route) -> None:
     solutions = [
         (q, e)
         for q in (0, 1, 2)
-        for e in range(-q if q else 0, 7)
+        for e in range(-q, 7)
         if e % 2 == 0 and -3 * e + 6 * q + 58 == 32
     ]
     route.fire("R-ruled-58", bool(solutions), equation="-3e + 6q + 58 = 32",
@@ -789,7 +781,7 @@ def _rank2_level(ctx: CicyContext, c1: int,
                  disabled: frozenset[str]) -> tuple[list[Verdict], list[Verdict]]:
     """The component verdicts and candidate verdicts of one twist level."""
     components, comp_verdicts = admissible_components(ctx, c1, disabled)
-    candidates = _candidates(components, bounds.max_curve_degree(ctx, c1, 2))
+    candidates = enumerate_candidates(components, bounds.max_curve_degree(ctx, c1, 2))
     return comp_verdicts, [judge_candidate(cand, ctx, c1, disabled) for cand in candidates]
 
 
@@ -860,17 +852,18 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
     `Trail.active` is the only reader of a disabled set, and `fire` and
     `hypothesis` record every rule they consult while it is active, so a
     verdict whose trail cites no rule of a toggle set is judged the same way
-    with that set disabled.  Such verdicts are reused; the others are judged
-    again, and a twist level whose surviving components change gets a new
-    candidate list; higher-rank shapes are all judged again.  A toggle set
-    that no verdict of the base cites gets the base result itself.
+    with that set disabled.  A twist level that keeps its surviving components
+    keeps the base candidates, reusing each such verdict in place and judging
+    the others again; a level whose survivors change judges every candidate of
+    the new survivors, and higher-rank shapes are all judged again.  A toggle
+    set that no verdict of the base cites gets the base result itself.
     """
     _check_regime(ctx, 2, rank_regime)
     base_levels = [] if rank_regime == HIGHER_RANK else [
         _rank2_level(ctx, c1, frozenset()) for c1 in (1, 2)]
     base = _aggregate(ctx, 2, rank_regime, frozenset(), base_levels)
     cited = frozenset().union(*map(_cites, base.verdicts + base.component_verdicts))
-    level_cites = [([(_cites(v), v) for v in comps], {v.candidate: (_cites(v), v) for v in cands})
+    level_cites = [([(_cites(v), v) for v in comps], [(_cites(v), v) for v in cands])
                    for comps, cands in base_levels]
     results = []
     for disabled in toggles:
@@ -882,14 +875,16 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
             comps = [v if ids.isdisjoint(disabled)
                      else component_admissible(v.candidate, ctx, c1, disabled)
                      for ids, v in comp_cites]
-            candidates = list(cand_cites)  # the base order, while the survivors stay
             if any((v.status is SURVIVES) != (old.status is SURVIVES)
                    for v, (_, old) in zip(comps, comp_cites)):
-                candidates = _candidates([v.candidate for v in comps if v.status is SURVIVES],
-                                         bounds.max_curve_degree(ctx, c1, 2))
-            levels.append((comps, [
-                hit[1] if (hit := cand_cites.get(cand)) and hit[0].isdisjoint(disabled)
-                else judge_candidate(cand, ctx, c1, disabled) for cand in candidates]))
+                cands = [judge_candidate(cand, ctx, c1, disabled) for cand in enumerate_candidates(
+                    [v.candidate for v in comps if v.status is SURVIVES],
+                    bounds.max_curve_degree(ctx, c1, 2))]
+            else:
+                cands = [v if ids.isdisjoint(disabled)
+                         else judge_candidate(v.candidate, ctx, c1, disabled)
+                         for ids, v in cand_cites]
+            levels.append((comps, cands))
         results.append(_aggregate(ctx, 2, rank_regime, disabled, levels))
     return results
 

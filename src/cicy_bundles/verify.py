@@ -39,7 +39,7 @@ from .ruled import (
     embedding_degree,
     intersect,
 )
-from .verdicts import RULES, RuleKind, Status
+from .verdicts import RULES, RuleKind, Status, decode
 
 
 class CheckFailure(AssertionError):
@@ -325,20 +325,33 @@ def check_embedding_degrees() -> str:
                                 RuledSurface(2)), 1, "fibers are lines")
 
 
+def _engine_failures(ctx, triples, *rule_ids) -> list[dict]:
+    """The values of each rule's one firing, a failure, on the engine's trail
+    of the paper candidate with these component triples at c1 = 2."""
+    cand = constructions.CurveCandidate(tuple(constructions.CurveComponent(*t) for t in triples))
+    trail = classifier.judge_candidate(cand, ctx, 2).trail
+    out = []
+    for rule_id in rule_ids:
+        firings = [e for e in trail if e.rule_id == rule_id]
+        _eq([e.outcome for e in firings], ["fail"], f"{rule_id} on {cand.label()} ({ctx.label()})")
+        out.append(firings[0].values)
+    return out
+
+
 def check_f1_elimination() -> str:
-    hits = eliminate_by_genus(GenusSearch(DivisorClass(1, 2), 15, genus=16),
-                              RuledSurface(1))
-    _eq(hits, [], "degree-15 genus-16 classes on F1")
+    (f1,) = _engine_failures(QUINTIC, [(15, 16, 4)], "R-hirzebruch-F1")
+    _eq(f1["classes"], [], "degree-15 genus-16 classes on F1")
+    (check,) = f1["checks"]
+    search, surface = map(decode, (GenusSearch, RuledSurface), check["args"])
+    _eq((check["op"], search.hyperplane, search.degree, search.genus, surface.e),
+        ("eliminate_by_genus", DivisorClass(1, 2), 15, 16, 1), "the search made")
     return "smooth cubic scroll carries no degree-15 curve of genus 16"
 
 
 def check_f3_elimination() -> str:
-    hits = eliminate_by_genus(
-        GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),)),
-        RuledSurface(3))
-    _eq(hits, [DivisorClass(5, 15)], "smoothness band on F3")
-    return _eq(adjunction_genus(DivisorClass(5, 15), RuledSurface(3)), 26,
-               "its genus is 26, not 16")
+    (f3,) = _engine_failures(QUINTIC, [(15, 16, 4)], "R-hirzebruch-F3")
+    _eq(f3["classes"], [[5, 15]], "smoothness band on F3")
+    return _eq(f3["genus"], 26, "its genus is 26, not 16")
 
 
 def check_f0_conic() -> str:
@@ -349,49 +362,38 @@ def check_f0_conic() -> str:
 
 
 def check_adjunction_table() -> str:
-    cases = [
-        (RuledSurface(1), DivisorClass(4, 8), 28),
-        (RuledSurface(3), DivisorClass(4, 12), 28),
-        (RuledSurface(0), DivisorClass(4, 8), 40),
-        (RuledSurface(2), DivisorClass(4, 12), 40),
-        (RuledSurface(4), DivisorClass(4, 16), 40),
-    ]
-    values = []
-    for s, cls, expected in cases:
-        values.append(_eq(2 * adjunction_genus(cls, s) - 2, expected,
-                          f"2g-2 of ({cls.a},{cls.b}) on e={s.e}"))
+    (table,) = _engine_failures(X24, [(8, 9, 3), (12, 13, 4)], "R-adjunction-28-40")
+    cases = table["cases"].values()
+    _eq([v["2g-2"] for v in cases], [28, 28, 40, 40, 40], "2g-2 of the five quartic cuts")
+    _true(all(v["2g-2"] != v["required"] for v in cases), "never the required 2d")
     return "quartic cuts of scroll surfaces: 28, 28, 40, 40, 40"
 
 
 def check_ruled_38() -> str:
-    for q in (0, 1, 2):
-        for e in (-4, -2, 0, 2):
-            if e < -q:
-                continue
-            s = RuledSurface(e, q)
-            cls = DivisorClass(3, 8 + (3 * e) // 2)
-            _eq(embedding_degree(cls, DivisorClass(1, 3 + e // 2), s), 17,
-                "degree pinned to 17")
-            value = intersect(cls, cls + canonical_class(s), s)
-            _eq(value, 26 + 6 * q, f"constant in e at q={q}")
-            _true(value != 34, "never the required 34")
-    s2 = RuledSurface(0, 2)
-    cls2 = DivisorClass(3, 8)
-    return _eq(intersect(cls2, cls2 + canonical_class(s2), s2), 38,
-               "value 38 at the forced sectional genus 2")
+    # the engine raises unless every class it tabulates has degree 17
+    (ruled,) = _engine_failures(X33, [(17, 18, 5)], "R-ruled-38")
+    for key, value in ruled["table"].items():  # keys read "q={q},e={e}"
+        q = int(key.split(",")[0].removeprefix("q="))
+        _eq(value, 26 + 6 * q, f"constant in e at {key}")
+        _true(value != 34, "never the required 34")
+    return _eq(ruled["value_at_q2"], 38, "value 38 at the forced sectional genus 2")
 
 
 def check_ruled_58() -> str:
-    solutions = [(q, e) for q in (0, 1, 2) for e in range(-q, 7)
-                 if e % 2 == 0 and -3 * e + 6 * q + 58 == 32]
-    _eq(solutions, [], "-3e + 6q + 58 = 32 over admissible even e")
-    _true((6 * 0 + 26) % 3 != 0, "3e = 6q + 26 impossible mod 3")
-    return "degree-16 triple-section equation unsolvable"
+    ruled, clifford = _engine_failures(X33, [(9, 10, 3), (16, 17, 5)],
+                                       "R-ruled-58", "R-clifford")
+    _eq(ruled["even_solutions"], [], "-3e + 6q + 58 = 32 over admissible even e")
+    _true(26 % 3 != 0, "3e = 6q + 26 impossible mod 3")
+    _eq((clifford["genus"], clifford["bound_in_p7"]), (17, 12),
+        "genus against the Castelnuovo bound in P^7")
+    return "degree-16 triple-section equation unsolvable; the double section breaks Clifford"
 
 
 def check_ruled_e2q20() -> str:
-    for q in (0, 1, 2):
-        e = 2 * q - 20
+    (ruled,) = _engine_failures(X33, [(9, 10, 3), (18, 19, 5)], "R-ruled-e2q20")
+    _eq(sorted(ruled["forced_e"]), [0, 1, 2], "sectional genera q")
+    for q, e in ruled["forced_e"].items():
+        _eq(e, 2 * q - 20, f"forced e at q={q}")
         _true(e < -q, f"e = 2q - 20 = {e} below the floor -q = {-q}")
     return "degree-18 case forces e = 2q - 20, infeasible"
 
@@ -633,11 +635,11 @@ def check_component_examples() -> str:
 
 
 def check_candidate_examples() -> str:
-    cands = classifier.enumerate_candidates(QUINTIC, 2)
+    quintic = [v.candidate for v in classifier.classify(QUINTIC, 2).verdicts]
     plane_pair = constructions.CurveCandidate(
         (constructions.CurveComponent(5, 6, 2), constructions.CurveComponent(5, 6, 2)))
-    _true(plane_pair in cands, "two plane quintics enumerated")
-    x24_c1 = classifier.enumerate_candidates(X24, 1)
+    _true(plane_pair in quintic, "two plane quintics enumerated")
+    x24_c1 = [v.candidate for v in classifier.classify(X24, 1).verdicts]
     quartic = constructions.CurveCandidate((constructions.CurveComponent(4, 3, 2),))
     _true(quartic in x24_c1, "(4,3,2) enumerated at twist one")
     sextic = constructions.CurveComponent(6, 4, 3)

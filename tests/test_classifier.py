@@ -60,28 +60,6 @@ def verdict_for(candidate, ctx, c1=2):
 
 
 class TestEnumeration:
-    def test_trivial_regime(self):
-        assert enumerate_candidates(X24, 0) == [CurveCandidate(())]
-
-    def test_quintic_contains_plane_pair(self):
-        cands = enumerate_candidates(QUINTIC, 2)
-        assert cand((5, 6, 2), (5, 6, 2)) in cands
-        assert CurveCandidate(()) in cands
-
-    def test_x24_twist_one(self):
-        # enumeration multiplies out exactly the components the filter keeps
-        components, _ = classifier.admissible_components(X24, 1)
-        cands = enumerate_candidates(X24, 1)
-        assert {comp for c in cands for comp in c.components} == set(components)
-        assert [c for c in cands if len(c.components) == 1] == [
-            CurveCandidate((comp,)) for comp in sorted(components)]
-
-    def test_degree_cap_respected(self):
-        for ctx in (QUINTIC, X24, X33):
-            cap = max_curve_degree(ctx, 2, 2)
-            for c in enumerate_candidates(ctx, 2):
-                assert c.total_degree <= cap
-
     def test_classify_filters_components_once_per_c1(self, monkeypatch):
         calls = []
         original = classifier.admissible_components
@@ -114,18 +92,18 @@ class TestEnumeration:
                 expected = sorted([CurveCandidate(()), *fits],
                                   key=lambda c: (len(c.components), c.triples()))
                 for given in (components, shuffled(components, len(components))):
-                    assert classifier._candidates(given, cap) == expected, sorted(disabled)
+                    assert enumerate_candidates(given, cap) == expected, sorted(disabled)
                 # the walk hands each multiset over sorted, with its invariants:
                 # the same candidate as the public, sorting constructor builds
-                for candidate in classifier._candidates(components, cap):
+                for candidate in enumerate_candidates(components, cap):
                     public = CurveCandidate(candidate.components)
                     assert (candidate, hash(candidate), candidate.total_degree,
                             candidate.span_max) == (public, hash(public), public.total_degree,
                                                     public.span_max), candidate.label()
 
     def test_classify_sorts_only_the_empty_curve(self, monkeypatch):
-        # the public constructor sorts; _candidates builds every multiset
-        # through the private one, so it runs once per twist level
+        # the public constructor sorts; enumerate_candidates builds every
+        # multiset through the private one, so it runs once per twist level
         runs = []
         post_init = CurveCandidate.__post_init__
 
@@ -448,6 +426,33 @@ class TestToggles:
         off = judge_candidate(triple, QUINTIC, 2, frozenset({"A-three-planes"}))
         assert on.status is Status.AXIOM_ELIMINATED
         assert off.status is Status.SURVIVES
+
+    def test_flipped_rule_fails_its_check(self, monkeypatch):
+        # the ruled-surface and Hirzebruch checks read the engine's firings:
+        # flipping a rule's outcome at every firing must fail its check
+        checks = {name: fn for _, name, fn in verify.CHECKS}
+        fire = Trail.fire
+
+        def flipping(target):
+            def flipped(trail, rule_id, ok, **values):
+                return fire(trail, rule_id, not ok if rule_id == target else ok, **values)
+            return flipped
+
+        uncaught = []
+        for rule_id, check in (("R-hirzebruch-F1", "f1-elimination"),
+                               ("R-hirzebruch-F3", "f3-elimination"),
+                               ("R-adjunction-28-40", "adjunction-28-40"),
+                               ("R-ruled-38", "ruled-38"),
+                               ("R-ruled-58", "ruled-58"),
+                               ("R-clifford", "ruled-58"),
+                               ("R-ruled-e2q20", "ruled-e2q20")):
+            monkeypatch.setattr(Trail, "fire", flipping(rule_id))
+            try:
+                checks[check]()
+            except verify.CheckFailure:
+                continue
+            uncaught.append(rule_id)
+        assert uncaught == []
 
     def test_eliminated_flip(self):
         # the degree-15 scroll curve escapes once both Hirzebruch searches are off

@@ -95,10 +95,6 @@ class TestLiaison:
 
 
 class TestComponentFilter:
-    def test_x24_section_survives(self):
-        v = component_admissible(CurveComponent(8, 9, 3), X24, 2)
-        assert v.survives
-
     def test_quintic_span4_low_degree_dies(self):
         v = component_admissible(CurveComponent(7, 8, 4), QUINTIC, 2)
         assert not v.survives
@@ -106,9 +102,6 @@ class TestComponentFilter:
         assert any(e.rule_id == "R-genus-bound" for e in fails)
         entry = next(e for e in fails if e.rule_id == "R-genus-bound")
         assert entry.values["bound"] == castelnuovo_pi(7, 4)
-
-    def test_x33_section_survives(self):
-        assert component_admissible(CurveComponent(9, 10, 3), X33, 2).survives
 
     def test_x33_span3_degree8_dies(self):
         v = component_admissible(CurveComponent(8, 9, 3), X33, 2)
