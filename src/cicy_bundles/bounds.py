@@ -40,7 +40,9 @@ def pi_one(d: int, r: int) -> int:
     where mu1 = 1 exactly when eps1 = r - 1.  Valid for d >= 2r + 1; below
     that, UnsupportedBoundError.
     """
-    if d < r or r < 3:
+    if r < 3:
+        raise ValueError(f"pi_one needs r >= 3, got r = {r}")
+    if d < r:
         raise ValueError(f"degenerate for this span: degree {d} < span {r}")
     if d < 2 * r + 1:
         raise UnsupportedBoundError(

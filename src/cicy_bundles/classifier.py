@@ -619,9 +619,10 @@ def judge_candidate(
         r.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2, checks=[check])
         r.witness([SPLIT_WITNESS])
         return trail.verdict(cand)
+    # fired only past the cap, which enumerate_candidates never reaches
     cap = bounds.max_curve_degree(ctx, c1, 2)
-    total = cand.total_degree
-    trail.fire("R-degree-cap", total <= cap, total=total, cap=cap)
+    if cand.total_degree > cap:
+        trail.fire("R-degree-cap", False, total=cand.total_degree, cap=cap)
     if c1 == 1:
         _judge_c1_one(cand, ctx, trail)
     elif cand.span_max < ctx.ambient_dim:
@@ -777,12 +778,18 @@ def _check_regime(ctx: CicyContext, c1_max: int, rank_regime: str) -> None:
             )
 
 
+def _judge_level(ctx: CicyContext, c1: int, components: list[CurveComponent],
+                 disabled: frozenset[str]) -> list[Verdict]:
+    """The candidate verdicts of one twist level with these surviving components."""
+    candidates = enumerate_candidates(components, bounds.max_curve_degree(ctx, c1, 2))
+    return [judge_candidate(cand, ctx, c1, disabled) for cand in candidates]
+
+
 def _rank2_level(ctx: CicyContext, c1: int,
                  disabled: frozenset[str]) -> tuple[list[Verdict], list[Verdict]]:
     """The component verdicts and candidate verdicts of one twist level."""
     components, comp_verdicts = admissible_components(ctx, c1, disabled)
-    candidates = enumerate_candidates(components, bounds.max_curve_degree(ctx, c1, 2))
-    return comp_verdicts, [judge_candidate(cand, ctx, c1, disabled) for cand in candidates]
+    return comp_verdicts, _judge_level(ctx, c1, components, disabled)
 
 
 def _aggregate(ctx: CicyContext, c1_max: int, rank_regime: str,
@@ -877,9 +884,8 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
                      for ids, v in comp_cites]
             if any((v.status is SURVIVES) != (old.status is SURVIVES)
                    for v, (_, old) in zip(comps, comp_cites)):
-                cands = [judge_candidate(cand, ctx, c1, disabled) for cand in enumerate_candidates(
-                    [v.candidate for v in comps if v.status is SURVIVES],
-                    bounds.max_curve_degree(ctx, c1, 2))]
+                cands = _judge_level(ctx, c1, [v.candidate for v in comps if v.status is SURVIVES],
+                                     disabled)
             else:
                 cands = [v if ids.isdisjoint(disabled)
                          else judge_candidate(v.candidate, ctx, c1, disabled)

@@ -160,17 +160,20 @@ def component_admissible(
 ) -> Verdict:
     """Filter one component through the per-component elimination rules.
 
-    Checks, in order: the twist-regime genus identity, plane-section rules,
-    3-space section rules, the Castelnuovo bound, the linear-section count
-    for twist one, and the rank-2 degree cap.  Returns a verdict with the
-    full rule trail; candidates are built only from surviving components.
+    Checks, in order: plane-section rules, 3-space section rules, the
+    Castelnuovo bound and the linear-section count for twist one.  The
+    twist-regime genus identity and the rank-2 degree cap fire only when
+    they fail: `admissible_components` builds only triples that meet both,
+    so only a caller passing another triple sees them.  Returns a verdict
+    with the full rule trail; candidates are built only from surviving
+    components.
     """
     t = Trail(disabled)
     d, g, span = comp.d, comp.g, comp.span
 
     expected = required_genus(c1, d) if (c1 * d) % 2 == 0 else None
-    t.fire("R-regime-genus", expected is not None and g == expected,
-           d=d, g=g, twist=c1, required=expected)
+    if g != expected:
+        t.fire("R-regime-genus", False, d=d, g=g, twist=c1, required=expected)
 
     if span == 2:
         plane_g, check = record(bounds.plane_genus, d)
@@ -211,7 +214,8 @@ def component_admissible(
                span=span, ambient=ctx.ambient_dim,
                linear_sections=ctx.ambient_dim - span)
     cap = bounds.max_curve_degree(ctx, c1, 2)
-    t.fire("R-degree-cap", d <= cap, d=d, cap=cap)
+    if d > cap:
+        t.fire("R-degree-cap", False, d=d, cap=cap)
 
     return t.verdict(comp)
 

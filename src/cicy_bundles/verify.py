@@ -50,9 +50,9 @@ class CheckFailure(AssertionError):
 #: registry text: the one home of these anchors.  A change that alters these
 #: bytes by design updates them and says why in CHANGES.md.
 REPORT_SHA256 = {
-    (QUINTIC, RANK2): "dbfd589d4ece952c58d141efa1dbc29e0b9530ae5a95daa7c37ab74c13e74a13",
-    (X24, RANK2): "19ff7b0d507764e42c80236b15b67764413c505dc1ce86abf1937d48a25c61ba",
-    (X33, RANK2): "e63f864e0f792933497e5d83ba996323442618758e8126d1bfb2091aa359dea9",
+    (QUINTIC, RANK2): "f39a8ad8cc178fbababa2356752fa8227d44bcac38572a7f7d513a59cad0a4f6",
+    (X24, RANK2): "dfeec47050c2704c6152fe92df532a236a1bab7bba552b8283400deb19627729",
+    (X33, RANK2): "b6306f2997136d708316eaca7a8b67b1c21be95cf3077a67b2a75ba3608b5de4",
     (QUINTIC, HIGHER_RANK): "e328bf2e165e383755ac3cd8cc311c6b0c7617832cd6e719486f37a7d42b9d32",
 }
 REGISTRY_SHA256 = "577e5ce1b57ca2b1cb00868c5cb1230acb16d975ee4ee2ad793002ee5317b0b6"
@@ -505,6 +505,12 @@ def _survivors(result) -> set:
     return {v.candidate for v in result.verdicts if v.survives}
 
 
+def _survivor_labels(result) -> tuple[str, ...]:
+    """The candidates of the surviving verdicts as the report names them, in order."""
+    return tuple(v.candidate if isinstance(v.candidate, str) else v.candidate.label()
+                 for v in result.verdicts if v.survives)
+
+
 def _witnessed(result) -> None:
     for c2 in result.admissible_c2:
         _true(bool(result.witnesses.get(c2)), f"witness at c2={c2}")
@@ -516,9 +522,11 @@ def check_quintic_rank2_pairs() -> str:
         "rank-2 pairs on the quintic")
     _eq(result.admissible_c2, (0, 5, 10), "rank-2 c2 set on 5")
     _eq(result.unresolved, (), "nothing unresolved")
+    _eq(_survivor_labels(result), ("empty", "empty", "(5,6,2)", "(5,6,2) + (5,6,2)"),
+        "surviving candidates on 5")
     _witnessed(result)
     _registry_admissible(result)
-    return "pairs {(1,0), (2,0), (2,5), (2,10)}, witnesses attached"
+    return "pairs {(1,0), (2,0), (2,5), (2,10)}, four survivors, witnesses attached"
 
 
 def check_quintic_higher_rank() -> str:
@@ -528,26 +536,38 @@ def check_quintic_higher_rank() -> str:
     _eq(result.rank_windows.get(15), (3, 8), "window at c2=15")
     _eq(result.rank_windows.get(10), (3, 5), "window at c2=10")
     _eq(result.rank_windows.get(5), (3, 4), "window at c2=5")
+    _eq(_survivor_labels(result), ("resolution O(-1) -> O^5 (twist one)",
+                                   "resolution O(-2) -> O^(r+1)",
+                                   "resolution O(-1)^2 -> O^(r+2)",
+                                   "resolution O(-1) -> O^r + O(1)",
+                                   "plane-section curve (split route)"),
+        "surviving shapes on 5")
     _registry_admissible(result)
-    return "c2 in {0,5,10,15,20} with rank windows 14/8/5/4"
+    return "c2 in {0,5,10,15,20} with rank windows 14/8/5/4, five surviving shapes"
 
 
 def check_x24_classification() -> str:
     result = classifier.classify(X24, 2, RANK2)
     _eq(result.admissible_c2, (0, 4, 8, 11, 16), "c2 set on 2,4")
     _eq(result.unresolved, (16,), "unresolved case")
+    _eq(_survivor_labels(result), ("empty", "(4,3,2)", "empty", "(8,9,3)", "(11,12,4)",
+                                   "(16,17,5)", "(8,9,3) + (8,9,3)"),
+        "surviving candidates on 2,4")
     _witnessed(result)
     _registry_admissible(result)
-    return "c2 in {0,4,8,11,16}, 16 unresolved, witnesses attached"
+    return "c2 in {0,4,8,11,16}, 16 unresolved, seven survivors, witnesses attached"
 
 
 def check_x33_classification() -> str:
     result = classifier.classify(X33, 2, RANK2)
     _eq(result.admissible_c2, (0, 9, 12, 15, 16, 18), "c2 set on 3,3")
     _eq(result.unresolved, (16,), "unresolved case")
+    _eq(_survivor_labels(result), ("empty", "empty", "(9,10,3)", "(12,13,4)", "(15,16,5)",
+                                   "(16,17,5)", "(18,19,5)", "(9,10,3) + (9,10,3)"),
+        "surviving candidates on 3,3")
     _witnessed(result)
     _registry_admissible(result)
-    return "c2 in {0,9,12,15,16,18}, 16 unresolved, witnesses attached"
+    return "c2 in {0,9,12,15,16,18}, 16 unresolved, eight survivors, witnesses attached"
 
 
 def check_trivial_regime() -> str:

@@ -69,6 +69,8 @@ def test_pi_one_refuses_unverified():
                 pi_one(d, r)
     with pytest.raises(ValueError):
         pi_one(2, 5)
+    with pytest.raises(ValueError, match="needs r >= 3"):
+        pi_one(100, 2)
 
 
 @pytest.mark.parametrize("d, expected", [

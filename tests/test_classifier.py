@@ -27,9 +27,11 @@ from cicy_bundles import (
     audit_verdicts,
     classify,
     classifier,
+    component_admissible,
     enumerate_candidates,
     judge_candidate,
     max_curve_degree,
+    required_genus,
     rule_report,
     verify,
 )
@@ -57,6 +59,23 @@ def cand(*triples):
 
 def verdict_for(candidate, ctx, c1=2):
     return judge_candidate(candidate, ctx, c1)
+
+
+#: The rules that fire only on input the enumeration never produces, by the
+#: module and function of their one call site.
+GUARDS = {("classifier.py", "judge_candidate", "R-degree-cap"),
+          ("constructions.py", "component_admissible", "R-degree-cap"),
+          ("constructions.py", "component_admissible", "R-regime-genus")}
+
+#: Public calls past the enumeration's range, each with the rule it must fail:
+#: candidates over the degree cap (5 on the quintic at twist one, 33 on 3,3),
+#: a component of the wrong genus and one over the cap 29 on 2,4.
+OUT_OF_RANGE = (
+    (judge_candidate, "R-degree-cap", (cand((12, 7, 3)), QUINTIC, 1)),
+    (judge_candidate, "R-degree-cap", (cand((36, 37, 5)), X33, 2)),
+    (component_admissible, "R-regime-genus", (CurveComponent(8, 5, 3), X24, 2)),
+    (component_admissible, "R-degree-cap", (CurveComponent(30, 31, 5), X24, 2)),
+)
 
 
 class TestEnumeration:
@@ -149,10 +168,10 @@ class TestQuinticVerdicts:
     def test_over_cap_twist_one_is_eliminated(self):
         # a failure fired on the trail itself kills every route, also on 3,3
         # past the degree cap 33, where no route of the case tree dies first
-        for candidate, ctx, c1 in ((cand((12, 7, 3)), QUINTIC, 1), (cand((36, 37, 5)), X33, 2)):
-            v = verdict_for(candidate, ctx, c1)
-            assert ("R-degree-cap", "fail") in {(e.rule_id, e.outcome) for e in v.trail}
-            assert v.status is Status.ELIMINATED
+        for judge, rule_id, args in OUT_OF_RANGE:
+            v = judge(*args)
+            assert (rule_id, "fail") in {(e.rule_id, e.outcome) for e in v.trail}, args
+            assert v.status is Status.ELIMINATED, args
 
     def test_mixed_pair_fails_budget(self):
         v = verdict_for(cand((5, 6, 2), (11, 12, 4)), QUINTIC)
@@ -361,6 +380,9 @@ class TestToggles:
             mismatches = [sorted(disabled) for disabled, result in zip(toggles, results)
                           if result != classify(ctx, 2, regime, disabled)]
             assert (len(results), mismatches) == (len(toggles), [])
+            # the enumeration meets the degree cap and the twist genus itself
+            assert not {e.rule_id for r in results for v in r.verdicts + r.component_verdicts
+                        for e in v.trail} & {"R-degree-cap", "R-regime-genus"}
             for r in results:
                 for f in dataclasses.fields(r):
                     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -395,7 +417,8 @@ class TestToggles:
 
     def test_every_rule_site_fires(self, monkeypatch):
         # every fire, hypothesis and witness call site of the case tree runs in
-        # the sweeps of test_toggle_sweep_is_exact: no judge branch is dead
+        # the sweeps of test_toggle_sweep_is_exact: no judge branch is dead.
+        # The out-of-range guards run on the public calls past the range instead
         fired = set()
 
         def recording(method):
@@ -412,13 +435,27 @@ class TestToggles:
             monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
         for ctx, regime in PAPER_CASES:
             classifier.toggle_sweep(ctx, regime, sweep_toggles(regime))
-        sites = {(module, node.lineno)
-                 for module in ("classifier.py", "constructions.py")
-                 for node in ast.walk(ast.parse(
-                     (Path(cicy_bundles.__file__).parent / module).read_text(encoding="utf-8")))
-                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                 and node.func.attr in ("fire", "hypothesis", "witness")}
-        assert sorted(sites - fired) == []
+        sites = {}  # (module, line) -> (innermost function, rule id)
+        for module in ("classifier.py", "constructions.py"):
+            tree = ast.parse((Path(cicy_bundles.__file__).parent / module).read_text(
+                encoding="utf-8"))
+            # breadth first: a nested function's calls are named after it
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in ("fire", "hypothesis", "witness")):
+                        rule = node.args[0].value if node.args and isinstance(
+                            node.args[0], ast.Constant) else None
+                        sites[module, node.lineno] = (fn.name, rule)
+        guards = {site for site, (fn, rule) in sites.items() if (site[0], fn, rule) in GUARDS}
+        assert len(guards) == len(GUARDS)
+        assert sorted(sites.keys() - guards - fired) == []
+        fired.clear()
+        for judge, _, args in OUT_OF_RANGE:
+            judge(*args)
+        assert sorted(guards - fired) == []
 
     def test_three_planes_toggle(self):
         triple = cand((5, 6, 2), (5, 6, 2), (5, 6, 2))
@@ -480,6 +517,26 @@ class TestReports:
             proc = subprocess.run([sys.executable, "-c", script], env=env,
                                   capture_output=True, text=True, check=True)
             assert json.loads(proc.stdout) == pins, seed
+
+    @pytest.mark.parametrize("ctx", [QUINTIC, X24, X33], ids=lambda ctx: ctx.label())
+    def test_report_lists_every_candidate(self, ctx):
+        # from the threefold alone, each twist level's tried triples; from the
+        # survivors the report records, its candidates: both lists, in order
+        report = json.loads(report_json(rule_report(ctx, 2)))
+        levels = []
+        for c1 in (1, 2):
+            cap = max_curve_degree(ctx, c1, 2)
+            levels.append((cap, [CurveComponent(d, required_genus(c1, d), span)
+                                 for span in range(2, ctx.ambient_dim + 1)
+                                 for d in range(1, cap + 1) if c1 * d % 2 == 0]))
+        components = report["component_verdicts"]
+        assert [v["candidate"] for v in components] == [
+            comp.label() for _, tried in levels for comp in tried]
+        statuses = iter(v["status"] for v in components)
+        assert [v["candidate"] for v in report["verdicts"]] == [
+            candidate.label() for cap, tried in levels
+            for candidate in enumerate_candidates(
+                [comp for comp in tried if next(statuses) == "SURVIVES"], cap)]
 
     def test_json_roundtrip(self):
         text = report_json(rule_report(X24, 2))
