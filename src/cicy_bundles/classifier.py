@@ -727,7 +727,8 @@ def _higher_rank_verdicts(
 @dataclass(frozen=True)
 class ClassificationResult:
     """An immutable value: tuples and read-only mappings of c2 to tuples, so
-    the results of one sweep may share it and its verdicts."""
+    the results of one sweep may share it and its verdicts.  Its summary and
+    its report are views of it."""
 
     ctx: CicyContext
     c1_max: int
@@ -756,6 +757,40 @@ class ClassificationResult:
                 str(k): list(v) for k, v in sorted(self.rank_windows.items())
             }
         return out
+
+    def report(self) -> dict:
+        """The structured report: the summary, every verdict with its trail,
+        and each rule that fired with its firings counted by outcome."""
+        counts: dict[str, dict[str, int]] = {}
+        for verdict in self.component_verdicts + self.verdicts:
+            for entry in verdict.trail:
+                tally = counts.setdefault(entry.rule_id, {"pass": 0, "fail": 0, "hypothesis": 0})
+                tally[entry.outcome] += 1
+        report = self.to_dict()
+        report["verdicts"] = [_verdict_dict(v) for v in self.verdicts]
+        report["component_verdicts"] = [_verdict_dict(v) for v in self.component_verdicts]
+        report["rules"] = [
+            {
+                "id": rule_id,
+                "kind": RULES[rule_id].kind.value,
+                "ref": RULES[rule_id].ref,
+                "statement": RULES[rule_id].statement,
+                "counts": tally,
+            }
+            for rule_id, tally in sorted(counts.items(), key=lambda kv: RULE_ORDER[kv[0]])
+        ]
+        report["annotations"] = annotations()
+        return report
+
+
+def _verdict_dict(verdict: Verdict) -> dict:
+    """One verdict as a report stores it: the only home of its trail."""
+    return {
+        "candidate": verdict.label,
+        "status": verdict.status.value,
+        "witnesses": list(verdict.witnesses),
+        "trail": [e.to_dict() for e in verdict.trail],
+    }
 
 
 _SUPPORTED_RANK2 = {(5,), (2, 4), (3, 3)}
@@ -900,43 +935,9 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
 # --------------------------------------------------------------------------
 
 
-def _verdict_dict(verdict: Verdict) -> dict:
-    """One verdict as a report stores it: the only home of its trail."""
-    candidate = verdict.candidate
-    return {
-        "candidate": candidate.label()
-        if isinstance(candidate, (CurveCandidate, CurveComponent))
-        else str(candidate),
-        "status": verdict.status.value,
-        "witnesses": list(verdict.witnesses),
-        "trail": [e.to_dict() for e in verdict.trail],
-    }
-
-
 def rule_report(ctx: CicyContext, c1_max: int = 2, rank_regime: str = RANK2) -> dict:
-    """Structured report: the classification, every verdict with its trail,
-    and each rule that fired with its firings counted by outcome."""
-    result = classify(ctx, c1_max, rank_regime)
-    counts: dict[str, dict[str, int]] = {}
-    for verdict in result.component_verdicts + result.verdicts:
-        for entry in verdict.trail:
-            tally = counts.setdefault(entry.rule_id, {"pass": 0, "fail": 0, "hypothesis": 0})
-            tally[entry.outcome] += 1
-    report = result.to_dict()
-    report["verdicts"] = [_verdict_dict(v) for v in result.verdicts]
-    report["component_verdicts"] = [_verdict_dict(v) for v in result.component_verdicts]
-    report["rules"] = [
-        {
-            "id": rule_id,
-            "kind": RULES[rule_id].kind.value,
-            "ref": RULES[rule_id].ref,
-            "statement": RULES[rule_id].statement,
-            "counts": tally,
-        }
-        for rule_id, tally in sorted(counts.items(), key=lambda kv: RULE_ORDER[kv[0]])
-    ]
-    report["annotations"] = annotations()
-    return report
+    """`classify(ctx, c1_max, rank_regime).report()`."""
+    return classify(ctx, c1_max, rank_regime).report()
 
 
 def report_json(report: dict) -> str:

@@ -50,20 +50,21 @@ def cmd_chi(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     ctx = _context(args.threefold)
     regime = classifier.RANK2 if args.rank == "2" else classifier.HIGHER_RANK
-    report = classifier.rule_report(ctx, args.c1_max, regime)
+    result = classifier.classify(ctx, args.c1_max, regime)
     if args.format == "json":
-        _emit(classifier.report_json(report), args.out)
+        _emit(classifier.report_json(result.report()), args.out)
     elif args.format == "markdown":
-        _emit(classifier.report_markdown(report), args.out)
+        _emit(classifier.report_markdown(result.report()), args.out)
     else:
+        summary = result.to_dict()
         lines = [
-            f"threefold: {report['threefold']}",
-            f"rank regime: {report['rank_regime']} (c1 <= {report['c1']})",
-            "admissible c2: " + " ".join(map(str, report["admissible_c2"])),
-            "pairs: " + " ".join(f"({a},{b})" for a, b in report["admissible_pairs"]),
-            "unresolved: " + (" ".join(map(str, report["unresolved"])) or "none"),
+            f"threefold: {summary['threefold']}",
+            f"rank regime: {summary['rank_regime']} (c1 <= {summary['c1']})",
+            "admissible c2: " + " ".join(map(str, summary["admissible_c2"])),
+            "pairs: " + " ".join(f"({a},{b})" for a, b in summary["admissible_pairs"]),
+            "unresolved: " + (" ".join(map(str, summary["unresolved"])) or "none"),
         ]
-        for c2, names in report["witnesses"].items():
+        for c2, names in summary["witnesses"].items():
             lines.append(f"witness c2={c2}: {', '.join(names)}")
         _emit("\n".join(lines), args.out)
     return 0

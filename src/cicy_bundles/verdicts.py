@@ -65,6 +65,12 @@ class Verdict(NamedTuple):
     def survives(self) -> bool:
         return self.status is SURVIVES
 
+    @property
+    def label(self) -> str:
+        """The candidate as reports name it: a higher-rank shape is its own name."""
+        candidate = self.candidate
+        return candidate if isinstance(candidate, str) else candidate.label()
+
 
 _R = RuleKind.ARITHMETIC
 _A = RuleKind.AXIOM

@@ -3,6 +3,7 @@ classification equalities, grouped by module for the command-line runner."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -501,14 +502,22 @@ def _registry_admissible(result) -> None:
                   f"registry {e.name} at (c1, c2) = ({e.c1}, {e.c2}) is admissible")
 
 
+@functools.cache
+def _paper(ctx, regime) -> classifier.ClassificationResult:
+    """The classification of one paper case at c1 <= 2, made once per pass:
+    `run_checks` clears this cache before its first check and after its last.
+    Results are immutable values, so the checks of a pass share them.  A check
+    called on its own, outside a pass, fills the cache until the next pass."""
+    return classifier.classify(ctx, 2, regime)
+
+
 def _survivors(result) -> set:
     return {v.candidate for v in result.verdicts if v.survives}
 
 
 def _survivor_labels(result) -> tuple[str, ...]:
     """The candidates of the surviving verdicts as the report names them, in order."""
-    return tuple(v.candidate if isinstance(v.candidate, str) else v.candidate.label()
-                 for v in result.verdicts if v.survives)
+    return tuple(v.label for v in result.verdicts if v.survives)
 
 
 def _witnessed(result) -> None:
@@ -517,7 +526,7 @@ def _witnessed(result) -> None:
 
 
 def check_quintic_rank2_pairs() -> str:
-    result = classifier.classify(QUINTIC, 2, RANK2)
+    result = _paper(QUINTIC, RANK2)
     _eq(result.admissible_pairs, ((1, 0), (2, 0), (2, 5), (2, 10)),
         "rank-2 pairs on the quintic")
     _eq(result.admissible_c2, (0, 5, 10), "rank-2 c2 set on 5")
@@ -530,7 +539,7 @@ def check_quintic_rank2_pairs() -> str:
 
 
 def check_quintic_higher_rank() -> str:
-    result = classifier.classify(QUINTIC, 2, HIGHER_RANK)
+    result = _paper(QUINTIC, HIGHER_RANK)
     _eq(result.admissible_c2, (0, 5, 10, 15, 20), "higher-rank c2 set")
     _eq(result.rank_windows.get(20), (3, 14), "window at c2=20")
     _eq(result.rank_windows.get(15), (3, 8), "window at c2=15")
@@ -547,7 +556,7 @@ def check_quintic_higher_rank() -> str:
 
 
 def check_x24_classification() -> str:
-    result = classifier.classify(X24, 2, RANK2)
+    result = _paper(X24, RANK2)
     _eq(result.admissible_c2, (0, 4, 8, 11, 16), "c2 set on 2,4")
     _eq(result.unresolved, (16,), "unresolved case")
     _eq(_survivor_labels(result), ("empty", "(4,3,2)", "empty", "(8,9,3)", "(11,12,4)",
@@ -559,7 +568,7 @@ def check_x24_classification() -> str:
 
 
 def check_x33_classification() -> str:
-    result = classifier.classify(X33, 2, RANK2)
+    result = _paper(X33, RANK2)
     _eq(result.admissible_c2, (0, 9, 12, 15, 16, 18), "c2 set on 3,3")
     _eq(result.unresolved, (16,), "unresolved case")
     _eq(_survivor_labels(result), ("empty", "empty", "(9,10,3)", "(12,13,4)", "(15,16,5)",
@@ -580,7 +589,7 @@ def check_trivial_regime() -> str:
 
 def check_determinism() -> str:
     for (ctx, regime), pin in REPORT_SHA256.items():
-        text = classifier.report_json(classifier.rule_report(ctx, 2, regime))
+        text = classifier.report_json(_paper(ctx, regime).report())
         _eq(_sha256(text), pin, f"sha256 of the {ctx.label()} {regime} report")
         if ctx is X33:
             # deliberately the stdlib encoder: the check compares two independent encoders
@@ -592,7 +601,7 @@ def check_determinism() -> str:
 def check_trail_audit() -> str:
     total = 0
     for ctx, regime in PAPER_CASES:
-        result = classifier.classify(ctx, 2, regime)
+        result = _paper(ctx, regime)
         mismatches = classifier.audit_verdicts(result.verdicts + result.component_verdicts)
         _eq(mismatches, [], f"audit on {ctx.label()} {regime}")
         total += sum(
@@ -624,7 +633,7 @@ def check_no_hidden_eliminations() -> str:
     flipped = 0
     for ctx in (QUINTIC, X24, X33):
         c1 = 0
-        for verdict in classifier.classify(ctx, 2).verdicts:
+        for verdict in _paper(ctx, RANK2).verdicts:
             cand = verdict.candidate
             c1 += cand.is_empty  # each twist level opens with the empty curve
             if verdict.status is not Status.ELIMINATED:
@@ -655,7 +664,7 @@ def check_component_examples() -> str:
 
 
 def check_candidate_examples() -> str:
-    quintic = [v.candidate for v in classifier.classify(QUINTIC, 2).verdicts]
+    quintic = [v.candidate for v in _paper(QUINTIC, RANK2).verdicts]
     plane_pair = constructions.CurveCandidate(
         (constructions.CurveComponent(5, 6, 2), constructions.CurveComponent(5, 6, 2)))
     _true(plane_pair in quintic, "two plane quintics enumerated")
@@ -737,15 +746,22 @@ for _name in constructions.registry_names():
 
 
 def run_checks(module: str | None = None):
-    """Run (module-filtered) checks; yields (module, name, ok, detail)."""
-    for mod, name, fn in CHECKS:
-        if module and mod != module:
-            continue
-        try:
-            detail = fn()
-            yield mod, name, True, detail
-        except Exception as exc:  # noqa: BLE001 - report any failure
-            yield mod, name, False, f"{type(exc).__name__}: {exc}"
+    """Run (module-filtered) checks; yields (module, name, ok, detail).
+
+    A pass classifies each paper case once, and neither reads a result made
+    before it nor leaves one behind."""
+    _paper.cache_clear()
+    try:
+        for mod, name, fn in CHECKS:
+            if module and mod != module:
+                continue
+            try:
+                detail = fn()
+                yield mod, name, True, detail
+            except Exception as exc:  # noqa: BLE001 - report any failure
+                yield mod, name, False, f"{type(exc).__name__}: {exc}"
+    finally:
+        _paper.cache_clear()
 
 
 def module_names() -> list[str]:

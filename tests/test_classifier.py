@@ -737,3 +737,39 @@ class TestAuditPayloads:
                           (TrailEntry("R-genus-bound", "pass", {"checks": [check]}),), [], False)
         mismatches = audit_verdicts([verdict])
         assert len(mismatches) == 1 and "cannot replay" in mismatches[0]
+
+
+class TestVerifyPass:
+    def test_classifies_each_paper_case_once(self, monkeypatch):
+        # the checks of one pass share one classification of each paper case
+        calls = Counter()
+        original = classifier.classify
+
+        def counting(ctx, c1_max, rank_regime=RANK2, disabled=frozenset()):
+            calls[ctx, c1_max, rank_regime] += 1
+            return original(ctx, c1_max, rank_regime, disabled)
+
+        monkeypatch.setattr(classifier, "classify", counting)
+        results = list(verify.run_checks())
+        assert [name for _, name, ok, _ in results if not ok] == []
+        assert len(results) == len(verify.CHECKS)
+        assert [calls[ctx, 2, regime] for ctx, regime in PAPER_CASES] == [1, 1, 1, 1]
+
+    def test_passes_share_no_results(self, monkeypatch):
+        # a pass neither reads a result made before it nor leaves one behind:
+        # flipping R-s-omega between two passes must show in the second
+        def failing():
+            return {name for _, name, ok, _ in verify.run_checks("classifier") if not ok}
+
+        assert failing() == set()
+        fire = Trail.fire
+
+        def flipped(trail, rule_id, ok, **values):
+            return fire(trail, rule_id, not ok if rule_id == "R-s-omega" else ok, **values)
+
+        monkeypatch.setattr(Trail, "fire", flipped)
+        with pytest.raises(verify.CheckFailure):
+            verify.check_x33_classification()
+        assert {"x33-classification", "determinism"} <= failing()
+        monkeypatch.undo()
+        assert failing() == set()

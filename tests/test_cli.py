@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from cicy_bundles import QUINTIC, chi_rank2
+import cicy_bundles
+from cicy_bundles import QUINTIC, chi_rank2, verify
 from cicy_bundles.cli import main
 
 
@@ -103,6 +106,15 @@ class TestVerify:
         assert code == 0
         assert sum(1 for l in out.splitlines() if l.startswith("PASS")) >= 40
         assert "0 failures" in out
+
+    def test_all_under_optimize(self):
+        # python -O strips asserts: every check must still run and pass
+        src = str(Path(cicy_bundles.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-O", "-m", "cicy_bundles", "verify", "--all"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.splitlines()[-1] == f"{len(verify.CHECKS)} checks, 0 failures"
 
 
 class TestQuery:
