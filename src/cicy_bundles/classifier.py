@@ -886,10 +886,10 @@ def _cites(verdict: Verdict) -> frozenset[str]:
     return frozenset(entry.rule_id for entry in verdict.trail)
 
 
-def toggle_sweep(ctx: CicyContext, rank_regime: str,
+def toggle_sweep(base: ClassificationResult,
                  toggles: list[frozenset[str]]) -> list[ClassificationResult]:
-    """`classify(ctx, 2, rank_regime, disabled)` for each toggle set, derived
-    from one classification with nothing disabled.
+    """`classify(ctx, c1_max, rank_regime, disabled)` for each toggle set,
+    derived from `base`, that classification with nothing disabled.
 
     `Trail.active` is the only reader of a disabled set, and `fire` and
     `hypothesis` record every rule they consult while it is active, so a
@@ -899,14 +899,23 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
     the others again; a level whose survivors change judges every candidate of
     the new survivors, and higher-rank shapes are all judged again.  A toggle
     set that no verdict of the base cites gets the base result itself.
+
+    The base's twist levels are read back from its verdicts: each level's
+    candidates open with the empty curve, and a component's twist follows
+    from its own genus, 2g - 2 = c1 * d.
     """
-    _check_regime(ctx, 2, rank_regime)
-    base_levels = [] if rank_regime == HIGHER_RANK else [
-        _rank2_level(ctx, c1, frozenset()) for c1 in (1, 2)]
-    base = _aggregate(ctx, 2, rank_regime, frozenset(), base_levels)
+    ctx, c1_max, rank_regime = base.ctx, base.c1_max, base.rank_regime
     cited = frozenset().union(*map(_cites, base.verdicts + base.component_verdicts))
-    level_cites = [([(_cites(v), v) for v in comps], [(_cites(v), v) for v in cands])
-                   for comps, cands in base_levels]
+    level_cites: list[tuple[list, list]] = []
+    if rank_regime == RANK2:
+        level_cites = [([], []) for _ in range(c1_max)]
+        for v in base.component_verdicts:
+            comp = v.candidate
+            level_cites[(2 * comp.g - 2) // comp.d - 1][0].append((_cites(v), v))
+        c1 = 0
+        for v in base.verdicts:
+            c1 += v.candidate.is_empty
+            level_cites[c1 - 1][1].append((_cites(v), v))
     results = []
     for disabled in toggles:
         if cited.isdisjoint(disabled):
@@ -926,7 +935,7 @@ def toggle_sweep(ctx: CicyContext, rank_regime: str,
                          else judge_candidate(v.candidate, ctx, c1, disabled)
                          for ids, v in cand_cites]
             levels.append((comps, cands))
-        results.append(_aggregate(ctx, 2, rank_regime, disabled, levels))
+        results.append(_aggregate(ctx, c1_max, rank_regime, disabled, levels))
     return results
 
 

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.  Threefolds
 are addressed by multidegree ("5", "2,4", "3,3", "2,2,3", "2,2,2,2"); the
 degree aliases X5/X8/X9/X12/X16 are accepted where unambiguous.  Setting
 CICY_BUNDLES_LAX=1 relaxes threefold validation to the Calabi-Yau condition.
+
+Each command imports the engine modules it uses when it runs, so `chi` loads
+`chow` alone.
 """
 
 from __future__ import annotations
@@ -12,11 +15,7 @@ import argparse
 import os
 import sys
 
-from . import classifier, constructions, verify
 from .chow import CicyContext, chi_rank2, context_from_label, h0_line_bundle
-from .constructions import liaison_solve
-from .ruled import DivisorClass, RuledSurface, adjunction_genus, intersect
-from .bounds import castelnuovo_pi, pi_one
 
 
 def _strict() -> bool:
@@ -27,7 +26,9 @@ def _context(label: str) -> CicyContext:
     return context_from_label(label, strict=_strict())
 
 
-def _divisor(text: str) -> DivisorClass:
+def _divisor(text: str):
+    from .ruled import DivisorClass
+
     parts = text.replace(" ", "").split(",")
     if len(parts) != 2:
         raise ValueError(f"divisor class must be 'a,b', got {text!r}")
@@ -48,6 +49,8 @@ def cmd_chi(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from . import classifier
+
     ctx = _context(args.threefold)
     regime = classifier.RANK2 if args.rank == "2" else classifier.HIGHER_RANK
     result = classifier.classify(ctx, args.c1_max, regime)
@@ -71,7 +74,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     module = None if args.all else args.module
+    if module is not None and module not in verify.module_names():
+        raise ValueError(f"unknown module {module!r}; valid modules: "
+                         + ", ".join(verify.module_names()))
     ok_count = 0
     failures = []
     for mod, name, ok, detail in verify.run_checks(module):
@@ -89,6 +97,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_registry(args: argparse.Namespace) -> int:
+    from . import constructions
+
     if args.validate:
         try:
             reports = constructions.validate_all()
@@ -102,17 +112,22 @@ def cmd_registry(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    if args.query_command == "pi":
-        print(castelnuovo_pi(args.d, args.r))
-    elif args.query_command == "pi1":
-        print(pi_one(args.d, args.r))
-    elif args.query_command == "hirzebruch-genus":
-        surface = RuledSurface(args.e, args.q)
-        print(adjunction_genus(_divisor(getattr(args, "divisor_class")), surface))
-    elif args.query_command == "intersect":
-        surface = RuledSurface(args.e, args.q)
-        print(intersect(_divisor(args.c1), _divisor(args.c2), surface))
+    if args.query_command in ("pi", "pi1"):
+        from . import bounds
+
+        bound = bounds.castelnuovo_pi if args.query_command == "pi" else bounds.pi_one
+        print(bound(args.d, args.r))
+    elif args.query_command in ("hirzebruch-genus", "intersect"):
+        from . import ruled
+
+        surface = ruled.RuledSurface(args.e, args.q)
+        if args.query_command == "intersect":
+            print(ruled.intersect(_divisor(args.c1), _divisor(args.c2), surface))
+        else:
+            print(ruled.adjunction_genus(_divisor(args.divisor_class), surface))
     elif args.query_command == "liaison":
+        from .constructions import liaison_solve
+
         print(liaison_solve(args.total, args.omega, args.target, args.cut))
     elif args.query_command == "h0":
         print(h0_line_bundle(_context(args.threefold), args.t))
@@ -148,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the acceptance checks")
     group = p_ver.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
-    group.add_argument("--module", choices=verify.module_names())
+    group.add_argument("--module", help="run one module's checks")
     p_ver.set_defaults(func=cmd_verify)
 
     p_reg = sub.add_parser("registry", help="dump or validate the construction registry")

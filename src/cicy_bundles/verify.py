@@ -617,7 +617,7 @@ def check_axiom_toggle_monotone() -> str:
     toggles = [frozenset(), *(frozenset({axiom}) for axiom in axioms)]
     grew = 0
     for ctx, regime in PAPER_CASES:
-        base, *toggled = classifier.toggle_sweep(ctx, regime, toggles)
+        base, *toggled = classifier.toggle_sweep(_paper(ctx, regime), toggles)
         kept = _survivors(base)
         for axiom, result in zip(axioms, toggled):
             survivors = _survivors(result)

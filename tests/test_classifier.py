@@ -376,7 +376,7 @@ class TestToggles:
         paths, grown = Counter(), set()
         for ctx, regime in PAPER_CASES:
             toggles = sweep_toggles(regime)
-            results = classifier.toggle_sweep(ctx, regime, toggles)
+            results = classifier.toggle_sweep(classify(ctx, 2, regime), toggles)
             mismatches = [sorted(disabled) for disabled, result in zip(toggles, results)
                           if result != classify(ctx, 2, regime, disabled)]
             assert (len(results), mismatches) == (len(toggles), [])
@@ -434,7 +434,7 @@ class TestToggles:
                           (Route, "witness")):
             monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
         for ctx, regime in PAPER_CASES:
-            classifier.toggle_sweep(ctx, regime, sweep_toggles(regime))
+            classifier.toggle_sweep(classify(ctx, 2, regime), sweep_toggles(regime))
         sites = {}  # (module, line) -> (innermost function, rule id)
         for module in ("classifier.py", "constructions.py"):
             tree = ast.parse((Path(cicy_bundles.__file__).parent / module).read_text(
@@ -666,8 +666,7 @@ class TestTrailVerdict:
 
         monkeypatch.setattr(Trail, "verdict", rescanned)
         for ctx, regime in PAPER_CASES:
-            classify(ctx, 2, regime)
-            classifier.toggle_sweep(ctx, regime, sweep_toggles(regime))
+            classifier.toggle_sweep(classify(ctx, 2, regime), sweep_toggles(regime))
         assert len(paths) == 4 and min(paths.values()) >= 1, paths
 
 

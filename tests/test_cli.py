@@ -107,6 +107,20 @@ class TestVerify:
         assert sum(1 for l in out.splitlines() if l.startswith("PASS")) >= 40
         assert "0 failures" in out
 
+    def test_module_checked_by_the_command(self, capsys):
+        # the parser leaves --module unchecked, so building it imports no verify;
+        # the command refuses an unknown module and names the valid ones
+        code, out, err = run(capsys, "verify", "--module", "no-such-module")
+        assert (code, out) == (2, "") and err.startswith("error:")
+        assert "bounds" in err.split("valid modules:")[1].replace(",", " ").split()
+        code, out, _ = run(capsys, "verify", "--module", "bounds")
+        names = [name for mod, name, _ in verify.CHECKS if mod == "bounds"]
+        assert code == 0 and [line.split(":")[0] for line in out.splitlines()] == [
+            *(f"PASS bounds/{name}" for name in names), f"{len(names)} checks, 0 failures"]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0 and "--module" in capsys.readouterr().out
+
     def test_all_under_optimize(self):
         # python -O strips asserts: every check must still run and pass
         src = str(Path(cicy_bundles.__file__).parent.parent)
@@ -169,6 +183,19 @@ def test_subprocess_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12"
+
+
+def test_chi_cold_start_loads_only_chow():
+    # a cold start of `chi` imports the package, the CLI and the Chow-ring
+    # kernel, and no other engine module
+    script = ("import sys\n"
+              "from cicy_bundles import cli\n"
+              "cli.main(['chi', '--threefold', '5', '--c1', '2', '--c2', '5'])\n"
+              "print(*sorted(m for m in sys.modules if m.startswith('cicy_bundles')))\n")
+    src = str(Path(cicy_bundles.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["10", "cicy_bundles cicy_bundles.chow cicy_bundles.cli"]
 
 
 def test_lax_mode_env(capsys, monkeypatch):

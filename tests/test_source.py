@@ -1,7 +1,10 @@
 """Source-level checks on the package."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import cicy_bundles
 
@@ -107,3 +110,40 @@ def test_indented_json_written_in_one_place():
         and any(k.arg == "indent" for k in node.keywords)
     ]
     assert found == []
+
+
+#: The package's public names: 63 exported names and six submodules.
+PUBLIC = set("""
+    ALL_CONTEXTS BundleInvariants CicyContext ClassificationResult CurveCandidate
+    CurveComponent DivisorClass GenusSearch HIGHER_RANK LiaisonError NotInvertibleError
+    ParityError QUINTIC RANK2 REGISTRY Rule RuleKind RuledSurface SearchNotFiniteError
+    Status TruncatedClass UnsupportedBoundError UnsupportedClassificationError Verdict
+    X2222 X223 X24 X33 adjunction_genus audit_verdicts bounds canonical_class
+    castelnuovo_pi chern_from_resolution chern_of_extension chi_rank2 chow
+    ci_curve_invariants classifier classify component_admissible constructions
+    context_from_label disjointness_obstruction eliminate_by_genus embedding_degree
+    enumerate_candidates genus_quadratic h0_line_bundle incidence_dimension_check
+    intersect judge_candidate liaison_solve max_curve_degree max_rank_no_trivial pi_one
+    plane_genus registry_names required_genus ring_invert ring_mul rule_report ruled
+    serialize_registry twist_rank2 union_genus validate_all validate_construction verdicts
+""".split())
+
+
+def test_lazy_exports():
+    # each exported name resolves, on first use, to the object its submodule
+    # holds under that name, and each exported submodule to itself
+    exports = cicy_bundles._EXPORTS
+    assert (len(PUBLIC), len(exports)) == (69, 63)
+    assert cicy_bundles.__all__ == sorted(PUBLIC)
+    assert PUBLIC <= set(dir(cicy_bundles))
+    for name in cicy_bundles.__all__:
+        if name in exports:
+            expected = getattr(importlib.import_module(f"cicy_bundles.{exports[name]}"), name)
+        else:
+            expected = importlib.import_module(f"cicy_bundles.{name}")
+        assert getattr(cicy_bundles, name) is expected, name
+    with pytest.raises(AttributeError):
+        cicy_bundles.no_such_name  # noqa: B018
+    namespace: dict = {}
+    exec("from cicy_bundles import *", namespace)
+    assert PUBLIC <= namespace.keys()
