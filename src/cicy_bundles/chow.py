@@ -7,12 +7,15 @@ the threefold.  A `TruncatedClass` holds four integer numerators over one
 positive common denominator in lowest terms, so ring products and inverses
 are integer arithmetic with one gcd per result; `Fraction`s appear only in
 its `coeffs` view and in Euler characteristics.
+
+The three value types are plain classes, not dataclasses: `dataclasses`
+imports `inspect`, which would be the largest import of a `chi` cold start.
+Each keeps what `@dataclass(frozen=True)` would generate for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 #: The five multidegrees of smooth complete-intersection Calabi-Yau threefolds.
@@ -36,31 +39,56 @@ def _comb0(top: int, bottom: int) -> int:
     return math.comb(top, bottom)
 
 
-@dataclass(frozen=True)
-class CicyContext:
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the value types: no attribute can be set or deleted, and the
+    repr lists the fields named in `_repr_fields`.  Instances are built with
+    `object.__setattr__`; pickle and deepcopy restore their `__dict__`."""
+
+    __slots__ = ()
+    _repr_fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CicyContext(_Frozen):
     """One complete-intersection Calabi-Yau threefold, given by its multidegree.
 
     In strict mode (the default) only the five smooth CICY multidegrees are
     accepted.  Lax mode accepts any multidegree satisfying the Calabi-Yau
-    condition (degrees summing to ambient dimension + 1).
+    condition (degrees summing to ambient dimension + 1).  Two contexts are
+    equal when their multidegrees are.
     """
 
     multidegree: tuple[int, ...]
-    strict: bool = field(default=True, compare=False)
+    strict: bool
     #: Dimension n of the ambient projective space (codimension + 3).
-    ambient_dim: int = field(init=False, compare=False, repr=False)
+    ambient_dim: int
     #: Degree of the threefold, the product of the defining degrees.
-    u: int = field(init=False, compare=False, repr=False)
+    u: int
+    _repr_fields = ("multidegree", "strict")
 
-    def __post_init__(self) -> None:
-        md = tuple(sorted(int(d) for d in self.multidegree))
-        object.__setattr__(self, "multidegree", md)
+    def __init__(self, multidegree, strict: bool = True) -> None:
+        md = tuple(sorted(int(d) for d in multidegree))
+        _set(self, "multidegree", md)
+        _set(self, "strict", strict)
         if not md or any(d < 1 for d in md):
             raise ValueError("multidegree must be a nonempty list of positive integers")
         # set once here: the judge reads both on its hot path
-        object.__setattr__(self, "ambient_dim", len(md) + 3)
-        object.__setattr__(self, "u", math.prod(md))
-        if self.strict:
+        _set(self, "ambient_dim", len(md) + 3)
+        _set(self, "u", math.prod(md))
+        if strict:
             if md not in KNOWN_MULTIDEGREES:
                 names = ", ".join(",".join(map(str, m)) for m in KNOWN_MULTIDEGREES)
                 raise ValueError(f"unknown threefold {md}; valid multidegrees: {names}")
@@ -70,6 +98,14 @@ class CicyContext:
                 f"multidegree {md} is not Calabi-Yau: degrees must sum to "
                 f"{self.ambient_dim + 1} in P^{self.ambient_dim}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.multidegree,) == (other.multidegree,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.multidegree,))
 
     def label(self) -> str:
         return ",".join(str(d) for d in self.multidegree)
@@ -87,10 +123,6 @@ X2222 = CicyContext((2, 2, 2, 2))
 ALL_CONTEXTS = (QUINTIC, X24, X33, X223, X2222)
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
 def _reduced(numerators: tuple[int, int, int, int], denominator: int) -> "TruncatedClass":
     """The class numerators / denominator (denominator > 0), in lowest terms."""
     g = math.gcd(*numerators, denominator)
@@ -103,8 +135,7 @@ def _reduced(numerators: tuple[int, int, int, int], denominator: int) -> "Trunca
     return value
 
 
-@dataclass(frozen=True, init=False)
-class TruncatedClass:
+class TruncatedClass(_Frozen):
     """Polynomial a0 + a1*H + a2*H^2 + a3*H^3 with rational coefficients, H^4 = 0.
 
     Stored as four integer `numerators` over one positive `denominator`, in
@@ -116,6 +147,7 @@ class TruncatedClass:
 
     numerators: tuple[int, int, int, int]
     denominator: int
+    _repr_fields = ("numerators", "denominator")
 
     def __init__(self, coeffs) -> None:
         values = tuple(Fraction(c) for c in coeffs)
@@ -139,6 +171,14 @@ class TruncatedClass:
     def line(cls, twist: int) -> "TruncatedClass":
         """Total Chern class 1 + t*H of the line bundle O(t)."""
         return _reduced((1, twist, 0, 0), 1)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.numerators, self.denominator) == (other.numerators, other.denominator)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.numerators, self.denominator))
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -193,18 +233,34 @@ def ring_invert(x: TruncatedClass) -> TruncatedClass:
     return x.invert()
 
 
-@dataclass(frozen=True)
-class BundleInvariants:
+class BundleInvariants(_Frozen):
     """Rank and Chern numbers of a bundle, in the curve-degree convention.
 
     c2 is the degree of the associated curve in the ambient projective space,
     i.e. the H^2-coefficient of the Chern class times the threefold degree u.
+    Instances are immutable.
     """
 
     rank: int
     c1: int
     c2: int
-    c3: int | None = None
+    c3: int | None
+    _repr_fields = ("rank", "c1", "c2", "c3")
+
+    def __init__(self, rank: int, c1: int, c2: int, c3: int | None = None) -> None:
+        _set(self, "rank", rank)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "c3", c3)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.c1, self.c2, self.c3) == \
+                (other.rank, other.c1, other.c2, other.c3)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.c1, self.c2, self.c3))
 
     def as_pair(self) -> tuple[int, int]:
         return (self.c1, self.c2)

@@ -905,17 +905,19 @@ def toggle_sweep(base: ClassificationResult,
     from its own genus, 2g - 2 = c1 * d.
     """
     ctx, c1_max, rank_regime = base.ctx, base.c1_max, base.rank_regime
-    cited = frozenset().union(*map(_cites, base.verdicts + base.component_verdicts))
+    comp_pairs = [(_cites(v), v) for v in base.component_verdicts]
+    cand_pairs = [(_cites(v), v) for v in base.verdicts]
+    cited = frozenset().union(*(ids for ids, _ in comp_pairs + cand_pairs))
     level_cites: list[tuple[list, list]] = []
     if rank_regime == RANK2:
         level_cites = [([], []) for _ in range(c1_max)]
-        for v in base.component_verdicts:
+        for ids, v in comp_pairs:
             comp = v.candidate
-            level_cites[(2 * comp.g - 2) // comp.d - 1][0].append((_cites(v), v))
+            level_cites[(2 * comp.g - 2) // comp.d - 1][0].append((ids, v))
         c1 = 0
-        for v in base.verdicts:
+        for ids, v in cand_pairs:
             c1 += v.candidate.is_empty
-            level_cites[c1 - 1][1].append((_cites(v), v))
+            level_cites[c1 - 1][1].append((ids, v))
     results = []
     for disabled in toggles:
         if cited.isdisjoint(disabled):
@@ -1015,12 +1017,22 @@ def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
 
     An empty list certifies that the values stored in the verdict trails are
     reproducible by rerunning the cited kernel operations.  An unknown op,
-    arguments that do not decode and a raising kernel are mismatches too.
+    arguments that do not decode, a raising kernel, a `checks` value that is
+    not a list and a check that is not a payload dict are mismatches too.
     """
     mismatches = []
     for verdict in verdicts:
         for entry in verdict.trail:
-            for check in entry.values.get("checks", ()):  # type: ignore[union-attr]
+            checks = entry.values.get("checks", [])
+            if not isinstance(checks, list):
+                mismatches.append(f"{entry.rule_id}/checks: cannot replay: "
+                                  f"{type(checks).__name__} {checks!r} is not a list")
+                continue
+            for check in checks:
+                if not isinstance(check, dict):
+                    mismatches.append(f"{entry.rule_id}/{check!r}: cannot replay: "
+                                      f"{type(check).__name__} is not a payload dict")
+                    continue
                 where = f"{entry.rule_id}/{check.get('op')}{check.get('args')}"
                 try:
                     recomputed = _replay(check)

@@ -17,6 +17,7 @@ from cicy_bundles import (
     X33,
     X223,
     X2222,
+    BundleInvariants,
     CicyContext,
     NotInvertibleError,
     TruncatedClass,
@@ -108,6 +109,53 @@ class TestContexts:
         assert context_from_label("X9") == X33
         assert context_from_label("X12") == X223
         assert context_from_label(" 2, 2, 2, 2 ") == X2222
+
+
+class TestValueTypes:
+    # the contract the three value types keep: frozen, equal and hashed on
+    # their compared fields only, a field-by-field repr, and copies that keep
+    # the derived attributes
+    def test_frozen(self):
+        values = [(QUINTIC, ("multidegree", "strict", "ambient_dim", "u", "other")),
+                  (BundleInvariants(2, 1, 5), ("rank", "c1", "c2", "c3", "other"))]
+        for value, names in values:
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 1)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+        assert (QUINTIC.multidegree, QUINTIC.strict, QUINTIC.ambient_dim, QUINTIC.u) == \
+            ((5,), True, 4, 5)
+
+    def test_equality_and_hash(self):
+        assert CicyContext((5,)) == CicyContext([5], strict=False) == lax(5)
+        assert hash(CicyContext((5,))) == hash(CicyContext([5], strict=False)) == hash(((5,),))
+        assert CicyContext((4, 2)) == X24 and CicyContext((1, 5), strict=False) != QUINTIC
+        assert CicyContext.__eq__(QUINTIC, (5,)) is NotImplemented and QUINTIC != (5,)
+        b = BundleInvariants(2, 1, 5)
+        assert b == BundleInvariants(rank=2, c1=1, c2=5, c3=None) != BundleInvariants(2, 1, 5, 0)
+        assert hash(b) == hash((2, 1, 5, None))
+        assert BundleInvariants.__eq__(b, (2, 1, 5, None)) is NotImplemented
+        x = cls(Fraction(1, 2), 1)
+        assert hash(x) == hash(((1, 2, 0, 0), 2))
+        assert TruncatedClass.__eq__(x, ((1, 2, 0, 0), 2)) is NotImplemented
+
+    def test_repr(self):
+        assert repr(QUINTIC) == "CicyContext(multidegree=(5,), strict=True)"
+        assert repr(CicyContext((5, 1), False)) == "CicyContext(multidegree=(1, 5), strict=False)"
+        assert repr(BundleInvariants(2, 1, 5)) == "BundleInvariants(rank=2, c1=1, c2=5, c3=None)"
+        assert repr(chern_from_resolution([-1], [0, 0, 0], QUINTIC)) == \
+            "BundleInvariants(rank=2, c1=1, c2=5, c3=5)"
+        assert repr(cls(Fraction(1, 2), 1)) == \
+            "TruncatedClass(numerators=(1, 2, 0, 0), denominator=2)"
+
+    def test_copy_and_pickle(self):
+        for value in (*ALL_CONTEXTS, lax(1, 5), BundleInvariants(2, 1, 5, 5)):
+            for other in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert other == value and repr(other) == repr(value)
+                assert vars(other) == vars(value)
+        ctx = pickle.loads(pickle.dumps(lax(1, 5)))
+        assert (ctx.strict, ctx.ambient_dim, ctx.u) == (False, 5, 5)
 
 
 class TestRing:

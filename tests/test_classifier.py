@@ -368,15 +368,27 @@ class TestToggles:
             if axiom == "A-scroll-spannedness":
                 assert statuses["smooth-scroll curve of degree 15"] is Status.SURVIVES
 
-    def test_toggle_sweep_is_exact(self):
+    def test_toggle_sweep_is_exact(self, monkeypatch):
         # the sweep reuses each verdict whose trail cites no toggled axiom, and
         # the base result itself when no base verdict cites one; every result
         # must equal a full classification, verdict order and trails included,
-        # no field may be mutable, and every reuse and re-judging path is taken
-        paths, grown = Counter(), set()
+        # no field may be mutable, every reuse and re-judging path is taken,
+        # and the rules each base verdict cites are collected once
+        paths, grown, cites = Counter(), set(), Counter()
+        original = classifier._cites
+
+        def counting(verdict):
+            cites[id(verdict)] += 1
+            return original(verdict)
+
+        monkeypatch.setattr(classifier, "_cites", counting)
         for ctx, regime in PAPER_CASES:
             toggles = sweep_toggles(regime)
-            results = classifier.toggle_sweep(classify(ctx, 2, regime), toggles)
+            base = classify(ctx, 2, regime)
+            cites.clear()
+            results = classifier.toggle_sweep(base, toggles)
+            base_verdicts = base.verdicts + base.component_verdicts
+            assert cites == Counter(id(v) for v in base_verdicts)
             mismatches = [sorted(disabled) for disabled, result in zip(toggles, results)
                           if result != classify(ctx, 2, regime, disabled)]
             assert (len(results), mismatches) == (len(toggles), [])
@@ -393,8 +405,7 @@ class TestToggles:
                     assert not hasattr(c, "append")
                     with pytest.raises(TypeError):
                         c[0] = None
-            base = results[0]
-            base_ids = {id(v) for v in base.verdicts + base.component_verdicts}
+            base_ids = {id(v) for v in base_verdicts}
             base_cands = {v.candidate for v in base.verdicts}
             for disabled, result in zip(toggles[1:], results[1:]):
                 if result is base:
@@ -724,16 +735,21 @@ class TestAuditPayloads:
         assert len(mismatches) == 1
         assert mismatches[0].startswith("R-liaison-18/liaison_solve")
 
-    @pytest.mark.parametrize("check", [
-        {"op": "no_such_op", "args": [1], "result": 1},
-        {"op": "adjunction_genus", "args": [[1], [0, 0]], "result": 0},
-        {"op": "castelnuovo_pi", "args": [2, 5], "result": 0},
-        {"op": "castelnuovo_pi", "args": [5, 4, 1], "result": 1},
-        {"op": "castelnuovo_pi", "result": 1},
-    ], ids=["unknown-op", "bad-args", "kernel-raises", "extra-args", "no-args"])
-    def test_unreplayable_payload_is_a_mismatch(self, check):
+    @pytest.mark.parametrize("checks", [
+        [{"op": "no_such_op", "args": [1], "result": 1}],
+        [{"op": "adjunction_genus", "args": [[1], [0, 0]], "result": 0}],
+        [{"op": "castelnuovo_pi", "args": [2, 5], "result": 0}],
+        [{"op": "castelnuovo_pi", "args": [5, 4, 1], "result": 1}],
+        [{"op": "castelnuovo_pi", "result": 1}],
+        ["castelnuovo_pi"],
+        [[5, 4]],
+        [None],
+        5,
+    ], ids=["unknown-op", "bad-args", "kernel-raises", "extra-args", "no-args",
+            "check-is-str", "check-is-list", "check-is-none", "checks-not-list"])
+    def test_unreplayable_payload_is_a_mismatch(self, checks):
         verdict = Verdict("payload", Status.SURVIVES,
-                          (TrailEntry("R-genus-bound", "pass", {"checks": [check]}),), [], False)
+                          (TrailEntry("R-genus-bound", "pass", {"checks": checks}),), [], False)
         mismatches = audit_verdicts([verdict])
         assert len(mismatches) == 1 and "cannot replay" in mismatches[0]
 

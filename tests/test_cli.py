@@ -187,15 +187,24 @@ def test_subprocess_entrypoint():
 
 def test_chi_cold_start_loads_only_chow():
     # a cold start of `chi` imports the package, the CLI and the Chow-ring
-    # kernel, and no other engine module
-    script = ("import sys\n"
-              "from cicy_bundles import cli\n"
-              "cli.main(['chi', '--threefold', '5', '--c1', '2', '--c2', '5'])\n"
-              "print(*sorted(m for m in sys.modules if m.startswith('cicy_bundles')))\n")
+    # kernel, and no other engine module; nor `dataclasses` or `inspect`,
+    # unless the bare interpreter with the same environment loads them itself
+    watched = ("dataclasses", "inspect")
+    report = ("print(*sorted(m for m in sys.modules\n"
+              f"             if m.startswith('cicy_bundles') or m in {watched!r}))\n")
     src = str(Path(cicy_bundles.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["10", "cicy_bundles cicy_bundles.chow cicy_bundles.cli"]
+
+    def loaded(script):
+        proc = subprocess.run([sys.executable, "-c", "import sys\n" + script + report],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.splitlines()
+
+    (bare,) = loaded("")
+    chi = loaded("from cicy_bundles import cli\n"
+                 "cli.main(['chi', '--threefold', '5', '--c1', '2', '--c2', '5'])\n")
+    expected = sorted(["cicy_bundles", "cicy_bundles.chow", "cicy_bundles.cli", *bare.split()])
+    assert chi == ["10", " ".join(expected)]
 
 
 def test_lax_mode_env(capsys, monkeypatch):
