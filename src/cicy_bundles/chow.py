@@ -44,22 +44,19 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Base of the value types: no attribute can be set or deleted, and the
-    repr lists the fields named in `_repr_fields`.  Instances are built with
-    `object.__setattr__`; pickle and deepcopy restore their `__dict__`."""
+    """Base of the value types: no attribute can be set or deleted.  Instances
+    are built with `object.__setattr__`; pickle and deepcopy restore their
+    `__dict__`.  Each type spells out its own `__eq__`, `__hash__` and
+    `__repr__`, as a frozen dataclass would: `verify` compares and formats
+    ring classes thousands of times per pass."""
 
     __slots__ = ()
-    _repr_fields: tuple[str, ...]
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class CicyContext(_Frozen):
@@ -77,7 +74,6 @@ class CicyContext(_Frozen):
     ambient_dim: int
     #: Degree of the threefold, the product of the defining degrees.
     u: int
-    _repr_fields = ("multidegree", "strict")
 
     def __init__(self, multidegree, strict: bool = True) -> None:
         md = tuple(sorted(int(d) for d in multidegree))
@@ -106,6 +102,10 @@ class CicyContext(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.multidegree,))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(multidegree={self.multidegree!r}, "
+                f"strict={self.strict!r})")
 
     def label(self) -> str:
         return ",".join(str(d) for d in self.multidegree)
@@ -147,7 +147,6 @@ class TruncatedClass(_Frozen):
 
     numerators: tuple[int, int, int, int]
     denominator: int
-    _repr_fields = ("numerators", "denominator")
 
     def __init__(self, coeffs) -> None:
         values = tuple(Fraction(c) for c in coeffs)
@@ -179,6 +178,10 @@ class TruncatedClass(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.numerators, self.denominator))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(numerators={self.numerators!r}, "
+                f"denominator={self.denominator!r})")
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -245,7 +248,6 @@ class BundleInvariants(_Frozen):
     c1: int
     c2: int
     c3: int | None
-    _repr_fields = ("rank", "c1", "c2", "c3")
 
     def __init__(self, rank: int, c1: int, c2: int, c3: int | None = None) -> None:
         _set(self, "rank", rank)
@@ -261,6 +263,10 @@ class BundleInvariants(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.rank, self.c1, self.c2, self.c3))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(rank={self.rank!r}, c1={self.c1!r}, "
+                f"c2={self.c2!r}, c3={self.c3!r})")
 
     def as_pair(self) -> tuple[int, int]:
         return (self.c1, self.c2)

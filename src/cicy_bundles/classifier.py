@@ -1023,8 +1023,11 @@ def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
     mismatches = []
     for verdict in verdicts:
         for entry in verdict.trail:
-            checks = entry.values.get("checks", [])
-            if not isinstance(checks, list):
+            values = entry.values
+            if "checks" not in values:
+                continue
+            checks = values["checks"]
+            if not isinstance(checks, (list, tuple)):
                 mismatches.append(f"{entry.rule_id}/checks: cannot replay: "
                                   f"{type(checks).__name__} {checks!r} is not a list")
                 continue
