@@ -5,8 +5,11 @@ exact; no floating point is used anywhere.  The working ring is Q[H]/(H^4),
 where H is the hyperplane class of the ambient projective space restricted to
 the threefold.  A `TruncatedClass` holds four integer numerators over one
 positive common denominator in lowest terms, so ring products and inverses
-are integer arithmetic with one gcd per result; `Fraction`s appear only in
-its `coeffs` view and in Euler characteristics.
+are integer arithmetic with one gcd per result.  `Fraction`s appear only in
+its `coeffs` view, in Euler characteristics and where its constructor is
+handed a coefficient that is not an exact `int` or `Fraction`.  Resolutions
+never leave Z[H]/(H^4): `chern_from_resolution` works on plain integer
+coefficients, with no class objects at all.
 
 The three value types are plain classes, not dataclasses: `dataclasses`
 imports `inspect`, which would be the largest import of a `chi` cold start.
@@ -16,6 +19,7 @@ Each keeps what `@dataclass(frozen=True)` would generate for it.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 #: The five multidegrees of smooth complete-intersection Calabi-Yau threefolds.
@@ -76,7 +80,7 @@ class CicyContext(_Frozen):
     u: int
 
     def __init__(self, multidegree, strict: bool = True) -> None:
-        md = tuple(sorted(int(d) for d in multidegree))
+        md = tuple(sorted(operator.index(d) for d in multidegree))
         _set(self, "multidegree", md)
         _set(self, "strict", strict)
         if not md or any(d < 1 for d in md):
@@ -135,6 +139,10 @@ def _reduced(numerators: tuple[int, int, int, int], denominator: int) -> "Trunca
     return value
 
 
+#: Coefficient types whose `numerator`/`denominator` the constructor reads as is.
+_EXACT = frozenset((int, Fraction))
+
+
 class TruncatedClass(_Frozen):
     """Polynomial a0 + a1*H + a2*H^2 + a3*H^3 with rational coefficients, H^4 = 0.
 
@@ -149,13 +157,18 @@ class TruncatedClass(_Frozen):
     denominator: int
 
     def __init__(self, coeffs) -> None:
-        values = tuple(Fraction(c) for c in coeffs)
+        # exact ints and Fractions are already in lowest terms; anything else,
+        # bools and subclasses included, is read through Fraction
+        values = [c if type(c) in _EXACT else Fraction(c) for c in coeffs]
         if len(values) != 4:
             raise ValueError("a truncated class has exactly 4 coefficients")
+        a, b, c, d = values
         # over the lcm of reduced denominators the numerators share no factor
-        denominator = math.lcm(*(c.denominator for c in values))
-        _set(self, "numerators",
-             tuple(c.numerator * (denominator // c.denominator) for c in values))
+        denominator = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        _set(self, "numerators", (a.numerator * (denominator // a.denominator),
+                                  b.numerator * (denominator // b.denominator),
+                                  c.numerator * (denominator // c.denominator),
+                                  d.numerator * (denominator // d.denominator)))
         _set(self, "denominator", denominator)
 
     @classmethod
@@ -288,21 +301,30 @@ def chern_from_resolution(
     By the Whitney formula c(E) = prod(1 + q_j H) / prod(1 + s_i H), truncated
     in degree 3.  The same arithmetic computes kernels 0 -> E -> (+)O(q_j) ->
     (+)O(s_i) -> 0, since only the Chern-class quotient matters.
+
+    Every factor has constant term 1, so the quotient lies in Z[H]/(H^4): its
+    numerator has the elementary symmetric sums e_k of the q_j as coefficients,
+    and 1 / prod(1 + s_i H) has the complete homogeneous sums h_k of the -s_i.
+    Twists must be integers (`operator.index`), as in the ring.
     """
     rank = len(quot_twists) - len(sub_twists)
     if rank < 1:
         raise ValueError("rank <= 0: need more quotient twists than sub twists")
-    total = TruncatedClass.unit()
-    for q in quot_twists:
-        total = total * TruncatedClass.line(q)
-    subs = TruncatedClass.unit()
-    for s in sub_twists:
-        subs = subs * TruncatedClass.line(s)
-    c = total * subs.invert()
-    c1 = _integer(c, 1, 1, "c1")
-    c2 = _integer(c, 2, ctx.u, "c2")
-    c3 = _integer(c, 3, ctx.u, "c3")
-    return BundleInvariants(rank=rank, c1=c1, c2=c2, c3=c3)
+    e1 = e2 = e3 = 0
+    for q in map(operator.index, quot_twists):
+        # times (1 + qH)
+        e3 += e2 * q
+        e2 += e1 * q
+        e1 += q
+    h1 = h2 = h3 = 0
+    for s in map(operator.index, sub_twists):
+        # times 1 / (1 + sH) = 1 - sH + s^2 H^2 - s^3 H^3
+        h1 -= s
+        h2 -= s * h1
+        h3 -= s * h2
+    u = ctx.u
+    return BundleInvariants(rank=rank, c1=e1 + h1, c2=(e2 + e1 * h1 + h2) * u,
+                            c3=(e3 + e2 * h1 + e1 * h2 + h3) * u)
 
 
 def chern_of_extension(a: int, b: int, z_degree: int, ctx: CicyContext) -> BundleInvariants:

@@ -1003,12 +1003,31 @@ KERNEL_OPS: dict[str, tuple] = {
 }
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+#: The JSON shape each plain argument kind must have before it is decoded:
+#: an exact int (no bool, float or str), a list of them, or a nonempty list
+#: of them.  The structured kinds are checked by their own decoders.
+_ARG_SHAPES = {
+    int: ("an int", lambda v: type(v) is int),
+    list: ("a list of ints", _int_list),
+    CicyContext: ("a nonempty list of ints", lambda v: _int_list(v) and bool(v)),
+}
+
+
 def _replay(check: dict):
     """Recompute one check payload; raises when it cannot be replayed."""
     module, *kinds = KERNEL_OPS[check["op"]]
     args = check["args"]
     if len(args) > len(kinds):
         raise TypeError(f"{len(args)} arguments, at most {len(kinds)} expected")
+    for kind, arg in zip(kinds, args):
+        if kind in _ARG_SHAPES:
+            shape, ok = _ARG_SHAPES[kind]
+            if not ok(arg):
+                raise TypeError(f"argument {arg!r} is not {shape}")
     return encode(getattr(module, check["op"])(*map(decode, kinds, args)))
 
 

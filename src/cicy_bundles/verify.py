@@ -66,9 +66,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _eq(computed, expected, label: str) -> str:
+def _eq(computed, expected, label: str) -> None:
+    """Raise unless computed == expected; a pass builds no text."""
     if computed != expected:
         raise CheckFailure(f"{label}: expected {expected!r}, got {computed!r}")
+
+
+def _stated(computed, expected, label: str) -> str:
+    """`_eq`, and the passed comparison as a check's detail text."""
+    _eq(computed, expected, label)
     return f"{label} = {expected!r}"
 
 
@@ -91,7 +97,7 @@ def check_chi_hyperplane_oracle() -> str:
     out = []
     for ctx, expected in zip(ALL_CONTEXTS, (5, 6, 6, 7, 8)):
         _eq(expected, ctx.ambient_dim + 1, f"n+1 on {ctx.label()}")
-        out.append(_eq(chi_rank2(ctx, 1, 0), Fraction(expected), f"chi({ctx.label()},1,0)"))
+        out.append(_stated(chi_rank2(ctx, 1, 0), Fraction(expected), f"chi({ctx.label()},1,0)"))
     return "; ".join(out)
 
 
@@ -103,7 +109,7 @@ def check_chi_trivial_zero() -> str:
 
 def check_chi_twisted_pair() -> str:
     _eq(chi_rank2(X33, 1, 1), Fraction(11, 2), "chi(3,3,1,1)")
-    return _eq(chi_rank2(QUINTIC, 2, 5), Fraction(10), "chi(5,2,5)")
+    return _stated(chi_rank2(QUINTIC, 2, 5), Fraction(10), "chi(5,2,5)")
 
 
 def check_ring_examples() -> str:
@@ -114,7 +120,7 @@ def check_ring_examples() -> str:
     inv = ring_invert(TruncatedClass.of(1, -2))
     _eq(inv.coeffs, TruncatedClass.of(1, 2, 4, 8).coeffs, "1/(1-2H)")
     inv2 = ring_invert(TruncatedClass.of(1, -1))
-    return _eq(inv2.coeffs, TruncatedClass.of(1, 1, 1, 1).coeffs, "1/(1-H)")
+    return _stated(inv2.coeffs, TruncatedClass.of(1, 1, 1, 1).coeffs, "1/(1-H)")
 
 
 def check_ring_inverse_roundtrip() -> str:
@@ -159,7 +165,7 @@ def check_resolution_additivity() -> str:
 def check_extension_chern() -> str:
     _eq(chern_of_extension(1, 1, 3, X24).as_pair(), (2, 11), "ext(1,1,3) on 2,4")
     _eq(chern_of_extension(0, 2, 16, X33).as_pair(), (2, 16), "ext(0,2,16) on 3,3")
-    return _eq(chern_of_extension(1, 1, 0, QUINTIC).as_pair(), (2, 5),
+    return _stated(chern_of_extension(1, 1, 0, QUINTIC).as_pair(), (2, 5),
                "ext(1,1,0) on 5")
 
 
@@ -243,7 +249,7 @@ def check_plane_genus() -> str:
     _eq(bounds.plane_genus(5), 6, "plane quintic genus")
     _eq(bounds.plane_genus(1), 0, "line genus")
     _eq(bounds.plane_genus(3), 1, "plane cubic genus")
-    return _eq(bounds.plane_genus(4), 3, "plane quartic genus")
+    return _stated(bounds.plane_genus(4), 3, "plane quartic genus")
 
 
 def check_ci_invariants() -> str:
@@ -271,7 +277,7 @@ def check_max_curve_degree() -> str:
     _eq(bounds.max_curve_degree(X24, 2, 2), 29, "cap on 2,4 (rank 2)")
     _eq(bounds.max_curve_degree(X33, 2, 2), 33, "cap on 3,3 (rank 2)")
     _eq(bounds.max_curve_degree(X24, 2, 3), 32, "cap on 2,4 (higher rank)")
-    return _eq(bounds.max_curve_degree(X33, 1, 2), 9, "cap on 3,3 (twist one)")
+    return _stated(bounds.max_curve_degree(X33, 1, 2), 9, "cap on 3,3 (twist one)")
 
 
 # --------------------------------------------------------------------------
@@ -288,14 +294,14 @@ def check_intersection_anchors() -> str:
         "f.f on e=4, q=2")
     _eq(intersect(DivisorClass(4, 12), DivisorClass(2, 7), RuledSurface(3)), 28,
         "(4h+12f).(2h+7f) on e=3")
-    return _eq(intersect(DivisorClass(4, 8), DivisorClass(2, 6), RuledSurface(0)),
+    return _stated(intersect(DivisorClass(4, 8), DivisorClass(2, 6), RuledSurface(0)),
                40, "(4h+8f).(2h+6f) on e=0")
 
 
 def check_canonical_classes() -> str:
     _eq(tuple(canonical_class(RuledSurface(1))), (-2, -3), "K on F1")
     _eq(tuple(canonical_class(RuledSurface(3))), (-2, -5), "K on F3")
-    return _eq(tuple(canonical_class(RuledSurface(0, 1))), (-2, 0),
+    return _stated(tuple(canonical_class(RuledSurface(0, 1))), (-2, 0),
                "K on the elliptic product")
 
 
@@ -310,7 +316,7 @@ def check_adjunction_anchors() -> str:
                 "fiber genus")
             _eq(adjunction_genus(DivisorClass(1, 0), RuledSurface(e, q)), q,
                 "section genus")
-    return _eq(adjunction_genus(DivisorClass(4, 8), RuledSurface(1)), 15,
+    return _stated(adjunction_genus(DivisorClass(4, 8), RuledSurface(1)), 15,
                "genus of (4,8) on F1")
 
 
@@ -322,7 +328,7 @@ def check_embedding_degrees() -> str:
             a + b, "cubic-scroll degree a+b")
     _eq(embedding_degree(DivisorClass(0, 1), DivisorClass(1, 9), RuledSurface(5)),
         1, "fibers are lines on F5")
-    return _eq(embedding_degree(DivisorClass(0, 1), DivisorClass(1, 7),
+    return _stated(embedding_degree(DivisorClass(0, 1), DivisorClass(1, 7),
                                 RuledSurface(2)), 1, "fibers are lines")
 
 
@@ -352,7 +358,7 @@ def check_f1_elimination() -> str:
 def check_f3_elimination() -> str:
     (f3,) = _engine_failures(QUINTIC, [(15, 16, 4)], "R-hirzebruch-F3")
     _eq(f3["classes"], [[5, 15]], "smoothness band on F3")
-    return _eq(f3["genus"], 26, "its genus is 26, not 16")
+    return _stated(f3["genus"], 26, "its genus is 26, not 16")
 
 
 def check_f0_conic() -> str:
@@ -377,7 +383,7 @@ def check_ruled_38() -> str:
         q = int(key.split(",")[0].removeprefix("q="))
         _eq(value, 26 + 6 * q, f"constant in e at {key}")
         _true(value != 34, "never the required 34")
-    return _eq(ruled["value_at_q2"], 38, "value 38 at the forced sectional genus 2")
+    return _stated(ruled["value_at_q2"], 38, "value 38 at the forced sectional genus 2")
 
 
 def check_ruled_58() -> str:
@@ -448,7 +454,7 @@ def check_union_genus() -> str:
     _eq(union_genus([12, 0], 2), 13, "component plus line with two meets")
     _eq(union_genus([6, 6]), 11, "two disjoint plane quintics")
     _eq(union_genus([9]), 9, "single part of genus 9")
-    return _eq(union_genus([7]), 7, "single part")
+    return _stated(union_genus([7]), 7, "single part")
 
 
 def check_liaison() -> str:
@@ -469,7 +475,7 @@ def check_incidence_dimensions() -> str:
     _eq(report["incidence_dim"], 91, "incidence variety")
     _eq(report["cubic_family_dim"], 36, "curves on a general cubic")
     _eq(report["h0_cubics"], 56, "cubic monomial count")
-    return _eq(report["h0_ideal_cubics"], 24, "ideal cubics through the curve")
+    return _stated(report["h0_ideal_cubics"], 24, "ideal cubics through the curve")
 
 
 def check_registry_serialization() -> str:

@@ -104,6 +104,14 @@ class TestContexts:
         with pytest.raises(ValueError, match="not Calabi-Yau"):
             CicyContext((3, 4), strict=False)
 
+    def test_degrees_must_be_integers(self):
+        # 5.7 used to truncate to the quintic; a degree is read as an index
+        for degrees in ([5.7], [5.0], ["5"], [2, 4.0]):
+            for strict in (True, False):
+                with pytest.raises(TypeError, match="integer"):
+                    CicyContext(degrees, strict=strict)
+        assert CicyContext([True, 5], strict=False) == lax(1, 5)
+
     def test_labels_and_aliases(self):
         assert context_from_label("2,4") == X24
         assert context_from_label("X9") == X33
@@ -229,6 +237,42 @@ class TestRing:
         with pytest.raises(ValueError, match="exactly 4"):
             cls(1, 2, 3, 4, 5)
 
+    def test_constructor_matches_the_fraction_rule(self):
+        # exact ints and Fractions are read as they are, everything else
+        # through Fraction; both must give what the lcm over Fraction(c) gives
+        class Ratio(Fraction):
+            pass
+
+        class Count(int):
+            pass
+
+        def fraction_rule(coeffs):
+            values = [Fraction(c) for c in coeffs]
+            denominator = math.lcm(*(v.denominator for v in values))
+            return (tuple(v.numerator * (denominator // v.denominator) for v in values),
+                    denominator)
+
+        makers = [
+            lambda n, d: n,
+            lambda n, d: Fraction(n, d),
+            lambda n, d: n > 0,
+            lambda n, d: n / 2 ** (d % 4),
+            lambda n, d: f"{n}/{d}",
+            lambda n, d: Ratio(n, d),
+            lambda n, d: Count(n),
+        ]
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            coeffs = tuple(rng.choice(makers)(rng.randint(-12, 12), rng.randint(1, 12))
+                           for _ in range(4))
+            x = TruncatedClass(coeffs)
+            assert (x.numerators, x.denominator) == fraction_rule(coeffs), coeffs
+            assert all(type(n) is int for n in (*x.numerators, x.denominator)), coeffs
+            assert lowest_terms(x) and x == TruncatedClass(x.coeffs)
+        for coeffs in ((Fraction(1, 2), 1.5, "1/3"), (1, Fraction(1, 2), True, "2", 0.5)):
+            with pytest.raises(ValueError, match="exactly 4"):
+                TruncatedClass(coeffs)
+
     @given(wide_classes)
     def test_zero_constant_not_invertible(self, x):
         with pytest.raises(NotInvertibleError, match="not invertible"):
@@ -311,6 +355,38 @@ class TestResolutions:
                 ctx.u * (e(2, q) - e(1, q) * h(1, s) + h(2, s)),
                 ctx.u * (e(3, q) - e(2, q) * h(1, s) + e(1, q) * h(2, s) - h(3, s)),
             ), (s, q)
+
+    @pytest.mark.parametrize("ctx", ALL_CONTEXTS, ids=lambda ctx: ctx.label())
+    def test_integer_whitney_matches_the_ring(self, ctx):
+        # the ring product of line classes times the inverse is the oracle
+        def ring(sub, quot):
+            total = TruncatedClass.unit()
+            for q in quot:
+                total = total * TruncatedClass.line(q)
+            subs = TruncatedClass.unit()
+            for s in sub:
+                subs = subs * TruncatedClass.line(s)
+            c = total * subs.invert()
+            assert c.denominator == 1
+            _, c1, c2, c3 = c.numerators
+            return BundleInvariants(len(quot) - len(sub), c1, c2 * ctx.u, c3 * ctx.u)
+
+        rng = random.Random(f"whitney on {ctx.label()}")
+        for _ in range(400):
+            sub = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+            quot = [rng.randint(-4, 5) for _ in range(len(sub) + rng.randint(1, 5))]
+            inv = chern_from_resolution(sub, quot, ctx)
+            assert inv == ring(sub, quot), (sub, quot)
+            assert all(type(v) is int for v in (inv.rank, inv.c1, inv.c2, inv.c3))
+
+    def test_twists_must_be_integers(self):
+        for sub, quot in (([-1], [0, 0.5, 0]), ([-1.0], [0, 0, 0]), ([], ["1", 0]),
+                          (["-1"], [0, 0, 0])):
+            with pytest.raises(TypeError, match="integer"):
+                chern_from_resolution(sub, quot, QUINTIC)
+        # bools are integers, as in the ring
+        assert chern_from_resolution([True], [False, True, 0], X24) == \
+            chern_from_resolution([1], [0, 1, 0], X24)
 
     def test_c1_additivity(self):
         rng = random.Random(3)

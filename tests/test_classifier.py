@@ -745,13 +745,32 @@ class TestAuditPayloads:
         [[5, 4]],
         [None],
         5,
+        [{"op": "chern_of_extension", "args": [1, 1, 0, [5.7]], "result": [2, 2, 5, None]}],
+        [{"op": "chern_of_extension", "args": [1, 1, 0, ["5"]], "result": [2, 2, 5, None]}],
+        [{"op": "chern_of_extension", "args": [1.0, 1, 0, [5]], "result": [2, 2, 5, None]}],
+        [{"op": "chern_from_resolution", "args": [[-1], [0, 0, 0, 0, 0], [5.2]],
+          "result": [4, 1, 5, 5]}],
     ], ids=["unknown-op", "bad-args", "kernel-raises", "extra-args", "no-args",
-            "check-is-str", "check-is-list", "check-is-none", "checks-not-list"])
+            "check-is-str", "check-is-list", "check-is-none", "checks-not-list",
+            "float-degree", "str-degree", "float-int-arg", "float-degree-in-resolution"])
     def test_unreplayable_payload_is_a_mismatch(self, checks):
         verdict = Verdict("payload", Status.SURVIVES,
                           (TrailEntry("R-genus-bound", "pass", {"checks": checks}),), [], False)
         mismatches = audit_verdicts([verdict])
         assert len(mismatches) == 1 and "cannot replay" in mismatches[0]
+
+    def test_well_formed_payloads_replay(self):
+        # the payloads the malformed cases above start from
+        checks = [
+            {"op": "chern_of_extension", "args": [1, 1, 0, [5]], "result": [2, 2, 5, None]},
+            {"op": "chern_from_resolution", "args": [[-1], [0, 0, 0, 0, 0], [5]],
+             "result": [4, 1, 5, 5]},
+            {"op": "chern_from_resolution", "args": [[], [0, 0], [2, 2, 3]],
+             "result": [2, 0, 0, 0]},
+        ]
+        verdict = Verdict("payload", Status.SURVIVES,
+                          (TrailEntry("R-genus-bound", "pass", {"checks": checks}),), [], False)
+        assert audit_verdicts([verdict]) == []
 
 
 class TestVerifyPass:
