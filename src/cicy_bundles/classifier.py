@@ -1003,32 +1003,30 @@ KERNEL_OPS: dict[str, tuple] = {
 }
 
 
-def _int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
-
-
-#: The JSON shape each plain argument kind must have before it is decoded:
-#: an exact int (no bool, float or str), a list of them, or a nonempty list
-#: of them.  The structured kinds are checked by their own decoders.
-_ARG_SHAPES = {
-    int: ("an int", lambda v: type(v) is int),
-    list: ("a list of ints", _int_list),
-    CicyContext: ("a nonempty list of ints", lambda v: _int_list(v) and bool(v)),
-}
-
-
 def _replay(check: dict):
     """Recompute one check payload; raises when it cannot be replayed."""
     module, *kinds = KERNEL_OPS[check["op"]]
     args = check["args"]
     if len(args) > len(kinds):
         raise TypeError(f"{len(args)} arguments, at most {len(kinds)} expected")
+    decoded = []
     for kind, arg in zip(kinds, args):
-        if kind in _ARG_SHAPES:
-            shape, ok = _ARG_SHAPES[kind]
-            if not ok(arg):
-                raise TypeError(f"argument {arg!r} is not {shape}")
-    return encode(getattr(module, check["op"])(*map(decode, kinds, args)))
+        # an int is exact (no bool, float or str), a list holds exact ints and
+        # a threefold is a nonempty list of them; the other decoders check the rest
+        if kind is int:
+            if type(arg) is not int:
+                raise TypeError(f"argument {arg!r} is not an int")
+        elif kind is list or kind is CicyContext:
+            if not (isinstance(arg, list) and all(type(v) is int for v in arg)
+                    and (arg or kind is list)):
+                shape = "a list" if kind is list else "a nonempty list"
+                raise TypeError(f"argument {arg!r} is not {shape} of ints")
+            if kind is CicyContext:
+                arg = decode(kind, arg)
+        else:
+            arg = decode(kind, arg)
+        decoded.append(arg)
+    return encode(getattr(module, check["op"])(*decoded))
 
 
 def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
