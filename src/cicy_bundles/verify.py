@@ -166,7 +166,7 @@ def check_extension_chern() -> str:
     _eq(chern_of_extension(1, 1, 3, X24).as_pair(), (2, 11), "ext(1,1,3) on 2,4")
     _eq(chern_of_extension(0, 2, 16, X33).as_pair(), (2, 16), "ext(0,2,16) on 3,3")
     return _stated(chern_of_extension(1, 1, 0, QUINTIC).as_pair(), (2, 5),
-               "ext(1,1,0) on 5")
+                   "ext(1,1,0) on 5")
 
 
 def check_twist_examples() -> str:
@@ -295,14 +295,14 @@ def check_intersection_anchors() -> str:
     _eq(intersect(DivisorClass(4, 12), DivisorClass(2, 7), RuledSurface(3)), 28,
         "(4h+12f).(2h+7f) on e=3")
     return _stated(intersect(DivisorClass(4, 8), DivisorClass(2, 6), RuledSurface(0)),
-               40, "(4h+8f).(2h+6f) on e=0")
+                   40, "(4h+8f).(2h+6f) on e=0")
 
 
 def check_canonical_classes() -> str:
     _eq(tuple(canonical_class(RuledSurface(1))), (-2, -3), "K on F1")
     _eq(tuple(canonical_class(RuledSurface(3))), (-2, -5), "K on F3")
     return _stated(tuple(canonical_class(RuledSurface(0, 1))), (-2, 0),
-               "K on the elliptic product")
+                   "K on the elliptic product")
 
 
 def check_adjunction_anchors() -> str:
@@ -317,7 +317,7 @@ def check_adjunction_anchors() -> str:
             _eq(adjunction_genus(DivisorClass(1, 0), RuledSurface(e, q)), q,
                 "section genus")
     return _stated(adjunction_genus(DivisorClass(4, 8), RuledSurface(1)), 15,
-               "genus of (4,8) on F1")
+                   "genus of (4,8) on F1")
 
 
 def check_embedding_degrees() -> str:
@@ -329,7 +329,7 @@ def check_embedding_degrees() -> str:
     _eq(embedding_degree(DivisorClass(0, 1), DivisorClass(1, 9), RuledSurface(5)),
         1, "fibers are lines on F5")
     return _stated(embedding_degree(DivisorClass(0, 1), DivisorClass(1, 7),
-                                RuledSurface(2)), 1, "fibers are lines")
+                                    RuledSurface(2)), 1, "fibers are lines")
 
 
 def _engine_failures(ctx, triples, *rule_ids) -> list[dict]:
