@@ -15,6 +15,7 @@ only grow the survivor set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ from .ruled import (
     genus_quadratic,
     intersect,
 )
-from .verdicts import (RULE_ORDER, RULES, SURVIVES, Route, Trail, Verdict, annotations, decode,
-                       encode, json_text, record)
+from .verdicts import (RULE_ORDER, RULES, SURVIVES, KernelCall, Route, Trail, Verdict, annotations,
+                       decode, encode, json_text, payload, record)
 
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
@@ -68,23 +69,29 @@ class UnsupportedClassificationError(ValueError):
 # --------------------------------------------------------------------------
 
 
+@functools.cache
+def _component_grid(ctx: CicyContext, c1: int) -> tuple[CurveComponent, ...]:
+    """The component triples of a twist, by span and then degree: each degree
+    within the rank-2 cap that has a twist genus, with that genus.  Built once
+    per multidegree (a context's equality and hash) and twist; immutable, so
+    calls share it."""
+    cap = bounds.max_curve_degree(ctx, c1, 2)
+    return tuple(CurveComponent(d, required_genus(c1, d), span)
+                 for span in range(2, ctx.ambient_dim + 1)
+                 for d in range(1, cap + 1) if not (c1 * d) % 2)
+
+
 def admissible_components(
     ctx: CicyContext, c1: int, disabled: frozenset[str] = frozenset()
 ) -> tuple[list[CurveComponent], list[Verdict]]:
     """Surviving component triples for the given twist, plus all verdicts."""
-    cap = bounds.max_curve_degree(ctx, c1, 2)
     survivors: list[CurveComponent] = []
     verdicts: list[Verdict] = []
-    for span in range(2, ctx.ambient_dim + 1):
-        for d in range(1, cap + 1):
-            if (c1 * d) % 2:
-                continue
-            g = required_genus(c1, d)
-            comp = CurveComponent(d, g, span)
-            verdict = component_admissible(comp, ctx, c1, disabled)
-            verdicts.append(verdict)
-            if verdict.status is SURVIVES:
-                survivors.append(comp)
+    for comp in _component_grid(ctx, c1):
+        verdict = component_admissible(comp, ctx, c1, disabled)
+        verdicts.append(verdict)
+        if verdict.status is SURVIVES:
+            survivors.append(comp)
     return survivors, verdicts
 
 
@@ -131,9 +138,9 @@ def _berzolari(route: Route, **values) -> int:
     return pi
 
 
-def _mu_d_viable() -> tuple[list[int], list[dict]]:
+def _mu_d_viable() -> tuple[list[int], list[KernelCall]]:
     """Degrees d = 15 / mu >= 4 whose genus d + 1 fits the Castelnuovo bound in
-    P^4, with the payloads of the bounds that exclude the other degrees."""
+    P^4, with the records of the bounds that exclude the other degrees."""
     viable, checks = [], []
     for d in (15 // mu for mu in (1, 3, 5, 15) if 15 // mu >= 4):
         pi, check = record(bounds.castelnuovo_pi, d, 4)
@@ -157,8 +164,8 @@ _FOUR_QUADRICS = bounds.ci_curve_invariants([2, 2, 2, 2], 5)
 _SPAN5_FLOOR = next(d for d in itertools.count(5) if d + 1 <= bounds.castelnuovo_pi(d, 5))
 
 
-def _cone_class() -> tuple[list[DivisorClass], int, list[dict]]:
-    """The F3 band search, the genus of the one class it finds, both payloads."""
+def _cone_class() -> tuple[list[DivisorClass], int, list[KernelCall]]:
+    """The F3 band search, the genus of the one class it finds, both records."""
     hits, search_check = record(eliminate_by_genus, *_F3)
     if len(hits) != 1:
         raise ValueError(f"the F3 smoothness band holds {len(hits)} classes, not one")
@@ -875,6 +882,11 @@ def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
     bundles).  The c2 = 16 cases on the codimension-2 threefolds are flagged
     unresolved: existence holds but their full classification stays open.
     Rank-2 verdicts run by c1, each level opening with the empty curve.
+
+    Each call judges afresh: only immutable inputs, the component grid of
+    each threefold and twist and the module's search constants, cross
+    calls.  No verdict, trail entry or kernel-call record is carried from
+    one call to the next.
     """
     _check_regime(ctx, c1_max, rank_regime)
     levels = [] if rank_regime == HIGHER_RANK else [
@@ -1033,9 +1045,11 @@ def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
     """Replay every recorded kernel computation; return mismatch descriptions.
 
     An empty list certifies that the values stored in the verdict trails are
-    reproducible by rerunning the cited kernel operations.  An unknown op,
-    arguments that do not decode, a raising kernel, a `checks` value that is
-    not a list and a check that is not a payload dict are mismatches too.
+    reproducible by rerunning the cited kernel operations.  A recorded call
+    is replayed in its `payload` form, the form a saved report holds; a
+    payload dict is replayed as it is.  An unknown op, arguments that do not
+    decode, a raising kernel, a `checks` value that is not a list and a check
+    that is neither are mismatches too.
     """
     mismatches = []
     for verdict in verdicts:
@@ -1049,17 +1063,19 @@ def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
                                   f"{type(checks).__name__} {checks!r} is not a list")
                 continue
             for check in checks:
-                if not isinstance(check, dict):
+                if type(check) is KernelCall:
+                    check = payload(check)
+                elif not isinstance(check, dict):
                     mismatches.append(f"{entry.rule_id}/{check!r}: cannot replay: "
-                                      f"{type(check).__name__} is not a payload dict")
+                                      f"{type(check).__name__} is not a kernel call or payload")
                     continue
-                where = f"{entry.rule_id}/{check.get('op')}{check.get('args')}"
                 try:
                     recomputed = _replay(check)
                 except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-                    mismatches.append(f"{where}: cannot replay: {type(exc).__name__}: {exc}")
-                    continue
-                if recomputed != check.get("result"):
-                    mismatches.append(f"{where}: recorded {check.get('result')}, "
-                                      f"recomputed {recomputed}")
+                    problem = f"cannot replay: {type(exc).__name__}: {exc}"
+                else:
+                    if recomputed == check.get("result"):
+                        continue  # a match formats no text
+                    problem = f"recorded {check.get('result')}, recomputed {recomputed}"
+                mismatches.append(f"{entry.rule_id}/{check.get('op')}{check.get('args')}: {problem}")
     return mismatches

@@ -45,13 +45,27 @@ class Rule:
     annotation: str | None = None
 
 
+class KernelCall(NamedTuple):
+    """One recorded kernel computation, frozen: list arguments and a list
+    result are kept as tuples.  `payload` gives its JSON form."""
+
+    op: str
+    args: tuple
+    result: object
+
+
 class TrailEntry(NamedTuple):
     rule_id: str
     outcome: str  # "pass", "fail" or "hypothesis"
     values: dict
 
     def to_dict(self) -> dict:
-        return {"rule": self.rule_id, "outcome": self.outcome, "values": self.values}
+        """The entry as a report stores it, each recorded call as its payload."""
+        values = self.values
+        if "checks" in values:
+            values = values.copy()  # each payload takes its record's key position
+            values["checks"] = [payload(call) for call in values["checks"]]
+        return {"rule": self.rule_id, "outcome": self.outcome, "values": values}
 
 
 class Verdict(NamedTuple):
@@ -459,14 +473,39 @@ class Trail:
         return tuple.__new__(Verdict, (candidate, ELIMINATED, trail, (), False))
 
 
+def _fields(value, n: int, optional: tuple[int, ...] = ()) -> list:
+    """`value` itself when it is a list of exactly n exact ints (no bools),
+    None allowed at the `optional` positions; TypeError otherwise."""
+    if type(value) is list and len(value) == n:
+        for i, v in enumerate(value):  # a plain loop: the audit decodes ~200 classes a pass
+            if type(v) is not int and (v is not None or i not in optional):
+                break
+        else:
+            return value
+    raise TypeError(f"{value!r} is not a list of {n} ints")
+
+
+def _decode_search(value) -> GenusSearch:
+    """[hyperplane, degree, genus or None, bands, box], each band
+    [ca, cb, lo or None, hi or None]."""
+    if not (type(value) is list and len(value) == 5 and type(value[3]) is list):
+        raise TypeError(f"{value!r} is not a genus search")
+    hyperplane, degree, genus, bands, box = value
+    _fields([degree, genus, box], 3, optional=(1,))
+    return GenusSearch(decode(DivisorClass, hyperplane), degree, genus,
+                       tuple(tuple(_fields(band, 4, optional=(2, 3))) for band in bands), box)
+
+
 #: JSON encoder and decoder of each structured kernel argument or value type.
+#: The decoders of the ruled-surface kinds take exact shapes only; `_replay`
+#: checks a threefold's list before it decodes it.
 _CODECS = {
-    DivisorClass: (lambda c: [c.a, c.b], lambda v: DivisorClass(*v)),
-    RuledSurface: (lambda s: [s.e, s.q], lambda v: RuledSurface(*v)),
+    DivisorClass: (lambda c: [c.a, c.b], lambda v: DivisorClass(*_fields(v, 2))),
+    RuledSurface: (lambda s: [s.e, s.q], lambda v: RuledSurface(*_fields(v, 2))),
     CicyContext: (lambda ctx: list(ctx.multidegree), lambda v: CicyContext(tuple(v))),
     GenusSearch: (
         lambda g: [encode(g.hyperplane), g.degree, g.genus, encode(g.bands), g.box],
-        lambda v: GenusSearch(DivisorClass(*v[0]), v[1], v[2], tuple(map(tuple, v[3])), v[4]),
+        _decode_search,
     ),
     BundleInvariants: (lambda inv: [inv.rank, inv.c1, inv.c2, inv.c3], None),
 }
@@ -477,7 +516,7 @@ def encode(value):
     if type(value) is int or value is None:
         return value
     if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
+        return [v if type(v) is int else encode(v) for v in value]
     return _CODECS[type(value)][0](value)
 
 
@@ -567,18 +606,28 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, bool or None, not {type(k).__name__}")
 
 
-def record(fn, *args) -> tuple[object, dict]:
+def record(fn, *args) -> tuple[object, KernelCall]:
     """Call a kernel function; return its value for the rule to use and the
-    check payload of this very call.  `fn` comes from the caller's module."""
+    frozen record of this very call.  `fn` comes from the caller's module.
+    Nothing is encoded here: `payload` does that when a record is read."""
     value = fn(*args)
     for a in args:
-        if type(a) is not int:
-            encoded = [encode(a) for a in args]
+        if type(a) is list:
+            args = tuple([tuple(a) if type(a) is list else a for a in args])
             break
-    else:  # int arguments only: the hot path, nothing to encode
-        encoded = list(args)
-    return value, {
-        "op": fn.__name__,
-        "args": encoded,
-        "result": value if type(value) is int else encode(value),
-    }
+    # tuple.__new__ skips the generated __new__: ~2.8*10^4 records a sweep
+    return value, tuple.__new__(KernelCall, (
+        fn.__name__, args, tuple(value) if type(value) is list else value))
+
+
+def payload(call: KernelCall) -> dict:
+    """The JSON form of a recorded call, as reports hold it and the audit
+    replays it: `{"op", "args", "result"}`, tuples written as lists."""
+    op, args, result = call
+    for a in args:
+        if type(a) is not int:
+            args = encode(args)
+            break
+    else:  # int arguments only: the common case, nothing to encode
+        args = list(args)
+    return {"op": op, "args": args, "result": result if type(result) is int else encode(result)}

@@ -39,8 +39,8 @@ from cicy_bundles.classifier import (HIGHER_RANK, KERNEL_OPS, RANK2, report_json
                                     report_markdown)
 from cicy_bundles.ruled import (DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus,
                                 genus_quadratic)
-from cicy_bundles.verdicts import (RULES, Route, RuleKind, Trail, TrailEntry, Verdict, decode,
-                                   record)
+from cicy_bundles.verdicts import (RULES, KernelCall, Route, RuleKind, Trail, TrailEntry, Verdict,
+                                   decode, payload, record)
 from cicy_bundles.verify import PAPER_CASES
 
 
@@ -684,8 +684,9 @@ class TestTrailVerdict:
 class TestAuditPayloads:
     def test_record_payload_is_the_call(self):
         search = GenusSearch(DivisorClass(1, 3), 15, bands=((-3, 1, 0, 1),))
-        hits, check = record(eliminate_by_genus, search, RuledSurface(3))
+        hits, call = record(eliminate_by_genus, search, RuledSurface(3))
         assert hits == [DivisorClass(5, 15)]
+        check = payload(call)
         assert check == {"op": "eliminate_by_genus",
                          "args": [[[1, 3], 15, None, [[-3, 1, 0, 1]], 1000], [3, 0]],
                          "result": [[5, 15]]}
@@ -697,7 +698,7 @@ class TestAuditPayloads:
             for v in classify(ctx, 2, regime).verdicts:
                 for e in v.trail:
                     if e.rule_id == "R-ext-split":
-                        (check,) = e.values["checks"]
+                        (check,) = map(payload, e.values["checks"])
                         assert check["op"] == "chern_of_extension"
                         assert check["result"][1:3] == [e.values["c1"], e.values["c2"]]
                         fired += 1
@@ -711,7 +712,7 @@ class TestAuditPayloads:
             result = classify(QUINTIC, 2, regime)
             (entry,) = [e for v in result.verdicts for e in v.trail
                         if e.rule_id == "R-hirzebruch-F3"]
-            search, genus = entry.values["checks"]
+            search, genus = map(payload, entry.values["checks"])
             assert search["result"] == entry.values["classes"] == [[5, 16]]
             assert genus == {"op": "adjunction_genus", "args": [[5, 16], [3, 0]],
                              "result": 30}
@@ -722,15 +723,16 @@ class TestAuditPayloads:
         recorded = set()
         for ctx, regime in PAPER_CASES:
             result = classify(ctx, 2, regime)
-            recorded |= {check["op"]
+            recorded |= {payload(call)["op"]
                          for v in result.verdicts + result.component_verdicts
-                         for e in v.trail for check in e.values.get("checks", ())}
+                         for e in v.trail for call in e.values.get("checks", ())}
         assert recorded == set(KERNEL_OPS)
 
     def test_tampered_result_is_one_mismatch_naming_its_rule(self):
         verdicts = copy.deepcopy(classify(X33, 2).verdicts)
         entry = next(e for v in verdicts for e in v.trail if e.rule_id == "R-liaison-18")
-        entry.values["checks"][1]["result"] += 1
+        checks = entry.values["checks"]
+        checks[1] = checks[1]._replace(result=checks[1].result + 1)
         mismatches = audit_verdicts(verdicts)
         assert len(mismatches) == 1
         assert mismatches[0].startswith("R-liaison-18/liaison_solve")
@@ -750,9 +752,12 @@ class TestAuditPayloads:
         [{"op": "chern_of_extension", "args": [1.0, 1, 0, [5]], "result": [2, 2, 5, None]}],
         [{"op": "chern_from_resolution", "args": [[-1], [0, 0, 0, 0, 0], [5.2]],
           "result": [4, 1, 5, 5]}],
+        [{"op": "adjunction_genus", "args": [[4, 8], [True, False]], "result": 15}],
+        [{"op": "adjunction_genus", "args": [[4, 8], [1]], "result": 15}],
     ], ids=["unknown-op", "bad-args", "kernel-raises", "extra-args", "no-args",
             "check-is-str", "check-is-list", "check-is-none", "checks-not-list",
-            "float-degree", "str-degree", "float-int-arg", "float-degree-in-resolution"])
+            "float-degree", "str-degree", "float-int-arg", "float-degree-in-resolution",
+            "bool-surface", "short-surface"])
     def test_unreplayable_payload_is_a_mismatch(self, checks):
         verdict = Verdict("payload", Status.SURVIVES,
                           (TrailEntry("R-genus-bound", "pass", {"checks": checks}),), [], False)
@@ -767,10 +772,66 @@ class TestAuditPayloads:
              "result": [4, 1, 5, 5]},
             {"op": "chern_from_resolution", "args": [[], [0, 0], [2, 2, 3]],
              "result": [2, 0, 0, 0]},
+            {"op": "adjunction_genus", "args": [[4, 8], [1, 0]], "result": 15},
         ]
         verdict = Verdict("payload", Status.SURVIVES,
                           (TrailEntry("R-genus-bound", "pass", {"checks": checks}),), [], False)
         assert audit_verdicts([verdict]) == []
+
+    @pytest.mark.parametrize("kind, value", [
+        (DivisorClass, [4, True]),
+        (DivisorClass, [4, 8, 0]),
+        (DivisorClass, [4.0, 8]),
+        (RuledSurface, [1]),
+        (RuledSurface, (1, 0)),
+        (GenusSearch, [[1, 2], 15, 16, [], 1000, 0]),
+        (GenusSearch, [[1, 2], 15, 16.0, [], 1000]),
+        (GenusSearch, [[1, True], 15, 16, [], 1000]),
+        (GenusSearch, [[1, 3], 15, None, [[-3, 1, 0]], 1000]),
+        (GenusSearch, [[1, 3], 15, None, [[-3, 1, False, None]], 1000]),
+        (GenusSearch, [[1, 3], 15, None, [(-3, 1, 0, 1)], 1000]),
+        (GenusSearch, [[1, 3], 15, None, [[-3, 1, 0, 1]], None]),
+    ])
+    def test_structured_decoders_take_exact_shapes(self, kind, value):
+        with pytest.raises(TypeError):
+            decode(kind, value)
+
+
+class TestRecords:
+    def test_paper_records_are_frozen(self):
+        # hashable all the way down: no list or dict inside a record can be
+        # rewritten in place
+        calls = [call for ctx, regime in PAPER_CASES
+                 for v in (lambda r: r.verdicts + r.component_verdicts)(classify(ctx, 2, regime))
+                 for e in v.trail for call in e.values.get("checks", ())]
+        assert len(calls) == 514
+        assert {type(call) for call in calls} == {KernelCall}
+        assert len({hash(call) for call in calls}) > 1
+
+    def test_record_freezes_list_arguments_and_results(self):
+        degrees = [2, 2, 2, 3]
+        inv, call = record(classifier.bounds.ci_curve_invariants, degrees, 5)
+        degrees.append(9)  # the caller's list is not the record's
+        assert call == ("ci_curve_invariants", ((2, 2, 2, 3), 5), inv)
+        hits, call = record(eliminate_by_genus, *classifier._F3)
+        assert type(hits) is list and call.result == tuple(hits)
+        assert payload(call)["result"] == [[5, 15]]
+
+    def test_calls_share_no_judgement(self):
+        # only immutable inputs cross classify calls: no verdict, trail
+        # entry, values dict or kernel-call record of one is in the other
+        def judgement(result):
+            verdicts = result.verdicts + result.component_verdicts
+            entries = [e for v in verdicts for e in v.trail]
+            values = [e.values for e in entries]
+            calls = [call for d in values for call in d.get("checks", ())]
+            return verdicts, entries, values, calls
+
+        first, second = judgement(classify(X33, 2)), judgement(classify(X33, 2))
+        for old, new in zip(first, second):
+            assert old and len(old) == len(new)
+            assert not {id(o) for o in old} & {id(o) for o in new}
+        assert first[3] == second[3]
 
 
 class TestVerifyPass:

@@ -214,3 +214,13 @@ def test_lax_mode_env(capsys, monkeypatch):
         warnings.simplefilter("error")
         code, out, _ = run(capsys, "chi", "--threefold", "1,5", "--c1", "2", "--c2", "5")
     assert code == 0 and out.strip() == str(chi_rank2(QUINTIC, 2, 5))
+
+
+def test_lax_mode_refuses_unencoded_classification(capsys, monkeypatch):
+    # lax mode admits 1,5 for chi and h0, but no rank-2 case tree is encoded
+    # for it: a usage error with one line, not a traceback
+    monkeypatch.setenv("CICY_BUNDLES_LAX", "1")
+    code, out, err = run(capsys, "classify", "--threefold", "1,5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no complete rank-2 classification is encoded for 1,5")
+    assert "Traceback" not in err and len(err.splitlines()) == 1

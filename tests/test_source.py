@@ -112,6 +112,40 @@ def test_indented_json_written_in_one_place():
     assert found == []
 
 
+def test_kernel_call_records_have_one_home():
+    # a KernelCall is built only by verdicts.record, and its JSON form, a dict
+    # with an "op" key, is written only in verdicts.py
+    built, payloads = [], []
+
+    def builds_record(call):
+        # `KernelCall(...)`, `x.KernelCall(...)`, `tuple.__new__(KernelCall, ...)`
+        # or `KernelCall._make(...)`
+        func = call.func
+        names = {getattr(func, "id", None), getattr(func, "attr", None)}
+        if isinstance(func, ast.Attribute) and func.attr in ("__new__", "_make"):
+            names.add(getattr(func.value, "id", None))
+            names.update(getattr(a, "id", None) or getattr(a, "attr", None)
+                         for a in call.args[:1])
+        return "KernelCall" in names
+
+    def visit(path, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if isinstance(child, ast.Call) and builds_record(child):
+                built.append((path.name, inner))
+            if isinstance(child, ast.Dict) and any(
+                    isinstance(k, ast.Constant) and k.value == "op" for k in child.keys):
+                payloads.append((path.name, child.lineno))
+            visit(path, child, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    assert built == [("verdicts.py", "record")]
+    assert payloads and {name for name, _ in payloads} == {"verdicts.py"}
+
+
 #: The package's public names: 63 exported names and six submodules.
 PUBLIC = set("""
     ALL_CONTEXTS BundleInvariants CicyContext ClassificationResult CurveCandidate
