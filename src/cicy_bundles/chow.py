@@ -285,14 +285,6 @@ class BundleInvariants(_Frozen):
         return (self.c1, self.c2)
 
 
-def _integer(c: TruncatedClass, k: int, scale: int, what: str) -> int:
-    """The H^k coefficient of c times scale, which must be an integer."""
-    value, rest = divmod(c.numerators[k] * scale, c.denominator)
-    if rest:
-        raise ValueError(f"{what} is not an integer: {c.coeffs[k] * scale}")
-    return value
-
-
 def chern_from_resolution(
     sub_twists: list[int], quot_twists: list[int], ctx: CicyContext
 ) -> BundleInvariants:
@@ -339,17 +331,12 @@ def chern_of_extension(a: int, b: int, z_degree: int, ctx: CicyContext) -> Bundl
 
 
 def c2_dot_hyperplane(ctx: CicyContext) -> int:
-    """Degree c2(X).H of the threefold's second Chern class.
+    """Degree c2(X).H of the threefold's second Chern class (50 on the quintic).
 
-    By adjunction c(TX) = (1 + H)^(n+1) / prod(1 + d_i H) in Q[H]/(H^4); the
-    H^2 coefficient times the degree u is c2(X).H (50 on the quintic).
+    By the Euler and normal-bundle sequences c(TX) = (1 + H)^(n+1) /
+    ((1 + 0H) prod(1 + d_i H)), the Chern class of a resolution quotient.
     """
-    n = ctx.ambient_dim
-    tangent = _reduced(tuple(math.comb(n + 1, k) for k in range(4)), 1)
-    normal = TruncatedClass.unit()
-    for d in ctx.multidegree:
-        normal = normal * TruncatedClass.line(d)
-    return _integer(tangent * normal.invert(), 2, ctx.u, "c2(X).H")
+    return chern_from_resolution([0, *ctx.multidegree], [1] * (ctx.ambient_dim + 1), ctx).c2
 
 
 def chi_rank2(ctx: CicyContext, c1: int, c2: int) -> Fraction:

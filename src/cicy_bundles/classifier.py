@@ -50,7 +50,7 @@ from .ruled import (
     intersect,
 )
 from .verdicts import (RULE_ORDER, RULES, SURVIVES, KernelCall, Route, Trail, Verdict, annotations,
-                       decode, encode, json_text, payload, record)
+                       decode, encode, exactly_equal, json_text, payload, record)
 
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
@@ -820,6 +820,15 @@ def _check_regime(ctx: CicyContext, c1_max: int, rank_regime: str) -> None:
             )
 
 
+def _check_disabled(disabled: frozenset[str]) -> None:
+    """Refuse a toggle set naming an unknown rule id, or a str (`in` reads substrings)."""
+    if isinstance(disabled, str):
+        raise ValueError(f"disabled rules must be a set of rule ids, not the str {disabled!r}")
+    unknown = set(disabled).difference(RULES)
+    if unknown:
+        raise ValueError(f"unknown rule ids: {', '.join(sorted(map(repr, unknown)))}")
+
+
 def _judge_level(ctx: CicyContext, c1: int, components: list[CurveComponent],
                  disabled: frozenset[str]) -> list[Verdict]:
     """The candidate verdicts of one twist level with these surviving components."""
@@ -886,9 +895,10 @@ def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
     Each call judges afresh: only immutable inputs, the component grid of
     each threefold and twist and the module's search constants, cross
     calls.  No verdict, trail entry or kernel-call record is carried from
-    one call to the next.
+    one call to the next.  An unknown rule id in `disabled` raises ValueError.
     """
     _check_regime(ctx, c1_max, rank_regime)
+    _check_disabled(disabled)
     levels = [] if rank_regime == HIGHER_RANK else [
         _rank2_level(ctx, c1, disabled) for c1 in range(1, c1_max + 1)]
     return _aggregate(ctx, c1_max, rank_regime, disabled, levels)
@@ -916,6 +926,8 @@ def toggle_sweep(base: ClassificationResult,
     candidates open with the empty curve, and a component's twist follows
     from its own genus, 2g - 2 = c1 * d.
     """
+    for disabled in toggles:
+        _check_disabled(disabled)
     ctx, c1_max, rank_regime = base.ctx, base.c1_max, base.rank_regime
     comp_pairs = [(_cites(v), v) for v in base.component_verdicts]
     cand_pairs = [(_cites(v), v) for v in base.verdicts]
@@ -1016,28 +1028,15 @@ KERNEL_OPS: dict[str, tuple] = {
 
 
 def _replay(check: dict):
-    """Recompute one check payload; raises when it cannot be replayed."""
+    """Recompute one check payload; raises when it cannot be replayed.  An exact
+    int for an int skips its decoder, a call that would cost ~10 % of the audit."""
     module, *kinds = KERNEL_OPS[check["op"]]
     args = check["args"]
     if len(args) > len(kinds):
         raise TypeError(f"{len(args)} arguments, at most {len(kinds)} expected")
     decoded = []
     for kind, arg in zip(kinds, args):
-        # an int is exact (no bool, float or str), a list holds exact ints and
-        # a threefold is a nonempty list of them; the other decoders check the rest
-        if kind is int:
-            if type(arg) is not int:
-                raise TypeError(f"argument {arg!r} is not an int")
-        elif kind is list or kind is CicyContext:
-            if not (isinstance(arg, list) and all(type(v) is int for v in arg)
-                    and (arg or kind is list)):
-                shape = "a list" if kind is list else "a nonempty list"
-                raise TypeError(f"argument {arg!r} is not {shape} of ints")
-            if kind is CicyContext:
-                arg = decode(kind, arg)
-        else:
-            arg = decode(kind, arg)
-        decoded.append(arg)
+        decoded.append(arg if type(arg) is int and kind is int else decode(kind, arg))
     return encode(getattr(module, check["op"])(*decoded))
 
 
@@ -1045,11 +1044,11 @@ def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
     """Replay every recorded kernel computation; return mismatch descriptions.
 
     An empty list certifies that the values stored in the verdict trails are
-    reproducible by rerunning the cited kernel operations.  A recorded call
-    is replayed in its `payload` form, the form a saved report holds; a
-    payload dict is replayed as it is.  An unknown op, arguments that do not
-    decode, a raising kernel, a `checks` value that is not a list and a check
-    that is neither are mismatches too.
+    reproducible by rerunning the cited kernel operations, equal with equal
+    types.  A recorded call is replayed in its `payload` form, the form a
+    saved report holds; a payload dict is replayed as it is.  An unknown op,
+    arguments that do not decode, a raising kernel, a `checks` value that is
+    not a list and a check that is neither are mismatches too.
     """
     mismatches = []
     for verdict in verdicts:
@@ -1074,8 +1073,10 @@ def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
                 except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
                     problem = f"cannot replay: {type(exc).__name__}: {exc}"
                 else:
-                    if recomputed == check.get("result"):
+                    result = check.get("result")  # equal types too: false is no 0
+                    if result == recomputed and (type(result) is type(recomputed) is int
+                                                 or exactly_equal(recomputed, result)):
                         continue  # a match formats no text
-                    problem = f"recorded {check.get('result')}, recomputed {recomputed}"
+                    problem = f"recorded {result!r}, recomputed {recomputed!r}"
                 mismatches.append(f"{entry.rule_id}/{check.get('op')}{check.get('args')}: {problem}")
     return mismatches

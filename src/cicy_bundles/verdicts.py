@@ -473,16 +473,22 @@ class Trail:
         return tuple.__new__(Verdict, (candidate, ELIMINATED, trail, (), False))
 
 
-def _fields(value, n: int, optional: tuple[int, ...] = ()) -> list:
-    """`value` itself when it is a list of exactly n exact ints (no bools),
-    None allowed at the `optional` positions; TypeError otherwise."""
-    if type(value) is list and len(value) == n:
+def _fields(value, n: int | None = None, optional: tuple[int, ...] = ()) -> list:
+    """`value` itself when it is a list of n (or, n None, any number of) exact
+    ints, no bools, None allowed at the `optional` positions; else TypeError."""
+    if type(value) is list and (n is None or len(value) == n):
         for i, v in enumerate(value):  # a plain loop: the audit decodes ~200 classes a pass
             if type(v) is not int and (v is not None or i not in optional):
                 break
         else:
             return value
-    raise TypeError(f"{value!r} is not a list of {n} ints")
+    raise TypeError(f"{value!r} is not a list of {'' if n is None else f'{n} '}ints")
+
+
+def _exact_int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an int")
+    return value
 
 
 def _decode_search(value) -> GenusSearch:
@@ -496,17 +502,18 @@ def _decode_search(value) -> GenusSearch:
                        tuple(tuple(_fields(band, 4, optional=(2, 3))) for band in bands), box)
 
 
-#: JSON encoder and decoder of each structured kernel argument or value type.
-#: The decoders of the ruled-surface kinds take exact shapes only; `_replay`
-#: checks a threefold's list before it decodes it.
+#: JSON encoder and decoder of each kernel value kind, the one home of their
+#: shapes.  A decoder takes exact ints (no bools), the exact arity and None
+#: only at a search's optional fields, or raises TypeError (ValueError for a
+#: multidegree no threefold has).  `encode` writes ints and lists inline.
 _CODECS = {
+    int: (None, _exact_int),
+    list: (None, _fields),
     DivisorClass: (lambda c: [c.a, c.b], lambda v: DivisorClass(*_fields(v, 2))),
     RuledSurface: (lambda s: [s.e, s.q], lambda v: RuledSurface(*_fields(v, 2))),
-    CicyContext: (lambda ctx: list(ctx.multidegree), lambda v: CicyContext(tuple(v))),
-    GenusSearch: (
-        lambda g: [encode(g.hyperplane), g.degree, g.genus, encode(g.bands), g.box],
-        _decode_search,
-    ),
+    CicyContext: (lambda ctx: list(ctx.multidegree), lambda v: CicyContext(_fields(v))),
+    GenusSearch: (lambda g: [encode(g.hyperplane), g.degree, g.genus, encode(g.bands), g.box],
+                  _decode_search),
     BundleInvariants: (lambda inv: [inv.rank, inv.c1, inv.c2, inv.c3], None),
 }
 
@@ -521,8 +528,18 @@ def encode(value):
 
 
 def decode(kind: type, value):
-    """Rebuild a kernel argument of the given type from its JSON form."""
-    return _CODECS[kind][1](value) if kind in _CODECS else value
+    """Rebuild a kernel argument of the given kind from its JSON form."""
+    return _CODECS[kind][1](value)
+
+
+def exactly_equal(a, b) -> bool:
+    """Whether two JSON values are equal with equal types all the way down:
+    `false` is not 0 and 15.0 is not 15."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(exactly_equal, a, b))
+    return a == b
 
 
 _int = int.__repr__  # the stdlib encoder's int text: plain digits for int subclasses too
@@ -624,10 +641,4 @@ def payload(call: KernelCall) -> dict:
     """The JSON form of a recorded call, as reports hold it and the audit
     replays it: `{"op", "args", "result"}`, tuples written as lists."""
     op, args, result = call
-    for a in args:
-        if type(a) is not int:
-            args = encode(args)
-            break
-    else:  # int arguments only: the common case, nothing to encode
-        args = list(args)
-    return {"op": op, "args": args, "result": result if type(result) is int else encode(result)}
+    return {"op": op, "args": encode(args), "result": encode(result)}

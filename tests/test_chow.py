@@ -100,6 +100,16 @@ class TestContexts:
             for c2 in range(-30, 31):
                 assert chi_rank2(ctx, c1, c2) == chi_rank2(QUINTIC, c1, c2)
 
+    def test_c2_dot_hyperplane_matches_the_ring(self):
+        # adjunction in Q[H]/(H^4): c(TX) = (1 + H)^(n+1) * (prod(1 + d_i H))^-1
+        for ctx in (*ALL_CONTEXTS, lax(1, 5), lax(1, 1, 2, 4), lax(1, 2, 2, 3),
+                    lax(1, 1, 1, 1, 5)):
+            normal = TruncatedClass.unit()
+            for d in ctx.multidegree:
+                normal = normal * TruncatedClass.line(d)
+            tangent = cls(*(comb(ctx.ambient_dim + 1, k) for k in range(4)))
+            assert c2_dot_hyperplane(ctx) == (tangent * normal.invert()).coeffs[2] * ctx.u
+
     def test_lax_rejects_non_cy(self):
         with pytest.raises(ValueError, match="not Calabi-Yau"):
             CicyContext((3, 4), strict=False)

@@ -20,6 +20,7 @@ from cicy_bundles import (
     X223,
     X2222,
     REGISTRY,
+    CicyContext,
     CurveCandidate,
     CurveComponent,
     Status,
@@ -468,6 +469,23 @@ class TestToggles:
             judge(*args)
         assert sorted(guards - fired) == []
 
+    def test_unknown_rule_ids_are_refused(self):
+        # a typo in a toggle set would disable nothing, and a str would be
+        # matched by substring: both are refused before anything is judged
+        base = classify(X33, 2)
+        for bad, typo in ((frozenset({"A-no-such-axiom"}), "A-no-such-axiom"),
+                          (frozenset({"A-no-plane", "R-typo"}), "R-typo")):
+            with pytest.raises(ValueError, match=f"unknown rule ids: '{typo}'$"):
+                classify(X33, 2, disabled=bad)
+            with pytest.raises(ValueError, match=f"unknown rule ids: '{typo}'$"):
+                classifier.toggle_sweep(base, [frozenset(), bad])
+        for bad in ("A-no-plane", "A-"):
+            with pytest.raises(ValueError, match="not the str"):
+                classify(X33, 2, disabled=bad)
+            with pytest.raises(ValueError, match="not the str"):
+                classifier.toggle_sweep(base, [bad])
+        assert classify(X33, 2, disabled=frozenset({"A-no-plane"})).verdicts
+
     def test_three_planes_toggle(self):
         triple = cand((5, 6, 2), (5, 6, 2), (5, 6, 2))
         on = judge_candidate(triple, QUINTIC, 2)
@@ -773,10 +791,81 @@ class TestAuditPayloads:
             {"op": "chern_from_resolution", "args": [[], [0, 0], [2, 2, 3]],
              "result": [2, 0, 0, 0]},
             {"op": "adjunction_genus", "args": [[4, 8], [1, 0]], "result": 15},
+            {"op": "castelnuovo_pi", "args": [14, 5], "result": 15},
+            {"op": "plane_genus", "args": [2], "result": 0},
         ]
         verdict = Verdict("payload", Status.SURVIVES,
                           (TrailEntry("R-genus-bound", "pass", {"checks": checks}),), [], False)
         assert audit_verdicts([verdict]) == []
+
+    @pytest.mark.parametrize("check", [
+        {"op": "plane_genus", "args": [2], "result": False},
+        {"op": "castelnuovo_pi", "args": [14, 5], "result": 15.0},
+        {"op": "chern_of_extension", "args": [1, 1, 0, [5]], "result": [2, 2.0, 5, None]},
+    ], ids=["bool-result", "float-result", "float-in-list-result"])
+    def test_inexact_result_is_one_mismatch(self, check):
+        # each equals the kernel's value under ==, but a result is compared
+        # with its type: false is no 0 and 15.0 no 15
+        verdict = Verdict("payload", Status.SURVIVES,
+                          (TrailEntry("R-genus-bound", "pass", {"checks": [check]}),), [], False)
+        (mismatch,) = audit_verdicts([verdict])
+        assert mismatch.startswith(f"R-genus-bound/{check['op']}") and "recorded" in mismatch
+
+    def test_every_one_place_rewrite_is_one_mismatch(self):
+        # every distinct payload of the four paper classifications, rewritten
+        # in one place: one leaf of its args or result to a bool, a float, a
+        # string or a one-element list, or one element dropped from one list.
+        # The rewrites are enumerated, not drawn, so the run is the same each
+        # time; each must give exactly one mismatch and none may raise
+        def leaves(value, path=()):
+            if type(value) is list:
+                for i, v in enumerate(value):
+                    yield from leaves(v, path + (i,))
+            else:
+                yield path, value
+
+        def lists(value, path=()):
+            if type(value) is list:
+                yield path, value
+                for i, v in enumerate(value):
+                    yield from lists(v, path + (i,))
+
+        def put(value, path, new):
+            if not path:
+                return new
+            value = copy.deepcopy(value)
+            node = value
+            for i in path[:-1]:
+                node = node[i]
+            node[path[-1]] = new
+            return value
+
+        def rewrites(check):
+            for key in ("args", "result"):
+                for path, leaf in leaves(check[key]):
+                    if path or key == "result":  # args itself is a list, not a leaf
+                        for new in (bool(leaf), float(leaf or 0), str(leaf), [leaf]):
+                            yield key, put(check[key], path, new)
+                for path, items in lists(check[key]):
+                    for i in range(len(items)):
+                        yield key, put(check[key], path, items[:i] + items[i + 1:])
+
+        calls = {call for ctx, regime in PAPER_CASES
+                 for v in (lambda r: r.verdicts + r.component_verdicts)(classify(ctx, 2, regime))
+                 for e in v.trail for call in e.values.get("checks", ())}
+        assert len(calls) == 164
+        count, missed = 0, []
+        for call in sorted(calls, key=repr):
+            check = payload(call)
+            for key, new in rewrites(check):
+                rewritten = {**check, key: new}
+                verdict = Verdict("payload", Status.SURVIVES, (TrailEntry(
+                    "R-genus-bound", "pass", {"checks": [rewritten]}),), (), False)
+                count += 1
+                if len(audit_verdicts([verdict])) != 1:
+                    missed.append(rewritten)
+        assert count == 2985
+        assert missed == []
 
     @pytest.mark.parametrize("kind, value", [
         (DivisorClass, [4, True]),
@@ -791,10 +880,34 @@ class TestAuditPayloads:
         (GenusSearch, [[1, 3], 15, None, [[-3, 1, False, None]], 1000]),
         (GenusSearch, [[1, 3], 15, None, [(-3, 1, 0, 1)], 1000]),
         (GenusSearch, [[1, 3], 15, None, [[-3, 1, 0, 1]], None]),
+        (int, True),
+        (int, 5.0),
+        (int, "5"),
+        (int, None),
+        (list, [2, True]),
+        (list, [2, 4.0]),
+        (list, (2, 4)),
+        (list, 5),
+        (CicyContext, [5.0]),
+        (CicyContext, ["5"]),
+        (CicyContext, [True, 4]),
+        (CicyContext, (5,)),
+        (CicyContext, 5),
     ])
     def test_structured_decoders_take_exact_shapes(self, kind, value):
         with pytest.raises(TypeError):
             decode(kind, value)
+
+    def test_decode_has_one_path(self):
+        # a multidegree no threefold has is refused by the context itself, and
+        # a kind with no codec is refused, never passed through
+        assert decode(CicyContext, [2, 4]) == X24
+        for value in ([], [7], [2, 2, 4]):
+            with pytest.raises(ValueError):
+                decode(CicyContext, value)
+        assert decode(list, [2, 4]) == [2, 4] and decode(int, 0) == 0
+        with pytest.raises(KeyError):
+            decode(str, "5")
 
 
 class TestRecords:

@@ -146,6 +146,24 @@ def test_kernel_call_records_have_one_home():
     assert payloads and {name for name, _ in payloads} == {"verdicts.py"}
 
 
+def test_kernel_value_kinds_have_one_home():
+    # the codec table holds the one decoder of every argument kind a kernel op
+    # takes, and _replay checks no kind inline: it names int, for its
+    # exact-int fast path, and no other kind
+    from cicy_bundles import classifier, verdicts
+
+    kinds = {kind for _, *arg_kinds in classifier.KERNEL_OPS.values() for kind in arg_kinds}
+    missing = [kind.__name__ for kind in kinds
+               if not callable(verdicts._CODECS.get(kind, (None, None))[1])]
+    assert missing == []
+    tree = ast.parse(Path(classifier.__file__).read_text(encoding="utf-8"))
+    (replay,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_replay"]
+    named = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(replay)}
+    assert named & {kind.__name__ for kind in kinds} == {"int"}
+
+
 #: The package's public names: 63 exported names and six submodules.
 PUBLIC = set("""
     ALL_CONTEXTS BundleInvariants CicyContext ClassificationResult CurveCandidate
