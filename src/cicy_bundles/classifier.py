@@ -99,31 +99,48 @@ def enumerate_candidates(components: list[CurveComponent], cap: int) -> list[Cur
     """The rank-2 candidate curves of one twist level: the empty curve (split
     bundles) and every multiset of the surviving components within the degree
     cap, ordered by component count, then lexicographically."""
-    ordered = sorted(components, key=CurveComponent.triple)
     buckets: list[list[CurveCandidate]] = []  # buckets[k]: the multisets of k + 1 components
-    build = CurveCandidate._sorted
-
-    def extend(start: int, chosen: tuple[CurveComponent, ...], total: int, span: int) -> None:
-        # a depth-first walk over non-decreasing indices reaches the multisets
-        # of each size in lexicographic order, each already sorted; `total`
-        # and `span` are the total degree and span_max of `chosen`
-        k = len(chosen)
-        if k == len(buckets):
-            buckets.append([])
-        bucket = buckets[k]
-        for i in range(start, len(ordered)):
-            comp = ordered[i]
-            degree = total + comp.d
-            if degree > cap:
-                break  # d never decreases along `ordered`
-            multiset = chosen + (comp,)
-            span_max = span + comp.span + 1
-            bucket.append(build(multiset, degree, span_max))
-            if degree + comp.d <= cap:  # else no larger multiset fits
-                extend(i, multiset, degree, span_max)
-
-    extend(0, (), 0, -1)
+    _extend(sorted(components, key=CurveComponent.triple), cap, buckets, 0, (), 0, -1)
     return [CurveCandidate(())] + [cand for bucket in buckets for cand in bucket]
+
+
+def _extend(ordered: list[CurveComponent], cap: int, buckets: list[list[CurveCandidate]],
+            start: int, chosen: tuple[CurveComponent, ...], total: int, span: int) -> None:
+    """Append to `buckets` every multiset within the cap that extends `chosen`
+    by components from `ordered[start:]`.  A depth-first walk over
+    non-decreasing indices reaches the multisets of each size in lexicographic
+    order, each already sorted; `total` and `span` are the total degree and
+    span_max of `chosen`.  A module-level walk, not a closure over `buckets`,
+    leaves no reference cycle for the collector."""
+    k = len(chosen)
+    if k == len(buckets):
+        buckets.append([])
+    bucket = buckets[k]
+    for i in range(start, len(ordered)):
+        comp = ordered[i]
+        degree = total + comp.d
+        if degree > cap:
+            break  # d never decreases along `ordered`
+        multiset = chosen + (comp,)
+        span_max = span + comp.span + 1
+        bucket.append(CurveCandidate._sorted(multiset, degree, span_max))
+        if degree + comp.d <= cap:  # else no larger multiset fits
+            _extend(ordered, cap, buckets, i, multiset, degree, span_max)
+
+
+@functools.lru_cache(maxsize=64)
+def _level_candidates(survivors: tuple[CurveComponent, ...],
+                      cap: int) -> tuple[CurveCandidate, ...]:
+    """`enumerate_candidates(survivors, cap)` as a tuple, built once per
+    surviving-component set and cap; candidates are frozen, so calls share it.
+
+    On the paper cases every single and pair axiom toggle meets at most two
+    survivor sets per threefold and twist, eight in all.  The bound stays
+    because disabling an arithmetic rule grows the survivors and the
+    enumeration with them: without `R-genus-bound` the 3,3 level at c1 = 2
+    keeps 74 components, not 44.  A miss calls `enumerate_candidates` by its
+    module name, so a wrapper installed there sees every real enumeration."""
+    return tuple(enumerate_candidates(survivors, cap))
 
 
 # --------------------------------------------------------------------------
@@ -832,7 +849,7 @@ def _check_disabled(disabled: frozenset[str]) -> None:
 def _judge_level(ctx: CicyContext, c1: int, components: list[CurveComponent],
                  disabled: frozenset[str]) -> list[Verdict]:
     """The candidate verdicts of one twist level with these surviving components."""
-    candidates = enumerate_candidates(components, bounds.max_curve_degree(ctx, c1, 2))
+    candidates = _level_candidates(tuple(components), bounds.max_curve_degree(ctx, c1, 2))
     return [judge_candidate(cand, ctx, c1, disabled) for cand in candidates]
 
 
@@ -892,10 +909,11 @@ def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
     unresolved: existence holds but their full classification stays open.
     Rank-2 verdicts run by c1, each level opening with the empty curve.
 
-    Each call judges afresh: only immutable inputs, the component grid of
-    each threefold and twist and the module's search constants, cross
-    calls.  No verdict, trail entry or kernel-call record is carried from
-    one call to the next.  An unknown rule id in `disabled` raises ValueError.
+    Each call judges afresh: only immutable inputs cross calls, namely the
+    component grid of each threefold and twist, the candidates of each
+    surviving-component set and cap, and the module's search constants.  No
+    verdict, trail entry or kernel-call record is carried from one call to
+    the next.  An unknown rule id in `disabled` raises ValueError.
     """
     _check_regime(ctx, c1_max, rank_regime)
     _check_disabled(disabled)

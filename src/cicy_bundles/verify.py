@@ -123,14 +123,25 @@ def check_ring_examples() -> str:
     return _stated(inv2.coeffs, TruncatedClass.of(1, 1, 1, 1).coeffs, "1/(1-H)")
 
 
-def check_ring_inverse_roundtrip() -> str:
+def _random_units() -> list[TruncatedClass]:
+    """The 1000 seeded units of the round-trip check: coefficients n/d with
+    -9 <= n <= 9 and 1 <= d <= 9, read from a table of the 171 such fractions
+    (building a Fraction per draw took half the check's time), constant term 1
+    where the draw gives 0."""
     rng = random.Random(20260811)
-    unit = TruncatedClass.unit()
+    table = {(n, d): Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)}
+    units = []
     for _ in range(1000):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+        coeffs = [table[rng.randint(-9, 9), rng.randint(1, 9)] for _ in range(4)]
         if coeffs[0] == 0:
-            coeffs[0] = Fraction(1)
-        x = TruncatedClass(tuple(coeffs))
+            coeffs[0] = table[1, 1]
+        units.append(TruncatedClass(tuple(coeffs)))
+    return units
+
+
+def check_ring_inverse_roundtrip() -> str:
+    unit = TruncatedClass.unit()
+    for x in _random_units():
         inv = ring_invert(x)
         # classes are kept in lowest terms, so == is exact equality of coefficients
         _eq(ring_mul(x, inv), unit, "x * x^-1")

@@ -30,6 +30,7 @@ from cicy_bundles import (
     ring_invert,
     ring_mul,
     twist_rank2,
+    verify,
 )
 from cicy_bundles.chow import c2_dot_hyperplane
 
@@ -195,6 +196,18 @@ class TestRing:
     def test_not_invertible(self):
         with pytest.raises(NotInvertibleError, match="not invertible"):
             ring_invert(cls(0, 1))
+
+    def test_round_trip_units_match_their_draws(self):
+        # verify's round-trip check reads its coefficients from a table: its
+        # 1000 units are the classes the seeded draws build one by one
+        rng = random.Random(20260811)
+        drawn = []
+        for _ in range(1000):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+            if coeffs[0] == 0:
+                coeffs[0] = Fraction(1)
+            drawn.append(TruncatedClass(tuple(coeffs)))
+        assert verify._random_units() == drawn
 
     @given(units)
     def test_inverse_roundtrip(self, x):

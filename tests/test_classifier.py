@@ -1,6 +1,8 @@
 import ast
 import copy
 import dataclasses
+import gc
+import hashlib
 import itertools
 import json
 import os
@@ -123,7 +125,8 @@ class TestEnumeration:
 
     def test_classify_sorts_only_the_empty_curve(self, monkeypatch):
         # the public constructor sorts; enumerate_candidates builds every
-        # multiset through the private one, so it runs once per twist level
+        # multiset through the private one, so it runs once per twist level of
+        # a cold call, and not at all in a warm call, which builds no candidate
         runs = []
         post_init = CurveCandidate.__post_init__
 
@@ -132,9 +135,90 @@ class TestEnumeration:
             post_init(candidate)
 
         monkeypatch.setattr(CurveCandidate, "__post_init__", counted)
+        classifier._level_candidates.cache_clear()
         result = classify(X33, 2)
         assert len(result.verdicts) == 184
         assert runs == [(), ()]
+        classify(X33, 2)
+        assert runs == [(), ()]
+
+    def test_calls_leave_no_reference_cycles(self):
+        # what these calls build is freed by reference counting alone: the
+        # cyclic collector finds nothing after any of them
+        def cold_classify():
+            classifier._level_candidates.cache_clear()
+            classify(X33, 2)
+
+        def report_path():
+            result = classify(X24, 2)
+            report = result.report()
+            report_json(report)
+            report_markdown(report)
+            audit_verdicts(result.verdicts + result.component_verdicts)
+
+        calls = {
+            "cold classify 3,3": cold_classify,
+            "higher-rank classify": lambda: classify(QUINTIC, 2, HIGHER_RANK),
+            "2,4 report path": report_path,
+            "toggle sweep": lambda: classifier.toggle_sweep(classify(X33, 2),
+                                                           sweep_toggles(HIGHER_RANK)),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                call()
+                assert gc.collect() == 0, name
+        finally:
+            gc.enable()
+
+
+class TestCandidateCache:
+    def test_cached_candidates_equal_a_fresh_enumeration(self):
+        # every survivor set met under the base, the single and the pair
+        # axiom toggles: the cached candidates, order included, and room for
+        # all of them in the cache
+        met = set()
+        for ctx in (QUINTIC, X24, X33):
+            for c1 in (1, 2):
+                cap = max_curve_degree(ctx, c1, 2)
+                for disabled in sweep_toggles(RANK2):
+                    components, _ = classifier.admissible_components(ctx, c1, disabled)
+                    met.add((tuple(components), cap))
+        for survivors, cap in met:
+            fresh = tuple(enumerate_candidates(list(survivors), cap))
+            for _ in range(2):  # a miss, then a hit
+                cached = classifier._level_candidates(survivors, cap)
+                assert type(cached) is tuple and cached == fresh
+        assert len(met) <= classifier._level_candidates.cache_parameters()["maxsize"]
+
+    def test_reports_identical_cold_and_warm(self):
+        # the four paper reports and every single-toggle report, built with the
+        # cache cleared before each call and again with it warm
+        axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
+        toggles = [frozenset(), *(frozenset({a}) for a in axioms)]
+
+        def texts(cold):
+            out = []
+            for ctx, regime in PAPER_CASES:
+                for disabled in toggles:
+                    if cold:
+                        classifier._level_candidates.cache_clear()
+                    out.append(report_json(classify(ctx, 2, regime, disabled).report()))
+            return out
+
+        cold, warm = texts(True), texts(False)
+        assert len(cold) == 4 + 108 and cold == warm
+        pins = list(verify.REPORT_SHA256.values())
+        for side in (cold, warm):
+            assert [hashlib.sha256(t.encode()).hexdigest()
+                    for t in side[::len(toggles)]] == pins
+
+    def test_cache_holds_at_most_its_bound(self):
+        bound = classifier._level_candidates.cache_parameters()["maxsize"]
+        for d in range(1, bound + 11):
+            classifier._level_candidates((CurveComponent(d, 0, 2),), d)
+        assert classifier._level_candidates.cache_info().currsize <= bound
 
 
 class TestQuinticVerdicts:

@@ -164,6 +164,31 @@ def test_kernel_value_kinds_have_one_home():
     assert named & {kind.__name__ for kind in kinds} == {"int"}
 
 
+def test_cross_call_caches():
+    # a cache carries values from one call to the next: the package caches
+    # exactly these functions, and each classifier cache returns a tuple
+    cached, stray = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorated = {id(dec.func if isinstance(dec, ast.Call) else dec): node
+                     for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for dec in node.decorator_list}
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "attr", None) or getattr(node, "id", None)])
+            if not {"cache", "lru_cache"} & set(names):
+                continue
+            if id(node) in decorated:
+                cached[f"{path.stem}.{decorated[id(node)].name}"] = decorated[id(node)]
+            else:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert (sorted(cached), stray) == (
+        ["classifier._component_grid", "classifier._level_candidates", "verify._paper"], [])
+    for name in ("classifier._component_grid", "classifier._level_candidates"):
+        assert ast.unparse(cached[name].returns).startswith("tuple["), name
+
+
 #: The package's public names: 63 exported names and six submodules.
 PUBLIC = set("""
     ALL_CONTEXTS BundleInvariants CicyContext ClassificationResult CurveCandidate
