@@ -931,14 +931,16 @@ def toggle_sweep(base: ClassificationResult,
     """`classify(ctx, c1_max, rank_regime, disabled)` for each toggle set,
     derived from `base`, that classification with nothing disabled.
 
-    `Trail.active` is the only reader of a disabled set, and `fire` and
-    `hypothesis` record every rule they consult while it is active, so a
-    verdict whose trail cites no rule of a toggle set is judged the same way
-    with that set disabled.  A twist level that keeps its surviving components
-    keeps the base candidates, reusing each such verdict in place and judging
-    the others again; a level whose survivors change judges every candidate of
-    the new survivors, and higher-rank shapes are all judged again.  A toggle
-    set that no verdict of the base cites gets the base result itself.
+    `Trail.active` is the only reader of a disabled set, and the recording
+    methods `Trail._fire` and `Trail._hypothesis`, through which every
+    firing on a trail or a route passes, record every rule they consult
+    while it is active, so a verdict whose trail cites no rule of a toggle
+    set is judged the same way with that set disabled.  A twist level that
+    keeps its surviving components keeps the base candidates, reusing each
+    such verdict in place and judging the others again; a level whose
+    survivors change judges every candidate of the new survivors, and
+    higher-rank shapes are all judged again.  A toggle set that no verdict
+    of the base cites gets the base result itself.
 
     The base's twist levels are read back from its verdicts: each level's
     candidates open with the empty curve, and a component's twist follows

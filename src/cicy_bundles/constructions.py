@@ -39,6 +39,8 @@ class CurveComponent:
     d: int
     g: int
     span: int
+    #: "(d,g,span)", made here once: reports name a component many times
+    _label: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -47,12 +49,13 @@ class CurveComponent:
             raise ValueError("component genus must be nonnegative")
         if self.span < 2:
             raise ValueError("component span dimension must be at least 2")
+        object.__setattr__(self, "_label", f"({self.d},{self.g},{self.span})")
 
     def triple(self) -> tuple[int, int, int]:
         return (self.d, self.g, self.span)
 
     def label(self) -> str:
-        return f"({self.d},{self.g},{self.span})"
+        return self._label
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,9 @@ class CurveCandidate:
     #: Largest dimension the union can span: sum(span_i + 1) - 1, which is -1
     #: for the empty curve.
     span_max: int = field(init=False, compare=False, repr=False)
+    #: made on the first `label()` and kept: the enumeration builds many
+    #: candidates that no report names
+    _label: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         components = tuple(sorted(self.components))
@@ -92,9 +98,11 @@ class CurveCandidate:
         return tuple(c.triple() for c in self.components)
 
     def label(self) -> str:
-        if self.is_empty:
-            return "empty"
-        return " + ".join(c.label() for c in self.components)
+        label = self._label
+        if label is None:
+            label = " + ".join(c.label() for c in self.components) or "empty"
+            object.__setattr__(self, "_label", label)
+        return label
 
 
 def required_genus(c1: int, d: int) -> int | None:

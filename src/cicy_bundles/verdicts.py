@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .chow import BundleInvariants, CicyContext
 from .ruled import DivisorClass, GenusSearch, RuledSurface
@@ -57,13 +56,18 @@ class KernelCall(NamedTuple):
 class TrailEntry(NamedTuple):
     rule_id: str
     outcome: str  # "pass", "fail" or "hypothesis"
-    values: dict
+    values: dict  # the rule's own values
+    route: str | None = None  # the escape route fired on; None: the trail itself
 
     def to_dict(self) -> dict:
-        """The entry as a report stores it, each recorded call as its payload."""
+        """The entry as a report stores it: a routed entry's route first among
+        its values, each recorded call as its payload."""
         values = self.values
-        if "checks" in values:
-            values = values.copy()  # each payload takes its record's key position
+        if self.route is not None:
+            values = {"route": self.route, **values}
+        elif "checks" in values:
+            values = values.copy()
+        if "checks" in values:  # each payload takes its record's key position
             values["checks"] = [payload(call) for call in values["checks"]]
         return {"rule": self.rule_id, "outcome": self.outcome, "values": values}
 
@@ -377,11 +381,12 @@ class Route(NamedTuple):
 
     trail: Trail
     name: str
-    #: `trail.fire` with `route=name` first in the values, a partial: no frame
-    fire: Callable[..., bool | None]
+
+    def fire(self, rule_id: str, ok: bool, **values) -> bool | None:
+        return self.trail._fire(rule_id, ok, self.name, values)
 
     def hypothesis(self, rule_id: str, **values) -> bool:
-        return self.trail.hypothesis(rule_id, route=self.name, **values)
+        return self.trail._hypothesis(rule_id, self.name, values)
 
     def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
         self.trail.routes[self.name] = (witnesses, unresolved)
@@ -407,8 +412,8 @@ class Trail:
     def route(self, name: str) -> Route:
         """Open the escape route `name`, which shares this trail's entries."""
         if name not in self.routes:
-            self.routes[name] = ([], False)
-        return tuple.__new__(Route, (self, name, partial(self.fire, route=name)))
+            self.routes[name] = ((), False)
+        return tuple.__new__(Route, (self, name))
 
     def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
         """Name the constructions that realize a trail with no routes opened."""
@@ -420,24 +425,35 @@ class Trail:
         return rule_id not in self.disabled
 
     def fire(self, rule_id: str, ok: bool, **values) -> bool | None:
-        """Record a pass/fail firing; returns None when the rule is disabled.
-        A failure kills the route it is fired on."""
+        """Record a pass/fail firing on the trail itself; returns None when
+        the rule is disabled.  A failure kills every route."""
+        return self._fire(rule_id, ok, None, values)
+
+    def hypothesis(self, rule_id: str, **values) -> bool:
+        """Record an axiom hypothesis on the trail itself; returns False when
+        disabled."""
+        return self._hypothesis(rule_id, None, values)
+
+    def _fire(self, rule_id: str, ok: bool, route: str | None, values: dict) -> bool | None:
+        """Record a pass/fail firing on `route`, None for the trail itself; a
+        failure kills that route.  Every pass/fail firing is recorded here,
+        the values dict as the caller's keywords made it."""
         if not self.active(rule_id):
             return None
         # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
         if ok:
-            self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass", values)))
+            self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass", values, route)))
             return ok
-        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "fail", values)))
-        route = values.get("route")
+        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "fail", values, route)))
         self.dead[route] = rule_id in _ARITHMETIC or self.dead.get(route, False)
         return ok
 
-    def hypothesis(self, rule_id: str, **values) -> bool:
-        """Record an axiom hypothesis; returns False when disabled."""
+    def _hypothesis(self, rule_id: str, route: str | None, values: dict) -> bool:
+        """Record an axiom hypothesis on `route`, None for the trail itself;
+        every hypothesis is recorded here."""
         if not self.active(rule_id):
             return False
-        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "hypothesis", values)))
+        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "hypothesis", values, route)))
         return True
 
     def verdict(self, candidate: object) -> Verdict:

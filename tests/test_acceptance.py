@@ -44,6 +44,14 @@ MODULES = ["chow", "bounds", "ruled", "constructions", "classifier", "registry"]
 CHECKS = {name: fn for _, name, fn in verify.CHECKS}
 
 
+@pytest.fixture(autouse=True)
+def clear_paper_results():
+    # the checks run here outside a verify pass, so each fills verify._paper;
+    # clearing it after every test leaves no result for a later test to read
+    yield
+    verify._paper.cache_clear()
+
+
 def run_criterion(key: str) -> None:
     details = [CHECKS[name]() for name in CRITERIA[key]]
     print(f"PASS criterion {key}: " + "; ".join(details))

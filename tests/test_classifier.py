@@ -526,7 +526,7 @@ class TestToggles:
                 return method(*args, **kwargs)
             return wrapper
 
-        for cls, name in ((Trail, "fire"), (Trail, "hypothesis"), (Trail, "witness"),
+        for cls, name in ((Trail, "_fire"), (Trail, "_hypothesis"), (Trail, "witness"),
                           (Route, "witness")):
             monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
         for ctx, regime in PAPER_CASES:
@@ -581,11 +581,11 @@ class TestToggles:
         # the ruled-surface and Hirzebruch checks read the engine's firings:
         # flipping a rule's outcome at every firing must fail its check
         checks = {name: fn for _, name, fn in verify.CHECKS}
-        fire = Trail.fire
+        fire = Trail._fire
 
         def flipping(target):
-            def flipped(trail, rule_id, ok, **values):
-                return fire(trail, rule_id, not ok if rule_id == target else ok, **values)
+            def flipped(trail, rule_id, ok, route, values):
+                return fire(trail, rule_id, not ok if rule_id == target else ok, route, values)
             return flipped
 
         uncaught = []
@@ -596,7 +596,7 @@ class TestToggles:
                                ("R-ruled-58", "ruled-58"),
                                ("R-clifford", "ruled-58"),
                                ("R-ruled-e2q20", "ruled-e2q20")):
-            monkeypatch.setattr(Trail, "fire", flipping(rule_id))
+            monkeypatch.setattr(Trail, "_fire", flipping(rule_id))
             try:
                 checks[check]()
             except verify.CheckFailure:
@@ -755,7 +755,7 @@ class TestTrailVerdict:
         assert alone.verdict("no routes").status is Status.AXIOM_ELIMINATED
 
     def test_route_deaths_tallied_as_they_fire(self, monkeypatch):
-        # Trail.fire tallies the route each failure kills and whether the rule
+        # Trail._fire tallies the route each failure kills and whether the rule
         # is arithmetic; every trail judged in the four paper classifications
         # and their toggle sweeps must hold the tally a rescan of its entries
         # gives, the loop Trail.verdict once ran
@@ -764,12 +764,11 @@ class TestTrailVerdict:
 
         def rescanned(trail, candidate):
             dead, arithmetic = set(), set()
-            for rule_id, outcome, values in trail.entries:
-                if outcome == "fail":
-                    route = values.get("route")
-                    dead.add(route)
-                    if RULES[rule_id].kind is RuleKind.ARITHMETIC:
-                        arithmetic.add(route)
+            for entry in trail.entries:
+                if entry.outcome == "fail":
+                    dead.add(entry.route)
+                    if RULES[entry.rule_id].kind is RuleKind.ARITHMETIC:
+                        arithmetic.add(entry.route)
             tally = (set(trail.dead), {route for route, a in trail.dead.items() if a})
             assert tally == (dead, arithmetic), candidate
             paths.update("trail itself" if route is None else "route" for route in dead)
@@ -1054,12 +1053,12 @@ class TestVerifyPass:
             return {name for _, name, ok, _ in verify.run_checks("classifier") if not ok}
 
         assert failing() == set()
-        fire = Trail.fire
+        fire = Trail._fire
 
-        def flipped(trail, rule_id, ok, **values):
-            return fire(trail, rule_id, not ok if rule_id == "R-s-omega" else ok, **values)
+        def flipped(trail, rule_id, ok, route, values):
+            return fire(trail, rule_id, not ok if rule_id == "R-s-omega" else ok, route, values)
 
-        monkeypatch.setattr(Trail, "fire", flipped)
+        monkeypatch.setattr(Trail, "_fire", flipped)
         with pytest.raises(verify.CheckFailure):
             verify.check_x33_classification()
         assert {"x33-classification", "determinism"} <= failing()

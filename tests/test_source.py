@@ -53,10 +53,10 @@ def test_no_answer_tables():
 
 def test_disabled_set_read_only_by_trail_active():
     # toggle_sweep reuses a verdict whose trail cites no disabled rule: sound
-    # only while Trail.active alone reads the disabled set, and only fire and
-    # hypothesis, which record every rule it finds active, call it
+    # only while Trail.active alone reads the disabled set, and only _fire and
+    # _hypothesis, which record every rule it finds active, call it
     allowed = {"disabled": {"Trail.__init__", "Trail.active"},
-               "active": {"Trail.active", "Trail.fire", "Trail.hypothesis"}}
+               "active": {"Trail.active", "Trail._fire", "Trail._hypothesis"}}
     found = []
 
     def attribute(node):
@@ -80,6 +80,19 @@ def test_disabled_set_read_only_by_trail_active():
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    assert found == []
+
+
+def test_firings_pass_no_route_value():
+    # the route rides on the trail entry: no firing names one among its values
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("fire", "hypothesis")
+        and any(k.arg == "route" for k in node.keywords)
+    ]
     assert found == []
 
 

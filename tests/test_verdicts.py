@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cicy_bundles import CurveCandidate, CurveComponent, classify
-from cicy_bundles.verdicts import Route, Trail, TrailEntry, Verdict, json_text
+from cicy_bundles.bounds import plane_genus
+from cicy_bundles.verdicts import (Route, Status, Trail, TrailEntry, Verdict, json_text, payload,
+                                   record)
 from cicy_bundles.verify import PAPER_CASES
 
 
@@ -109,6 +111,72 @@ def test_shortcut_tuples_have_full_arity(monkeypatch):
         assert {(type(t), len(t)) for t in built} == {(cls, len(cls._fields))}
 
 
+def test_route_rides_on_the_entry():
+    # a routed firing keeps its route on the entry, not among its values; the
+    # report writes it first among the values, with each check as its payload
+    trail = Trail()
+    route = trail.route("surface")
+    assert tuple(route) == (trail, "surface")
+    _, call = record(plane_genus, 4)
+    assert route.fire("R-plane-degree", True, d=4, checks=[call]) is True
+    assert trail.fire("R-genus-bound", False, d=4) is False
+    assert route.hypothesis("A-no-plane", planes=0) is True
+    assert trail.hypothesis("A-base-locus") is True
+    routed, shared, routed_hypothesis, shared_hypothesis = trail.entries
+    assert (routed.route, routed_hypothesis.route) == ("surface", "surface")
+    assert (shared.route, shared_hypothesis.route) == (None, None)
+    assert routed.values == {"d": 4, "checks": [call]}
+    assert routed_hypothesis.values == {"planes": 0}
+    report = routed.to_dict()
+    assert report == {"rule": "R-plane-degree", "outcome": "pass",
+                      "values": {"route": "surface", "d": 4, "checks": [payload(call)]}}
+    assert list(report["values"]) == ["route", "d", "checks"]
+    assert routed.values["checks"] == [call]  # the report's copy leaves the entry as it was
+    assert shared.to_dict()["values"] == {"d": 4}
+    assert list(routed_hypothesis.to_dict()["values"]) == ["route", "planes"]
+    assert TrailEntry("R-genus-bound", "fail", {}).route is None
+
+
+def test_paper_entries_keep_routes_out_of_values():
+    routed = 0
+    for ctx, regime in PAPER_CASES:
+        result = classify(ctx, 2, regime)
+        for verdict in result.verdicts + result.component_verdicts:
+            for entry in verdict.trail:
+                assert "route" not in entry.values
+                values = entry.to_dict()["values"]
+                if entry.route is None:
+                    assert "route" not in values
+                else:
+                    assert next(iter(values.items())) == ("route", entry.route)
+                    routed += 1
+    assert routed
+
+
+def test_unknown_rule_ids_raise_on_every_firing_path():
+    trail = Trail()
+    route = trail.route("surface")
+    for fire in (trail.fire, route.fire):
+        with pytest.raises(KeyError, match="R-no-such-rule"):
+            fire("R-no-such-rule", False, d=1)
+    for hypothesis in (trail.hypothesis, route.hypothesis):
+        with pytest.raises(KeyError, match="A-no-such-axiom"):
+            hypothesis("A-no-such-axiom")
+    assert (trail.entries, trail.dead) == ([], {})
+
+
+def test_disabled_rules_record_nothing_on_every_firing_path():
+    trail = Trail(frozenset({"R-genus-bound", "A-no-plane"}))
+    route = trail.route("surface")
+    for fire in (trail.fire, route.fire):
+        assert fire("R-genus-bound", False, d=1) is None
+        assert fire("R-genus-bound", True, d=1) is None
+    for hypothesis in (trail.hypothesis, route.hypothesis):
+        assert hypothesis("A-no-plane", planes=0) is False
+    assert (trail.entries, trail.dead) == ([], {})
+    assert trail.verdict("nothing fired").status is Status.SURVIVES
+
+
 def test_candidate_invariants_are_derived_not_compared():
     parts = (CurveComponent(9, 10, 3), CurveComponent(5, 6, 2), CurveComponent(6, 7, 3))
     candidate = CurveCandidate(parts)
@@ -125,3 +193,22 @@ def test_candidate_invariants_are_derived_not_compared():
     for name in ("total_degree", "span_max"):
         with pytest.raises(TypeError):
             CurveCandidate(parts, **{name: 20})
+    # the labels: a component's is made at construction, a candidate's on
+    # its first read, and neither is compared, hashed or shown
+    assert [vars(c)["_label"] for c in parts] == ["(9,10,3)", "(5,6,2)", "(6,7,3)"]
+    assert "_label" not in vars(candidate)
+    label = candidate.label()
+    assert label == "(5,6,2) + (6,7,3) + (9,10,3)"
+    assert vars(candidate)["_label"] is label and candidate.label() is label
+    assert CurveCandidate(()).label() == "empty"
+    assert "label" not in repr(candidate) and "label" not in repr(parts[0])
+    fresh = CurveCandidate(parts)
+    component = CurveComponent(9, 10, 3)
+    for value, twin in ((candidate, fresh), (component, parts[0])):
+        object.__setattr__(value, "_label", "altered")
+        assert (value, hash(value), repr(value)) == (twin, hash(twin), repr(twin))
+    assert not component < parts[0] and not parts[0] < component
+    with pytest.raises(TypeError):
+        CurveCandidate(parts, _label="altered")
+    with pytest.raises(TypeError):
+        CurveComponent(9, 10, 3, "altered")
