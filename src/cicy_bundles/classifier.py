@@ -98,34 +98,19 @@ def admissible_components(
 def enumerate_candidates(components: list[CurveComponent], cap: int) -> list[CurveCandidate]:
     """The rank-2 candidate curves of one twist level: the empty curve (split
     bundles) and every multiset of the surviving components within the degree
-    cap, ordered by component count, then lexicographically."""
-    buckets: list[list[CurveCandidate]] = []  # buckets[k]: the multisets of k + 1 components
-    _extend(sorted(components, key=CurveComponent.triple), cap, buckets, 0, (), 0, -1)
-    return [CurveCandidate(())] + [cand for bucket in buckets for cand in bucket]
-
-
-def _extend(ordered: list[CurveComponent], cap: int, buckets: list[list[CurveCandidate]],
-            start: int, chosen: tuple[CurveComponent, ...], total: int, span: int) -> None:
-    """Append to `buckets` every multiset within the cap that extends `chosen`
-    by components from `ordered[start:]`.  A depth-first walk over
-    non-decreasing indices reaches the multisets of each size in lexicographic
-    order, each already sorted; `total` and `span` are the total degree and
-    span_max of `chosen`.  A module-level walk, not a closure over `buckets`,
-    leaves no reference cycle for the collector."""
-    k = len(chosen)
-    if k == len(buckets):
-        buckets.append([])
-    bucket = buckets[k]
-    for i in range(start, len(ordered)):
-        comp = ordered[i]
-        degree = total + comp.d
-        if degree > cap:
-            break  # d never decreases along `ordered`
-        multiset = chosen + (comp,)
-        span_max = span + comp.span + 1
-        bucket.append(CurveCandidate._sorted(multiset, degree, span_max))
-        if degree + comp.d <= cap:  # else no larger multiset fits
-            _extend(ordered, cap, buckets, i, multiset, degree, span_max)
+    cap, ordered by component count, then lexicographically.  Each size comes
+    from the last: every multiset extended by each component at or after its
+    last one, in order, while the degree fits; the walk ends at an empty size."""
+    ordered = sorted(components, key=CurveComponent.triple)
+    candidates: list[CurveCandidate] = []
+    size = [(0, CurveCandidate(()))]  # (index of the last component, candidate)
+    while size:
+        candidates += [cand for _, cand in size]
+        size = [(i, CurveCandidate(cand.components + (comp,)))
+                for last, cand in size
+                for i, comp in enumerate(ordered[last:], last)
+                if cand.total_degree + comp.d <= cap]
+    return candidates
 
 
 @functools.lru_cache(maxsize=64)
@@ -338,8 +323,7 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> No
         return
     values = {"z": z, "allowed": [0, 3]}
     if z == ctx.u:
-        section, check = record(bounds.ci_curve_invariants,
-                                [1, 1, *ctx.multidegree], ctx.ambient_dim)
+        section, check = section_curve_invariants(ctx)
         values["checks"] = [check]
         values["note"] = ("residual would be a bi-hyperplane section with "
                           f"dualizing twist {section.omega_twist}")
@@ -392,22 +376,30 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
     # remaining shapes exhaust the degree budget above
 
 
+def _four_quadric_route(d: int, ctx: CicyContext, trail: Trail, unresolved: bool,
+                        **note) -> None:
+    """A curve of one span-5 component in the base locus of four quadrics: the
+    complete intersection caps its degree and is the curve at the cap, where
+    its witness is flagged `unresolved` or not; below the cap the connected
+    intersection meets the residual."""
+    ci = trail.route("base-locus-curve")
+    cap = _FOUR_QUADRICS.degree
+    if not ci.fire("R-quadric-cap", d <= cap, d=d, cap=cap):
+        return
+    if d == cap:
+        _fire_ci_omega(ci, [2, 2, 2, 2])
+        ci.witness(witnesses_for(ctx.multidegree, 2, d), unresolved)
+    elif ci.hypothesis("A-ci-connected", ci_degree=cap):
+        ci.fire("R-ci-residual", False, d=d, residual_degree=cap - d,
+                forced_meets=">= 1", required_meets=0, **note)
+
+
 def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     comps = cand.components
     s = len(comps)
     if s == 1:
         d = comps[0].d
-        ci = trail.route("base-locus-curve")
-        cap = _FOUR_QUADRICS.degree
-        cap_ok = ci.fire("R-quadric-cap", d <= cap, d=d, cap=cap)
-        if cap_ok:
-            if d == cap:
-                _fire_ci_omega(ci, [2, 2, 2, 2])
-                ci.witness(witnesses_for(ctx.multidegree, 2, d))
-            else:
-                if ci.hypothesis("A-ci-connected", ci_degree=cap):
-                    ci.fire("R-ci-residual", False, d=d, residual_degree=cap - d,
-                            forced_meets=">= 1", required_meets=0,
+        _four_quadric_route(d, ctx, trail, False,
                             note="meeting the residual lowers the dualizing twist")
         surf = trail.route("base-locus-surface")
         if d % 4:
@@ -467,16 +459,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
 
 def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
     g = d + 1
-    ci = trail.route("base-locus-curve")
-    cap = _FOUR_QUADRICS.degree
-    cap_ok = ci.fire("R-quadric-cap", d <= cap, d=d, cap=cap)
-    if cap_ok and d == cap:
-        _fire_ci_omega(ci, [2, 2, 2, 2])
-        ci.witness(witnesses_for(ctx.multidegree, 2, d), unresolved=True)
-    elif cap_ok:
-        if ci.hypothesis("A-ci-connected", ci_degree=cap):
-            ci.fire("R-ci-residual", False, d=d, residual_degree=cap - d,
-                    forced_meets=">= 1", required_meets=0)
+    _four_quadric_route(d, ctx, trail, True)
 
     dim3 = trail.route("base-locus-threefold")
     matches = [deg for deg in (3, 4) if ctx.u * deg == d]
@@ -622,11 +605,11 @@ def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
         r.witness(witnesses_for(ctx.multidegree, 1, cand.total_degree))
         return
     # several components would have to fill the connected section curve
-    section = section_curve_invariants(ctx)
+    section, section_check = section_curve_invariants(ctx)
     p_a, check = record(union_genus, [c.g for c in cand.components])
     r.hypothesis("A-ci-connected")
     r.fire("R-union-genus", p_a == section.genus, union_genus=p_a,
-           section_genus=section.genus, checks=[check])
+           section_genus=section.genus, checks=[section_check, check])
 
 
 def judge_candidate(

@@ -21,7 +21,7 @@ from .chow import (
     max_rank_no_trivial,
     twist_rank2,
 )
-from .verdicts import Trail, Verdict, json_text, record
+from .verdicts import KernelCall, Trail, Verdict, json_text, record
 
 
 class ParityError(ValueError):
@@ -67,9 +67,8 @@ class CurveCandidate:
     #: Largest dimension the union can span: sum(span_i + 1) - 1, which is -1
     #: for the empty curve.
     span_max: int = field(init=False, compare=False, repr=False)
-    #: made on the first `label()` and kept: the enumeration builds many
-    #: candidates that no report names
-    _label: str | None = field(default=None, init=False, compare=False, repr=False)
+    #: "(d,g,span) + ...", or "empty"
+    _label: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         components = tuple(sorted(self.components))
@@ -77,18 +76,8 @@ class CurveCandidate:
         # set once here: the judge reads both many times per candidate
         object.__setattr__(self, "total_degree", sum(c.d for c in components))
         object.__setattr__(self, "span_max", sum(c.span + 1 for c in components) - 1)
-
-    @classmethod
-    def _sorted(cls, components: tuple[CurveComponent, ...], total_degree: int,
-                span_max: int) -> CurveCandidate:
-        """The candidate of components already in sorted order, with its two
-        invariants: the enumeration hands over every multiset this way, so
-        only the public constructor sorts and sums."""
-        cand = object.__new__(cls)
-        object.__setattr__(cand, "components", components)
-        object.__setattr__(cand, "total_degree", total_degree)
-        object.__setattr__(cand, "span_max", span_max)
-        return cand
+        object.__setattr__(self, "_label",
+                           " + ".join(c.label() for c in components) or "empty")
 
     @property
     def is_empty(self) -> bool:
@@ -98,11 +87,7 @@ class CurveCandidate:
         return tuple(c.triple() for c in self.components)
 
     def label(self) -> str:
-        label = self._label
-        if label is None:
-            label = " + ".join(c.label() for c in self.components) or "empty"
-            object.__setattr__(self, "_label", label)
-        return label
+        return self._label
 
 
 def required_genus(c1: int, d: int) -> int | None:
@@ -155,9 +140,10 @@ def liaison_solve(
     return d
 
 
-def section_curve_invariants(ctx: CicyContext) -> bounds.CurveInvariants:
-    """Invariants of the curve cut on the threefold by two general hyperplanes."""
-    return bounds.ci_curve_invariants([1, 1, *ctx.multidegree], ctx.ambient_dim)
+def section_curve_invariants(ctx: CicyContext) -> tuple[bounds.CurveInvariants, KernelCall]:
+    """Invariants of the curve cut on the threefold by two general hyperplanes,
+    with the record of their computation."""
+    return record(bounds.ci_curve_invariants, [1, 1, *ctx.multidegree], ctx.ambient_dim)
 
 
 def component_admissible(
@@ -196,8 +182,7 @@ def component_admissible(
         t.fire("R-span3-cap", d <= ctx.u, d=d, cap=ctx.u)
         if d <= ctx.u:
             if d == ctx.u:
-                section, check = record(bounds.ci_curve_invariants,
-                                        [1, 1, *ctx.multidegree], ctx.ambient_dim)
+                section, check = section_curve_invariants(ctx)
                 t.fire("R-section-match", g == section.genus,
                        d=d, g=g, section_genus=section.genus, checks=[check])
             else:
@@ -366,7 +351,7 @@ def _validate_entry(entry: Construction) -> ConstructionReport:
         if span == 2:
             expect(f"{tag}.plane-genus", g, bounds.plane_genus(d))
         elif span == 3 and d == ctx.u:
-            section = section_curve_invariants(ctx)
+            section, _ = section_curve_invariants(ctx)
             expect(f"{tag}.section-degree", d, section.degree)
             expect(f"{tag}.section-genus", g, section.genus)
             expect(f"{tag}.section-twist", entry.c1, section.omega_twist)

@@ -115,18 +115,10 @@ class TestEnumeration:
                                   key=lambda c: (len(c.components), c.triples()))
                 for given in (components, shuffled(components, len(components))):
                     assert enumerate_candidates(given, cap) == expected, sorted(disabled)
-                # the walk hands each multiset over sorted, with its invariants:
-                # the same candidate as the public, sorting constructor builds
-                for candidate in enumerate_candidates(components, cap):
-                    public = CurveCandidate(candidate.components)
-                    assert (candidate, hash(candidate), candidate.total_degree,
-                            candidate.span_max) == (public, hash(public), public.total_degree,
-                                                    public.span_max), candidate.label()
 
-    def test_classify_sorts_only_the_empty_curve(self, monkeypatch):
-        # the public constructor sorts; enumerate_candidates builds every
-        # multiset through the private one, so it runs once per twist level of
-        # a cold call, and not at all in a warm call, which builds no candidate
+    def test_classify_builds_each_candidate_once(self, monkeypatch):
+        # every candidate comes from the one constructor: a cold call builds
+        # each candidate it judges once, and a warm call builds none
         runs = []
         post_init = CurveCandidate.__post_init__
 
@@ -138,9 +130,10 @@ class TestEnumeration:
         classifier._level_candidates.cache_clear()
         result = classify(X33, 2)
         assert len(result.verdicts) == 184
-        assert runs == [(), ()]
+        assert runs == [v.candidate.components for v in result.verdicts]
+        runs.clear()
         classify(X33, 2)
-        assert runs == [(), ()]
+        assert runs == []
 
     def test_calls_leave_no_reference_cycles(self):
         # what these calls build is freed by reference counting alone: the
@@ -1000,9 +993,28 @@ class TestRecords:
         calls = [call for ctx, regime in PAPER_CASES
                  for v in (lambda r: r.verdicts + r.component_verdicts)(classify(ctx, 2, regime))
                  for e in v.trail for call in e.values.get("checks", ())]
-        assert len(calls) == 514
+        assert len(calls) == 515
         assert {type(call) for call in calls} == {KernelCall}
         assert len({hash(call) for call in calls}) > 1
+
+    def test_section_genus_is_recorded_where_it_is_read(self):
+        # a firing that reads the bi-hyperplane section's genus carries the
+        # record of that computation, so the audit replays the value it uses
+        readers = set()
+        for ctx, regime in PAPER_CASES:
+            result = classify(ctx, 2, regime)
+            for verdict in result.verdicts + result.component_verdicts:
+                for e in verdict.trail:
+                    if "section_genus" not in e.values:
+                        continue
+                    readers.add(e.rule_id)
+                    section = ("ci_curve_invariants", ((1, 1, *ctx.multidegree),
+                                                       ctx.ambient_dim))
+                    found = [call.result for call in e.values.get("checks", ())
+                             if call[:2] == section]
+                    assert [inv.genus for inv in found] == [e.values["section_genus"]], (
+                        ctx.label(), verdict.candidate.label(), e.rule_id)
+        assert readers == {"R-section-match", "R-union-genus"}
 
     def test_record_freezes_list_arguments_and_results(self):
         degrees = [2, 2, 2, 3]

@@ -237,3 +237,25 @@ def test_lazy_exports():
     namespace: dict = {}
     exec("from cicy_bundles import *", namespace)
     assert PUBLIC <= namespace.keys()
+
+
+def test_candidates_built_only_through_their_constructors():
+    # a frozen curve is finished in its own __post_init__ and nowhere else:
+    # constructions.py writes into an object only there, and never makes one
+    # that skips the constructor
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if (isinstance(child, ast.Attribute) and child.attr in ("__setattr__", "__new__")
+                    and getattr(child.value, "id", None) == "object"):
+                found.append((child.attr, inner))
+            visit(child, inner)
+
+    visit(ast.parse((PACKAGE / "constructions.py").read_text(encoding="utf-8")), "")
+    assert {name for name, _ in found} == {"__setattr__"}
+    assert {scope for _, scope in found} == {"CurveComponent.__post_init__",
+                                            "CurveCandidate.__post_init__"}

@@ -193,14 +193,12 @@ def test_candidate_invariants_are_derived_not_compared():
     for name in ("total_degree", "span_max"):
         with pytest.raises(TypeError):
             CurveCandidate(parts, **{name: 20})
-    # the labels: a component's is made at construction, a candidate's on
-    # its first read, and neither is compared, hashed or shown
+    # the labels: each is made at construction, of the sorted components,
+    # and none is compared, hashed or shown
     assert [vars(c)["_label"] for c in parts] == ["(9,10,3)", "(5,6,2)", "(6,7,3)"]
-    assert "_label" not in vars(candidate)
-    label = candidate.label()
-    assert label == "(5,6,2) + (6,7,3) + (9,10,3)"
-    assert vars(candidate)["_label"] is label and candidate.label() is label
-    assert CurveCandidate(()).label() == "empty"
+    assert vars(candidate)["_label"] == "(5,6,2) + (6,7,3) + (9,10,3)"
+    assert candidate.label() is vars(candidate)["_label"]
+    assert vars(CurveCandidate(()))["_label"] == "empty"
     assert "label" not in repr(candidate) and "label" not in repr(parts[0])
     fresh = CurveCandidate(parts)
     component = CurveComponent(9, 10, 3)
