@@ -49,8 +49,9 @@ from .ruled import (
     genus_quadratic,
     intersect,
 )
-from .verdicts import (RULE_ORDER, RULES, SURVIVES, KernelCall, Route, Trail, Verdict, annotations,
-                       decode, encode, exactly_equal, json_text, payload, record)
+from .verdicts import (FORMS, RULE_ORDER, RULES, SURVIVES, FrozenDict, KernelCall, Route, RuleKind,
+                       Status, Trail, Verdict, annotations, decode, encode, exactly_equal,
+                       json_text, payload, record)
 
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
@@ -133,14 +134,16 @@ def _level_candidates(survivors: tuple[CurveComponent, ...],
 # --------------------------------------------------------------------------
 
 
-def _berzolari(route: Route, **values) -> int:
-    """Sectional genus of the degree-6 surface: the bound for a sextic in P^4."""
+def _berzolari(route: Route, *degree: int) -> int:
+    """Sectional genus of the degree-6 surface: the bound for a sextic in P^4;
+    the surface's degree is recorded when given."""
     pi, check = record(bounds.castelnuovo_pi, 6, 4)
-    route.hypothesis("A-berzolari", sectional_genus=pi, **values, checks=[check])
+    route.hypothesis("A-berzolari/degree" if degree else "A-berzolari/genus",
+                     pi, *degree, (check,))
     return pi
 
 
-def _mu_d_viable() -> tuple[list[int], list[KernelCall]]:
+def _mu_d_viable() -> tuple[tuple[int, ...], tuple[KernelCall, ...]]:
     """Degrees d = 15 / mu >= 4 whose genus d + 1 fits the Castelnuovo bound in
     P^4, with the records of the bounds that exclude the other degrees."""
     viable, checks = [], []
@@ -150,7 +153,7 @@ def _mu_d_viable() -> tuple[list[int], list[KernelCall]]:
             viable.append(d)
         else:
             checks.append(check)
-    return viable, checks
+    return tuple(viable), tuple(checks)
 
 
 #: The degree-15 curve searches on the two cubic scrolls: genus 16 on the smooth
@@ -166,13 +169,18 @@ _FOUR_QUADRICS = bounds.ci_curve_invariants([2, 2, 2, 2], 5)
 _SPAN5_FLOOR = next(d for d in itertools.count(5) if d + 1 <= bounds.castelnuovo_pi(d, 5))
 
 
-def _cone_class() -> tuple[list[DivisorClass], int, list[KernelCall]]:
+def _classes(hits: list[DivisorClass]) -> tuple[tuple[int, int], ...]:
+    """Divisor classes as a firing records them, each as its (a, b) pair."""
+    return tuple(tuple(cls) for cls in hits)
+
+
+def _cone_class() -> tuple[list[DivisorClass], int, tuple[KernelCall, ...]]:
     """The F3 band search, the genus of the one class it finds, both records."""
     hits, search_check = record(eliminate_by_genus, *_F3)
     if len(hits) != 1:
         raise ValueError(f"the F3 smoothness band holds {len(hits)} classes, not one")
     genus, genus_check = record(adjunction_genus, hits[0], _F3[1])
-    return hits, genus, [search_check, genus_check]
+    return hits, genus, (search_check, genus_check)
 
 
 def _minimal_surface_degree(span: int) -> int:
@@ -197,21 +205,21 @@ def _nonnegative_integers(a: int, b: int, c: int) -> list[int]:
 
 
 def _harris_surface(route: Route, d: int, r: int, genus: int, surface_degree_cap: int,
-                    **note) -> None:
+                    *note: str) -> None:
     """Genus at or above the refined bound puts the curve on a surface of degree
-    at most the cap, where cubics cut it in degree at most three times the cap."""
+    at most the cap, where cubics cut it in degree at most three times the cap;
+    the cut's firing records the note when one is given."""
     bound, check = record(bounds.pi_one, d, r)
-    route.hypothesis("A-harris-surface", refined_bound=bound, genus=genus,
-                     surface_degree_cap=surface_degree_cap, checks=[check])
-    cut_cap = 3 * surface_degree_cap
-    route.fire("R-pi1-cut", d <= cut_cap, d=d, cut_cap=cut_cap, **note)
+    route.hypothesis("A-harris-surface", bound, genus, surface_degree_cap, (check,))
+    route.fire("R-pi1-cut/note" if note else "R-pi1-cut/cut", d, 3 * surface_degree_cap, *note)
 
 
-def _fire_ci_omega(route: Route, degrees: list[int], **values) -> None:
-    """A complete-intersection curve in P^5 needs dualizing twist 2."""
+def _fire_ci_omega(route: Route, degrees: tuple[int, ...], *note: str) -> None:
+    """A complete-intersection curve in P^5 needs dualizing twist 2; a
+    surface's curve records the note given."""
     inv, check = record(bounds.ci_curve_invariants, degrees, 5)
-    route.fire("R-ci-omega", inv.omega_twist == 2, degrees=degrees,
-               omega_twist=inv.omega_twist, required=2, checks=[check], **values)
+    route.fire("R-ci-omega/surface" if note else "R-ci-omega/curve",
+               degrees, inv.omega_twist, 2, (check,), *note)
 
 
 def _fire_ruled_38(route: Route) -> None:
@@ -232,24 +240,22 @@ def _fire_ruled_38(route: Route) -> None:
             if degree != 17:
                 raise ValueError(f"class {tuple(cls)} on e={e}, q={q} has degree {degree}")
             table[f"q={q},e={e}"] = intersect(cls, cls + canonical_class(s), s)
-    hits_34 = 34 in table.values()
-    _berzolari(route, degree=6)
-    route.fire("R-ruled-38", hits_34, required=34, value_at_q2=table["q=2,e=0"],
-               table=dict(sorted(table.items())), never_34=not hits_34)
+    _berzolari(route, 6)
+    never_34 = 34 not in table.values()  # a field the report keeps; the decision reads the table
+    route.fire("R-ruled-38", 34, table["q=2,e=0"], FrozenDict(sorted(table.items())), never_34)
 
 
 def _fire_ruled_58(route: Route) -> None:
     """Triple-section case of a degree-16 curve: -3e + 6q + 58 = 32 needs
     3e = 6q + 26, impossible since 26 is not divisible by 3."""
-    solutions = [
+    solutions = tuple(
         (q, e)
         for q in (0, 1, 2)
         for e in range(-q, 7)
         if e % 2 == 0 and -3 * e + 6 * q + 58 == 32
-    ]
-    route.fire("R-ruled-58", bool(solutions), equation="-3e + 6q + 58 = 32",
-               divisibility="3e = 6q + 26 has no integer solution",
-               even_solutions=solutions)
+    )
+    route.fire("R-ruled-58", "-3e + 6q + 58 = 32", "3e = 6q + 26 has no integer solution",
+               solutions)
 
 
 def _fire_clifford(route: Route) -> None:
@@ -258,22 +264,17 @@ def _fire_clifford(route: Route) -> None:
     the Castelnuovo bound 12 is exceeded."""
     d, cliff = 16, 2
     g = required_genus(2, d)
-    cliff_options = [cliff, g - 3]
     h0 = (d - cliff) // 2 + 1  # Clifford index d - 2(h0 - 1)
     pi, check = record(bounds.castelnuovo_pi, d, h0 - 1)
-    route.fire("R-clifford", g <= pi, genus=g, clifford_options=cliff_options,
-               sections_from_index_2=h0, bound_in_p7=pi,
-               contradiction=f"{g} > {pi}",
-               checks=[check])
+    route.fire("R-clifford", g, (cliff, g - 3), h0, pi, f"{g} > {pi}", (check,))
 
 
 def _fire_ruled_e2q20(route: Route) -> None:
     """Triple-section case of a degree-18 curve: 2q + 16 - e = 36 forces
     e = 2q - 20, far below the Segre-Nagata floor e >= -q for q <= 2."""
-    table = {q: 2 * q - 20 for q in (0, 1, 2)}
-    feasible = [q for q, e in table.items() if e >= -q]
-    route.fire("R-ruled-e2q20", bool(feasible), equation="2q + 16 - e = 36",
-               forced_e=table, feasible=feasible)
+    table = FrozenDict({q: 2 * q - 20 for q in (0, 1, 2)})
+    feasible = tuple(q for q, e in table.items() if e >= -q)
+    route.fire("R-ruled-e2q20", "2q + 16 - e = 36", table, feasible)
 
 
 #: The degree-3 and degree-4 ruled base surfaces of a quartic-cut curve: the
@@ -289,14 +290,13 @@ _ADJUNCTION_CASES = (
 
 def _fire_adjunction_table(route: Route) -> None:
     """The five ruled-surface adjunction numbers against the required 2d."""
-    values, checks = {}, []
+    cases, checks = {}, []
     for name, s, cls, hyper in _ADJUNCTION_CASES:
         genus, check = record(adjunction_genus, cls, s)
-        values[name] = {"2g-2": 2 * genus - 2,
-                        "required": 2 * embedding_degree(cls, hyper, s)}
+        cases[name] = FrozenDict({"2g-2": 2 * genus - 2,
+                                  "required": 2 * embedding_degree(cls, hyper, s)})
         checks.append(check)
-    ok = any(v["2g-2"] == v["required"] for v in values.values())
-    route.fire("R-adjunction-28-40", ok, cases=values, checks=checks)
+    route.fire("R-adjunction-28-40", FrozenDict(cases), tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -310,88 +310,85 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> No
     z = cand.total_degree - ctx.u
     if z == 0:
         inv, check = record(chern_of_extension, 1, 1, z, ctx)
-        r.fire("R-ext-z", True, z=0, residual="empty", checks=[check])
+        r.fire("R-ext-z/split", z, "empty", (check,))
         r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
         return
-    if z == 3 and ctx.ambient_dim >= 5:
-        r.hypothesis("A-ext-plane-cubic", z=3,
-                     linear_sections_through_plane=ctx.ambient_dim - 2)
+    # a plane-cubic residual needs three linear sections through its plane
+    allowed = (0, 3) if ctx.ambient_dim >= 5 else (0,)
+    if z in allowed:
+        r.hypothesis("A-ext-plane-cubic", z, ctx.ambient_dim - 2)
         inv, check = record(chern_of_extension, 1, 1, z, ctx)
-        r.fire("R-ext-z", True, z=3, residual="plane cubic",
-               residual_omega_twist=0, checks=[check])
+        r.fire("R-ext-z/plane-cubic", z, "plane cubic", 0, (check,))
         r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
         return
-    values = {"z": z, "allowed": [0, 3]}
     if z == ctx.u:
         section, check = section_curve_invariants(ctx)
-        values["checks"] = [check]
-        values["note"] = ("residual would be a bi-hyperplane section with "
-                          f"dualizing twist {section.omega_twist}")
-    r.fire("R-ext-z", False, **values)
+        r.fire("R-ext-z/section", z, allowed, (check,),
+               "residual would be a bi-hyperplane section with "
+               f"dualizing twist {section.omega_twist}")
+    else:
+        r.fire("R-ext-z/other", z, allowed)
 
 
 def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     spans = [c.span for c in cand.components]
     s = len(cand.components)
     r = trail.route("base-locus-surface")
-    if not r.hypothesis("A-base-locus", components=cand.label()):
+    if not r.hypothesis("A-base-locus/candidate", cand.label()):
         return
-    budget = [_minimal_surface_degree(sp) for sp in spans]
-    ok = sum(budget) <= 3
-    r.fire("R-surface-budget", ok, minima=budget, budget=3)
-    if not ok:
+    budget = tuple([_minimal_surface_degree(sp) for sp in spans])
+    r.fire("R-surface-budget", budget, 3)
+    if sum(budget) > 3:
         return
     if s == 1 and spans == [4]:
         d = cand.components[0].d
         viable, checks = _mu_d_viable()
-        r.fire("R-mu-d", d in viable, mu_d=15, d=d, viable=viable, checks=checks)
+        r.fire("R-mu-d/curve", 15, d, viable, checks)
         if d != 15:
             return
         hits1, check = record(eliminate_by_genus, *_F1)
-        r.fire("R-hirzebruch-F1", bool(hits1), classes=encode(hits1),
-               quadratic=_polynomial(*genus_quadratic(*_F1), "="), checks=[check])
+        r.fire("R-hirzebruch-F1", _classes(hits1), _polynomial(*genus_quadratic(*_F1), "="),
+               (check,))
         f3 = _F3[1]
-        pairings = {
+        pairings = FrozenDict({
             "(c,3c+1).(d,3d+1)": intersect(DivisorClass(1, 4), DivisorClass(1, 4), f3),
             "(c,3c+1).(d,3d)": intersect(DivisorClass(1, 4), DivisorClass(1, 3), f3),
             "(c,3c).(d,3d)": intersect(DivisorClass(1, 3), DivisorClass(1, 3), f3),
-        }
-        r.fire("R-cone-disjointness", all(v > 0 for v in pairings.values()),
-               pairings=pairings, conclusion="any curve on the cone is connected")
+        })
+        r.fire("R-cone-disjointness", pairings, "any curve on the cone is connected")
         hits3, genus, checks = _cone_class()
-        required = required_genus(2, d)
-        r.fire("R-hirzebruch-F3", genus == required,
-               classes=encode(hits3), genus=genus, required=required, checks=checks)
+        r.fire("R-hirzebruch-F3/rank2", _classes(hits3), genus, required_genus(2, d), checks)
         return
     if s == 2 and spans == [2, 2]:
         p_a, check = record(union_genus, [c.g for c in cand.components])
-        r.fire("R-union-genus", p_a - 1 == cand.total_degree,
-               union_genus=p_a, total_degree=cand.total_degree, checks=[check])
+        r.fire("R-union-genus/planes", p_a, cand.total_degree, (check,))
         r.hypothesis("A-two-planes")
         r.witness(witnesses_for(ctx.multidegree, 2, 10))
         return
-    if s == 3 and spans == [2, 2, 2]:
-        r.fire("A-three-planes", False, planes=3)
+    if s == 3:  # the budget leaves three planes only
+        r.exclude("A-three-planes", 3)
         return
-    # remaining shapes exhaust the degree budget above
+    # the budget leaves one more shape: a plane curve and a space curve, on a
+    # plane and a quadric surface
+    r.exclude("A-quadric-plane", tuple(sorted(spans)))
 
 
 def _four_quadric_route(d: int, ctx: CicyContext, trail: Trail, unresolved: bool,
-                        **note) -> None:
+                        *note: str) -> None:
     """A curve of one span-5 component in the base locus of four quadrics: the
     complete intersection caps its degree and is the curve at the cap, where
     its witness is flagged `unresolved` or not; below the cap the connected
     intersection meets the residual."""
     ci = trail.route("base-locus-curve")
     cap = _FOUR_QUADRICS.degree
-    if not ci.fire("R-quadric-cap", d <= cap, d=d, cap=cap):
+    if not ci.fire("R-quadric-cap", d, cap):
         return
     if d == cap:
-        _fire_ci_omega(ci, [2, 2, 2, 2])
+        _fire_ci_omega(ci, (2, 2, 2, 2))
         ci.witness(witnesses_for(ctx.multidegree, 2, d), unresolved)
-    elif ci.hypothesis("A-ci-connected", ci_degree=cap):
-        ci.fire("R-ci-residual", False, d=d, residual_degree=cap - d,
-                forced_meets=">= 1", required_meets=0, **note)
+    elif ci.hypothesis("A-ci-connected/ci", cap):
+        ci.fire("R-ci-residual/note" if note else "R-ci-residual/twist",
+                d, cap - d, ">= 1", 0, *note)
 
 
 def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
@@ -400,29 +397,27 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
     if s == 1:
         d = comps[0].d
         _four_quadric_route(d, ctx, trail, False,
-                            note="meeting the residual lowers the dualizing twist")
+                            "meeting the residual lowers the dualizing twist")
         surf = trail.route("base-locus-surface")
         if d % 4:
-            surf.fire("R-x24-mod4", False, d=d, modulus=4)
+            surf.fire("R-x24-mod4/off", d, 4)
             return
         deg_s = d // 4
-        surf.fire("R-x24-mod4", True, d=d, surface_degree=deg_s)
+        surf.fire("R-x24-mod4/cut", d, deg_s)
         if deg_s == 4:
-            _fire_ci_omega(surf, [2, 2, 2, 4],
-                           note="three-quadric surface cut by the quartic")
+            _fire_ci_omega(surf, (2, 2, 2, 4), "three-quadric surface cut by the quartic")
         elif deg_s == 5:
-            scrolls = {name: (canonical_class(RuledSurface(e)) + DivisorClass(2, 5 + e)).b + 1
-                       for name, e in (("F1", 1), ("F3", 3), ("F5-cone", 5))}
-            surf.fire("A-deg-S-5", False, surface_degree=5,
-                      sectional_twist=-1 + 4, scroll_dualizing_sections=scrolls)
+            scrolls = FrozenDict(
+                {name: (canonical_class(RuledSurface(e)) + DivisorClass(2, 5 + e)).b + 1
+                 for name, e in (("F1", 1), ("F3", 3), ("F5-cone", 5))})
+            surf.exclude("A-deg-S-5/surface", 5, -1 + 4, scrolls)
         elif deg_s == 6:
             genus = _berzolari(surf)
             h0_omega = 8 + 1 - genus  # Riemann-Roch for a degree-8 pencil
-            surf.fire("A-deg-S-6", False, surface_degree=6,
-                      hyperplane_genus=genus, twisted_dualizing_sections=h0_omega)
+            surf.exclude("A-deg-S-6/surface", 6, genus, h0_omega)
         elif deg_s == 7:
-            surf.fire("A-linked-plane-7", False, surface_degree=7,
-                      link="three quadrics link the surface to a plane")
+            surf.exclude("A-linked-plane-7/surface", 7,
+                         "three quadrics link the surface to a plane")
         return
     # several components
     r = trail.route("component-surfaces")
@@ -430,31 +425,28 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
     span4 = [c for c in comps if c.span == 4]
     sections = [c for c in comps if c.span == 3]
     if cand.total_degree <= 16:
-        ok = len(comps) == 2 and all(c.triple() == (8, 9, 3) for c in comps)
-        r.fire("R-x24-extremal", ok, total=cand.total_degree,
-               component_floor=8, components=cand.label())
-        if ok:
+        r.fire("R-x24-extremal", cand.total_degree, 8, cand.label())
+        if len(comps) == 2 and all(c.triple() == (8, 9, 3) for c in comps):
             r.hypothesis("A-section-pair")
             r.witness(witnesses_for(ctx.multidegree, 2, 16), unresolved=True)
         return
     for comp in span5:
         _, check = record(bounds.castelnuovo_pi, _SPAN5_FLOOR, 5)
-        r.fire("R-x24-s2-span5", False, d=comp.d, genus_floor=_SPAN5_FLOOR,
-               checks=[check])
+        r.fire("R-x24-s2-span5", comp.d, _SPAN5_FLOOR, (check,))
     for comp in span4:
         if comp.d % 4 or not 2 <= comp.d // 4 <= 7:
-            r.fire("R-x24-si-degree", False, d=comp.d,
-                   note="no base surface cuts this degree with the quartic")
+            r.fire("R-x24-si-degree/cut", comp.d,
+                   "no base surface cuts this degree with the quartic")
         elif comp.d == 12 or comp.d == 16:
             _fire_adjunction_table(r)
         else:
             deg_s = comp.d // 4
-            rule = {5: "A-deg-S-5", 6: "A-deg-S-6", 7: "A-linked-plane-7"}[deg_s]
-            r.fire(rule, False, surface_degree=deg_s, d=comp.d)
+            r.exclude({5: "A-deg-S-5/component", 6: "A-deg-S-6/component",
+                       7: "A-linked-plane-7/component"}[deg_s], deg_s, comp.d)
     if not span4 and not span5 and sections:
         # three or more degree-8 space sections
-        r.fire("R-x24-si-degree", True, surface_degree=2, d=8)
-        r.fire("A-x24-three-quadrics", False, sections=len(sections))
+        r.fire("R-x24-si-degree/sections", 2, 8)
+        r.exclude("A-x24-three-quadrics", len(sections))
 
 
 def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
@@ -462,32 +454,25 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
     _four_quadric_route(d, ctx, trail, True)
 
     dim3 = trail.route("base-locus-threefold")
-    matches = [deg for deg in (3, 4) if ctx.u * deg == d]
-    dim3.fire("R-dim3-degree", bool(matches), d=d,
-              possible_degrees={"deg3": 3 * ctx.u, "deg4": 4 * ctx.u})
-    if matches == [3]:
-        dim3.fire("A-x33-cubic-3fold", False, d=d)
+    dim3.fire("R-dim3-degree", d, FrozenDict({"deg3": 3 * ctx.u, "deg4": 4 * ctx.u}))
+    if d == 3 * ctx.u:
+        dim3.exclude("A-x33-cubic-3fold", d)
 
     if d == 14:
         r = trail.route("surface-deg-le-4")
-        _harris_surface(r, d, 5, genus=g, surface_degree_cap=4,
-                        note="cut by cubics on a surface of degree at most 4")
+        _harris_surface(r, d, 5, g, 4, "cut by cubics on a surface of degree at most 4")
         r5 = trail.route("surface-deg-5")
         # inside the quintic surface a cubic cut has degree 15 = d + 1: the
         # leftover line meets the curve in the three cubic points, so the
         # union genus 16 caps g at 14 while the twist requires 15
         p_a, check = record(union_genus, [g, 0], 3)
-        r5.fire("R-union-genus", False, ci_union_genus=16,
-                forced_meets=3, union_genus_with_meets=p_a,
-                required_genus=g, checks=[check])
+        r5.fire("R-union-genus/meets", 16, 3, p_a, g, (check,))
         return
     if d == 15:
         r = trail.route("surface-deg-5")
-        _harris_surface(r, d, 5, genus=g, surface_degree_cap=5,
-                        note="equality: the curve is the cubic cut of the surface")
-        r.hypothesis("A-delpezzo5", surface_twist=-1)
-        r.fire("R-surface-cut-twist", -1 + 3 == 2, surface_twist=-1,
-               cutting_degree=3, required=2)
+        _harris_surface(r, d, 5, g, 5, "equality: the curve is the cubic cut of the surface")
+        r.hypothesis("A-delpezzo5", -1)
+        r.fire("R-surface-cut-twist", -1, 3, 2)
         r.witness(witnesses_for(ctx.multidegree, 2, 15))
         return
     if d == 16:
@@ -498,14 +483,14 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         r = trail.route("surface-deg-6")
         _fire_ruled_38(r)
         r7 = trail.route("surface-deg-7")
-        r7.fire("A-linked-plane-7", False, surface_degree=7)
+        r7.exclude("A-linked-plane-7/route", 7)
         r8 = trail.route("surface-deg-8")
         _fire_liaison(r8, d)
         return
     if d == 18:
         r = trail.route("surface-deg-8")
-        twist = sum((2, 2, 2)) - 5 - 1
-        r.fire("R-s-omega", twist == 0, degrees=[2, 2, 2], omega_twist=twist)
+        degrees = (2, 2, 2)
+        r.fire("R-s-omega", degrees, sum(degrees) - 5 - 1)
         _fire_liaison(r, d)
         r.witness(witnesses_for(ctx.multidegree, 2, 18))
         return
@@ -513,26 +498,23 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
     if d <= 24:
         for deg_s in (5, 6):
             r = trail.route(f"surface-deg-{deg_s}")
-            r.fire("R-cut-cap", d <= 3 * deg_s, d=d, surface_degree=deg_s,
-                   cap=3 * deg_s)
+            r.fire("R-cut-cap", d, deg_s, 3 * deg_s)
+        r7 = trail.route("surface-deg-7")
         if d <= 21:
-            r7 = trail.route("surface-deg-7")
-            r7.fire("A-linked-plane-7", False, surface_degree=7)
+            r7.exclude("A-linked-plane-7/route", 7)
         else:
-            r7 = trail.route("surface-deg-7")
-            r7.fire("R-cut-cap", False, d=d, surface_degree=7, cap=21)
+            r7.fire("R-cut-cap", d, 7, 21)
         r8 = trail.route("surface-deg-8")
         _fire_liaison(r8, d)
     else:
         r = trail.route("surface")
-        r.fire("R-cut-cap", False, d=d, surface_degree=8, cap=24)
+        r.fire("R-cut-cap", d, 8, 24)
 
 
 def _fire_liaison(route: Route, d: int) -> None:
     total, ci_check = record(bounds.ci_curve_invariants, [2, 2, 2, 3], 5)
     linked, liaison_check = record(liaison_solve, total.degree, total.omega_twist, 2, 3)
-    route.fire("R-liaison-18", linked == d, linked_degree=linked, d=d,
-               checks=[ci_check, liaison_check])
+    route.fire("R-liaison-18", linked, d, (ci_check, liaison_check))
 
 
 def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
@@ -545,57 +527,50 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
     sections = [c for c in comps if c.span == 3]
     others = [c for c in comps if c.span > 3]
     if others:
-        minima = [max(_minimal_surface_degree(c.span), -(-c.d // 3)) for c in others]
-        ok = sum(minima) <= 8
-        r.fire("R-x33-surface-budget", ok, minima=minima, budget=8)
-        if not ok:
+        minima = tuple([max(_minimal_surface_degree(c.span), -(-c.d // 3)) for c in others])
+        r.fire("R-x33-surface-budget", minima, 8)
+        if sum(minima) > 8:
             return
     if not others:
         if s == 2:
             r.hypothesis("A-section-pair")
             r.witness(witnesses_for(ctx.multidegree, 2, 18))
         else:
-            r.fire("A-x33-three-sections", False, sections=s)
+            r.exclude("A-x33-three-sections", s)
         return
     for comp in others:
         d = comp.d
         if comp.span == 4:
             if d > 12:
-                r.fire("R-cut-cap", False, d=d, surface_degree=4, cap=12)
+                r.fire("R-cut-cap", d, 4, 12)
             elif d == 11:
                 g, meets = required_genus(2, d), 2
                 line_genus, line_check = record(bounds.plane_genus, 1)
                 ci_total, check = record(union_genus, [g, line_genus], meets)
-                r.fire("R-union-genus", False, ci_union_genus=ci_total,
-                       forced_meets=meets,
-                       dualizing_degree_on_line={"required": 2,
-                                                 "computed": 2 * line_genus - 2 + meets},
-                       checks=[line_check, check])
-                _harris_surface(r, d, comp.span, genus=g, surface_degree_cap=3)
+                r.fire("R-union-genus/line", ci_total, meets,
+                       FrozenDict({"required": 2, "computed": 2 * line_genus - 2 + meets}),
+                       (line_check, check))
+                _harris_surface(r, d, comp.span, g, 3)
             else:  # d == 12
-                if sections:
-                    r.fire("A-x33-span-overlap", False, d=12)
-                else:
-                    r.fire("A-x33-two-ci", False, d=12)
+                r.exclude("A-x33-span-overlap" if sections else "A-x33-two-ci", 12)
         else:  # span 5 beside other components
             if d == 14:
-                _harris_surface(r, d, comp.span, genus=required_genus(2, d),
-                                surface_degree_cap=4)
+                _harris_surface(r, d, comp.span, required_genus(2, d), 4)
             elif d == 15:
-                r.fire("A-ample-connected", False, d=15,
-                       note="the cubic cut of the quintic surface is connected")
+                r.exclude("A-ample-connected", 15,
+                          "the cubic cut of the quintic surface is connected")
             elif d == 16:
-                r.hypothesis("A-secant-dim", secant_dimension=3)
+                r.hypothesis("A-secant-dim", 3)
                 _fire_ruled_58(r)
                 _fire_clifford(r)
             elif d == 17:
                 _fire_ruled_38(r)
             elif d == 18:
-                r.hypothesis("A-secant-dim", secant_dimension=3)
+                r.hypothesis("A-secant-dim", 3)
                 _fire_ruled_e2q20(r)
             else:  # R-x33-surface-budget has capped d at 24
-                r.fire("A-x33-s2-deg8", False, d=d)
-                r.fire("A-linked-plane-7", False, surface_degree=7)
+                r.exclude("A-x33-s2-deg8", d)
+                r.exclude("A-linked-plane-7/route", 7)
 
 
 def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
@@ -607,9 +582,8 @@ def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     # several components would have to fill the connected section curve
     section, section_check = section_curve_invariants(ctx)
     p_a, check = record(union_genus, [c.g for c in cand.components])
-    r.hypothesis("A-ci-connected")
-    r.fire("R-union-genus", p_a == section.genus, union_genus=p_a,
-           section_genus=section.genus, checks=[section_check, check])
+    r.hypothesis("A-ci-connected/section")
+    r.fire("R-union-genus/section", p_a, section.genus, (section_check, check))
 
 
 def judge_candidate(
@@ -623,13 +597,13 @@ def judge_candidate(
     if not cand.components:  # the empty curve
         r = trail.route("split")
         inv, check = record(chern_of_extension, 0, c1, 0, ctx)
-        r.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2, checks=[check])
+        r.fire("R-ext-split/empty", inv.c1, inv.c2, (check,))
         r.witness([SPLIT_WITNESS])
         return trail.verdict(cand)
     # fired only past the cap, which enumerate_candidates never reaches
     cap = bounds.max_curve_degree(ctx, c1, 2)
     if cand.total_degree > cap:
-        trail.fire("R-degree-cap", False, total=cand.total_degree, cap=cap)
+        trail.fire("R-degree-cap/curve", cand.total_degree, cap)
     if c1 == 1:
         _judge_c1_one(cand, ctx, trail)
     elif cand.span_max < ctx.ambient_dim:
@@ -668,16 +642,16 @@ def _higher_rank_verdicts(
     verdicts: list[Verdict] = []
     windows: dict[int, tuple[int, int]] = {}
 
-    def shape(t: Trail, label: str, sub: list[int], quot: list[int], c1: int) -> None:
+    def shape(t: Trail, label: str, sub: tuple[int, ...], quot: tuple[int, ...],
+              c1: int) -> None:
         inv, chern_check = record(chern_from_resolution, sub, quot, ctx)
         if inv.c1 != c1:
             raise ValueError(f"resolution shape {label!r} has c1 = {inv.c1}, not {c1}")
         trivial_part, rank_check = record(max_rank_no_trivial, sub, ctx)
         extras = sum(1 for q in quot if q != 0)
         window = (3, trivial_part + extras)
-        t.fire("R-resolution-shape", True, sub=sub, quot_twists=sorted(set(quot)),
-               c1=inv.c1, c2=inv.c2, rank_window=list(window),
-               checks=[chern_check, rank_check])
+        t.fire("R-resolution-shape", sub, tuple(sorted(set(quot))), inv.c1, inv.c2, window,
+               (chern_check, rank_check))
         t.witness(witnesses_for(ctx.multidegree, c1, inv.c2, higher_rank=True))
         verdicts.append(t.verdict(label))
         if verdicts[-1].survives:
@@ -686,39 +660,34 @@ def _higher_rank_verdicts(
             witnesses.setdefault(inv.c2, set()).update(verdicts[-1].witnesses)
 
     if c1_max >= 1:
-        shape(Trail(disabled), "resolution O(-1) -> O^5 (twist one)", [-1], [0] * 5, 1)
+        shape(Trail(disabled), "resolution O(-1) -> O^5 (twist one)", (-1,), (0,) * 5, 1)
     if c1_max >= 2:
-        shape(Trail(disabled), "resolution O(-2) -> O^(r+1)", [-2], [0] * 4, 2)
+        shape(Trail(disabled), "resolution O(-2) -> O^(r+1)", (-2,), (0,) * 4, 2)
 
         # the smooth-scroll branch dies on the recorded spannedness axiom
         t = Trail(disabled)
-        t.hypothesis("A-base-locus")
+        t.hypothesis("A-base-locus/shape")
         viable, checks = _mu_d_viable()
-        t.fire("R-mu-d", 15 in viable, mu_d=15, viable=viable, checks=checks)
+        t.fire("R-mu-d/scroll", 15, viable, checks)
         qa, qb, qc = genus_quadratic(*_F1)
-        t.fire("A-scroll-spannedness", False,
-               stated="30a^2 - 31a + 60 <= 0 (no integer solutions)",
-               lattice=_polynomial(-qa, -qb, -qc, "<="),
-               lattice_solutions=_nonnegative_integers(qa, qb, qc))
+        t.exclude("A-scroll-spannedness", "30a^2 - 31a + 60 <= 0 (no integer solutions)",
+                  _polynomial(-qa, -qb, -qc, "<="), tuple(_nonnegative_integers(qa, qb, qc)))
         verdicts.append(t.verdict("smooth-scroll curve of degree 15"))
 
         # the cone branch lands on one class and realizes one shape
         t = Trail(disabled)
-        t.hypothesis("A-base-locus")
+        t.hypothesis("A-base-locus/shape")
         hits, genus, checks = _cone_class()
-        t.fire("R-hirzebruch-F3", _F3[0].degree <= genus - 1,
-               classes=encode(hits), genus=genus,
-               note=f"genus {genus} is allowed here: rank >= 3 needs only d <= g - 1",
-               checks=checks)
-        shape(t, "resolution O(-1)^2 -> O^(r+2)", [-1, -1], [0] * 5, 2)
+        t.fire("R-hirzebruch-F3/higher-rank", _classes(hits), genus,
+               f"genus {genus} is allowed here: rank >= 3 needs only d <= g - 1", checks)
+        shape(t, "resolution O(-1)^2 -> O^(r+2)", (-1, -1), (0,) * 5, 2)
 
-        shape(Trail(disabled), "resolution O(-1) -> O^r + O(1)", [-1], [0, 0, 0, 1], 2)
+        shape(Trail(disabled), "resolution O(-1) -> O^r + O(1)", (-1,), (0, 0, 0, 1), 2)
 
         t = Trail(disabled)
         t.hypothesis("A-minimal-resolution")
         inv, check = record(chern_of_extension, 1, 1, 0, ctx)
-        t.fire("R-ext-split", True, c1=inv.c1, c2=inv.c2,
-               split="O(1) + O(1) + trivial factors", checks=[check])
+        t.fire("R-ext-split/split", inv.c1, inv.c2, "O(1) + O(1) + trivial factors", (check,))
         t.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
         verdicts.append(t.verdict("plane-section curve (split route)"))
         if verdicts[-1].survives:
@@ -779,7 +748,7 @@ class ClassificationResult:
         report["rules"] = [
             {
                 "id": rule_id,
-                "kind": RULES[rule_id].kind.value,
+                "kind": _TEXT[RULES[rule_id].kind],
                 "ref": RULES[rule_id].ref,
                 "statement": RULES[rule_id].statement,
                 "counts": tally,
@@ -790,11 +759,16 @@ class ClassificationResult:
         return report
 
 
+#: The text of each status and rule kind, read once: an enum's `value` is a
+#: descriptor call, made for every verdict a report writes.
+_TEXT = {member: member.value for member in (*Status, *RuleKind)}
+
+
 def _verdict_dict(verdict: Verdict) -> dict:
     """One verdict as a report stores it: the only home of its trail."""
     return {
         "candidate": verdict.label,
-        "status": verdict.status.value,
+        "status": _TEXT[verdict.status],
         "witnesses": list(verdict.witnesses),
         "trail": [e.to_dict() for e in verdict.trail],
     }
@@ -1044,31 +1018,49 @@ def _replay(check: dict):
 
 
 def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
-    """Replay every recorded kernel computation; return mismatch descriptions.
+    """Re-derive every arithmetic outcome and replay every recorded kernel
+    computation; return mismatch descriptions.
 
-    An empty list certifies that the values stored in the verdict trails are
-    reproducible by rerunning the cited kernel operations, equal with equal
-    types.  A recorded call is replayed in its `payload` form, the form a
-    saved report holds; a payload dict is replayed as it is.  An unknown op,
-    arguments that do not decode, a raising kernel, a `checks` value that is
+    An empty list certifies two things of the verdict trails.  Each
+    arithmetic firing's outcome is the one its form decides from the recorded
+    fields.  Each value the kernel computed is reproducible by rerunning the
+    cited kernel operation, equal with equal types.  A recorded call is
+    replayed in its `payload` form, the form a saved report holds; a payload
+    dict is replayed as it is.  A form that is not its rule's corpus form, a
+    field count its form does not name, a raising decision, an unknown op,
+    arguments that do not decode, a raising kernel, a `checks` field that is
     not a list and a check that is neither are mismatches too.
     """
     mismatches = []
     for verdict in verdicts:
-        for entry in verdict.trail:
-            values = entry.values
-            if "checks" not in values:
+        for rule_id, outcome, form_id, fields, _ in verdict.trail:
+            form = FORMS.get(form_id)
+            if form is None or form.rule_id != rule_id:
+                mismatches.append(f"{rule_id}: fired {form_id!r}, not a form of its rule")
                 continue
-            checks = values["checks"]
+            _, names, decide, at = form
+            if len(fields) != len(names):
+                mismatches.append(f"{form_id}: {len(fields)} fields for {len(names)} names")
+                continue
+            if decide is not None:  # an arithmetic rule's form
+                try:
+                    decided = "pass" if decide(*fields) else "fail"
+                except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
+                    decided = f"no outcome: {type(exc).__name__}: {exc}"
+                if decided != outcome:
+                    mismatches.append(f"{form_id}: recorded {outcome}, its decision gives {decided}")
+            if at is None:
+                continue
+            checks = fields[at]
             if not isinstance(checks, (list, tuple)):
-                mismatches.append(f"{entry.rule_id}/checks: cannot replay: "
+                mismatches.append(f"{rule_id}/checks: cannot replay: "
                                   f"{type(checks).__name__} {checks!r} is not a list")
                 continue
             for check in checks:
                 if type(check) is KernelCall:
                     check = payload(check)
                 elif not isinstance(check, dict):
-                    mismatches.append(f"{entry.rule_id}/{check!r}: cannot replay: "
+                    mismatches.append(f"{rule_id}/{check!r}: cannot replay: "
                                       f"{type(check).__name__} is not a kernel call or payload")
                     continue
                 try:
@@ -1081,5 +1073,5 @@ def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
                                                  or exactly_equal(recomputed, result)):
                         continue  # a match formats no text
                     problem = f"recorded {result!r}, recomputed {recomputed!r}"
-                mismatches.append(f"{entry.rule_id}/{check.get('op')}{check.get('args')}: {problem}")
+                mismatches.append(f"{rule_id}/{check.get('op')}{check.get('args')}: {problem}")
     return mismatches

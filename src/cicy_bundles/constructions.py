@@ -167,48 +167,40 @@ def component_admissible(
 
     expected = required_genus(c1, d) if (c1 * d) % 2 == 0 else None
     if g != expected:
-        t.fire("R-regime-genus", False, d=d, g=g, twist=c1, required=expected)
+        t.fire("R-regime-genus", d, g, c1, expected)
 
     if span == 2:
         plane_g, check = record(bounds.plane_genus, d)
-        realizable = d in ctx.multidegree
-        ok = g == plane_g and realizable
-        t.fire("R-plane-degree", ok,
-               d=d, g=g, plane_genus=plane_g, defining_degrees=list(ctx.multidegree),
-               checks=[check])
-        if not realizable:
-            t.hypothesis("A-no-plane", span=2, d=d)
+        t.fire("R-plane-degree", d, g, plane_g, ctx.multidegree, (check,))
+        if d not in ctx.multidegree:
+            t.hypothesis("A-no-plane", 2, d)
     elif span == 3:
-        t.fire("R-span3-cap", d <= ctx.u, d=d, cap=ctx.u)
+        t.fire("R-span3-cap", d, ctx.u)
         if d <= ctx.u:
             if d == ctx.u:
                 section, check = section_curve_invariants(ctx)
-                t.fire("R-section-match", g == section.genus,
-                       d=d, g=g, section_genus=section.genus, checks=[check])
+                t.fire("R-section-match/section", d, g, section.genus, (check,))
             else:
                 # below the section degree the spanned twisted ideal has no room
                 if c1 == 1:
-                    if t.hypothesis("A-spannedness-h0", d=d, section_degree=ctx.u):
-                        t.fire("R-section-match", False, d=d, section_degree=ctx.u)
+                    if t.hypothesis("A-spannedness-h0", d, ctx.u):
+                        t.fire("R-section-match/below", d, ctx.u)
                 elif ctx.multidegree == (3, 3) and d == 8:
                     # extremal space curve of degree 8 is a quadric-quartic
                     # complete intersection; no quartic surface sits inside X
-                    t.hypothesis("A-no-quartic-surface", d=d)
-                    t.fire("R-section-match", False, d=d, forced_degree=ctx.u)
+                    t.hypothesis("A-no-quartic-surface", d)
+                    t.fire("R-section-match/forced", d, ctx.u)
     if span >= 3:
         if d < span:
-            t.fire("R-genus-bound", False, d=d, span=span, reason="degenerate")
+            t.fire("R-genus-bound/degenerate", d, span, "degenerate")
         else:
             pi, check = record(bounds.castelnuovo_pi, d, span)
-            t.fire("R-genus-bound", g <= pi, d=d, g=g, span=span, bound=pi,
-                   checks=[check])
+            t.fire("R-genus-bound/bound", d, g, span, pi, (check,))
     if c1 == 1:
-        t.fire("R-ideal-sections", span <= ctx.ambient_dim - 2,
-               span=span, ambient=ctx.ambient_dim,
-               linear_sections=ctx.ambient_dim - span)
+        t.fire("R-ideal-sections", span, ctx.ambient_dim, ctx.ambient_dim - span)
     cap = bounds.max_curve_degree(ctx, c1, 2)
     if d > cap:
-        t.fire("R-degree-cap", False, d=d, cap=cap)
+        t.fire("R-degree-cap/component", d, cap)
 
     return t.verdict(comp)
 

@@ -10,7 +10,8 @@ is toggleable so the arithmetic skeleton can be audited on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
 from typing import NamedTuple
@@ -37,11 +38,45 @@ SURVIVES, ELIMINATED, AXIOM_ELIMINATED = Status
 
 @dataclass(frozen=True)
 class Rule:
+    """A corpus rule.  `forms` declares the shapes of its firings' values:
+    for an arithmetic rule a decision, whose parameters name the fields and
+    whose value is the outcome, for an axiom the field names, space
+    separated; a dict holds one such form per shape name (see `FORMS`)."""
+
     id: str
     kind: RuleKind
     statement: str
     ref: str
     annotation: str | None = None
+    forms: object = field(default="", compare=False)
+
+
+class Form(NamedTuple):
+    """One value shape of a rule's firings, fired by its key in `FORMS` with
+    the fields in `names` order.  `decide` takes them and gives an arithmetic
+    firing's outcome; an axiom has none.  `checks_at` is the position of the
+    recorded kernel calls, None without them."""
+
+    rule_id: str
+    names: tuple[str, ...]
+    decide: Callable[..., bool] | None
+    checks_at: int | None
+
+
+class FrozenDict(dict):
+    """A dict that refuses writes: each mapping among a firing's fields.  A
+    dict still, so reports write it as the stdlib does; a copy is a new one."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a firing's fields are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 class KernelCall(NamedTuple):
@@ -53,22 +88,49 @@ class KernelCall(NamedTuple):
     result: object
 
 
+class FieldMap(Mapping):
+    """A firing's fields by name, read-only, without a dict: `TrailEntry.values`."""
+
+    __slots__ = ("_names", "_fields")
+
+    def __init__(self, names: tuple[str, ...], fields: tuple) -> None:
+        self._names, self._fields = names, fields
+
+    def __getitem__(self, name: str):
+        if name not in self._names:
+            raise KeyError(name)
+        return self._fields[self._names.index(name)]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 class TrailEntry(NamedTuple):
+    """One firing, plain data: the rule, its outcome, the id of the form
+    fired, that form's fields and the route fired on."""
+
     rule_id: str
     outcome: str  # "pass", "fail" or "hypothesis"
-    values: dict  # the rule's own values
+    form_id: str  # a key of FORMS, a form of rule `rule_id`
+    fields: tuple  # the firing's values, in the form's `names` order
     route: str | None = None  # the escape route fired on; None: the trail itself
 
+    @property
+    def values(self) -> FieldMap:
+        return FieldMap(FORMS[self.form_id].names, self.fields)
+
     def to_dict(self) -> dict:
-        """The entry as a report stores it: a routed entry's route first among
-        its values, each recorded call as its payload."""
-        values = self.values
-        if self.route is not None:
-            values = {"route": self.route, **values}
-        elif "checks" in values:
-            values = values.copy()
-        if "checks" in values:  # each payload takes its record's key position
-            values["checks"] = [payload(call) for call in values["checks"]]
+        """The entry as a report stores it: the route first, then each field
+        under its name, the recorded calls as their payloads."""
+        form = FORMS[self.form_id]
+        values = {} if self.route is None else {"route": self.route}
+        values.update(zip(form.names, self.fields))
+        at = form.checks_at
+        if at is not None:  # each payload takes its field's key position
+            values["checks"] = [payload(call) for call in self.fields[at]]
         return {"rule": self.rule_id, "outcome": self.outcome, "values": values}
 
 
@@ -98,93 +160,143 @@ _CORPUS: tuple[Rule, ...] = (
     Rule("R-regime-genus", _R,
          "component genus matches the dualizing-twist regime: g = d + 1 for "
          "twist two, 2g - 2 = d for twist one",
-         "serre-curve-genus"),
+         "serre-curve-genus",
+         forms=lambda d, g, twist, required: g == required),
     Rule("R-plane-degree", _R,
          "a plane component is a plane-section curve: genus (d-1)(d-2)/2 and "
          "degree equal to one of the defining degrees",
-         "plane-section-degrees"),
+         "plane-section-degrees",
+         forms=lambda d, g, plane_genus, defining_degrees, checks: (
+             g == plane_genus and d in defining_degrees)),
     Rule("A-no-plane", _A,
          "none of the five threefolds contains a 2-plane",
-         "no-planes"),
+         "no-planes",
+         forms="span d"),
     Rule("R-span3-cap", _R,
          "a component spanning a 3-space lies inside the degree-u linear "
          "section, so its degree is at most u",
-         "linear-section-cap"),
+         "linear-section-cap",
+         forms=lambda d, cap: d <= cap),
     Rule("A-no-quartic-surface", _A,
          "on the (3,3) threefold a degree-8 extremal space curve would need a "
          "quartic surface inside the threefold, which does not exist",
-         "quadric-quartic-exclusion"),
+         "quadric-quartic-exclusion",
+         forms="d"),
     Rule("R-section-match", _R,
          "a curve filling its linear section carries the section's "
          "complete-intersection degree and genus",
-         "section-genus"),
+         "section-genus",
+         forms={
+             "section": lambda d, g, section_genus, checks: g == section_genus,
+             "below": lambda d, section_degree: d == section_degree,
+             "forced": lambda d, forced_degree: d == forced_degree}),
     Rule("A-spannedness-h0", _A,
          "a spanned twisted ideal with a two-dimensional space of linear "
          "sections forces the curve to be the full linear-section curve",
-         "ideal-spannedness"),
+         "ideal-spannedness",
+         forms="d section_degree"),
     Rule("R-genus-bound", _R,
          "component genus is at most the Castelnuovo bound for its degree and span",
-         "castelnuovo-bound"),
+         "castelnuovo-bound",
+         forms={
+             "degenerate": lambda d, span, reason: d >= span,
+             "bound": lambda d, g, span, bound, checks: g <= bound}),
     Rule("R-ideal-sections", _R,
          "for determinant twist one a spanned ideal needs at least two linear "
          "sections, so the span dimension is at most n - 2",
-         "linear-system-count"),
+         "linear-system-count",
+         forms=lambda span, ambient, linear_sections: span <= ambient - 2),
     Rule("R-degree-cap", _R,
          "total curve degree respects the quadric-section degree cap",
-         "degree-cap"),
+         "degree-cap",
+         forms={
+             "component": lambda d, cap: d <= cap,
+             "curve": lambda total, cap: total <= cap}),
     # -- degenerate (extension) route --------------------------------------
     Rule("R-ext-z", _R,
          "a degenerate curve comes from a twisted extension; the residual "
          "degree z = d - u must be 0 (split pair) or 3 (plane cubic)",
-         "extension-residual"),
+         "extension-residual",
+         forms={
+             "split": lambda z, residual, checks: z == 0,
+             "plane-cubic": lambda z, residual, residual_omega_twist, checks: (
+                 z == 3 and residual_omega_twist == 0),
+             "other": lambda z, allowed: z in allowed,
+             "section": lambda z, allowed, checks, note: z in allowed}),
     Rule("A-ext-plane-cubic", _A,
          "three independent linear forms through the residual subscheme force "
          "it to be a plane curve; trivial dualizing sheaf then forces a cubic",
-         "residual-planarity"),
+         "residual-planarity",
+         forms="z linear_sections_through_plane"),
     Rule("R-union-genus", _R,
          "disjoint-union genus bookkeeping: p_a = sum(g_i) - s + 1 (+ meets)",
-         "union-genus"),
+         "union-genus",
+         forms={
+             "planes": lambda union_genus, total_degree, checks: union_genus - 1 == total_degree,
+             "section": lambda union_genus, section_genus, checks: union_genus == section_genus,
+             "meets": lambda ci_union_genus, forced_meets, union_genus_with_meets, required_genus,
+             checks: union_genus_with_meets == ci_union_genus,
+             "line": lambda ci_union_genus, forced_meets, dualizing_degree_on_line, checks: (
+                 dualizing_degree_on_line["computed"] == dualizing_degree_on_line["required"])}),
     # -- quintic, twist two -------------------------------------------------
     Rule("A-base-locus", _A,
          "three general quadric sections either cut a curve of degree at most "
          "eight or share a base surface of degree at most three",
-         "quadric-base-locus"),
+         "quadric-base-locus",
+         forms={"candidate": "components", "shape": ""}),
     Rule("R-ci-omega", _R,
          "a complete-intersection curve whose dualizing twist differs from "
          "the determinant twist is excluded",
-         "ci-adjunction-twist"),
+         "ci-adjunction-twist",
+         forms={
+             "curve": lambda degrees, omega_twist, required, checks: omega_twist == required,
+             "surface": lambda degrees, omega_twist, required, checks, note: (
+                 omega_twist == required)}),
     Rule("R-mu-d", _R,
          "on a degree-3 base surface the intersection multiplicity satisfies "
          "mu * d = 15; only d = 15 admits the required genus d + 1",
-         "scroll-multiplicity"),
+         "scroll-multiplicity",
+         forms={
+             "curve": lambda mu_d, d, viable, checks: d in viable,
+             "scroll": lambda mu_d, viable, checks: mu_d in viable}),
     Rule("R-hirzebruch-F1", _R,
          "no divisor class on the smooth cubic scroll has embedding degree 15 "
          "and genus 16",
-         "smooth-scroll-search"),
+         "smooth-scroll-search",
+         forms=lambda classes, quadratic, checks: len(classes) > 0),
     Rule("R-cone-disjointness", _R,
          "on the cubic cone every pair of smoothness-band classes has "
          "positive pairing, so a multi-component curve cannot be disjoint",
-         "cone-disjointness"),
+         "cone-disjointness",
+         forms=lambda pairings, conclusion: all(v > 0 for v in pairings.values())),
     Rule("R-hirzebruch-F3", _R,
          "on the cubic cone the degree-15 smoothness band forces the class "
          "(5,15), whose genus 26 is not 16",
-         "cone-scroll-search"),
+         "cone-scroll-search",
+         forms={
+             "rank2": lambda classes, genus, required, checks: genus == required,
+             # rank >= 3 needs only d <= g - 1 of the degree-15 curve
+             "higher-rank": lambda classes, genus, note, checks: 15 <= genus - 1}),
     Rule("A-two-planes", _A,
          "a disjoint pair of plane sections whose planes meet in one external "
          "point is cut out by quadrics along the threefold",
-         "plane-pair-spannedness"),
+         "plane-pair-spannedness",
+         forms=""),
     Rule("A-three-planes", _A,
          "three pairwise disjoint plane sections are never cut out by "
          "quadrics along the threefold",
-         "plane-triple-obstruction"),
+         "plane-triple-obstruction",
+         forms="planes"),
     Rule("A-quadric-plane", _A,
          "a quadric surface plus an external plane is never cut out by "
          "quadrics along the threefold",
-         "quadric-plane-obstruction"),
+         "quadric-plane-obstruction",
+         forms="spans"),
     Rule("R-surface-budget", _R,
          "the base-locus surface degree budget must cover the minimal surface "
          "degree of every component",
-         "surface-degree-budget"),
+         "surface-degree-budget",
+         forms=lambda minima, budget: sum(minima) <= budget),
     Rule("A-scroll-spannedness", _A,
          "for rank at least three the twisted dualizing sheaf of a smooth-"
          "scroll curve of degree 15 is not spanned",
@@ -195,61 +307,88 @@ _CORPUS: tuple[Rule, ...] = (
              "lattice-derived inequality 3a^2 - 31a + 60 <= 0 is satisfied for "
              "a in [3, 7]; the step is therefore kept as an axiom, not an "
              "arithmetic rule"
-         )),
+         ),
+         forms="stated lattice lattice_solutions"),
     Rule("A-minimal-resolution", _A,
          "a connected plane-section curve yields a split bundle through the "
          "minimal free resolution of its ideal",
-         "minimal-resolution-split"),
+         "minimal-resolution-split",
+         forms=""),
     # -- degree-8 threefold, twist two --------------------------------------
     Rule("R-x24-extremal", _R,
          "several components, each of degree at least 8, with total degree at "
          "most 16: exactly two degree-8 space sections",
-         "extremal-pair"),
+         "extremal-pair",
+         forms=lambda total, component_floor, components: (
+             components == "(8,9,3) + (8,9,3)")),
     Rule("A-section-pair", _A,
          "a transversal pair of codimension-2 linear sections is cut out by "
          "quadrics along the threefold",
-         "section-pair-existence"),
+         "section-pair-existence",
+         forms=""),
     Rule("A-x24-three-quadrics", _A,
          "three disjoint quadric-section components are not cut out by "
          "quadrics (linear-projection argument)",
-         "conic-triple-obstruction"),
+         "conic-triple-obstruction",
+         forms="sections"),
     Rule("R-x24-si-degree", _R,
          "each base surface cuts its curve with the quartic: component degree "
          "is 4 * deg(S) with deg(S) in {2,...,7}",
-         "surface-cut-degree"),
+         "surface-cut-degree",
+         forms={
+             "cut": lambda d, note: d % 4 == 0 and 2 <= d // 4 <= 7,
+             "sections": lambda surface_degree, d: d == 4 * surface_degree}),
     Rule("R-adjunction-28-40", _R,
          "ruled-surface adjunction gives 2g - 2 in {28, 40} on the degree-3 "
          "and degree-4 base surfaces, never the required 2d in {24, 32}",
-         "ruled-adjunction-table"),
+         "ruled-adjunction-table",
+         forms=lambda cases, checks: any(
+             v["2g-2"] == v["required"] for v in cases.values())),
     Rule("R-x24-s2-span5", _R,
          "a spanning component living beside others is capped by twice a "
          "residual surface degree, at most 12, below the genus floor 14",
-         "residual-degree-cap"),
+         "residual-degree-cap",
+         forms=lambda d, genus_floor, checks: genus_floor <= d <= 12),
     Rule("R-quadric-cap", _R,
          "a curve cut out by quadrics in P^5 has degree at most 2^4 = 16",
-         "quadric-ci-cap"),
+         "quadric-ci-cap",
+         forms=lambda d, cap: d <= cap),
     Rule("R-x24-mod4", _R,
          "a curve cut from a base surface by the quartic has degree 4*deg(S)",
-         "quartic-cut-divisibility"),
+         "quartic-cut-divisibility",
+         forms={
+             "off": lambda d, modulus: d % modulus == 0,
+             "cut": lambda d, surface_degree: d == 4 * surface_degree}),
     Rule("R-ci-residual", _R,
          "degree below 16 leaves a nonempty residual inside the four-quadric "
          "intersection; meeting it changes the dualizing twist",
-         "ci-residual-meet"),
+         "ci-residual-meet",
+         forms={
+             "twist": lambda d, residual_degree, forced_meets, required_meets: residual_degree == 0,
+             "note": lambda d, residual_degree, forced_meets, required_meets, note: (
+                 residual_degree == 0)}),
     Rule("A-ci-connected", _A,
          "complete-intersection curves are connected",
-         "ci-connectedness"),
+         "ci-connectedness",
+         forms={"ci": "ci_degree", "section": ""}),
     Rule("A-deg-S-5", _A,
          "no degree-5 base surface: in both Delta-genus branches the twisted "
          "dualizing sheaf of the surface has sections with nonempty zero locus",
-         "almost-minimal-surface"),
+         "almost-minimal-surface",
+         forms={"surface": "surface_degree sectional_twist scroll_dualizing_sections",
+                "component": "surface_degree d"}),
     Rule("A-deg-S-6", _A,
          "no degree-6 base surface: the trisecant count forces sectional "
          "genus 2 and the twisted dualizing sheaf has sections",
-         "berzolari-sectional-genus"),
+         "berzolari-sectional-genus",
+         forms={"surface": "surface_degree hyperplane_genus twisted_dualizing_sections",
+                "component": "surface_degree d"}),
     Rule("A-linked-plane-7", _A,
          "no degree-7 base surface: every quadric through it contains the "
          "plane linked to it inside three quadrics",
-         "cayley-bacharach-link"),
+         "cayley-bacharach-link",
+         forms={"surface": "surface_degree link", "component": "surface_degree d",
+                "route": "surface_degree"}),
     # -- degree-9 threefold, twist two --------------------------------------
     Rule("A-harris-surface", _A,
          "genus meeting or exceeding the refined bound forces the curve onto "
@@ -261,52 +400,68 @@ _CORPUS: tuple[Rule, ...] = (
              "bound gives 10 and 13 (and 16 at (15, 5)); the printed values "
              "could not be checked against the paper's text, and every firing "
              "still has genus at or above the bound (12, 15, 16)"
-         )),
+         ),
+         forms="refined_bound genus surface_degree_cap checks"),
     Rule("R-pi1-cut", _R,
          "the refined-bound surface is cut by the cubics: d <= 3 * deg(T)",
-         "cubic-cut-cap"),
+         "cubic-cut-cap",
+         forms={
+             "cut": lambda d, cut_cap: d <= cut_cap,
+             "note": lambda d, cut_cap, note: d <= cut_cap}),
     Rule("A-delpezzo5", _A,
          "the degree-5 surface carrying the degree-15 curve is a weak del "
          "Pezzo surface with anticanonical twist -1",
-         "quintic-delpezzo"),
+         "quintic-delpezzo",
+         forms="surface_twist"),
     Rule("R-surface-cut-twist", _R,
          "surface dualizing twist plus cutting degree must equal the "
          "determinant twist",
-         "surface-cut-twist"),
+         "surface-cut-twist",
+         forms=lambda surface_twist, cutting_degree, required: (
+             surface_twist + cutting_degree == required)),
     Rule("R-liaison-18", _R,
          "linkage inside the (2,2,2,3) complete intersection forces the "
          "admissible piece to have degree 18",
-         "liaison-degree"),
+         "liaison-degree",
+         forms=lambda linked_degree, d, checks: linked_degree == d),
     Rule("R-s-omega", _R,
          "a degree-8 base surface is a three-quadric complete intersection "
          "with trivial dualizing twist",
-         "ci-surface-twist"),
+         "ci-surface-twist",
+         forms=lambda degrees, omega_twist: omega_twist == 0),
     Rule("R-cut-cap", _R,
          "curve degree is at most 3 times the base-surface degree (deg <= 8)",
-         "cubic-cut-budget"),
+         "cubic-cut-budget",
+         forms=lambda d, surface_degree, cap: d <= cap),
     Rule("R-dim3-degree", _R,
          "a threefold base component cuts a curve of degree 9 * deg",
-         "threefold-cut-degree"),
+         "threefold-cut-degree",
+         forms=lambda d, possible_degrees: d in possible_degrees.values()),
     Rule("A-x33-cubic-3fold", _A,
          "the degree-3 threefold route dies: the twisted dualizing sheaf of a "
          "desingularization has sections with nonempty zero locus",
-         "cubic-threefold-sections"),
+         "cubic-threefold-sections",
+         forms="d"),
     Rule("A-berzolari", _A,
          "the trisecant-line count forces the general hyperplane section of "
          "the degree-6 base surface to have genus 2",
-         "berzolari-trisecant-count"),
+         "berzolari-trisecant-count",
+         forms={"degree": "sectional_genus degree checks", "genus": "sectional_genus checks"}),
     Rule("R-ruled-38", _R,
          "degree-17 curve on the degree-6 ruled surface: adjunction gives "
          "2g - 2 = 38 for every even invariant e, never the required 34",
-         "genus2-scroll-adjunction"),
+         "genus2-scroll-adjunction",
+         forms=lambda required, value_at_q2, table, never_34: required in table.values()),
     Rule("A-secant-dim", _A,
          "the secant variety of an integral nondegenerate curve in P^5 has "
          "dimension 3, so it meets every 3-space",
-         "secant-variety-dimension"),
+         "secant-variety-dimension",
+         forms="secant_dimension"),
     Rule("R-ruled-58", _R,
          "triple-section case of the degree-16 curve: -3e + 6q + 58 = 32 has "
          "no even solution with e >= -q and q <= 2",
-         "scroll-case-equation-16"),
+         "scroll-case-equation-16",
+         forms=lambda equation, divisibility, even_solutions: len(even_solutions) > 0),
     Rule("R-clifford", _R,
          "double-section case of the degree-16 curve: a primitive pencil of "
          "Clifford index 2 gives h0 = 8 sections, but genus 17 exceeds the "
@@ -316,46 +471,61 @@ _CORPUS: tuple[Rule, ...] = (
              "recorded discrepancy: the genus bookkeeping uses 2g - 2 = 32, "
              "i.e. g = 17; the variant relation 2g + 2 = 32 appearing in one "
              "intermediate step is recorded here and not used"
-         )),
+         ),
+         forms=lambda genus, clifford_options, sections_from_index_2, bound_in_p7,
+         contradiction, checks: genus <= bound_in_p7),
     Rule("R-ruled-e2q20", _R,
          "triple-section case of the degree-18 curve: 2q + 16 - e = 36 forces "
          "e = 2q - 20 < -q, infeasible for q <= 2",
-         "scroll-case-equation-18"),
+         "scroll-case-equation-18",
+         forms=lambda equation, forced_e, feasible: len(feasible) > 0),
     Rule("A-ample-connected", _A,
          "an ample divisor on the carrier surface is connected, so the curve "
          "cannot be one component among several",
-         "ample-connectedness"),
+         "ample-connectedness",
+         forms="d note"),
     Rule("A-x33-span-overlap", _A,
          "overlapping component spans put a reducible quadric into the base "
          "locus of the twisted ideal",
-         "span-overlap-obstruction"),
+         "span-overlap-obstruction",
+         forms="d"),
     Rule("A-x33-two-ci", _A,
          "two degree-12 components would make the two carrier surfaces a "
          "three-quadric complete intersection, leaving too few quadrics",
-         "quadric-count-pair"),
+         "quadric-count-pair",
+         forms="d"),
     Rule("A-x33-three-sections", _A,
          "three space-section components force every quadric through the "
          "curve to be a cone over one quadric surface, leaving one section",
-         "triple-section-cones"),
+         "triple-section-cones",
+         forms="sections"),
     Rule("A-x33-s2-deg8", _A,
          "a degree-8 base surface beside a linear span gives quadric counts "
          "3 versus at most 2, impossible for a disconnected curve",
-         "quadric-count-deg8"),
+         "quadric-count-deg8",
+         forms="d"),
     Rule("R-x33-surface-budget", _R,
          "the three-quadric intersection (degree 8) must hold the carrier "
          "surfaces of all non-section components",
-         "surface-degree-budget-9"),
+         "surface-degree-budget-9",
+         forms=lambda minima, budget: sum(minima) <= budget),
     # -- witnesses / registry-backed pass rules ------------------------------
     Rule("A-plane-in-quadric", _A,
          "the unique quadric through the threefold contains planes, and a "
          "general one cuts a smooth plane quartic on the quartic equation",
-         "plane-in-quadric-existence"),
+         "plane-in-quadric-existence",
+         forms=""),
     Rule("R-resolution-shape", _R,
          "Chern numbers and rank window of a twisted free resolution shape",
-         "resolution-shape"),
+         "resolution-shape",
+         forms=lambda sub, quot_twists, c1, c2, rank_window, checks: (
+             rank_window[0] <= rank_window[1])),
     Rule("R-ext-split", _R,
          "split bundles O(a) + O(b) contribute c2 = a*b*u",
-         "split-pairs"),
+         "split-pairs",
+         forms={
+             "empty": lambda c1, c2, checks: c2 >= 0,
+             "split": lambda c1, c2, split, checks: c2 >= 0}),
 )
 
 RULES: dict[str, Rule] = {rule.id: rule for rule in _CORPUS}
@@ -371,8 +541,24 @@ def annotations() -> list[dict]:
     ]
 
 
+def _forms(rule: Rule):
+    """(id, form) of each form of a rule: its one form, under the rule's own
+    id, or one per shape name, under the id `rule-id/shape`."""
+    shapes = rule.forms if isinstance(rule.forms, dict) else {None: rule.forms}
+    for shape, spec in shapes.items():
+        if rule.kind is RuleKind.ARITHMETIC:
+            code = spec.__code__
+            names, decide = code.co_varnames[:code.co_argcount], spec
+        else:
+            names, decide = tuple(spec.split()), None
+        yield (rule.id if shape is None else f"{rule.id}/{shape}",
+               Form(rule.id, names, decide, names.index("checks") if "checks" in names else None))
+
+
+#: Every form of the corpus by its id, the name a firing site gives.
+FORMS: dict[str, Form] = {form_id: form for rule in _CORPUS for form_id, form in _forms(rule)}
+
 _SOLE_ROUTE = {None: ((), False)}  # a trail with no routes opened, never witnessed
-_ARITHMETIC = frozenset(rule.id for rule in _CORPUS if rule.kind is RuleKind.ARITHMETIC)
 
 
 class Route(NamedTuple):
@@ -382,11 +568,14 @@ class Route(NamedTuple):
     trail: Trail
     name: str
 
-    def fire(self, rule_id: str, ok: bool, **values) -> bool | None:
-        return self.trail._fire(rule_id, ok, self.name, values)
+    def fire(self, form_id: str, *fields) -> bool | None:
+        return self.trail._fire(form_id, self.name, fields)
 
-    def hypothesis(self, rule_id: str, **values) -> bool:
-        return self.trail._hypothesis(rule_id, self.name, values)
+    def exclude(self, form_id: str, *fields) -> None:
+        self.trail._exclude(form_id, self.name, fields)
+
+    def hypothesis(self, form_id: str, *fields) -> bool:
+        return self.trail._hypothesis(form_id, self.name, fields)
 
     def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
         self.trail.routes[self.name] = (witnesses, unresolved)
@@ -396,7 +585,12 @@ class Trail:
     """The judgement of one candidate: rule firings, honoring a set of
     disabled rule ids, made on escape routes that share its entries.  A firing
     on the trail itself belongs to every route; with no routes opened the
-    trail counts as one route.  `verdict` derives the status."""
+    trail counts as one route.  `verdict` derives the status.
+
+    A site fires a form by its id with the form's fields, positionally: an
+    arithmetic form with `fire`, which takes the outcome from the form's
+    decision, an axiom that excludes with `exclude` and one taken as a
+    hypothesis with `hypothesis`."""
 
     __slots__ = ("entries", "disabled", "routes", "dead")
 
@@ -420,40 +614,56 @@ class Trail:
         self.routes[None] = (witnesses, unresolved)
 
     def active(self, rule_id: str) -> bool:
-        if rule_id not in RULES:
-            raise KeyError(f"unknown rule {rule_id}")
         return rule_id not in self.disabled
 
-    def fire(self, rule_id: str, ok: bool, **values) -> bool | None:
-        """Record a pass/fail firing on the trail itself; returns None when
-        the rule is disabled.  A failure kills every route."""
-        return self._fire(rule_id, ok, None, values)
+    def fire(self, form_id: str, *fields) -> bool | None:
+        """Record an arithmetic firing on the trail itself and return its
+        outcome, None when the rule is disabled.  A failure kills every route."""
+        return self._fire(form_id, None, fields)
 
-    def hypothesis(self, rule_id: str, **values) -> bool:
+    def exclude(self, form_id: str, *fields) -> None:
+        """Record an axiom failure on the trail itself, which kills every route."""
+        self._exclude(form_id, None, fields)
+
+    def hypothesis(self, form_id: str, *fields) -> bool:
         """Record an axiom hypothesis on the trail itself; returns False when
         disabled."""
-        return self._hypothesis(rule_id, None, values)
+        return self._hypothesis(form_id, None, fields)
 
-    def _fire(self, rule_id: str, ok: bool, route: str | None, values: dict) -> bool | None:
-        """Record a pass/fail firing on `route`, None for the trail itself; a
-        failure kills that route.  Every pass/fail firing is recorded here,
-        the values dict as the caller's keywords made it."""
+    def _fire(self, form_id: str, route: str | None, fields: tuple) -> bool | None:
+        """Record an arithmetic firing on `route`, None for the trail itself,
+        its fields tuple as it came and its outcome as the form decides it; a
+        failure kills that route.  Every arithmetic firing is recorded here."""
+        form = FORMS[form_id]
+        rule_id = form.rule_id
         if not self.active(rule_id):
             return None
         # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
-        if ok:
-            self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass", values, route)))
-            return ok
-        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "fail", values, route)))
-        self.dead[route] = rule_id in _ARITHMETIC or self.dead.get(route, False)
-        return ok
+        if form.decide(*fields):
+            self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass", form_id, fields, route)))
+            return True
+        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "fail", form_id, fields, route)))
+        self.dead[route] = True
+        return False
 
-    def _hypothesis(self, rule_id: str, route: str | None, values: dict) -> bool:
+    def _exclude(self, form_id: str, route: str | None, fields: tuple) -> None:
+        """Record an axiom failure on `route`, None for the trail itself; it
+        kills that route, on an axiom unless an arithmetic rule has already.
+        Every axiom failure is recorded here."""
+        form = FORMS[form_id]
+        if self.active(form.rule_id):
+            self.entries.append(tuple.__new__(TrailEntry, (form.rule_id, "fail", form_id, fields,
+                                                           route)))
+            self.dead.setdefault(route, False)
+
+    def _hypothesis(self, form_id: str, route: str | None, fields: tuple) -> bool:
         """Record an axiom hypothesis on `route`, None for the trail itself;
         every hypothesis is recorded here."""
-        if not self.active(rule_id):
+        form = FORMS[form_id]
+        if not self.active(form.rule_id):
             return False
-        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "hypothesis", values, route)))
+        self.entries.append(tuple.__new__(TrailEntry, (form.rule_id, "hypothesis", form_id,
+                                                       fields, route)))
         return True
 
     def verdict(self, candidate: object) -> Verdict:

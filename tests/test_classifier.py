@@ -42,8 +42,8 @@ from cicy_bundles.classifier import (HIGHER_RANK, KERNEL_OPS, RANK2, report_json
                                     report_markdown)
 from cicy_bundles.ruled import (DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus,
                                 genus_quadratic)
-from cicy_bundles.verdicts import (RULES, KernelCall, Route, RuleKind, Trail, TrailEntry, Verdict,
-                                   decode, payload, record)
+from cicy_bundles.verdicts import (FORMS, RULES, FrozenDict, KernelCall, Route, RuleKind, Trail,
+                                   TrailEntry, Verdict, decode, payload, record)
 from cicy_bundles.verify import PAPER_CASES
 
 
@@ -60,6 +60,19 @@ def cand(*triples):
     return CurveCandidate(tuple(CurveComponent(*t) for t in triples))
 
 
+def flip(monkeypatch, rule_id):
+    """Negate the decision of every form of an arithmetic rule."""
+    for form_id, form in list(FORMS.items()):
+        if form.rule_id == rule_id:
+            monkeypatch.setitem(FORMS, form_id, form._replace(
+                decide=lambda *fields, decide=form.decide: not decide(*fields)))
+
+
+def checked(checks):
+    """A passing R-genus-bound firing that carries these checks."""
+    return TrailEntry("R-genus-bound", "pass", "R-genus-bound/bound", (7, 3, 4, 3, checks))
+
+
 def verdict_for(candidate, ctx, c1=2):
     return judge_candidate(candidate, ctx, c1)
 
@@ -69,6 +82,10 @@ def verdict_for(candidate, ctx, c1=2):
 GUARDS = {("classifier.py", "judge_candidate", "R-degree-cap"),
           ("constructions.py", "component_admissible", "R-degree-cap"),
           ("constructions.py", "component_admissible", "R-regime-genus")}
+
+#: The site that closes the quintic's plane-and-space-curve shape: only a
+#: disabled R-span3-cap or R-genus-bound lets a span-3 component reach it.
+TOGGLED = {("classifier.py", "_judge_quintic_nondeg", "A-quadric-plane")}
 
 #: Public calls past the enumeration's range, each with the rule it must fail:
 #: candidates over the degree cap (5 on the quintic at twist one, 33 on 3,3),
@@ -519,8 +536,8 @@ class TestToggles:
                 return method(*args, **kwargs)
             return wrapper
 
-        for cls, name in ((Trail, "_fire"), (Trail, "_hypothesis"), (Trail, "witness"),
-                          (Route, "witness")):
+        for cls, name in ((Trail, "_fire"), (Trail, "_exclude"), (Trail, "_hypothesis"),
+                          (Trail, "witness"), (Route, "witness")):
             monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
         for ctx, regime in PAPER_CASES:
             classifier.toggle_sweep(classify(ctx, 2, regime), sweep_toggles(regime))
@@ -534,17 +551,22 @@ class TestToggles:
                     continue
                 for node in ast.walk(fn):
                     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                            and node.func.attr in ("fire", "hypothesis", "witness")):
-                        rule = node.args[0].value if node.args and isinstance(
+                            and node.func.attr in ("fire", "exclude", "hypothesis", "witness")):
+                        rule = node.args[0].value.partition("/")[0] if node.args and isinstance(
                             node.args[0], ast.Constant) else None
                         sites[module, node.lineno] = (fn.name, rule)
         guards = {site for site, (fn, rule) in sites.items() if (site[0], fn, rule) in GUARDS}
-        assert len(guards) == len(GUARDS)
-        assert sorted(sites.keys() - guards - fired) == []
+        toggled = {site for site, (fn, rule) in sites.items() if (site[0], fn, rule) in TOGGLED}
+        assert (len(guards), len(toggled)) == (len(GUARDS), len(TOGGLED))
+        assert sorted(sites.keys() - guards - toggled - fired) == []
         fired.clear()
         for judge, _, args in OUT_OF_RANGE:
             judge(*args)
         assert sorted(guards - fired) == []
+        for rule_id in ("R-span3-cap", "R-genus-bound"):
+            fired.clear()
+            classify(QUINTIC, 2, disabled=frozenset({rule_id}))
+            assert sorted(toggled - fired) == [], rule_id
 
     def test_unknown_rule_ids_are_refused(self):
         # a typo in a toggle set would disable nothing, and a str would be
@@ -574,13 +596,6 @@ class TestToggles:
         # the ruled-surface and Hirzebruch checks read the engine's firings:
         # flipping a rule's outcome at every firing must fail its check
         checks = {name: fn for _, name, fn in verify.CHECKS}
-        fire = Trail._fire
-
-        def flipping(target):
-            def flipped(trail, rule_id, ok, route, values):
-                return fire(trail, rule_id, not ok if rule_id == target else ok, route, values)
-            return flipped
-
         uncaught = []
         for rule_id, check in (("R-hirzebruch-F1", "f1-elimination"),
                                ("R-hirzebruch-F3", "f3-elimination"),
@@ -589,11 +604,12 @@ class TestToggles:
                                ("R-ruled-58", "ruled-58"),
                                ("R-clifford", "ruled-58"),
                                ("R-ruled-e2q20", "ruled-e2q20")):
-            monkeypatch.setattr(Trail, "_fire", flipping(rule_id))
-            try:
-                checks[check]()
-            except verify.CheckFailure:
-                continue
+            with monkeypatch.context() as patch:
+                flip(patch, rule_id)
+                try:
+                    checks[check]()
+                except verify.CheckFailure:
+                    continue
             uncaught.append(rule_id)
         assert uncaught == []
 
@@ -691,7 +707,7 @@ class TestReports:
             "pass": 0, "fail": 1, "hypothesis": 0}
         firing = next(e for v in report["verdicts"] for e in v["trail"]
                       if e["rule"] == "R-hirzebruch-F1")
-        assert firing["values"]["classes"] == []
+        assert firing["values"]["classes"] == ()
         assert "-3a^2 + 31a - 60" in firing["values"]["quadratic"]
 
     def test_f1_lattice_solutions_match_a_scan(self):
@@ -701,7 +717,7 @@ class TestReports:
         qa, qb, qc = genus_quadratic(GenusSearch(DivisorClass(1, 2), 15, genus=16),
                                      RuledSurface(1))
         assert values["lattice"] == f"{-qa}a^2 - {qb}a + {-qc} <= 0"
-        assert values["lattice_solutions"] == [
+        assert list(values["lattice_solutions"]) == [
             a for a in range(-10**4, 10**4) if qa * a * a + qb * a + qc >= 0]
         # the solver against the same scan on a grid of downward parabolas
         for a, b, c in itertools.product((-1, -2, -3, -7), range(-40, 41, 3),
@@ -726,8 +742,8 @@ class TestTrailVerdict:
     def test_status_rule(self):
         trail = Trail()
         arithmetic, axiom = trail.route("arithmetic"), trail.route("axiom")
-        arithmetic.fire("R-genus-bound", False)
-        axiom.fire("A-three-planes", False)
+        arithmetic.fire("R-genus-bound/degenerate", 1, 3, "degenerate")
+        axiom.exclude("A-three-planes", 3)
         assert trail.verdict("both dead").status is Status.AXIOM_ELIMINATED
         live = trail.route("live")
         live.witness(["w2", "w1"], unresolved=True)
@@ -735,16 +751,16 @@ class TestTrailVerdict:
         verdict = trail.verdict("one live")
         assert (verdict.status, verdict.witnesses, verdict.unresolved) == (
             Status.SURVIVES, ("w1", "w2"), True)
-        trail.fire("R-degree-cap", False)
+        trail.fire("R-degree-cap/curve", 9, 5)
         assert trail.verdict("shared failure").status is Status.ELIMINATED
         shared = Trail()
         shared.route("unfired")
-        shared.fire("A-three-planes", False)
+        shared.exclude("A-three-planes", 3)
         assert shared.verdict("shared axiom").status is Status.AXIOM_ELIMINATED
         alone = Trail()
         alone.witness(["w"])
         assert alone.verdict("no routes").witnesses == ("w",)
-        alone.fire("A-three-planes", False)
+        alone.exclude("A-three-planes", 3)
         assert alone.verdict("no routes").status is Status.AXIOM_ELIMINATED
 
     def test_route_deaths_tallied_as_they_fire(self, monkeypatch):
@@ -807,7 +823,7 @@ class TestAuditPayloads:
             (entry,) = [e for v in result.verdicts for e in v.trail
                         if e.rule_id == "R-hirzebruch-F3"]
             search, genus = map(payload, entry.values["checks"])
-            assert search["result"] == entry.values["classes"] == [[5, 16]]
+            assert search["result"] == [[5, 16]] and entry.values["classes"] == ((5, 16),)
             assert genus == {"op": "adjunction_genus", "args": [[5, 16], [3, 0]],
                              "result": 30}
             assert entry.values["genus"] == 30
@@ -823,10 +839,14 @@ class TestAuditPayloads:
         assert recorded == set(KERNEL_OPS)
 
     def test_tampered_result_is_one_mismatch_naming_its_rule(self):
-        verdicts = copy.deepcopy(classify(X33, 2).verdicts)
-        entry = next(e for v in verdicts for e in v.trail if e.rule_id == "R-liaison-18")
-        checks = entry.values["checks"]
-        checks[1] = checks[1]._replace(result=checks[1].result + 1)
+        verdicts = list(classify(X33, 2).verdicts)
+        i, verdict = next((i, v) for i, v in enumerate(verdicts)
+                          if any(e.rule_id == "R-liaison-18" for e in v.trail))
+        j, entry = next((j, e) for j, e in enumerate(verdict.trail) if e.rule_id == "R-liaison-18")
+        linked, d, (ci, liaison) = entry.fields
+        tampered = entry._replace(
+            fields=(linked, d, (ci, liaison._replace(result=liaison.result + 1))))
+        verdicts[i] = verdict._replace(trail=verdict.trail[:j] + (tampered,) + verdict.trail[j + 1:])
         mismatches = audit_verdicts(verdicts)
         assert len(mismatches) == 1
         assert mismatches[0].startswith("R-liaison-18/liaison_solve")
@@ -854,9 +874,22 @@ class TestAuditPayloads:
             "bool-surface", "short-surface"])
     def test_unreplayable_payload_is_a_mismatch(self, checks):
         verdict = Verdict("payload", Status.SURVIVES,
-                          (TrailEntry("R-genus-bound", "pass", {"checks": checks}),), [], False)
+                          (checked(checks),), [], False)
         mismatches = audit_verdicts([verdict])
         assert len(mismatches) == 1 and "cannot replay" in mismatches[0]
+
+    @pytest.mark.parametrize("entry", [
+        TrailEntry("R-genus-bound", "pass", "R-span3-cap", (4, 5)),
+        TrailEntry("R-genus-bound", "pass", "R-genus-bound/no-such-shape", (4, 5)),
+        TrailEntry("R-genus-bound", "fail", "R-genus-bound/degenerate", (4, 5)),
+        TrailEntry("A-no-plane", "hypothesis", "A-no-plane", (2,)),
+        TrailEntry("R-cone-disjointness", "pass", "R-cone-disjointness", (None, "connected")),
+    ], ids=["another-rules-form", "unknown-form", "missing-field", "axiom-missing-field",
+            "undecidable-fields"])
+    def test_malformed_firing_is_one_mismatch(self, entry):
+        verdict = Verdict("firing", Status.SURVIVES, (entry,), (), False)
+        (mismatch,) = audit_verdicts([verdict])
+        assert entry.form_id in mismatch
 
     def test_well_formed_payloads_replay(self):
         # the payloads the malformed cases above start from
@@ -871,7 +904,7 @@ class TestAuditPayloads:
             {"op": "plane_genus", "args": [2], "result": 0},
         ]
         verdict = Verdict("payload", Status.SURVIVES,
-                          (TrailEntry("R-genus-bound", "pass", {"checks": checks}),), [], False)
+                          (checked(checks),), [], False)
         assert audit_verdicts([verdict]) == []
 
     @pytest.mark.parametrize("check", [
@@ -883,7 +916,7 @@ class TestAuditPayloads:
         # each equals the kernel's value under ==, but a result is compared
         # with its type: false is no 0 and 15.0 no 15
         verdict = Verdict("payload", Status.SURVIVES,
-                          (TrailEntry("R-genus-bound", "pass", {"checks": [check]}),), [], False)
+                          (checked([check]),), [], False)
         (mismatch,) = audit_verdicts([verdict])
         assert mismatch.startswith(f"R-genus-bound/{check['op']}") and "recorded" in mismatch
 
@@ -935,8 +968,7 @@ class TestAuditPayloads:
             check = payload(call)
             for key, new in rewrites(check):
                 rewritten = {**check, key: new}
-                verdict = Verdict("payload", Status.SURVIVES, (TrailEntry(
-                    "R-genus-bound", "pass", {"checks": [rewritten]}),), (), False)
+                verdict = Verdict("payload", Status.SURVIVES, (checked([rewritten]),), (), False)
                 count += 1
                 if len(audit_verdicts([verdict])) != 1:
                     missed.append(rewritten)
@@ -1027,19 +1059,80 @@ class TestRecords:
 
     def test_calls_share_no_judgement(self):
         # only immutable inputs cross classify calls: no verdict, trail
-        # entry, values dict or kernel-call record of one is in the other
+        # entry, fields tuple or kernel-call record of one is in the other.
+        # The empty tuple is one shared object, so fieldless firings are
+        # compared by value only
         def judgement(result):
             verdicts = result.verdicts + result.component_verdicts
             entries = [e for v in verdicts for e in v.trail]
-            values = [e.values for e in entries]
-            calls = [call for d in values for call in d.get("checks", ())]
-            return verdicts, entries, values, calls
+            fields = [e.fields for e in entries if e.fields]
+            calls = [call for e in entries for call in e.values.get("checks", ())]
+            return verdicts, entries, fields, calls
 
         first, second = judgement(classify(X33, 2)), judgement(classify(X33, 2))
         for old, new in zip(first, second):
             assert old and len(old) == len(new)
             assert not {id(o) for o in old} & {id(o) for o in new}
-        assert first[3] == second[3]
+        assert first[2:] == second[2:]
+
+    def test_paper_trails_cannot_be_rewritten_in_place(self):
+        # every firing of the four paper classifications keeps its fields in
+        # a tuple; a mapping among them, or inside one, is a FrozenDict that
+        # refuses every write, and a recorded call and what it holds are
+        # frozen too: no list, dict or set is left to write to
+        seen = Counter()
+
+        def frozen(value, where):
+            if value is None or type(value) in (int, str, bool):
+                return
+            seen[type(value).__name__] += 1
+            if isinstance(value, dict):
+                assert type(value) is FrozenDict, where
+                key = next(iter(value))
+                for write in (lambda: value.__setitem__(key, 0), lambda: value.__delitem__(key),
+                              lambda: value.update({key: 0}), lambda: value.pop(key),
+                              lambda: value.setdefault(key, 0), value.popitem, value.clear):
+                    with pytest.raises(TypeError):
+                        write()
+                for item in value.values():
+                    frozen(item, where)
+            elif isinstance(value, tuple):
+                for item in value:
+                    frozen(item, where)
+            else:  # a kernel value type: every attribute is read-only
+                assert not isinstance(value, (list, set, bytearray)), where
+                for name, item in vars(value).items():
+                    with pytest.raises((AttributeError, TypeError)):
+                        setattr(value, name, item)
+                    frozen(item, where)
+
+        for ctx, regime in PAPER_CASES:
+            result = classify(ctx, 2, regime)
+            for v in result.verdicts + result.component_verdicts:
+                for e in v.trail:
+                    assert type(e.fields) is tuple
+                    frozen(e.fields, (ctx.label(), v.label, e.rule_id))
+        assert seen["FrozenDict"] >= 6 and seen["KernelCall"] == 515
+
+    def test_each_flipped_outcome_is_one_mismatch(self):
+        # the audit re-derives every arithmetic outcome from the recorded
+        # fields: each arithmetic firing of the four paper classifications,
+        # its outcome flipped in a copy of its verdict, gives exactly one
+        # mismatch, which names its form
+        flipped, missed = 0, []
+        for ctx, regime in PAPER_CASES:
+            result = classify(ctx, 2, regime)
+            for v in result.verdicts + result.component_verdicts:
+                for i, e in enumerate(v.trail):
+                    if RULES[e.rule_id].kind is not RuleKind.ARITHMETIC:
+                        continue
+                    wrong = e._replace(outcome={"pass": "fail", "fail": "pass"}[e.outcome])
+                    mismatches = audit_verdicts([v._replace(
+                        trail=v.trail[:i] + (wrong,) + v.trail[i + 1:])])
+                    flipped += 1
+                    if len(mismatches) != 1 or not mismatches[0].startswith(e.form_id):
+                        missed.append((ctx.label(), v.label, e.form_id, mismatches))
+        assert (flipped, missed) == (946, [])
 
 
 class TestVerifyPass:
@@ -1065,12 +1158,7 @@ class TestVerifyPass:
             return {name for _, name, ok, _ in verify.run_checks("classifier") if not ok}
 
         assert failing() == set()
-        fire = Trail._fire
-
-        def flipped(trail, rule_id, ok, route, values):
-            return fire(trail, rule_id, not ok if rule_id == "R-s-omega" else ok, route, values)
-
-        monkeypatch.setattr(Trail, "_fire", flipped)
+        flip(monkeypatch, "R-s-omega")
         with pytest.raises(verify.CheckFailure):
             verify.check_x33_classification()
         assert {"x33-classification", "determinism"} <= failing()

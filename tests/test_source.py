@@ -53,10 +53,10 @@ def test_no_answer_tables():
 
 def test_disabled_set_read_only_by_trail_active():
     # toggle_sweep reuses a verdict whose trail cites no disabled rule: sound
-    # only while Trail.active alone reads the disabled set, and only _fire and
-    # _hypothesis, which record every rule it finds active, call it
+    # only while Trail.active alone reads the disabled set, and only _fire,
+    # _exclude and _hypothesis, which record every rule it finds active, call it
     allowed = {"disabled": {"Trail.__init__", "Trail.active"},
-               "active": {"Trail.active", "Trail._fire", "Trail._hypothesis"}}
+               "active": {"Trail.active", "Trail._fire", "Trail._exclude", "Trail._hypothesis"}}
     found = []
 
     def attribute(node):
@@ -90,10 +90,62 @@ def test_firings_pass_no_route_value():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", None) in ("fire", "hypothesis")
+        and getattr(node.func, "attr", None) in ("fire", "exclude", "hypothesis")
         and any(k.arg == "route" for k in node.keywords)
     ]
     assert found == []
+
+
+def firing_sites():
+    """Every fire, exclude and hypothesis call of the case tree, with its site."""
+    for name in ("classifier.py", "constructions.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                    "fire", "exclude", "hypothesis"):
+                yield f"{name}:{node.lineno}", node
+
+
+def test_firing_sites_pass_no_outcome():
+    # a site passes a form id and then the form's fields, positionally; the
+    # form's decision gives the outcome, so no field is a bool literal, a
+    # comparison, a boolean operation, a negation or a bool() call
+    def outcome(node):
+        return ((isinstance(node, ast.Constant) and type(node.value) is bool)
+                or isinstance(node, (ast.Compare, ast.BoolOp))
+                or (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not))
+                or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bool"))
+
+    sites = list(firing_sites())
+    assert len(sites) > 80
+    found = [site for site, call in sites
+             if call.keywords or any(outcome(node) for arg in call.args[1:]
+                                     for node in ast.walk(arg))]
+    assert found == []
+
+
+def test_every_corpus_rule_fires_from_a_site():
+    # every form, so every rule, of the corpus is named as a literal by a
+    # site that records it by its kind (fire decides an arithmetic form,
+    # exclude and hypothesis record an axiom) and, unless the site forwards
+    # fields with *, passes as many fields as the form names
+    from cicy_bundles.verdicts import FORMS, RULES, RuleKind
+
+    named, wrong = set(), []
+    for site, call in firing_sites():
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        for node in ast.walk(call.args[0]):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                continue
+            form = FORMS[node.value]
+            named.add(node.value)
+            arithmetic = RULES[form.rule_id].kind is RuleKind.ARITHMETIC
+            if arithmetic != (call.func.attr == "fire"):
+                wrong.append(f"{site} {call.func.attr}s {node.value}")
+            if not starred and len(call.args) - 1 != len(form.names):
+                wrong.append(f"{site} passes {len(call.args) - 1} fields to {node.value}")
+    assert wrong == []
+    assert sorted(set(FORMS) - named) == []
+    assert {FORMS[form_id].rule_id for form_id in named} == set(RULES)
 
 
 def test_no_floating_point():

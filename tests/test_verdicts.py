@@ -112,29 +112,34 @@ def test_shortcut_tuples_have_full_arity(monkeypatch):
 
 
 def test_route_rides_on_the_entry():
-    # a routed firing keeps its route on the entry, not among its values; the
+    # a routed firing keeps its route on the entry, not among its fields; the
     # report writes it first among the values, with each check as its payload
     trail = Trail()
     route = trail.route("surface")
     assert tuple(route) == (trail, "surface")
     _, call = record(plane_genus, 4)
-    assert route.fire("R-plane-degree", True, d=4, checks=[call]) is True
-    assert trail.fire("R-genus-bound", False, d=4) is False
-    assert route.hypothesis("A-no-plane", planes=0) is True
-    assert trail.hypothesis("A-base-locus") is True
+    assert route.fire("R-plane-degree", 4, 3, 3, (4,), (call,)) is True
+    assert trail.fire("R-genus-bound/degenerate", 4, 5, "degenerate") is False
+    assert route.hypothesis("A-no-plane", 2, 4) is True
+    assert trail.hypothesis("A-base-locus/shape") is True
     routed, shared, routed_hypothesis, shared_hypothesis = trail.entries
     assert (routed.route, routed_hypothesis.route) == ("surface", "surface")
     assert (shared.route, shared_hypothesis.route) == (None, None)
-    assert routed.values == {"d": 4, "checks": [call]}
-    assert routed_hypothesis.values == {"planes": 0}
+    assert routed.fields == (4, 3, 3, (4,), (call,))
+    assert dict(routed.values) == {"d": 4, "g": 3, "plane_genus": 3, "defining_degrees": (4,),
+                                   "checks": (call,)}
+    assert routed_hypothesis.fields == (2, 4) and shared_hypothesis.fields == ()
     report = routed.to_dict()
     assert report == {"rule": "R-plane-degree", "outcome": "pass",
-                      "values": {"route": "surface", "d": 4, "checks": [payload(call)]}}
-    assert list(report["values"]) == ["route", "d", "checks"]
-    assert routed.values["checks"] == [call]  # the report's copy leaves the entry as it was
-    assert shared.to_dict()["values"] == {"d": 4}
-    assert list(routed_hypothesis.to_dict()["values"]) == ["route", "planes"]
-    assert TrailEntry("R-genus-bound", "fail", {}).route is None
+                      "values": {"route": "surface", "d": 4, "g": 3, "plane_genus": 3,
+                                 "defining_degrees": (4,), "checks": [payload(call)]}}
+    assert list(report["values"]) == ["route", "d", "g", "plane_genus", "defining_degrees",
+                                      "checks"]
+    assert routed.fields[-1] == (call,)  # the report's payloads leave the entry as it was
+    assert shared.to_dict()["values"] == {"d": 4, "span": 5, "reason": "degenerate"}
+    assert list(routed_hypothesis.to_dict()["values"]) == ["route", "span", "d"]
+    assert TrailEntry("R-genus-bound", "fail", "R-genus-bound/degenerate",
+                      (4, 5, "degenerate")).route is None
 
 
 def test_paper_entries_keep_routes_out_of_values():
@@ -157,11 +162,12 @@ def test_unknown_rule_ids_raise_on_every_firing_path():
     trail = Trail()
     route = trail.route("surface")
     for fire in (trail.fire, route.fire):
-        with pytest.raises(KeyError, match="R-no-such-rule"):
-            fire("R-no-such-rule", False, d=1)
-    for hypothesis in (trail.hypothesis, route.hypothesis):
+        for form_id in ("R-no-such-rule", "R-genus-bound/no-such-shape"):
+            with pytest.raises(KeyError, match=form_id):
+                fire(form_id, 1)
+    for axiom in (trail.exclude, route.exclude, trail.hypothesis, route.hypothesis):
         with pytest.raises(KeyError, match="A-no-such-axiom"):
-            hypothesis("A-no-such-axiom")
+            axiom("A-no-such-axiom")
     assert (trail.entries, trail.dead) == ([], {})
 
 
@@ -169,10 +175,12 @@ def test_disabled_rules_record_nothing_on_every_firing_path():
     trail = Trail(frozenset({"R-genus-bound", "A-no-plane"}))
     route = trail.route("surface")
     for fire in (trail.fire, route.fire):
-        assert fire("R-genus-bound", False, d=1) is None
-        assert fire("R-genus-bound", True, d=1) is None
+        assert fire("R-genus-bound/degenerate", 1, 3, "degenerate") is None  # would fail
+        assert fire("R-genus-bound/degenerate", 4, 3, "degenerate") is None  # would pass
+    for exclude in (trail.exclude, route.exclude):
+        assert exclude("A-no-plane", 2, 1) is None
     for hypothesis in (trail.hypothesis, route.hypothesis):
-        assert hypothesis("A-no-plane", planes=0) is False
+        assert hypothesis("A-no-plane", 2, 1) is False
     assert (trail.entries, trail.dead) == ([], {})
     assert trail.verdict("nothing fired").status is Status.SURVIVES
 
