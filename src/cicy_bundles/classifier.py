@@ -330,21 +330,19 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> No
         r.fire("R-ext-z/other", z, allowed)
 
 
-def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
+def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail) -> None:
     spans = [c.span for c in cand.components]
     s = len(cand.components)
     r = trail.route("base-locus-surface")
     if not r.hypothesis("A-base-locus/candidate", cand.label()):
         return
     budget = tuple([_minimal_surface_degree(sp) for sp in spans])
-    r.fire("R-surface-budget", budget, 3)
-    if sum(budget) > 3:
+    if not r.fire("R-surface-budget", budget, 3):
         return
     if s == 1 and spans == [4]:
         d = cand.components[0].d
         viable, checks = _mu_d_viable()
-        r.fire("R-mu-d/curve", 15, d, viable, checks)
-        if d != 15:
+        if not r.fire("R-mu-d/curve", 15, d, viable, checks):
             return
         hits1, check = record(eliminate_by_genus, *_F1)
         r.fire("R-hirzebruch-F1", _classes(hits1), _polynomial(*genus_quadratic(*_F1), "="),
@@ -363,7 +361,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         p_a, check = record(union_genus, [c.g for c in cand.components])
         r.fire("R-union-genus/planes", p_a, cand.total_degree, (check,))
         r.hypothesis("A-two-planes")
-        r.witness(witnesses_for(ctx.multidegree, 2, 10))
+        r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree))
         return
     if s == 3:  # the budget leaves three planes only
         r.exclude("A-three-planes", 3)
@@ -373,7 +371,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
     r.exclude("A-quadric-plane", tuple(sorted(spans)))
 
 
-def _four_quadric_route(d: int, ctx: CicyContext, trail: Trail, unresolved: bool,
+def _four_quadric_route(d: int, ctx: CicyContext, c1: int, trail: Trail, unresolved: bool,
                         *note: str) -> None:
     """A curve of one span-5 component in the base locus of four quadrics: the
     complete intersection caps its degree and is the curve at the cap, where
@@ -385,18 +383,18 @@ def _four_quadric_route(d: int, ctx: CicyContext, trail: Trail, unresolved: bool
         return
     if d == cap:
         _fire_ci_omega(ci, (2, 2, 2, 2))
-        ci.witness(witnesses_for(ctx.multidegree, 2, d), unresolved)
+        ci.witness(witnesses_for(ctx.multidegree, c1, d), unresolved)
     elif ci.hypothesis("A-ci-connected/ci", cap):
         ci.fire("R-ci-residual/note" if note else "R-ci-residual/twist",
                 d, cap - d, ">= 1", 0, *note)
 
 
-def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
+def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail) -> None:
     comps = cand.components
     s = len(comps)
     if s == 1:
         d = comps[0].d
-        _four_quadric_route(d, ctx, trail, False,
+        _four_quadric_route(d, ctx, c1, trail, False,
                             "meeting the residual lowers the dualizing twist")
         surf = trail.route("base-locus-surface")
         if d % 4:
@@ -425,22 +423,23 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
     span4 = [c for c in comps if c.span == 4]
     sections = [c for c in comps if c.span == 3]
     if cand.total_degree <= 16:
-        r.fire("R-x24-extremal", cand.total_degree, 8, cand.label())
-        if len(comps) == 2 and all(c.triple() == (8, 9, 3) for c in comps):
+        if r.fire("R-x24-extremal", cand.total_degree, 8, cand.label()):
             r.hypothesis("A-section-pair")
-            r.witness(witnesses_for(ctx.multidegree, 2, 16), unresolved=True)
+            r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree), unresolved=True)
         return
     for comp in span5:
         _, check = record(bounds.castelnuovo_pi, _SPAN5_FLOOR, 5)
         r.fire("R-x24-s2-span5", comp.d, _SPAN5_FLOOR, (check,))
     for comp in span4:
-        if comp.d % 4 or not 2 <= comp.d // 4 <= 7:
+        deg_s = comp.d // 4
+        if comp.d % 4 or not 2 <= deg_s <= 7:
             r.fire("R-x24-si-degree/cut", comp.d,
                    "no base surface cuts this degree with the quartic")
+        elif deg_s < _minimal_surface_degree(comp.span):  # a quadric surface spans a P^3
+            r.fire("R-x24-si-degree/span", comp.d, deg_s, _minimal_surface_degree(comp.span))
         elif comp.d == 12 or comp.d == 16:
             _fire_adjunction_table(r)
         else:
-            deg_s = comp.d // 4
             r.exclude({5: "A-deg-S-5/component", 6: "A-deg-S-6/component",
                        7: "A-linked-plane-7/component"}[deg_s], deg_s, comp.d)
     if not span4 and not span5 and sections:
@@ -449,9 +448,9 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         r.exclude("A-x24-three-quadrics", len(sections))
 
 
-def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
+def _judge_x33_single_span5(d: int, ctx: CicyContext, c1: int, trail: Trail) -> None:
     g = d + 1
-    _four_quadric_route(d, ctx, trail, True)
+    _four_quadric_route(d, ctx, c1, trail, True)
 
     dim3 = trail.route("base-locus-threefold")
     dim3.fire("R-dim3-degree", d, FrozenDict({"deg3": 3 * ctx.u, "deg4": 4 * ctx.u}))
@@ -473,7 +472,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         _harris_surface(r, d, 5, g, 5, "equality: the curve is the cubic cut of the surface")
         r.hypothesis("A-delpezzo5", -1)
         r.fire("R-surface-cut-twist", -1, 3, 2)
-        r.witness(witnesses_for(ctx.multidegree, 2, 15))
+        r.witness(witnesses_for(ctx.multidegree, c1, d))
         return
     if d == 16:
         # the degree-6 base-surface branch at d = 16 stays open: this is the
@@ -492,7 +491,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         degrees = (2, 2, 2)
         r.fire("R-s-omega", degrees, sum(degrees) - 5 - 1)
         _fire_liaison(r, d)
-        r.witness(witnesses_for(ctx.multidegree, 2, 18))
+        r.witness(witnesses_for(ctx.multidegree, c1, d))
         return
     # d >= 19: surface routes by degree
     if d <= 24:
@@ -517,26 +516,24 @@ def _fire_liaison(route: Route, d: int) -> None:
     route.fire("R-liaison-18", linked, d, (ci_check, liaison_check))
 
 
-def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
+def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail) -> None:
     comps = cand.components
     s = len(comps)
     if s == 1:
-        _judge_x33_single_span5(comps[0].d, ctx, trail)
+        _judge_x33_single_span5(comps[0].d, ctx, c1, trail)
         return
     r = trail.route("component-surfaces")
     sections = [c for c in comps if c.span == 3]
     others = [c for c in comps if c.span > 3]
-    if others:
-        minima = tuple([max(_minimal_surface_degree(c.span), -(-c.d // 3)) for c in others])
-        r.fire("R-x33-surface-budget", minima, 8)
-        if sum(minima) > 8:
-            return
     if not others:
         if s == 2:
             r.hypothesis("A-section-pair")
-            r.witness(witnesses_for(ctx.multidegree, 2, 18))
+            r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree))
         else:
             r.exclude("A-x33-three-sections", s)
+        return
+    minima = tuple([max(_minimal_surface_degree(c.span), -(-c.d // 3)) for c in others])
+    if not r.fire("R-x33-surface-budget", minima, 8):
         return
     for comp in others:
         d = comp.d
@@ -573,11 +570,11 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
                 r.exclude("A-linked-plane-7/route", 7)
 
 
-def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
+def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail) -> None:
     r = trail.route("twist-one")
     if len(cand.components) == 1:
         r.hypothesis("A-plane-in-quadric")
-        r.witness(witnesses_for(ctx.multidegree, 1, cand.total_degree))
+        r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree))
         return
     # several components would have to fill the connected section curve
     section, section_check = section_curve_invariants(ctx)
@@ -605,15 +602,15 @@ def judge_candidate(
     if cand.total_degree > cap:
         trail.fire("R-degree-cap/curve", cand.total_degree, cap)
     if c1 == 1:
-        _judge_c1_one(cand, ctx, trail)
+        _judge_c1_one(cand, ctx, c1, trail)
     elif cand.span_max < ctx.ambient_dim:
         _judge_extension(cand, ctx, trail)
     elif ctx.multidegree == (5,):
-        _judge_quintic_nondeg(cand, ctx, trail)
+        _judge_quintic_nondeg(cand, ctx, c1, trail)
     elif ctx.multidegree == (2, 4):
-        _judge_x24_nondeg(cand, ctx, trail)
+        _judge_x24_nondeg(cand, ctx, c1, trail)
     elif ctx.multidegree == (3, 3):
-        _judge_x33_nondeg(cand, ctx, trail)
+        _judge_x33_nondeg(cand, ctx, c1, trail)
     else:  # pragma: no cover - enumeration is gated earlier
         raise UnsupportedClassificationError(
             f"no rank-2 case tree for {ctx.label()}"
@@ -889,10 +886,10 @@ def toggle_sweep(base: ClassificationResult,
     derived from `base`, that classification with nothing disabled.
 
     `Trail.active` is the only reader of a disabled set, and the recording
-    methods `Trail._fire` and `Trail._hypothesis`, through which every
-    firing on a trail or a route passes, record every rule they consult
-    while it is active, so a verdict whose trail cites no rule of a toggle
-    set is judged the same way with that set disabled.  A twist level that
+    methods `Trail._fire`, `Trail._exclude` and `Trail._hypothesis`, through
+    which every firing on a trail or a route passes, record every rule they
+    consult while it is active, so a verdict whose trail cites no rule of a
+    toggle set is judged the same way with that set disabled.  A twist level that
     keeps its surviving components keeps the base candidates, reusing each
     such verdict in place and judging the others again; a level whose
     survivors change judges every candidate of the new survivors, and

@@ -175,8 +175,7 @@ def component_admissible(
         if d not in ctx.multidegree:
             t.hypothesis("A-no-plane", 2, d)
     elif span == 3:
-        t.fire("R-span3-cap", d, ctx.u)
-        if d <= ctx.u:
+        if t.fire("R-span3-cap", d, ctx.u):
             if d == ctx.u:
                 section, check = section_curve_invariants(ctx)
                 t.fire("R-section-match/section", d, g, section.genus, (check,))
@@ -301,41 +300,21 @@ REGISTRY: tuple[Construction, ...] = (
 )
 
 
-@dataclass
-class Check:
-    name: str
-    expected: object
-    computed: object
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.computed
-
-
-@dataclass
-class ConstructionReport:
-    name: str
-    threefold: tuple[int, ...]
-    checks: list[Check]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[str]:
-        return [c.name for c in self.checks if not c.ok]
-
-
 class RegistryValidationError(ValueError):
     pass
 
 
-def _validate_entry(entry: Construction) -> ConstructionReport:
+def _validate_entry(entry: Construction) -> int:
+    """Recompute one entry's fields; returns how many it recomputed and
+    raises RegistryValidationError naming the entry and each failing field."""
     ctx = CicyContext(entry.threefold)
-    checks: list[Check] = []
+    checked: list[str] = []
+    failed: list[str] = []
 
     def expect(name: str, expected, computed) -> None:
-        checks.append(Check(name, expected, computed))
+        checked.append(name)
+        if expected != computed:
+            failed.append(name)
 
     # component invariants, recomputed from first principles
     for d, g, span in entry.components:
@@ -412,33 +391,27 @@ def _validate_entry(entry: Construction) -> ConstructionReport:
     if entry.rank == 2:
         cap = entry.c1**2 * ctx.u
         expect("c2-cap", True, 0 <= entry.c2 <= cap)
-    return ConstructionReport(entry.name, entry.threefold, checks)
+    if failed:
+        raise RegistryValidationError(
+            f"construction {entry.name!r} on {entry.threefold}: failed checks {failed}")
+    return len(checked)
 
 
-def validate_construction(name: str) -> list[ConstructionReport]:
-    """Recompute one named construction on every threefold carrying it.
+def validate_construction(name: str) -> list[tuple[tuple[int, ...], int]]:
+    """Recompute one named construction on every threefold carrying it: each
+    threefold with the count of fields recomputed there.
 
     Raises RegistryValidationError naming the failing field on any mismatch.
     """
     entries = [e for e in REGISTRY if e.name == name]
     if not entries:
         raise KeyError(f"no registered construction named {name!r}")
-    reports = [_validate_entry(e) for e in entries]
-    for report in reports:
-        if not report.ok:
-            raise RegistryValidationError(
-                f"construction {name!r} on {report.threefold}: "
-                f"failed checks {report.failures()}"
-            )
-    return reports
+    return [(e.threefold, _validate_entry(e)) for e in entries]
 
 
-def validate_all() -> list[ConstructionReport]:
-    """Validate the whole registry; hard error on the first mismatch."""
-    reports = []
-    for name in registry_names():
-        reports.extend(validate_construction(name))
-    return reports
+def validate_all() -> list[tuple[tuple[int, ...], int]]:
+    """Validate the whole registry, entry by entry; hard error on the first mismatch."""
+    return [validated for name in registry_names() for validated in validate_construction(name)]
 
 
 def registry_names() -> list[str]:

@@ -10,7 +10,7 @@ is toggleable so the arithmetic skeleton can be audited on its own.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
@@ -88,26 +88,6 @@ class KernelCall(NamedTuple):
     result: object
 
 
-class FieldMap(Mapping):
-    """A firing's fields by name, read-only, without a dict: `TrailEntry.values`."""
-
-    __slots__ = ("_names", "_fields")
-
-    def __init__(self, names: tuple[str, ...], fields: tuple) -> None:
-        self._names, self._fields = names, fields
-
-    def __getitem__(self, name: str):
-        if name not in self._names:
-            raise KeyError(name)
-        return self._fields[self._names.index(name)]
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-
 class TrailEntry(NamedTuple):
     """One firing, plain data: the rule, its outcome, the id of the form
     fired, that form's fields and the route fired on."""
@@ -119,8 +99,9 @@ class TrailEntry(NamedTuple):
     route: str | None = None  # the escape route fired on; None: the trail itself
 
     @property
-    def values(self) -> FieldMap:
-        return FieldMap(FORMS[self.form_id].names, self.fields)
+    def values(self) -> FrozenDict:
+        """The fields by name, read-only."""
+        return FrozenDict(zip(FORMS[self.form_id].names, self.fields))
 
     def to_dict(self) -> dict:
         """The entry as a report stores it: the route first, then each field
@@ -337,6 +318,7 @@ _CORPUS: tuple[Rule, ...] = (
          "surface-cut-degree",
          forms={
              "cut": lambda d, note: d % 4 == 0 and 2 <= d // 4 <= 7,
+             "span": lambda d, surface_degree, minimal_degree: surface_degree >= minimal_degree,
              "sections": lambda surface_degree, d: d == 4 * surface_degree}),
     Rule("R-adjunction-28-40", _R,
          "ruled-surface adjunction gives 2g - 2 in {28, 40} on the degree-3 "
@@ -568,7 +550,7 @@ class Route(NamedTuple):
     trail: Trail
     name: str
 
-    def fire(self, form_id: str, *fields) -> bool | None:
+    def fire(self, form_id: str, *fields) -> bool:
         return self.trail._fire(form_id, self.name, fields)
 
     def exclude(self, form_id: str, *fields) -> None:
@@ -616,9 +598,10 @@ class Trail:
     def active(self, rule_id: str) -> bool:
         return rule_id not in self.disabled
 
-    def fire(self, form_id: str, *fields) -> bool | None:
+    def fire(self, form_id: str, *fields) -> bool:
         """Record an arithmetic firing on the trail itself and return its
-        outcome, None when the rule is disabled.  A failure kills every route."""
+        form's decision, also when the rule is disabled.  A failure kills
+        every route."""
         return self._fire(form_id, None, fields)
 
     def exclude(self, form_id: str, *fields) -> None:
@@ -630,14 +613,16 @@ class Trail:
         disabled."""
         return self._hypothesis(form_id, None, fields)
 
-    def _fire(self, form_id: str, route: str | None, fields: tuple) -> bool | None:
+    def _fire(self, form_id: str, route: str | None, fields: tuple) -> bool:
         """Record an arithmetic firing on `route`, None for the trail itself,
         its fields tuple as it came and its outcome as the form decides it; a
-        failure kills that route.  Every arithmetic firing is recorded here."""
+        failure kills that route.  Every arithmetic firing is recorded here.
+        Returns the decision, also for a disabled rule, which records nothing
+        and kills nothing: a site steers its route by the decision either way."""
         form = FORMS[form_id]
         rule_id = form.rule_id
         if not self.active(rule_id):
-            return None
+            return form.decide(*fields)
         # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
         if form.decide(*fields):
             self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass", form_id, fields, route)))

@@ -4,6 +4,7 @@ classification equalities, grouped by module for the command-line runner."""
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .ruled import (
     embedding_degree,
     intersect,
 )
-from .verdicts import FORMS, RULES, FieldMap, RuleKind, Status, decode, payload
+from .verdicts import FORMS, RULES, FrozenDict, RuleKind, Status, decode, payload
 
 
 class CheckFailure(AssertionError):
@@ -62,7 +63,6 @@ PAPER_CASES = tuple(REPORT_SHA256)
 
 
 def _sha256(text: str) -> str:
-    import hashlib  # imported here: loading it adds about 5 ms to every CLI start
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -344,7 +344,7 @@ def check_embedding_degrees() -> str:
                                     RuledSurface(2)), 1, "fibers are lines")
 
 
-def _engine_failures(ctx, triples, *rule_ids) -> list[FieldMap]:
+def _engine_failures(ctx, triples, *rule_ids) -> list[FrozenDict]:
     """The fields by name of each rule's one firing, a failure, on the engine's trail
     of the paper candidate with these component triples at c1 = 2."""
     cand = constructions.CurveCandidate(tuple(constructions.CurveComponent(*t) for t in triples))
@@ -437,9 +437,9 @@ def check_disjointness() -> str:
 
 def _registry_check(name: str):
     def run() -> str:
-        reports = constructions.validate_construction(name)
-        labels = ", ".join(",".join(map(str, r.threefold)) for r in reports)
-        n = sum(len(r.checks) for r in reports)
+        validated = constructions.validate_construction(name)
+        labels = ", ".join(",".join(map(str, threefold)) for threefold, _ in validated)
+        n = sum(count for _, count in validated)
         return f"validated on {labels} ({n} recomputed fields)"
     run.__name__ = f"check_registry_{name.replace('-', '_')}"
     return run

@@ -40,6 +40,7 @@ from cicy_bundles import (
 )
 from cicy_bundles.classifier import (HIGHER_RANK, KERNEL_OPS, RANK2, report_json,
                                     report_markdown)
+from cicy_bundles.constructions import witnesses_for
 from cicy_bundles.ruled import (DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus,
                                 genus_quadratic)
 from cicy_bundles.verdicts import (FORMS, RULES, FrozenDict, KernelCall, Route, RuleKind, Trail,
@@ -77,25 +78,54 @@ def verdict_for(candidate, ctx, c1=2):
     return judge_candidate(candidate, ctx, c1)
 
 
-#: The rules that fire only on input the enumeration never produces, by the
-#: module and function of their one call site.
-GUARDS = {("classifier.py", "judge_candidate", "R-degree-cap"),
-          ("constructions.py", "component_admissible", "R-degree-cap"),
-          ("constructions.py", "component_admissible", "R-regime-genus")}
+#: The forms that fire only on input the axiom-toggle sweeps never produce, by
+#: the module and function of their one call site.
+GUARDS = {("classifier.py", "judge_candidate", "R-degree-cap/curve"),
+          ("constructions.py", "component_admissible", "R-degree-cap/component"),
+          ("constructions.py", "component_admissible", "R-regime-genus"),
+          ("classifier.py", "_judge_x24_nondeg", "R-x24-si-degree/span")}
 
 #: The site that closes the quintic's plane-and-space-curve shape: only a
 #: disabled R-span3-cap or R-genus-bound lets a span-3 component reach it.
 TOGGLED = {("classifier.py", "_judge_quintic_nondeg", "A-quadric-plane")}
 
-#: Public calls past the enumeration's range, each with the rule it must fail:
-#: candidates over the degree cap (5 on the quintic at twist one, 33 on 3,3),
-#: a component of the wrong genus and one over the cap 29 on 2,4.
+#: Public calls past the axiom-toggle sweeps' range, each with the rule it must
+#: fail: candidates over the degree cap (5 on the quintic at twist one, 33 on
+#: 3,3), a component of the wrong genus and one over the cap 29 on 2,4, and a
+#: span-4 component of degree 8 beside a section on 2,4, which a disabled
+#: R-genus-bound lets the enumeration reach.
 OUT_OF_RANGE = (
     (judge_candidate, "R-degree-cap", (cand((12, 7, 3)), QUINTIC, 1)),
     (judge_candidate, "R-degree-cap", (cand((36, 37, 5)), X33, 2)),
     (component_admissible, "R-regime-genus", (CurveComponent(8, 5, 3), X24, 2)),
     (component_admissible, "R-degree-cap", (CurveComponent(30, 31, 5), X24, 2)),
+    (judge_candidate, "R-x24-si-degree", (cand((8, 9, 4), (9, 10, 3)), X24, 2)),
 )
+
+
+@pytest.fixture(scope="module")
+def rule_toggles():
+    """Each paper case with its base result and the result of disabling each
+    rule alone, by rule id, from one sweep.  R-genus-bound is left out on 2,4
+    and 3,3, where it leaves 10^7-10^8 candidates to judge."""
+    cases = []
+    for ctx, regime in PAPER_CASES:
+        base = classify(ctx, 2, regime)
+        rule_ids = [r for r in RULES if r != "R-genus-bound" or ctx is QUINTIC]
+        results = classifier.toggle_sweep(base, [frozenset({r}) for r in rule_ids])
+        cases.append((ctx, regime, base, dict(zip(rule_ids, results))))
+    return cases
+
+
+def by_candidate(result):
+    """Each verdict of a result by its twist level, counted by the empty curves
+    that open the levels, or "component", and its label."""
+    verdicts, c1 = {}, 0
+    for v in result.verdicts:
+        c1 += v.label == "empty"
+        verdicts[c1, v.label] = v
+    verdicts.update((("component", v.label), v) for v in result.component_verdicts)
+    return verdicts
 
 
 class TestEnumeration:
@@ -552,11 +582,11 @@ class TestToggles:
                 for node in ast.walk(fn):
                     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                             and node.func.attr in ("fire", "exclude", "hypothesis", "witness")):
-                        rule = node.args[0].value.partition("/")[0] if node.args and isinstance(
+                        form = node.args[0].value if node.args and isinstance(
                             node.args[0], ast.Constant) else None
-                        sites[module, node.lineno] = (fn.name, rule)
-        guards = {site for site, (fn, rule) in sites.items() if (site[0], fn, rule) in GUARDS}
-        toggled = {site for site, (fn, rule) in sites.items() if (site[0], fn, rule) in TOGGLED}
+                        sites[module, node.lineno] = (fn.name, form)
+        guards = {site for site, (fn, form) in sites.items() if (site[0], fn, form) in GUARDS}
+        toggled = {site for site, (fn, form) in sites.items() if (site[0], fn, form) in TOGGLED}
         assert (len(guards), len(toggled)) == (len(GUARDS), len(TOGGLED))
         assert sorted(sites.keys() - guards - toggled - fired) == []
         fired.clear()
@@ -567,6 +597,40 @@ class TestToggles:
             fired.clear()
             classify(QUINTIC, 2, disabled=frozenset({rule_id}))
             assert sorted(toggled - fired) == [], rule_id
+
+    def test_disabled_arithmetic_rule_changes_only_verdicts_it_failed(self, rule_toggles):
+        # a site steers by its firing's decision, also with the rule disabled,
+        # so disabling a rule that passed or did not fire changes nothing
+        changed = []
+        for ctx, regime, base, toggled in rule_toggles:
+            for rule_id, result in toggled.items():
+                if RULES[rule_id].kind is not RuleKind.ARITHMETIC:
+                    continue
+                after = by_candidate(result)
+                for key, v in by_candidate(base).items():
+                    if ("fail", rule_id) in {(e.outcome, e.rule_id) for e in v.trail}:
+                        continue
+                    w = after.get(key)
+                    if w is None or (w.status, w.witnesses, w.unresolved) != (
+                            v.status, v.witnesses, v.unresolved):
+                        changed.append((ctx.label(), regime, rule_id, key))
+        assert changed == []
+
+    def test_survivors_claim_only_their_own_witnesses(self, rule_toggles):
+        # a surviving curve names no constructions or exactly those of its own
+        # (c1, c2), under every single-rule toggle too
+        wrong = []
+        for ctx, regime, base, toggled in rule_toggles:
+            if regime != RANK2:
+                continue
+            for rule_id, result in {"": base, **toggled}.items():
+                for (c1, label), v in by_candidate(result).items():
+                    if c1 == "component" or not v.survives or v.candidate.is_empty:
+                        continue
+                    own = witnesses_for(ctx.multidegree, c1, v.candidate.total_degree)
+                    if v.witnesses not in ((), tuple(own)):
+                        wrong.append((ctx.label(), rule_id, label, v.witnesses))
+        assert wrong == []
 
     def test_unknown_rule_ids_are_refused(self):
         # a typo in a toggle set would disable nothing, and a str would be

@@ -123,14 +123,18 @@ class TestRegistry:
         assert len(registry_names()) >= 10
 
     def test_validate_everything(self):
-        reports = validate_all()
-        assert all(r.ok for r in reports)
-        assert sum(len(r.checks) for r in reports) > 100
+        # validation raises on any mismatch, so it returns only the counts of
+        # the fields it recomputed, one per entry
+        validated = validate_all()
+        assert len(validated) == len(REGISTRY)
+        assert sum(count for _, count in validated) > 100
 
     @pytest.mark.parametrize("name", registry_names())
     def test_each_construction(self, name):
-        for report in validate_construction(name):
-            assert report.ok, report.failures()
+        validated = validate_construction(name)
+        assert [threefold for threefold, _ in validated] == [
+            e.threefold for e in REGISTRY if e.name == name]
+        assert all(count > 0 for _, count in validated)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

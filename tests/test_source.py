@@ -148,6 +148,19 @@ def test_every_corpus_rule_fires_from_a_site():
     assert {FORMS[form_id].rule_id for form_id in named} == set(RULES)
 
 
+def test_witness_lookups_type_no_c2():
+    # a route's witnesses are keyed on its candidate's own degree or on a c2
+    # the kernel computed, never on a typed c2: a typed key lets a survivor of
+    # another degree claim that c2's constructions once a rule is disabled
+    calls = [node for node in ast.walk(ast.parse((PACKAGE / "classifier.py").read_text(
+                 encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "witnesses_for"]
+    assert len(calls) > 5
+    found = [node.lineno for node in calls
+             if isinstance(node.args[2], ast.Constant) and type(node.args[2].value) is int]
+    assert found == []
+
+
 def test_no_floating_point():
     # the package promises exact arithmetic: no true division, no float
     found = [

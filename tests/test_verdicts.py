@@ -128,6 +128,8 @@ def test_route_rides_on_the_entry():
     assert routed.fields == (4, 3, 3, (4,), (call,))
     assert dict(routed.values) == {"d": 4, "g": 3, "plane_genus": 3, "defining_degrees": (4,),
                                    "checks": (call,)}
+    with pytest.raises(TypeError):
+        routed.values["d"] = 5
     assert routed_hypothesis.fields == (2, 4) and shared_hypothesis.fields == ()
     report = routed.to_dict()
     assert report == {"rule": "R-plane-degree", "outcome": "pass",
@@ -172,11 +174,13 @@ def test_unknown_rule_ids_raise_on_every_firing_path():
 
 
 def test_disabled_rules_record_nothing_on_every_firing_path():
+    # a disabled arithmetic rule still gives its form's decision, so a site
+    # steers by it, but records nothing and kills nothing
     trail = Trail(frozenset({"R-genus-bound", "A-no-plane"}))
     route = trail.route("surface")
     for fire in (trail.fire, route.fire):
-        assert fire("R-genus-bound/degenerate", 1, 3, "degenerate") is None  # would fail
-        assert fire("R-genus-bound/degenerate", 4, 3, "degenerate") is None  # would pass
+        assert fire("R-genus-bound/degenerate", 1, 3, "degenerate") is False
+        assert fire("R-genus-bound/degenerate", 4, 3, "degenerate") is True
     for exclude in (trail.exclude, route.exclude):
         assert exclude("A-no-plane", 2, 1) is None
     for hypothesis in (trail.hypothesis, route.hypothesis):
