@@ -69,7 +69,8 @@ def ci_curve_invariants(degrees: list[int], n: int) -> CurveInvariants:
 
     A curve cut by n-1 hypersurfaces of the given degrees in P^n has
     degree = prod(d_i), omega = O(sum(d_i) - n - 1) by adjunction, and
-    2g - 2 = degree * omega_twist.
+    2g - 2 = degree * omega_twist, always even: with every d_i odd, the sum
+    of the n - 1 degrees has the parity of n - 1.
     """
     if len(degrees) != n - 1:
         raise ValueError(
@@ -81,10 +82,7 @@ def ci_curve_invariants(degrees: list[int], n: int) -> CurveInvariants:
     for d in degrees:
         degree *= d
     omega_twist = sum(degrees) - n - 1
-    two_g_minus_2 = degree * omega_twist
-    if two_g_minus_2 % 2:
-        raise ValueError("parity violation: degree * omega_twist must be even")
-    return CurveInvariants(degree, omega_twist, two_g_minus_2 // 2 + 1)
+    return CurveInvariants(degree, omega_twist, degree * omega_twist // 2 + 1)
 
 
 def max_curve_degree(ctx: CicyContext, c1: int, rank: int) -> int:

@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from . import bounds, chow, constructions, ruled
 from .chow import (
@@ -49,7 +48,7 @@ from .ruled import (
     genus_quadratic,
     intersect,
 )
-from .verdicts import (FORMS, RULE_ORDER, RULES, SURVIVES, FrozenDict, KernelCall, Route, RuleKind,
+from .verdicts import (FORMS, RULES, SURVIVES, FrozenDict, KernelCall, Route, RuleKind,
                        Status, Trail, Verdict, annotations, decode, encode, exactly_equal,
                        json_text, payload, record)
 
@@ -84,16 +83,10 @@ def _component_grid(ctx: CicyContext, c1: int) -> tuple[CurveComponent, ...]:
 
 def admissible_components(
     ctx: CicyContext, c1: int, disabled: frozenset[str] = frozenset()
-) -> tuple[list[CurveComponent], list[Verdict]]:
-    """Surviving component triples for the given twist, plus all verdicts."""
-    survivors: list[CurveComponent] = []
-    verdicts: list[Verdict] = []
-    for comp in _component_grid(ctx, c1):
-        verdict = component_admissible(comp, ctx, c1, disabled)
-        verdicts.append(verdict)
-        if verdict.status is SURVIVES:
-            survivors.append(comp)
-    return survivors, verdicts
+) -> tuple[Verdict, ...]:
+    """The verdict of each component triple of the given twist, in grid order."""
+    return tuple([component_admissible(comp, ctx, c1, disabled)
+                  for comp in _component_grid(ctx, c1)])
 
 
 def enumerate_candidates(components: list[CurveComponent], cap: int) -> list[CurveCandidate]:
@@ -422,8 +415,8 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Tr
     span5 = [c for c in comps if c.span == 5]
     span4 = [c for c in comps if c.span == 4]
     sections = [c for c in comps if c.span == 3]
-    if cand.total_degree <= 16:
-        if r.fire("R-x24-extremal", cand.total_degree, 8, cand.label()):
+    if cand.total_degree <= 2 * ctx.u:
+        if r.fire("R-x24-extremal", cand.total_degree, ctx.u, cand.label()):
             r.hypothesis("A-section-pair")
             r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree), unresolved=True)
         return
@@ -698,21 +691,44 @@ def _higher_rank_verdicts(
 
 
 @dataclass(frozen=True)
+class Level:
+    """One rank-2 twist level: its c1, the verdict of each component triple
+    of its grid and the verdict of each candidate curve, the empty curve first."""
+
+    c1: int
+    component_verdicts: tuple[Verdict, ...]
+    verdicts: tuple[Verdict, ...]
+
+
+@dataclass(frozen=True)
 class ClassificationResult:
     """An immutable value: tuples and read-only mappings of c2 to tuples, so
     the results of one sweep may share it and its verdicts.  Its summary and
-    its report are views of it."""
+    its report are views of it.  A rank-2 result keeps one `Level` per c1 in
+    `levels`; a higher-rank one keeps its shape verdicts in `shapes`."""
 
     ctx: CicyContext
     c1_max: int
     rank_regime: str
     admissible_c2: tuple[int, ...]
     admissible_pairs: tuple[tuple[int, int], ...]
-    witnesses: MappingProxyType[int, tuple[str, ...]]
+    witnesses: FrozenDict[int, tuple[str, ...]]
     unresolved: tuple[int, ...]
-    rank_windows: MappingProxyType[int, tuple[int, int]]
-    verdicts: tuple[Verdict, ...]
-    component_verdicts: tuple[Verdict, ...]
+    rank_windows: FrozenDict[int, tuple[int, int]]
+    levels: tuple[Level, ...]
+    shapes: tuple[Verdict, ...]
+
+    @property
+    def verdicts(self) -> tuple[Verdict, ...]:
+        """The shape verdicts, or the candidate verdicts level by level."""
+        return self.shapes + tuple(itertools.chain.from_iterable(
+            level.verdicts for level in self.levels))
+
+    @property
+    def component_verdicts(self) -> tuple[Verdict, ...]:
+        """The component verdicts, level by level."""
+        return tuple(itertools.chain.from_iterable(
+            level.component_verdicts for level in self.levels))
 
     def to_dict(self) -> dict:
         """The classification summary, without verdicts."""
@@ -744,13 +760,13 @@ class ClassificationResult:
         report["component_verdicts"] = [_verdict_dict(v) for v in self.component_verdicts]
         report["rules"] = [
             {
-                "id": rule_id,
-                "kind": _TEXT[RULES[rule_id].kind],
-                "ref": RULES[rule_id].ref,
-                "statement": RULES[rule_id].statement,
-                "counts": tally,
+                "id": rule.id,
+                "kind": _TEXT[rule.kind],
+                "ref": rule.ref,
+                "statement": rule.statement,
+                "counts": counts[rule.id],
             }
-            for rule_id, tally in sorted(counts.items(), key=lambda kv: RULE_ORDER[kv[0]])
+            for rule in RULES.values() if rule.id in counts
         ]
         report["annotations"] = annotations()
         return report
@@ -800,39 +816,53 @@ def _check_disabled(disabled: frozenset[str]) -> None:
         raise ValueError(f"unknown rule ids: {', '.join(sorted(map(repr, unknown)))}")
 
 
-def _judge_level(ctx: CicyContext, c1: int, components: list[CurveComponent],
-                 disabled: frozenset[str]) -> list[Verdict]:
-    """The candidate verdicts of one twist level with these surviving components."""
-    candidates = _level_candidates(tuple(components), bounds.max_curve_degree(ctx, c1, 2))
-    return [judge_candidate(cand, ctx, c1, disabled) for cand in candidates]
+def _level(ctx: CicyContext, c1: int, disabled: frozenset[str],
+           base: tuple[list, list] | None = None) -> Level:
+    """The rank-2 twist level c1, judged under `disabled`.
 
-
-def _rank2_level(ctx: CicyContext, c1: int,
-                 disabled: frozenset[str]) -> tuple[list[Verdict], list[Verdict]]:
-    """The component verdicts and candidate verdicts of one twist level."""
-    components, comp_verdicts = admissible_components(ctx, c1, disabled)
-    return comp_verdicts, _judge_level(ctx, c1, components, disabled)
+    Without `base` every component and candidate is judged.  `base` holds the
+    (cited rule ids, verdict) pairs of the level's component and candidate
+    verdicts with nothing disabled: a verdict that cites no disabled rule is
+    reused and the others are judged again, and the base candidates stay
+    while the surviving components do."""
+    if base is None:
+        comps = admissible_components(ctx, c1, disabled)
+        kept = False
+    else:
+        comp_cites, cand_cites = base
+        comps = tuple([v if ids.isdisjoint(disabled)
+                       else component_admissible(v.candidate, ctx, c1, disabled)
+                       for ids, v in comp_cites])
+        kept = all((v.status is SURVIVES) == (old.status is SURVIVES)
+                   for v, (_, old) in zip(comps, comp_cites))
+    if kept:
+        cands = tuple([v if ids.isdisjoint(disabled)
+                       else judge_candidate(v.candidate, ctx, c1, disabled)
+                       for ids, v in cand_cites])
+    else:
+        survivors = tuple([v.candidate for v in comps if v.status is SURVIVES])
+        candidates = _level_candidates(survivors, bounds.max_curve_degree(ctx, c1, 2))
+        cands = tuple([judge_candidate(cand, ctx, c1, disabled) for cand in candidates])
+    return Level(c1, comps, cands)
 
 
 def _aggregate(ctx: CicyContext, c1_max: int, rank_regime: str,
-               disabled: frozenset[str], levels: list[tuple]) -> ClassificationResult:
-    """The result of the judged rank-2 twist levels c1 = 1, 2, ..., or, in the
-    higher-rank regime, of the shapes judged here under `disabled`."""
+               disabled: frozenset[str], levels: list[Level]) -> ClassificationResult:
+    """The result of the judged rank-2 twist levels or, in the higher-rank
+    regime, of the shapes judged here under `disabled`."""
     pairs: set[tuple[int, int]] = set()
     witnesses: dict[int, set[str]] = {0: {SPLIT_WITNESS}}
     unresolved: set[int] = set()
-    verdicts, component_verdicts, windows = [], [], {}
+    shapes, windows = [], {}
     if rank_regime == HIGHER_RANK:
-        verdicts, windows = _higher_rank_verdicts(ctx, c1_max, disabled, pairs, witnesses)
+        shapes, windows = _higher_rank_verdicts(ctx, c1_max, disabled, pairs, witnesses)
         pairs.update((c1, 0) for c1 in range(1, c1_max + 1))
-    for c1, (comp_verdicts, cand_verdicts) in enumerate(levels, 1):
-        component_verdicts += comp_verdicts
-        verdicts += cand_verdicts
-        for verdict in cand_verdicts:
+    for level in levels:
+        for verdict in level.verdicts:
             if verdict.status is not SURVIVES:
                 continue
             c2 = verdict.candidate.total_degree  # 0 for the empty curve
-            pairs.add((c1, c2))
+            pairs.add((level.c1, c2))
             if verdict.unresolved:
                 unresolved.add(c2)
             for name in verdict.witnesses:
@@ -844,12 +874,12 @@ def _aggregate(ctx: CicyContext, c1_max: int, rank_regime: str,
         rank_regime=rank_regime,
         admissible_c2=admissible,
         admissible_pairs=tuple(sorted(pairs)),
-        witnesses=MappingProxyType(
+        witnesses=FrozenDict(
             {k: tuple(sorted(v)) for k, v in witnesses.items() if k in admissible}),
         unresolved=tuple(sorted(unresolved)),
-        rank_windows=MappingProxyType(windows),
-        verdicts=tuple(verdicts),
-        component_verdicts=tuple(component_verdicts),
+        rank_windows=FrozenDict(windows),
+        levels=tuple(levels),
+        shapes=tuple(shapes),
     )
 
 
@@ -861,7 +891,7 @@ def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
     split-bundle contributions; 0 is always admissible (trivial and split
     bundles).  The c2 = 16 cases on the codimension-2 threefolds are flagged
     unresolved: existence holds but their full classification stays open.
-    Rank-2 verdicts run by c1, each level opening with the empty curve.
+    Rank-2 verdicts are kept by twist level, one `Level` per c1.
 
     Each call judges afresh: only immutable inputs cross calls, namely the
     component grid of each threefold and twist, the candidates of each
@@ -872,7 +902,7 @@ def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
     _check_regime(ctx, c1_max, rank_regime)
     _check_disabled(disabled)
     levels = [] if rank_regime == HIGHER_RANK else [
-        _rank2_level(ctx, c1, disabled) for c1 in range(1, c1_max + 1)]
+        _level(ctx, c1, disabled) for c1 in range(1, c1_max + 1)]
     return _aggregate(ctx, c1_max, rank_regime, disabled, levels)
 
 
@@ -889,52 +919,27 @@ def toggle_sweep(base: ClassificationResult,
     methods `Trail._fire`, `Trail._exclude` and `Trail._hypothesis`, through
     which every firing on a trail or a route passes, record every rule they
     consult while it is active, so a verdict whose trail cites no rule of a
-    toggle set is judged the same way with that set disabled.  A twist level that
-    keeps its surviving components keeps the base candidates, reusing each
-    such verdict in place and judging the others again; a level whose
-    survivors change judges every candidate of the new survivors, and
-    higher-rank shapes are all judged again.  A toggle set that no verdict
-    of the base cites gets the base result itself.
-
-    The base's twist levels are read back from its verdicts: each level's
-    candidates open with the empty curve, and a component's twist follows
-    from its own genus, 2g - 2 = c1 * d.
+    toggle set is judged the same way with that set disabled.  Each twist
+    level of the base is judged again by `_level` from its verdicts and the
+    rules each cites, collected once per base verdict; higher-rank shapes
+    are all judged again.  A toggle set that no verdict of the base cites
+    gets the base result itself.
     """
     for disabled in toggles:
         _check_disabled(disabled)
     ctx, c1_max, rank_regime = base.ctx, base.c1_max, base.rank_regime
-    comp_pairs = [(_cites(v), v) for v in base.component_verdicts]
-    cand_pairs = [(_cites(v), v) for v in base.verdicts]
-    cited = frozenset().union(*(ids for ids, _ in comp_pairs + cand_pairs))
-    level_cites: list[tuple[list, list]] = []
-    if rank_regime == RANK2:
-        level_cites = [([], []) for _ in range(c1_max)]
-        for ids, v in comp_pairs:
-            comp = v.candidate
-            level_cites[(2 * comp.g - 2) // comp.d - 1][0].append((ids, v))
-        c1 = 0
-        for ids, v in cand_pairs:
-            c1 += v.candidate.is_empty
-            level_cites[c1 - 1][1].append((ids, v))
+    level_cites = [(level.c1, ([(_cites(v), v) for v in level.component_verdicts],
+                               [(_cites(v), v) for v in level.verdicts]))
+                   for level in base.levels]
+    cited = frozenset().union(*map(_cites, base.shapes),
+                              *(ids for _, (comps, cands) in level_cites
+                                for ids, _ in comps + cands))
     results = []
     for disabled in toggles:
         if cited.isdisjoint(disabled):
             results.append(base)
             continue
-        levels = []
-        for c1, (comp_cites, cand_cites) in enumerate(level_cites, 1):
-            comps = [v if ids.isdisjoint(disabled)
-                     else component_admissible(v.candidate, ctx, c1, disabled)
-                     for ids, v in comp_cites]
-            if any((v.status is SURVIVES) != (old.status is SURVIVES)
-                   for v, (_, old) in zip(comps, comp_cites)):
-                cands = _judge_level(ctx, c1, [v.candidate for v in comps if v.status is SURVIVES],
-                                     disabled)
-            else:
-                cands = [v if ids.isdisjoint(disabled)
-                         else judge_candidate(v.candidate, ctx, c1, disabled)
-                         for ids, v in cand_cites]
-            levels.append((comps, cands))
+        levels = [_level(ctx, c1, disabled, cites) for c1, cites in level_cites]
         results.append(_aggregate(ctx, c1_max, rank_regime, disabled, levels))
     return results
 

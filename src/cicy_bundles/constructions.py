@@ -79,10 +79,6 @@ class CurveCandidate:
         object.__setattr__(self, "_label",
                            " + ".join(c.label() for c in components) or "empty")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.components
-
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(c.triple() for c in self.components)
 
@@ -122,6 +118,7 @@ def liaison_solve(
     dualizing twist `omega_twist_total`, a piece C with twist
     `omega_twist_target` linked by a hypersurface of degree `cutting_degree`
     satisfies (twist_total - twist_target) * d = cutting_degree * (total - d).
+    With a positive twist gap, an exact quotient solves it with 0 < d < total.
     """
     if min(total_degree, cutting_degree) < 1:
         raise ValueError("degrees must be positive")
@@ -132,12 +129,7 @@ def liaison_solve(
     denominator = coeff + cutting_degree
     if numerator % denominator:
         raise LiaisonError("no liaison solution: degree is not an integer")
-    d = numerator // denominator
-    if not 0 < d < total_degree:
-        raise LiaisonError("no liaison solution: degree out of range")
-    if coeff * d != cutting_degree * (total_degree - d):
-        raise LiaisonError("no liaison solution: the linkage equation fails")
-    return d
+    return numerator // denominator
 
 
 def section_curve_invariants(ctx: CicyContext) -> tuple[bounds.CurveInvariants, KernelCall]:

@@ -301,7 +301,8 @@ _CORPUS: tuple[Rule, ...] = (
          "most 16: exactly two degree-8 space sections",
          "extremal-pair",
          forms=lambda total, component_floor, components: (
-             components == "(8,9,3) + (8,9,3)")),
+             components == " + ".join(
+                 [f"({component_floor},{component_floor + 1},3)"] * 2))),
     Rule("A-section-pair", _A,
          "a transversal pair of codimension-2 linear sections is cut out by "
          "quadrics along the threefold",
@@ -511,7 +512,6 @@ _CORPUS: tuple[Rule, ...] = (
 )
 
 RULES: dict[str, Rule] = {rule.id: rule for rule in _CORPUS}
-RULE_ORDER: dict[str, int] = {rule.id: i for i, rule in enumerate(_CORPUS)}
 
 
 def annotations() -> list[dict]:

@@ -653,19 +653,18 @@ def check_axiom_toggle_monotone() -> str:
 def check_no_hidden_eliminations() -> str:
     flipped = 0
     for ctx in (QUINTIC, X24, X33):
-        c1 = 0
-        for verdict in _paper(ctx, RANK2).verdicts:
-            cand = verdict.candidate
-            c1 += cand.is_empty  # each twist level opens with the empty curve
-            if verdict.status is not Status.ELIMINATED:
-                continue
-            failing = frozenset(
-                e.rule_id for e in verdict.trail if e.outcome == "fail"
-            )
-            requeued = classifier.judge_candidate(cand, ctx, c1, failing)
-            _true(requeued.status is not Status.ELIMINATED,
-                  f"{cand.label()} stays eliminated with its failing rules disabled")
-            flipped += 1
+        for level in _paper(ctx, RANK2).levels:
+            for verdict in level.verdicts:
+                if verdict.status is not Status.ELIMINATED:
+                    continue
+                cand = verdict.candidate
+                failing = frozenset(
+                    e.rule_id for e in verdict.trail if e.outcome == "fail"
+                )
+                requeued = classifier.judge_candidate(cand, ctx, level.c1, failing)
+                _true(requeued.status is not Status.ELIMINATED,
+                      f"{cand.label()} stays eliminated with its failing rules disabled")
+                flipped += 1
     return f"{flipped} eliminated candidates flip without their failing rules"
 
 

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -118,13 +119,12 @@ def rule_toggles():
 
 
 def by_candidate(result):
-    """Each verdict of a result by its twist level, counted by the empty curves
-    that open the levels, or "component", and its label."""
-    verdicts, c1 = {}, 0
-    for v in result.verdicts:
-        c1 += v.label == "empty"
-        verdicts[c1, v.label] = v
-    verdicts.update((("component", v.label), v) for v in result.component_verdicts)
+    """Each verdict of a result by its twist level's c1, or "component", or
+    "shape" for a higher-rank shape, and its label."""
+    verdicts = {("shape", v.label): v for v in result.shapes}
+    for level in result.levels:
+        verdicts.update(((level.c1, v.label), v) for v in level.verdicts)
+        verdicts.update((("component", v.label), v) for v in level.component_verdicts)
     return verdicts
 
 
@@ -152,7 +152,8 @@ class TestEnumeration:
         for c1 in (1, 2):
             cap = max_curve_degree(ctx, c1, 2)
             for disabled in sweep_toggles(HIGHER_RANK):
-                components, _ = classifier.admissible_components(ctx, c1, disabled)
+                components = [v.candidate for v in
+                              classifier.admissible_components(ctx, c1, disabled) if v.survives]
                 ordered = sorted(components)
                 fits = [CurveCandidate(ms) for k in range(1, cap + 1)
                         if ordered and k * ordered[0].d <= cap
@@ -223,7 +224,9 @@ class TestCandidateCache:
             for c1 in (1, 2):
                 cap = max_curve_degree(ctx, c1, 2)
                 for disabled in sweep_toggles(RANK2):
-                    components, _ = classifier.admissible_components(ctx, c1, disabled)
+                    components = [v.candidate for v in
+                                  classifier.admissible_components(ctx, c1, disabled)
+                                  if v.survives]
                     met.add((tuple(components), cap))
         for survivors, cap in met:
             fresh = tuple(enumerate_candidates(list(survivors), cap))
@@ -345,6 +348,17 @@ class TestX24Verdicts:
             v = verdict_for(cand((d, d + 1, 5)), X24)
             assert v.status is Status.ELIMINATED, d
 
+    def test_extremal_pair_is_built_from_the_recorded_floor(self):
+        # the decision accepts two sections of the recorded floor degree and
+        # their twist-two genus, and nothing typed for 2,4 alone
+        decide = FORMS["R-x24-extremal"].decide
+        (entry,) = [e for e in verdict_for(cand((8, 9, 3), (8, 9, 3)), X24).trail
+                    if e.rule_id == "R-x24-extremal"]
+        assert entry.fields == (16, X24.u, "(8,9,3) + (8,9,3)") and entry.outcome == "pass"
+        assert decide(18, 9, "(9,10,3) + (9,10,3)")
+        assert not decide(16, 9, "(8,9,3) + (8,9,3)")
+        assert not decide(16, 8, "(8,9,3) + (8,9,3) + (8,9,3)")
+
 
 class TestX33Verdicts:
     def test_section_survives(self):
@@ -427,7 +441,7 @@ class TestClassify:
     @staticmethod
     def _aggregates(result):
         survivors = [v for v in result.verdicts if v.survives]
-        degrees = {0 if v.candidate.is_empty else v.candidate.total_degree for v in survivors}
+        degrees = {v.candidate.total_degree for v in survivors}
         assert result.admissible_c2 == tuple(sorted(degrees | {0}))
         assert set(result.unresolved) == {v.candidate.total_degree
                                           for v in survivors if v.unresolved}
@@ -458,6 +472,52 @@ class TestClassify:
     def test_c1_max_one(self):
         result = classify(X24, 1, RANK2)
         assert result.admissible_pairs == ((1, 0), (1, 4))
+
+    def test_levels_hold_the_verdicts(self):
+        # a rank-2 result keeps one level per c1, each opening with the empty
+        # curve, and its verdicts are the levels' in order; a higher-rank
+        # result keeps its shapes alone
+        for ctx in (QUINTIC, X24, X33):
+            for c1_max in (0, 1, 2):
+                result = classify(ctx, c1_max)
+                assert [level.c1 for level in result.levels] == list(range(1, c1_max + 1))
+                assert result.shapes == ()
+                assert all(level.verdicts[0].label == "empty" for level in result.levels)
+                assert result.verdicts == tuple(
+                    v for level in result.levels for v in level.verdicts)
+                assert result.component_verdicts == tuple(
+                    v for level in result.levels for v in level.component_verdicts)
+        higher = classify(QUINTIC, 2, HIGHER_RANK)
+        assert higher.levels == () and higher.component_verdicts == ()
+        assert higher.verdicts == higher.shapes and len(higher.shapes) == 6
+
+    def test_results_copy_and_pickle(self):
+        # a result is a plain value: a deep copy and a pickle round trip give
+        # an equal result with the same report bytes, whose mappings and
+        # firing fields still refuse writes
+        fields = 0
+        for ctx, regime in PAPER_CASES:
+            result = classify(ctx, 2, regime)
+            text = report_json(result.report())
+            for copied in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+                assert copied == result and copied is not result
+                assert report_json(copied.report()) == text
+                for mapping in (copied.witnesses, copied.rank_windows):
+                    assert type(mapping) is FrozenDict
+                    with pytest.raises(TypeError):
+                        mapping[0] = ()
+                for v in copied.verdicts + copied.component_verdicts:
+                    for value in (f for e in v.trail for f in e.fields):
+                        if isinstance(value, dict):
+                            assert type(value) is FrozenDict
+                            with pytest.raises(TypeError):
+                                value["written"] = 0
+                            fields += 1
+        assert fields >= 6
+
+    def test_unknown_regime(self):
+        with pytest.raises(UnsupportedClassificationError, match="unknown rank regime 'rank3'"):
+            classify(QUINTIC, 2, "rank3")
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedClassificationError):
@@ -625,7 +685,7 @@ class TestToggles:
                 continue
             for rule_id, result in {"": base, **toggled}.items():
                 for (c1, label), v in by_candidate(result).items():
-                    if c1 == "component" or not v.survives or v.candidate.is_empty:
+                    if c1 == "component" or not v.survives or not v.candidate.components:
                         continue
                     own = witnesses_for(ctx.multidegree, c1, v.candidate.total_degree)
                     if v.witnesses not in ((), tuple(own)):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cicy_bundles
-from cicy_bundles import QUINTIC, chi_rank2, verify
+from cicy_bundles import QUINTIC, chi_rank2, constructions, verify
 from cicy_bundles.cli import main
 
 
@@ -121,6 +122,21 @@ class TestVerify:
             main(["verify", "--help"])
         assert exc.value.code == 0 and "--module" in capsys.readouterr().out
 
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        # a check that raises is reported, counted and named on the last line
+        names = [name for mod, name, _ in verify.CHECKS if mod == "chow"]
+
+        def broken():
+            raise verify.CheckFailure("broken on purpose")
+
+        monkeypatch.setattr(verify, "CHECKS", [
+            (mod, name, broken if name == names[0] else fn) for mod, name, fn in verify.CHECKS])
+        code, out, _ = run(capsys, "verify", "--module", "chow")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == f"FAIL chow/{names[0]}: CheckFailure: broken on purpose"
+        assert lines[-2:] == [f"{len(names)} checks, 1 failures", f"failing: chow/{names[0]}"]
+
     def test_all_under_optimize(self):
         # python -O strips asserts: every check must still run and pass
         src = str(Path(cicy_bundles.__file__).parent.parent)
@@ -156,6 +172,21 @@ class TestQuery:
         assert code == 2 and "unsupported" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "--threefold", "5", "--c1-max", "3"), "c1_max must be between 0 and 2"),
+    (("classify", "--threefold", "5", "--c1-max", "-1"), "c1_max must be between 0 and 2"),
+    (("chi", "--threefold", "5,x", "--c1", "1", "--c2", "0"), "cannot parse threefold label"),
+    (("query", "intersect", "--e", "1", "--c1", "1,2,3", "--c2", "2,5"),
+     "divisor class must be 'a,b'"),
+    (("query", "hirzebruch-genus", "--e", "1", "--class", "1"), "divisor class must be 'a,b'"),
+], ids=["c1-max-3", "c1-max-negative", "threefold-label", "intersect-class", "genus-class"])
+def test_bad_values_exit_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [("classify", "--threefold", "5"), ("registry",)],
                          ids=["classify", "registry"])
 def test_unwritable_out_exits_2(capsys, tmp_path, command):
@@ -167,6 +198,16 @@ class TestRegistryCommand:
     def test_validate(self, capsys):
         code, out, _ = run(capsys, "registry", "--validate")
         assert code == 0 and out.startswith("PASS")
+
+    def test_validate_refuses_a_corrupted_entry(self, capsys, monkeypatch):
+        # one entry's c2 off by one: the command names it on stderr and exits 1
+        first, *rest = constructions.REGISTRY
+        wrong = dataclasses.replace(first, c2=first.c2 + 1)
+        monkeypatch.setattr(constructions, "REGISTRY", (wrong, *rest))
+        code, out, err = run(capsys, "registry", "--validate")
+        assert (code, out) == (1, "")
+        assert err == (f"FAIL construction {first.name!r} on {first.threefold}: "
+                       "failed checks ['c2']\n")
 
     def test_dump_stable_keys(self, capsys):
         code, out, _ = run(capsys, "registry")
