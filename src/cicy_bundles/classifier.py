@@ -302,17 +302,17 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> No
     r = trail.route("extension")
     z = cand.total_degree - ctx.u
     if z == 0:
-        inv, check = record(chern_of_extension, 1, 1, z, ctx)
+        _, check = record(chern_of_extension, 1, 1, z, ctx)
         r.fire("R-ext-z/split", z, "empty", (check,))
-        r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
+        r.witness()
         return
     # a plane-cubic residual needs three linear sections through its plane
     allowed = (0, 3) if ctx.ambient_dim >= 5 else (0,)
     if z in allowed:
         r.hypothesis("A-ext-plane-cubic", z, ctx.ambient_dim - 2)
-        inv, check = record(chern_of_extension, 1, 1, z, ctx)
+        _, check = record(chern_of_extension, 1, 1, z, ctx)
         r.fire("R-ext-z/plane-cubic", z, "plane cubic", 0, (check,))
-        r.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
+        r.witness()
         return
     if z == ctx.u:
         section, check = section_curve_invariants(ctx)
@@ -323,7 +323,7 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> No
         r.fire("R-ext-z/other", z, allowed)
 
 
-def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail) -> None:
+def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     spans = [c.span for c in cand.components]
     s = len(cand.components)
     r = trail.route("base-locus-surface")
@@ -354,7 +354,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail
         p_a, check = record(union_genus, [c.g for c in cand.components])
         r.fire("R-union-genus/planes", p_a, cand.total_degree, (check,))
         r.hypothesis("A-two-planes")
-        r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree))
+        r.witness()
         return
     if s == 3:  # the budget leaves three planes only
         r.exclude("A-three-planes", 3)
@@ -364,11 +364,10 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail
     r.exclude("A-quadric-plane", tuple(sorted(spans)))
 
 
-def _four_quadric_route(d: int, ctx: CicyContext, c1: int, trail: Trail, unresolved: bool,
-                        *note: str) -> None:
+def _four_quadric_route(d: int, trail: Trail, unresolved: bool, *note: str) -> None:
     """A curve of one span-5 component in the base locus of four quadrics: the
-    complete intersection caps its degree and is the curve at the cap, where
-    its witness is flagged `unresolved` or not; below the cap the connected
+    complete intersection caps its degree and is the curve at the cap, which
+    the route realizes `unresolved` or not; below the cap the connected
     intersection meets the residual."""
     ci = trail.route("base-locus-curve")
     cap = _FOUR_QUADRICS.degree
@@ -376,19 +375,18 @@ def _four_quadric_route(d: int, ctx: CicyContext, c1: int, trail: Trail, unresol
         return
     if d == cap:
         _fire_ci_omega(ci, (2, 2, 2, 2))
-        ci.witness(witnesses_for(ctx.multidegree, c1, d), unresolved)
+        ci.witness(unresolved)
     elif ci.hypothesis("A-ci-connected/ci", cap):
         ci.fire("R-ci-residual/note" if note else "R-ci-residual/twist",
                 d, cap - d, ">= 1", 0, *note)
 
 
-def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail) -> None:
+def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     comps = cand.components
     s = len(comps)
     if s == 1:
         d = comps[0].d
-        _four_quadric_route(d, ctx, c1, trail, False,
-                            "meeting the residual lowers the dualizing twist")
+        _four_quadric_route(d, trail, False, "meeting the residual lowers the dualizing twist")
         surf = trail.route("base-locus-surface")
         if d % 4:
             surf.fire("R-x24-mod4/off", d, 4)
@@ -418,7 +416,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Tr
     if cand.total_degree <= 2 * ctx.u:
         if r.fire("R-x24-extremal", cand.total_degree, ctx.u, cand.label()):
             r.hypothesis("A-section-pair")
-            r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree), unresolved=True)
+            r.witness(unresolved=True)
         return
     for comp in span5:
         _, check = record(bounds.castelnuovo_pi, _SPAN5_FLOOR, 5)
@@ -441,9 +439,9 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Tr
         r.exclude("A-x24-three-quadrics", len(sections))
 
 
-def _judge_x33_single_span5(d: int, ctx: CicyContext, c1: int, trail: Trail) -> None:
+def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
     g = d + 1
-    _four_quadric_route(d, ctx, c1, trail, True)
+    _four_quadric_route(d, trail, True)
 
     dim3 = trail.route("base-locus-threefold")
     dim3.fire("R-dim3-degree", d, FrozenDict({"deg3": 3 * ctx.u, "deg4": 4 * ctx.u}))
@@ -465,7 +463,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, c1: int, trail: Trail) -> 
         _harris_surface(r, d, 5, g, 5, "equality: the curve is the cubic cut of the surface")
         r.hypothesis("A-delpezzo5", -1)
         r.fire("R-surface-cut-twist", -1, 3, 2)
-        r.witness(witnesses_for(ctx.multidegree, c1, d))
+        r.witness()
         return
     if d == 16:
         # the degree-6 base-surface branch at d = 16 stays open: this is the
@@ -484,7 +482,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, c1: int, trail: Trail) -> 
         degrees = (2, 2, 2)
         r.fire("R-s-omega", degrees, sum(degrees) - 5 - 1)
         _fire_liaison(r, d)
-        r.witness(witnesses_for(ctx.multidegree, c1, d))
+        r.witness()
         return
     # d >= 19: surface routes by degree
     if d <= 24:
@@ -509,11 +507,11 @@ def _fire_liaison(route: Route, d: int) -> None:
     route.fire("R-liaison-18", linked, d, (ci_check, liaison_check))
 
 
-def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail) -> None:
+def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     comps = cand.components
     s = len(comps)
     if s == 1:
-        _judge_x33_single_span5(comps[0].d, ctx, c1, trail)
+        _judge_x33_single_span5(comps[0].d, ctx, trail)
         return
     r = trail.route("component-surfaces")
     sections = [c for c in comps if c.span == 3]
@@ -521,7 +519,7 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Tr
     if not others:
         if s == 2:
             r.hypothesis("A-section-pair")
-            r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree))
+            r.witness()
         else:
             r.exclude("A-x33-three-sections", s)
         return
@@ -563,11 +561,11 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Tr
                 r.exclude("A-linked-plane-7/route", 7)
 
 
-def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail) -> None:
+def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
     r = trail.route("twist-one")
     if len(cand.components) == 1:
         r.hypothesis("A-plane-in-quadric")
-        r.witness(witnesses_for(ctx.multidegree, c1, cand.total_degree))
+        r.witness()
         return
     # several components would have to fill the connected section curve
     section, section_check = section_curve_invariants(ctx)
@@ -576,39 +574,39 @@ def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, c1: int, trail: Trail)
     r.fire("R-union-genus/section", p_a, section.genus, (section_check, check))
 
 
+#: The nondegenerate case tree of each threefold the rank-2 regime covers.
+_NONDEGENERATE = {(5,): _judge_quintic_nondeg, (2, 4): _judge_x24_nondeg,
+                  (3, 3): _judge_x33_nondeg}
+
+
 def judge_candidate(
     cand: CurveCandidate,
     ctx: CicyContext,
     c1: int,
     disabled: frozenset[str] = frozenset(),
 ) -> Verdict:
-    """Route one candidate through the elimination tree of its regime."""
+    """Route one candidate through the elimination tree of its regime; a route
+    that realizes it names the constructions of (c1, its degree), looked up here."""
     trail = Trail(disabled)
     if not cand.components:  # the empty curve
         r = trail.route("split")
         inv, check = record(chern_of_extension, 0, c1, 0, ctx)
         r.fire("R-ext-split/empty", inv.c1, inv.c2, (check,))
-        r.witness([SPLIT_WITNESS])
-        return trail.verdict(cand)
+        r.witness()
+        return trail.verdict(cand, (SPLIT_WITNESS,))
     # fired only past the cap, which enumerate_candidates never reaches
     cap = bounds.max_curve_degree(ctx, c1, 2)
     if cand.total_degree > cap:
         trail.fire("R-degree-cap/curve", cand.total_degree, cap)
     if c1 == 1:
-        _judge_c1_one(cand, ctx, c1, trail)
+        _judge_c1_one(cand, ctx, trail)
     elif cand.span_max < ctx.ambient_dim:
         _judge_extension(cand, ctx, trail)
-    elif ctx.multidegree == (5,):
-        _judge_quintic_nondeg(cand, ctx, c1, trail)
-    elif ctx.multidegree == (2, 4):
-        _judge_x24_nondeg(cand, ctx, c1, trail)
-    elif ctx.multidegree == (3, 3):
-        _judge_x33_nondeg(cand, ctx, c1, trail)
-    else:  # pragma: no cover - enumeration is gated earlier
-        raise UnsupportedClassificationError(
-            f"no rank-2 case tree for {ctx.label()}"
-        )
-    return trail.verdict(cand)
+    elif ctx.multidegree in _NONDEGENERATE:
+        _NONDEGENERATE[ctx.multidegree](cand, ctx, trail)
+    else:
+        raise UnsupportedClassificationError(f"no rank-2 case tree for {ctx.label()}")
+    return trail.verdict(cand, witnesses_for(ctx.multidegree, c1, cand.total_degree))
 
 
 # --------------------------------------------------------------------------
@@ -642,8 +640,8 @@ def _higher_rank_verdicts(
         window = (3, trivial_part + extras)
         t.fire("R-resolution-shape", sub, tuple(sorted(set(quot))), inv.c1, inv.c2, window,
                (chern_check, rank_check))
-        t.witness(witnesses_for(ctx.multidegree, c1, inv.c2, higher_rank=True))
-        verdicts.append(t.verdict(label))
+        verdicts.append(t.verdict(label, witnesses_for(ctx.multidegree, c1, inv.c2,
+                                                       higher_rank=True)))
         if verdicts[-1].survives:
             windows[inv.c2] = window
             pairs.add((c1, inv.c2))
@@ -678,8 +676,8 @@ def _higher_rank_verdicts(
         t.hypothesis("A-minimal-resolution")
         inv, check = record(chern_of_extension, 1, 1, 0, ctx)
         t.fire("R-ext-split/split", inv.c1, inv.c2, "O(1) + O(1) + trivial factors", (check,))
-        t.witness(witnesses_for(ctx.multidegree, inv.c1, inv.c2))
-        verdicts.append(t.verdict("plane-section curve (split route)"))
+        verdicts.append(t.verdict("plane-section curve (split route)",
+                                  witnesses_for(ctx.multidegree, inv.c1, inv.c2)))
         if verdicts[-1].survives:
             witnesses.setdefault(inv.c2, set()).update(verdicts[-1].witnesses)
     return verdicts, windows
@@ -787,9 +785,6 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
-_SUPPORTED_RANK2 = {(5,), (2, 4), (3, 3)}
-
-
 def _check_regime(ctx: CicyContext, c1_max: int, rank_regime: str) -> None:
     if rank_regime not in (RANK2, HIGHER_RANK):
         raise UnsupportedClassificationError(f"unknown rank regime {rank_regime!r}")
@@ -800,7 +795,7 @@ def _check_regime(ctx: CicyContext, c1_max: int, rank_regime: str) -> None:
             raise UnsupportedClassificationError(
                 "the higher-rank case tree is encoded for the quintic only"
             )
-        if rank_regime == RANK2 and ctx.multidegree not in _SUPPORTED_RANK2:
+        if rank_regime == RANK2 and ctx.multidegree not in _NONDEGENERATE:
             raise UnsupportedClassificationError(
                 f"no complete rank-2 classification is encoded for {ctx.label()}; "
                 "only registered example constructions exist there"
@@ -895,9 +890,10 @@ def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
 
     Each call judges afresh: only immutable inputs cross calls, namely the
     component grid of each threefold and twist, the candidates of each
-    surviving-component set and cap, and the module's search constants.  No
-    verdict, trail entry or kernel-call record is carried from one call to
-    the next.  An unknown rule id in `disabled` raises ValueError.
+    surviving-component set and cap, the witness table `witnesses_for` reads
+    and the module's search constants.  No verdict, trail entry or
+    kernel-call record is carried from one call to the next.  An unknown rule
+    id in `disabled` raises ValueError.
     """
     _check_regime(ctx, c1_max, rank_regime)
     _check_disabled(disabled)

@@ -410,11 +410,18 @@ def registry_names() -> list[str]:
     return sorted({e.name for e in REGISTRY})
 
 
-def witnesses_for(md: tuple[int, ...], c1: int, c2: int, higher_rank: bool = False) -> list[str]:
+#: The sorted names of the registered constructions by (threefold, c1, c2,
+#: rank > 2), built once: `witnesses_for` runs for every judged candidate.
+_WITNESSES = {key: tuple(sorted({e.name for e in REGISTRY
+                                 if (e.threefold, e.c1, e.c2, e.rank > 2) == key}))
+              for key in {(e.threefold, e.c1, e.c2, e.rank > 2) for e in REGISTRY}}
+
+
+def witnesses_for(md: tuple[int, ...], c1: int, c2: int,
+                  higher_rank: bool = False) -> tuple[str, ...]:
     """Names of registered constructions matching (threefold, c1, c2), of rank 2
     or, with `higher_rank`, of rank at least 3: the one source of witness names."""
-    return sorted({e.name for e in REGISTRY
-                   if (e.threefold, e.c1, e.c2, e.rank > 2) == (md, c1, c2, higher_rank)})
+    return _WITNESSES.get((md, c1, c2, higher_rank), ())
 
 
 def serialize_registry() -> str:

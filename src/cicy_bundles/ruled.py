@@ -63,11 +63,9 @@ def canonical_class(s: RuledSurface) -> DivisorClass:
 
 
 def adjunction_genus(c: DivisorClass, s: RuledSurface) -> int:
-    """Arithmetic genus g of a curve in |c|, from 2g - 2 = C.(C + K)."""
-    pairing = intersect(c, c + canonical_class(s), s)
-    if pairing % 2:
-        raise ValueError(f"lattice violation: C.(C+K) = {pairing} is odd")
-    return pairing // 2 + 1
+    """Arithmetic genus g of a curve in |c|, from 2g - 2 = C.(C + K); for c = ah + bf
+    that is -e*a(a - 1) + 2(ab + a(q - 1) - b), always even, so the halving is exact."""
+    return intersect(c, c + canonical_class(s), s) // 2 + 1
 
 
 def embedding_degree(c: DivisorClass, hyperplane: DivisorClass, s: RuledSurface) -> int:

@@ -540,11 +540,11 @@ def _forms(rule: Rule):
 #: Every form of the corpus by its id, the name a firing site gives.
 FORMS: dict[str, Form] = {form_id: form for rule in _CORPUS for form_id, form in _forms(rule)}
 
-_SOLE_ROUTE = {None: ((), False)}  # a trail with no routes opened, never witnessed
+_SOLE_ROUTE = {None: False}  # a trail with no routes opened: it realizes its candidate
 
 
 class Route(NamedTuple):
-    """An escape route of a trail: its firings and witnesses are recorded on
+    """An escape route of a trail: its firings and its mark are recorded on
     the trail under its name."""
 
     trail: Trail
@@ -559,15 +559,16 @@ class Route(NamedTuple):
     def hypothesis(self, form_id: str, *fields) -> bool:
         return self.trail._hypothesis(form_id, self.name, fields)
 
-    def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
-        self.trail.routes[self.name] = (witnesses, unresolved)
+    def witness(self, unresolved: bool = False) -> None:
+        """Mark this route as realizing its candidate, its existence `unresolved` or not."""
+        self.trail.routes[self.name] = unresolved
 
 
 class Trail:
     """The judgement of one candidate: rule firings, honoring a set of
     disabled rule ids, made on escape routes that share its entries.  A firing
     on the trail itself belongs to every route; with no routes opened the
-    trail counts as one route.  `verdict` derives the status.
+    trail counts as one marked route.  `verdict` derives the status.
 
     A site fires a form by its id with the form's fields, positionally: an
     arithmetic form with `fire`, which takes the outcome from the form's
@@ -579,21 +580,16 @@ class Trail:
     def __init__(self, disabled: frozenset[str] = frozenset()):
         self.entries: list[TrailEntry] = []
         self.disabled = disabled
-        # route name -> (witnesses, unresolved); names only, so no reference cycle
-        self.routes: dict[str | None, tuple[list[str], bool]] = {}
+        # route name -> its unresolved flag once marked, else None; no reference cycle
+        self.routes: dict[str, bool | None] = {}
         # route name -> whether an arithmetic rule failed on it: each route a
         # failure killed, tallied as the failure fires; None is the trail itself
         self.dead: dict[str | None, bool] = {}
 
     def route(self, name: str) -> Route:
         """Open the escape route `name`, which shares this trail's entries."""
-        if name not in self.routes:
-            self.routes[name] = ((), False)
+        self.routes.setdefault(name, None)
         return tuple.__new__(Route, (self, name))
-
-    def witness(self, witnesses: list[str], unresolved: bool = False) -> None:
-        """Name the constructions that realize a trail with no routes opened."""
-        self.routes[None] = (witnesses, unresolved)
 
     def active(self, rule_id: str) -> bool:
         return rule_id not in self.disabled
@@ -651,31 +647,34 @@ class Trail:
                                                        fields, route)))
         return True
 
-    def verdict(self, candidate: object) -> Verdict:
+    def verdict(self, candidate: object, witnesses: tuple[str, ...] = ()) -> Verdict:
         """The status of the judged candidate, derived from the routes its
         failures killed.
 
-        A live route gives SURVIVES, with the witnesses and unresolved flag of
-        the live routes.  When every route is dead the status is ELIMINATED if
-        each route died on an arithmetic rule, and AXIOM-ELIMINATED otherwise.
+        A live route gives SURVIVES, naming `witnesses` when a live route is
+        marked by `Route.witness` (with no routes opened the trail counts as
+        marked), unresolved when a live marked route is.  When every route is
+        dead the status is ELIMINATED if each route died on an arithmetic rule,
+        and AXIOM-ELIMINATED otherwise.
         """
         trail = tuple(self.entries)
         dead = self.dead
         # tuple.__new__ skips the generated __new__, as in fire: ~3.5*10^4
         # verdicts a sweep, and the component filter's survivors take this exit
         if not dead and not self.routes:
-            return tuple.__new__(Verdict, (candidate, SURVIVES, trail, (), False))
+            return tuple.__new__(Verdict, (candidate, SURVIVES, trail, tuple(witnesses), False))
         routes = self.routes or _SOLE_ROUTE
         if None not in dead:  # plain loops: cheaper than comprehensions on this hot path
-            live, witnesses, unresolved = False, set(), False
-            for route, (names, flag) in routes.items():
+            live, marked, unresolved = False, False, False
+            for route, flag in routes.items():
                 if route not in dead:
                     live = True
-                    witnesses.update(names)
-                    unresolved = unresolved or flag
+                    if flag is not None:
+                        marked = True
+                        unresolved = unresolved or flag
             if live:
                 return tuple.__new__(Verdict, (candidate, SURVIVES, trail,
-                                               tuple(sorted(witnesses)), unresolved))
+                                               tuple(witnesses) if marked else (), unresolved))
         if not dead.get(None):
             for route in routes:
                 if not dead.get(route):  # live, or killed by axioms only

@@ -525,6 +525,14 @@ class TestClassify:
         with pytest.raises(UnsupportedClassificationError):
             classify(X33, 2, HIGHER_RANK)
 
+    def test_no_case_tree_for_a_nondegenerate_candidate(self):
+        # a direct call reaches the dispatch past classify's regime check
+        for ctx, component in ((X223, CurveComponent(18, 19, 6)),
+                               (X2222, CurveComponent(20, 21, 7))):
+            with pytest.raises(UnsupportedClassificationError,
+                               match=f"^no rank-2 case tree for {ctx.label()}$"):
+                judge_candidate(CurveCandidate((component,)), ctx, 2)
+
 
 class TestToggles:
     def test_axiom_off_grows_survivors(self):
@@ -627,7 +635,7 @@ class TestToggles:
             return wrapper
 
         for cls, name in ((Trail, "_fire"), (Trail, "_exclude"), (Trail, "_hypothesis"),
-                          (Trail, "witness"), (Route, "witness")):
+                          (Route, "witness")):
             monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
         for ctx, regime in PAPER_CASES:
             classifier.toggle_sweep(classify(ctx, 2, regime), sweep_toggles(regime))
@@ -870,9 +878,9 @@ class TestTrailVerdict:
         axiom.exclude("A-three-planes", 3)
         assert trail.verdict("both dead").status is Status.AXIOM_ELIMINATED
         live = trail.route("live")
-        live.witness(["w2", "w1"], unresolved=True)
-        arithmetic.witness(["dead"])
-        verdict = trail.verdict("one live")
+        live.witness(unresolved=True)
+        arithmetic.witness()
+        verdict = trail.verdict("one live", ("w1", "w2"))
         assert (verdict.status, verdict.witnesses, verdict.unresolved) == (
             Status.SURVIVES, ("w1", "w2"), True)
         trail.fire("R-degree-cap/curve", 9, 5)
@@ -882,10 +890,40 @@ class TestTrailVerdict:
         shared.exclude("A-three-planes", 3)
         assert shared.verdict("shared axiom").status is Status.AXIOM_ELIMINATED
         alone = Trail()
-        alone.witness(["w"])
-        assert alone.verdict("no routes").witnesses == ("w",)
+        assert alone.verdict("no routes", ("w",)).witnesses == ("w",)
         alone.exclude("A-three-planes", 3)
-        assert alone.verdict("no routes").status is Status.AXIOM_ELIMINATED
+        assert alone.verdict("no routes", ("w",)).status is Status.AXIOM_ELIMINATED
+
+    def test_witnesses_need_a_live_marked_route(self):
+        def judged(trail):
+            v = trail.verdict("candidate", ("w1", "w2"))
+            return v.status, v.witnesses, v.unresolved
+
+        # a live route that was never marked names nothing
+        unmarked = Trail()
+        unmarked.route("live")
+        assert judged(unmarked) == (Status.SURVIVES, (), False)
+        # a marked route that died gives neither its names nor its flag
+        died = Trail()
+        marked = died.route("marked")
+        marked.witness(unresolved=True)
+        marked.exclude("A-three-planes", 3)
+        died.route("live")
+        assert judged(died) == (Status.SURVIVES, (), False)
+        marked.fire("R-degree-cap/curve", 9, 5)
+        assert judged(died) == (Status.SURVIVES, (), False)
+        # the flag comes from the live marked routes only
+        mixed = Trail()
+        mixed.route("resolved").witness()
+        mixed.route("unmarked")
+        assert judged(mixed) == (Status.SURVIVES, ("w1", "w2"), False)
+        mixed.route("open").witness(unresolved=True)
+        assert judged(mixed) == (Status.SURVIVES, ("w1", "w2"), True)
+        # a trail with no routes opened realizes its candidate
+        alone = Trail()
+        alone.fire("R-degree-cap/curve", 5, 9)
+        assert judged(alone) == (Status.SURVIVES, ("w1", "w2"), False)
+        assert alone.verdict("unnamed").witnesses == ()
 
     def test_route_deaths_tallied_as_they_fire(self, monkeypatch):
         # Trail._fire tallies the route each failure kills and whether the rule
@@ -895,7 +933,7 @@ class TestTrailVerdict:
         paths = Counter()
         verdict = Trail.verdict
 
-        def rescanned(trail, candidate):
+        def rescanned(trail, candidate, witnesses=()):
             dead, arithmetic = set(), set()
             for entry in trail.entries:
                 if entry.outcome == "fail":
@@ -907,7 +945,7 @@ class TestTrailVerdict:
             paths.update("trail itself" if route is None else "route" for route in dead)
             paths.update("axiom only" for route in dead - arithmetic)
             paths["live"] += not dead
-            return verdict(trail, candidate)
+            return verdict(trail, candidate, witnesses)
 
         monkeypatch.setattr(Trail, "verdict", rescanned)
         for ctx, regime in PAPER_CASES:

@@ -101,12 +101,16 @@ def test_canonical_class(s, expected):
 
 
 def test_adjunction_anchors():
-    # 2g - 2 = C.(C + K) on a grid of classes and surfaces
-    for s in (F0, F1, F3, RuledSurface(-1, 1), RuledSurface(2, 2)):
-        for a in range(0, 6):
-            for b in range(-3, 16):
-                c = DivisorClass(a, b)
-                assert 2 * adjunction_genus(c, s) - 2 == intersect(c, c + canonical_class(s), s)
+    # 2g - 2 = C.(C + K) on a grid of classes and surfaces: the pairing
+    # -e*a(a - 1) + 2(ab + a(q - 1) - b) is even, so the halving is exact
+    for q in range(4):
+        for e in range(-q, 8):
+            s = RuledSurface(e, q)
+            k = canonical_class(s)
+            for a in range(-12, 13):
+                for b in range(-30, 31):
+                    c = DivisorClass(a, b)
+                    assert 2 * adjunction_genus(c, s) - 2 == pairing(c, c + k, s), (c, s)
 
 
 def test_fiber_and_section_genus():

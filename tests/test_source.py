@@ -149,16 +149,33 @@ def test_every_corpus_rule_fires_from_a_site():
 
 
 def test_witness_lookups_type_no_c2():
-    # a route's witnesses are keyed on its candidate's own degree or on a c2
-    # the kernel computed, never on a typed c2: a typed key lets a survivor of
-    # another degree claim that c2's constructions once a rule is disabled
-    calls = [node for node in ast.walk(ast.parse((PACKAGE / "classifier.py").read_text(
-                 encoding="utf-8")))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "witnesses_for"]
-    assert len(calls) > 5
-    found = [node.lineno for node in calls
-             if isinstance(node.args[2], ast.Constant) and type(node.args[2].value) is int]
-    assert found == []
+    # a survivor's witnesses are keyed on its candidate's own degree or on a
+    # c2 the kernel computed, never on a typed c2: a typed key lets a survivor
+    # of another degree claim that c2's constructions once a rule is disabled.
+    # One lookup names every rank-2 candidate's constructions; the higher-rank
+    # shapes and the split route key theirs on the computed invariants
+    tree = ast.parse((PACKAGE / "classifier.py").read_text(encoding="utf-8"))
+
+    def lookups(node):
+        return [call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "witnesses_for"]
+
+    keys = sorted((fn.name, ast.unparse(call.args[2]))
+                  for fn in tree.body if isinstance(fn, ast.FunctionDef) for call in lookups(fn))
+    assert keys == [("_higher_rank_verdicts", "inv.c2"), ("_higher_rank_verdicts", "inv.c2"),
+                    ("judge_candidate", "cand.total_degree")]
+    assert len(lookups(tree)) == 3
+
+
+def test_case_tree_judges_take_no_level():
+    # only judge_candidate reads the level c1 below the twist loop: the case
+    # tree's judges and its four-quadric route do not take it
+    tree = ast.parse((PACKAGE / "classifier.py").read_text(encoding="utf-8"))
+    judges = {fn.name: [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+              for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and (fn.name.startswith("_judge_") or fn.name == "_four_quadric_route")}
+    assert len(judges) == 7
+    assert sorted(name for name, args in judges.items() if "c1" in args) == []
 
 
 def test_no_floating_point():
