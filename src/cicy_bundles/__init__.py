@@ -19,23 +19,22 @@ __version__ = "0.1.0"
 _EXPORTS: dict[str, str] = {
     name: module
     for module, names in (
-        ("bounds", "UnsupportedBoundError castelnuovo_pi ci_curve_invariants "
-                   "max_curve_degree pi_one plane_genus"),
+        ("bounds", "LiaisonError UnsupportedBoundError castelnuovo_pi ci_curve_invariants "
+                   "liaison_solve max_curve_degree pi_one plane_genus union_genus"),
         ("chow", "ALL_CONTEXTS QUINTIC X24 X33 X223 X2222 BundleInvariants CicyContext "
                  "NotInvertibleError TruncatedClass chern_from_resolution chern_of_extension "
                  "chi_rank2 context_from_label h0_line_bundle max_rank_no_trivial ring_invert "
                  "ring_mul twist_rank2"),
         ("classifier", "HIGHER_RANK RANK2 ClassificationResult UnsupportedClassificationError "
-                       "audit_verdicts classify enumerate_candidates judge_candidate "
-                       "rule_report"),
-        ("constructions", "REGISTRY CurveCandidate CurveComponent LiaisonError ParityError "
-                          "component_admissible incidence_dimension_check liaison_solve "
-                          "registry_names required_genus serialize_registry union_genus "
-                          "validate_all validate_construction"),
+                       "classify enumerate_candidates judge_candidate rule_report"),
+        ("constructions", "REGISTRY CurveCandidate CurveComponent ParityError "
+                          "component_admissible incidence_dimension_check registry_names "
+                          "required_genus serialize_registry validate_all "
+                          "validate_construction"),
         ("ruled", "DivisorClass GenusSearch RuledSurface SearchNotFiniteError adjunction_genus "
                   "canonical_class disjointness_obstruction eliminate_by_genus "
                   "embedding_degree genus_quadratic intersect"),
-        ("verdicts", "Rule RuleKind Status Verdict"),
+        ("verdicts", "Rule RuleKind Status Verdict audit_verdicts"),
     )
     for name in names.split()
 }

@@ -1,4 +1,5 @@
-"""Genus bounds and complete-intersection curve invariants.
+"""Genus bounds, complete-intersection curve invariants, union genera and
+liaison degrees.
 
 Castelnuovo's bound pi(d, r) caps the arithmetic genus of an integral
 nondegenerate degree-d curve in P^r; pi_one is the refinement for curves not
@@ -15,6 +16,10 @@ from .chow import CicyContext
 
 class UnsupportedBoundError(ValueError):
     """Raised when a refined bound is requested outside its valid range."""
+
+
+class LiaisonError(ValueError):
+    """The liaison equation has no positive integer solution."""
 
 
 def castelnuovo_pi(d: int, r: int) -> int:
@@ -100,3 +105,35 @@ def max_curve_degree(ctx: CicyContext, c1: int, rank: int) -> int:
             return 4 * ctx.u - 3
         return 4 * ctx.u
     raise ValueError(f"unsupported first Chern class {c1}; only 1 and 2 are in range")
+
+
+def union_genus(genera: list[int], pairwise_meets: int = 0) -> int:
+    """Arithmetic genus of a nodal union: sum(g_i) - s + 1 + total meets."""
+    if pairwise_meets < 0:
+        raise ValueError("meeting count must be nonnegative")
+    if not genera:
+        raise ValueError("need at least one part")
+    return sum(genera) - len(genera) + 1 + pairwise_meets
+
+
+def liaison_solve(
+    total_degree: int, omega_twist_total: int, omega_twist_target: int, cutting_degree: int
+) -> int:
+    """Degree of the admissible piece of a linked complete-intersection curve.
+
+    Inside a complete intersection of total degree `total_degree` with
+    dualizing twist `omega_twist_total`, a piece C with twist
+    `omega_twist_target` linked by a hypersurface of degree `cutting_degree`
+    satisfies (twist_total - twist_target) * d = cutting_degree * (total - d).
+    With a positive twist gap, an exact quotient solves it with 0 < d < total.
+    """
+    if min(total_degree, cutting_degree) < 1:
+        raise ValueError("degrees must be positive")
+    coeff = omega_twist_total - omega_twist_target
+    if coeff <= 0:
+        raise LiaisonError("no liaison solution: target twist must be below the total twist")
+    numerator = cutting_degree * total_degree
+    denominator = coeff + cutting_degree
+    if numerator % denominator:
+        raise LiaisonError("no liaison solution: degree is not an integer")
+    return numerator // denominator

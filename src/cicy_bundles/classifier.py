@@ -18,9 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from . import bounds, chow, constructions, ruled
+from . import bounds
 from .chow import (
     CicyContext,
     chern_from_resolution,
@@ -31,10 +31,8 @@ from .constructions import (
     CurveCandidate,
     CurveComponent,
     component_admissible,
-    liaison_solve,
     required_genus,
     section_curve_invariants,
-    union_genus,
     witnesses_for,
 )
 from .ruled import (
@@ -48,9 +46,10 @@ from .ruled import (
     genus_quadratic,
     intersect,
 )
-from .verdicts import (FORMS, RULES, SURVIVES, FrozenDict, KernelCall, Route, RuleKind,
-                       Status, Trail, Verdict, annotations, decode, encode, exactly_equal,
-                       json_text, payload, record)
+from .verdicts import (RULES, SURVIVES, FrozenDict, KernelCall, Route, RuleKind, Status, Trail,
+                       Verdict, annotations, json_text, record)
+# not used here: the benchmark calls and wraps the audit as `classifier.audit_verdicts`
+from .verdicts import audit_verdicts  # noqa: F401
 
 RANK2 = "rank2"
 HIGHER_RANK = "higher-rank"
@@ -207,6 +206,12 @@ def _harris_surface(route: Route, d: int, r: int, genus: int, surface_degree_cap
     route.fire("R-pi1-cut/note" if note else "R-pi1-cut/cut", d, 3 * surface_degree_cap, *note)
 
 
+def _cut_cap(route: Route, d: int, surface_degree: int) -> None:
+    """Cubics cut a curve on a base surface in degree at most three times the
+    surface's degree."""
+    route.fire("R-cut-cap", d, surface_degree, 3 * surface_degree)
+
+
 def _fire_ci_omega(route: Route, degrees: tuple[int, ...], *note: str) -> None:
     """A complete-intersection curve in P^5 needs dualizing twist 2; a
     surface's curve records the note given."""
@@ -351,7 +356,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         r.fire("R-hirzebruch-F3/rank2", _classes(hits3), genus, required_genus(2, d), checks)
         return
     if s == 2 and spans == [2, 2]:
-        p_a, check = record(union_genus, [c.g for c in cand.components])
+        p_a, check = record(bounds.union_genus, [c.g for c in cand.components])
         r.fire("R-union-genus/planes", p_a, cand.total_degree, (check,))
         r.hypothesis("A-two-planes")
         r.witness()
@@ -455,7 +460,7 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         # inside the quintic surface a cubic cut has degree 15 = d + 1: the
         # leftover line meets the curve in the three cubic points, so the
         # union genus 16 caps g at 14 while the twist requires 15
-        p_a, check = record(union_genus, [g, 0], 3)
+        p_a, check = record(bounds.union_genus, [g, 0], 3)
         r5.fire("R-union-genus/meets", 16, 3, p_a, g, (check,))
         return
     if d == 15:
@@ -487,23 +492,21 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
     # d >= 19: surface routes by degree
     if d <= 24:
         for deg_s in (5, 6):
-            r = trail.route(f"surface-deg-{deg_s}")
-            r.fire("R-cut-cap", d, deg_s, 3 * deg_s)
+            _cut_cap(trail.route(f"surface-deg-{deg_s}"), d, deg_s)
         r7 = trail.route("surface-deg-7")
         if d <= 21:
             r7.exclude("A-linked-plane-7/route", 7)
         else:
-            r7.fire("R-cut-cap", d, 7, 21)
+            _cut_cap(r7, d, 7)
         r8 = trail.route("surface-deg-8")
         _fire_liaison(r8, d)
     else:
-        r = trail.route("surface")
-        r.fire("R-cut-cap", d, 8, 24)
+        _cut_cap(trail.route("surface"), d, 8)
 
 
 def _fire_liaison(route: Route, d: int) -> None:
     total, ci_check = record(bounds.ci_curve_invariants, [2, 2, 2, 3], 5)
-    linked, liaison_check = record(liaison_solve, total.degree, total.omega_twist, 2, 3)
+    linked, liaison_check = record(bounds.liaison_solve, total.degree, total.omega_twist, 2, 3)
     route.fire("R-liaison-18", linked, d, (ci_check, liaison_check))
 
 
@@ -530,11 +533,11 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         d = comp.d
         if comp.span == 4:
             if d > 12:
-                r.fire("R-cut-cap", d, 4, 12)
+                _cut_cap(r, d, 4)
             elif d == 11:
                 g, meets = required_genus(2, d), 2
                 line_genus, line_check = record(bounds.plane_genus, 1)
-                ci_total, check = record(union_genus, [g, line_genus], meets)
+                ci_total, check = record(bounds.union_genus, [g, line_genus], meets)
                 r.fire("R-union-genus/line", ci_total, meets,
                        FrozenDict({"required": 2, "computed": 2 * line_genus - 2 + meets}),
                        (line_check, check))
@@ -569,7 +572,7 @@ def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
         return
     # several components would have to fill the connected section curve
     section, section_check = section_curve_invariants(ctx)
-    p_a, check = record(union_genus, [c.g for c in cand.components])
+    p_a, check = record(bounds.union_genus, [c.g for c in cand.components])
     r.hypothesis("A-ci-connected/section")
     r.fire("R-union-genus/section", p_a, section.genus, (section_check, check))
 
@@ -715,6 +718,8 @@ class ClassificationResult:
     rank_windows: FrozenDict[int, tuple[int, int]]
     levels: tuple[Level, ...]
     shapes: tuple[Verdict, ...]
+    #: the rule ids it was judged with disabled; neither compared nor reported
+    judged_without: frozenset[str] = field(compare=False)
 
     @property
     def verdicts(self) -> tuple[Verdict, ...]:
@@ -875,6 +880,7 @@ def _aggregate(ctx: CicyContext, c1_max: int, rank_regime: str,
         rank_windows=FrozenDict(windows),
         levels=tuple(levels),
         shapes=tuple(shapes),
+        judged_without=frozenset(disabled),
     )
 
 
@@ -909,18 +915,22 @@ def _cites(verdict: Verdict) -> frozenset[str]:
 def toggle_sweep(base: ClassificationResult,
                  toggles: list[frozenset[str]]) -> list[ClassificationResult]:
     """`classify(ctx, c1_max, rank_regime, disabled)` for each toggle set,
-    derived from `base`, that classification with nothing disabled.
+    derived from `base`, that classification with nothing disabled; a base
+    judged without some rule raises ValueError.
 
-    `Trail.active` is the only reader of a disabled set, and the recording
-    methods `Trail._fire`, `Trail._exclude` and `Trail._hypothesis`, through
-    which every firing on a trail or a route passes, record every rule they
-    consult while it is active, so a verdict whose trail cites no rule of a
-    toggle set is judged the same way with that set disabled.  Each twist
-    level of the base is judged again by `_level` from its verdicts and the
-    rules each cites, collected once per base verdict; higher-rank shapes
-    are all judged again.  A toggle set that no verdict of the base cites
-    gets the base result itself.
+    The recording methods `Trail._fire`, `Trail._exclude` and
+    `Trail._hypothesis`, through which every firing on a trail or a route
+    passes, are the only readers of a disabled set, and each records every
+    rule it consults while that rule is not disabled, so a verdict whose
+    trail cites no rule of a toggle set is judged the same way with that set
+    disabled.  Each twist level of the base is judged again by `_level` from
+    its verdicts and the rules each cites, collected once per base verdict;
+    higher-rank shapes are all judged again.  A toggle set that no verdict of
+    the base cites gets the base result itself.
     """
+    if base.judged_without:
+        raise ValueError("the base of a toggle sweep must be judged with nothing disabled, "
+                         f"not without {', '.join(sorted(base.judged_without))}")
     for disabled in toggles:
         _check_disabled(disabled)
     ctx, c1_max, rank_regime = base.ctx, base.c1_max, base.rank_regime
@@ -983,93 +993,3 @@ def report_markdown(report: dict) -> str:
             lines.append(f"- {note['rule']}: {note['note']}")
     lines.append("")
     return "\n".join(lines)
-
-
-#: Every kernel operation a rule records: its module and argument types.  Replay
-#: looks the function up on the module, so a wrapper installed there sees it.
-KERNEL_OPS: dict[str, tuple] = {
-    "castelnuovo_pi": (bounds, int, int),
-    "pi_one": (bounds, int, int),
-    "plane_genus": (bounds, int),
-    "ci_curve_invariants": (bounds, list, int),
-    "union_genus": (constructions, list, int),
-    "liaison_solve": (constructions, int, int, int, int),
-    "adjunction_genus": (ruled, DivisorClass, RuledSurface),
-    "eliminate_by_genus": (ruled, GenusSearch, RuledSurface),
-    "chern_of_extension": (chow, int, int, int, CicyContext),
-    "chern_from_resolution": (chow, list, list, CicyContext),
-    "max_rank_no_trivial": (chow, list, CicyContext),
-}
-
-
-def _replay(check: dict):
-    """Recompute one check payload; raises when it cannot be replayed.  An exact
-    int for an int skips its decoder, a call that would cost ~10 % of the audit."""
-    module, *kinds = KERNEL_OPS[check["op"]]
-    args = check["args"]
-    if len(args) > len(kinds):
-        raise TypeError(f"{len(args)} arguments, at most {len(kinds)} expected")
-    decoded = []
-    for kind, arg in zip(kinds, args):
-        decoded.append(arg if type(arg) is int and kind is int else decode(kind, arg))
-    return encode(getattr(module, check["op"])(*decoded))
-
-
-def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
-    """Re-derive every arithmetic outcome and replay every recorded kernel
-    computation; return mismatch descriptions.
-
-    An empty list certifies two things of the verdict trails.  Each
-    arithmetic firing's outcome is the one its form decides from the recorded
-    fields.  Each value the kernel computed is reproducible by rerunning the
-    cited kernel operation, equal with equal types.  A recorded call is
-    replayed in its `payload` form, the form a saved report holds; a payload
-    dict is replayed as it is.  A form that is not its rule's corpus form, a
-    field count its form does not name, a raising decision, an unknown op,
-    arguments that do not decode, a raising kernel, a `checks` field that is
-    not a list and a check that is neither are mismatches too.
-    """
-    mismatches = []
-    for verdict in verdicts:
-        for rule_id, outcome, form_id, fields, _ in verdict.trail:
-            form = FORMS.get(form_id)
-            if form is None or form.rule_id != rule_id:
-                mismatches.append(f"{rule_id}: fired {form_id!r}, not a form of its rule")
-                continue
-            _, names, decide, at = form
-            if len(fields) != len(names):
-                mismatches.append(f"{form_id}: {len(fields)} fields for {len(names)} names")
-                continue
-            if decide is not None:  # an arithmetic rule's form
-                try:
-                    decided = "pass" if decide(*fields) else "fail"
-                except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
-                    decided = f"no outcome: {type(exc).__name__}: {exc}"
-                if decided != outcome:
-                    mismatches.append(f"{form_id}: recorded {outcome}, its decision gives {decided}")
-            if at is None:
-                continue
-            checks = fields[at]
-            if not isinstance(checks, (list, tuple)):
-                mismatches.append(f"{rule_id}/checks: cannot replay: "
-                                  f"{type(checks).__name__} {checks!r} is not a list")
-                continue
-            for check in checks:
-                if type(check) is KernelCall:
-                    check = payload(check)
-                elif not isinstance(check, dict):
-                    mismatches.append(f"{rule_id}/{check!r}: cannot replay: "
-                                      f"{type(check).__name__} is not a kernel call or payload")
-                    continue
-                try:
-                    recomputed = _replay(check)
-                except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-                    problem = f"cannot replay: {type(exc).__name__}: {exc}"
-                else:
-                    result = check.get("result")  # equal types too: false is no 0
-                    if result == recomputed and (type(result) is type(recomputed) is int
-                                                 or exactly_equal(recomputed, result)):
-                        continue  # a match formats no text
-                    problem = f"recorded {result!r}, recomputed {recomputed!r}"
-                mismatches.append(f"{rule_id}/{check.get('op')}{check.get('args')}: {problem}")
-    return mismatches

@@ -126,7 +126,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         else:
             print(ruled.adjunction_genus(_divisor(args.divisor_class), surface))
     elif args.query_command == "liaison":
-        from .constructions import liaison_solve
+        from .bounds import liaison_solve
 
         print(liaison_solve(args.total, args.omega, args.target, args.cut))
     elif args.query_command == "h0":

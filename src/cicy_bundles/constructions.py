@@ -28,10 +28,6 @@ class ParityError(ValueError):
     """No curve exists with the requested twisted-canonical data."""
 
 
-class LiaisonError(ValueError):
-    """The liaison equation has no positive integer solution."""
-
-
 @dataclass(frozen=True, order=True)
 class CurveComponent:
     """A connected curve component: degree d, arithmetic genus g, span dimension."""
@@ -98,38 +94,6 @@ def required_genus(c1: int, d: int) -> int | None:
     if (c1 * d) % 2:
         raise ParityError("no such curve: parity")
     return (c1 * d) // 2 + 1
-
-
-def union_genus(genera: list[int], pairwise_meets: int = 0) -> int:
-    """Arithmetic genus of a nodal union: sum(g_i) - s + 1 + total meets."""
-    if pairwise_meets < 0:
-        raise ValueError("meeting count must be nonnegative")
-    if not genera:
-        raise ValueError("need at least one part")
-    return sum(genera) - len(genera) + 1 + pairwise_meets
-
-
-def liaison_solve(
-    total_degree: int, omega_twist_total: int, omega_twist_target: int, cutting_degree: int
-) -> int:
-    """Degree of the admissible piece of a linked complete-intersection curve.
-
-    Inside a complete intersection of total degree `total_degree` with
-    dualizing twist `omega_twist_total`, a piece C with twist
-    `omega_twist_target` linked by a hypersurface of degree `cutting_degree`
-    satisfies (twist_total - twist_target) * d = cutting_degree * (total - d).
-    With a positive twist gap, an exact quotient solves it with 0 < d < total.
-    """
-    if min(total_degree, cutting_degree) < 1:
-        raise ValueError("degrees must be positive")
-    coeff = omega_twist_total - omega_twist_target
-    if coeff <= 0:
-        raise LiaisonError("no liaison solution: target twist must be below the total twist")
-    numerator = cutting_degree * total_degree
-    denominator = coeff + cutting_degree
-    if numerator % denominator:
-        raise LiaisonError("no liaison solution: degree is not an integer")
-    return numerator // denominator
 
 
 def section_curve_invariants(ctx: CicyContext) -> tuple[bounds.CurveInvariants, KernelCall]:
@@ -327,7 +291,7 @@ def _validate_entry(entry: Construction) -> int:
         total_d = sum(c[0] for c in entry.components)
         genera = [c[1] for c in entry.components]
         if entry.c1 == 2 and entry.rank == 2:
-            expect("union.d=g-1", union_genus(genera) - 1, total_d)
+            expect("union.d=g-1", bounds.union_genus(genera) - 1, total_d)
 
     invariants: BundleInvariants | None = None
     if entry.kind == "split":
@@ -367,7 +331,7 @@ def _validate_entry(entry: Construction) -> int:
     elif entry.kind == "liaison":
         ci_degrees, target_twist, cut = entry.params
         total = bounds.ci_curve_invariants(list(ci_degrees), ctx.ambient_dim)
-        d = liaison_solve(total.degree, total.omega_twist, target_twist, cut)
+        d = bounds.liaison_solve(total.degree, total.omega_twist, target_twist, cut)
         expect("liaison.degree", entry.components[0][0], d)
         expect("liaison.genus", entry.components[0][1], required_genus(entry.c1, d))
         invariants = chern_of_extension(0, entry.c1, d, ctx)

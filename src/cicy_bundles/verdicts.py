@@ -2,7 +2,8 @@
 
 Rules come in two kinds.  ARITHMETIC rules are recomputed from the kernel
 modules every time they fire; their recorded values carry the inputs and
-outputs of those computations so a self-audit can replay them.  AXIOM rules
+outputs of those computations, which `audit_verdicts` replays here, apart
+from the search it checks, through the op table `KERNEL_OPS`.  AXIOM rules
 are geometric steps (Bertini arguments, spannedness of specific ideals,
 secant-variety dimensions, ...) that the engine consumes as hypotheses; each
 is toggleable so the arithmetic skeleton can be audited on its own.
@@ -14,8 +15,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
-from typing import NamedTuple
+from typing import NamedTuple, get_origin, get_type_hints
 
+from . import bounds, chow, ruled
 from .chow import BundleInvariants, CicyContext
 from .ruled import DivisorClass, GenusSearch, RuledSurface
 
@@ -591,9 +593,6 @@ class Trail:
         self.routes.setdefault(name, None)
         return tuple.__new__(Route, (self, name))
 
-    def active(self, rule_id: str) -> bool:
-        return rule_id not in self.disabled
-
     def fire(self, form_id: str, *fields) -> bool:
         """Record an arithmetic firing on the trail itself and return its
         form's decision, also when the rule is disabled.  A failure kills
@@ -617,7 +616,7 @@ class Trail:
         and kills nothing: a site steers its route by the decision either way."""
         form = FORMS[form_id]
         rule_id = form.rule_id
-        if not self.active(rule_id):
+        if rule_id in self.disabled:
             return form.decide(*fields)
         # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
         if form.decide(*fields):
@@ -632,7 +631,7 @@ class Trail:
         kills that route, on an axiom unless an arithmetic rule has already.
         Every axiom failure is recorded here."""
         form = FORMS[form_id]
-        if self.active(form.rule_id):
+        if form.rule_id not in self.disabled:
             self.entries.append(tuple.__new__(TrailEntry, (form.rule_id, "fail", form_id, fields,
                                                            route)))
             self.dead.setdefault(route, False)
@@ -641,7 +640,7 @@ class Trail:
         """Record an axiom hypothesis on `route`, None for the trail itself;
         every hypothesis is recorded here."""
         form = FORMS[form_id]
-        if not self.active(form.rule_id):
+        if form.rule_id in self.disabled:
             return False
         self.entries.append(tuple.__new__(TrailEntry, (form.rule_id, "hypothesis", form_id,
                                                        fields, route)))
@@ -852,3 +851,90 @@ def payload(call: KernelCall) -> dict:
     replays it: `{"op", "args", "result"}`, tuples written as lists."""
     op, args, result = call
     return {"op": op, "args": encode(args), "result": encode(result)}
+
+
+#: Every kernel operation a rule records, by name: its module and the kind of
+#: each argument, read from the kernel's annotations (a `list[int]` is a list).
+#: Replay looks the function up on the module, so a wrapper installed there sees it.
+KERNEL_OPS: dict[str, tuple] = {
+    name: (module, *[get_origin(kind) or kind for arg, kind
+                     in get_type_hints(getattr(module, name)).items() if arg != "return"])
+    for module, names in ((bounds, "castelnuovo_pi pi_one plane_genus ci_curve_invariants "
+                                   "union_genus liaison_solve"),
+                          (ruled, "adjunction_genus eliminate_by_genus"),
+                          (chow, "chern_of_extension chern_from_resolution max_rank_no_trivial"))
+    for name in names.split()
+}
+
+
+def _replay(check: dict):
+    """Recompute one check payload; raises when it cannot be replayed.  An exact
+    int for an int skips its decoder, a call that would cost ~10 % of the audit."""
+    module, *kinds = KERNEL_OPS[check["op"]]
+    args = check["args"]
+    if len(args) > len(kinds):
+        raise TypeError(f"{len(args)} arguments, at most {len(kinds)} expected")
+    decoded = []
+    for kind, arg in zip(kinds, args):
+        decoded.append(arg if type(arg) is int and kind is int else decode(kind, arg))
+    return encode(getattr(module, check["op"])(*decoded))
+
+
+def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
+    """Re-derive every arithmetic outcome and replay every recorded kernel
+    computation; return mismatch descriptions.
+
+    An empty list certifies two things of the verdict trails.  Each
+    arithmetic firing's outcome is the one its form decides from the recorded
+    fields.  Each value the kernel computed is reproducible by rerunning the
+    cited kernel operation, equal with equal types.  A recorded call is
+    replayed in its `payload` form, the form a saved report holds; a payload
+    dict is replayed as it is.  A form that is not its rule's corpus form, a
+    field count its form does not name, a raising decision, an unknown op,
+    arguments that do not decode, a raising kernel, a `checks` field that is
+    not a list and a check that is neither are mismatches too.
+    """
+    mismatches = []
+    for verdict in verdicts:
+        for rule_id, outcome, form_id, fields, _ in verdict.trail:
+            form = FORMS.get(form_id)
+            if form is None or form.rule_id != rule_id:
+                mismatches.append(f"{rule_id}: fired {form_id!r}, not a form of its rule")
+                continue
+            _, names, decide, at = form
+            if len(fields) != len(names):
+                mismatches.append(f"{form_id}: {len(fields)} fields for {len(names)} names")
+                continue
+            if decide is not None:  # an arithmetic rule's form
+                try:
+                    decided = "pass" if decide(*fields) else "fail"
+                except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
+                    decided = f"no outcome: {type(exc).__name__}: {exc}"
+                if decided != outcome:
+                    mismatches.append(f"{form_id}: recorded {outcome}, its decision gives {decided}")
+            if at is None:
+                continue
+            checks = fields[at]
+            if not isinstance(checks, (list, tuple)):
+                mismatches.append(f"{rule_id}/checks: cannot replay: "
+                                  f"{type(checks).__name__} {checks!r} is not a list")
+                continue
+            for check in checks:
+                if type(check) is KernelCall:
+                    check = payload(check)
+                elif not isinstance(check, dict):
+                    mismatches.append(f"{rule_id}/{check!r}: cannot replay: "
+                                      f"{type(check).__name__} is not a kernel call or payload")
+                    continue
+                try:
+                    recomputed = _replay(check)
+                except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+                    problem = f"cannot replay: {type(exc).__name__}: {exc}"
+                else:
+                    result = check.get("result")  # equal types too: false is no 0
+                    if result == recomputed and (type(result) is type(recomputed) is int
+                                                 or exactly_equal(recomputed, result)):
+                        continue  # a match formats no text
+                    problem = f"recorded {result!r}, recomputed {recomputed!r}"
+                mismatches.append(f"{rule_id}/{check.get('op')}{check.get('args')}: {problem}")
+    return mismatches

@@ -29,7 +29,7 @@ from .chow import (
     twist_rank2,
 )
 from .classifier import HIGHER_RANK, RANK2
-from .constructions import incidence_dimension_check, required_genus, union_genus
+from .constructions import incidence_dimension_check, required_genus
 from .ruled import (
     DivisorClass,
     GenusSearch,
@@ -41,7 +41,7 @@ from .ruled import (
     embedding_degree,
     intersect,
 )
-from .verdicts import FORMS, RULES, FrozenDict, RuleKind, Status, decode, payload
+from .verdicts import FORMS, RULES, FrozenDict, RuleKind, Status, audit_verdicts, decode, payload
 
 
 class CheckFailure(AssertionError):
@@ -464,19 +464,19 @@ def check_required_genus() -> str:
 
 
 def check_union_genus() -> str:
-    _eq(union_genus([12, 0], 2), 13, "component plus line with two meets")
-    _eq(union_genus([6, 6]), 11, "two disjoint plane quintics")
-    _eq(union_genus([9]), 9, "single part of genus 9")
-    return _stated(union_genus([7]), 7, "single part")
+    _eq(bounds.union_genus([12, 0], 2), 13, "component plus line with two meets")
+    _eq(bounds.union_genus([6, 6]), 11, "two disjoint plane quintics")
+    _eq(bounds.union_genus([9]), 9, "single part of genus 9")
+    return _stated(bounds.union_genus([7]), 7, "single part")
 
 
 def check_liaison() -> str:
-    _eq(constructions.liaison_solve(24, 3, 2, 3), 18, "linkage degree")
+    _eq(bounds.liaison_solve(24, 3, 2, 3), 18, "linkage degree")
     brute = [d for d in range(1, 24) if (3 - 2) * d == 3 * (24 - d)]
     _eq(brute, [18], "independent scan of the linkage equation")
     try:
-        constructions.liaison_solve(24, 3, 3, 3)
-    except constructions.LiaisonError:
+        bounds.liaison_solve(24, 3, 3, 3)
+    except bounds.LiaisonError:
         return "liaison degree 18, cross-checked by scan; degenerate refused"
     raise CheckFailure("zero-coefficient liaison must be refused")
 
@@ -621,7 +621,7 @@ def check_trail_audit() -> str:
     total = decided = 0
     for ctx, regime in PAPER_CASES:
         result = _paper(ctx, regime)
-        mismatches = classifier.audit_verdicts(result.verdicts + result.component_verdicts)
+        mismatches = audit_verdicts(result.verdicts + result.component_verdicts)
         _eq(mismatches, [], f"audit on {ctx.label()} {regime}")
         for v in result.verdicts + result.component_verdicts:
             for e in v.trail:

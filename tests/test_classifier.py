@@ -39,13 +39,12 @@ from cicy_bundles import (
     rule_report,
     verify,
 )
-from cicy_bundles.classifier import (HIGHER_RANK, KERNEL_OPS, RANK2, report_json,
-                                    report_markdown)
+from cicy_bundles.classifier import HIGHER_RANK, RANK2, report_json, report_markdown
 from cicy_bundles.constructions import witnesses_for
 from cicy_bundles.ruled import (DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus,
                                 genus_quadratic)
-from cicy_bundles.verdicts import (FORMS, RULES, FrozenDict, KernelCall, Route, RuleKind, Trail,
-                                   TrailEntry, Verdict, decode, payload, record)
+from cicy_bundles.verdicts import (FORMS, KERNEL_OPS, RULES, FrozenDict, KernelCall, Route,
+                                   RuleKind, Trail, TrailEntry, Verdict, decode, payload, record)
 from cicy_bundles.verify import PAPER_CASES
 
 
@@ -716,6 +715,20 @@ class TestToggles:
             with pytest.raises(ValueError, match="not the str"):
                 classifier.toggle_sweep(base, [bad])
         assert classify(X33, 2, disabled=frozenset({"A-no-plane"})).verdicts
+
+    def test_toggle_sweep_refuses_a_base_judged_without_rules(self):
+        # a sweep derives each toggle set from its base: a base judged with
+        # R-span3-cap off would hand its 468 verdicts to the empty toggle set,
+        # where classify gives 184, so it is refused; the set is kept on the
+        # result but not compared, so a rule that never fires changes no result
+        base = classify(X33, 2, disabled=frozenset({"R-span3-cap"}))
+        assert base.judged_without == {"R-span3-cap"}
+        assert (len(base.verdicts), len(classify(X33, 2).verdicts)) == (468, 184)
+        with pytest.raises(ValueError, match="nothing disabled, not without R-span3-cap$"):
+            classifier.toggle_sweep(base, [frozenset()])
+        unfired = classify(X33, 2, disabled=frozenset({"A-quadric-plane"}))
+        assert unfired == classify(X33, 2)
+        assert unfired.judged_without == {"A-quadric-plane"}
 
     def test_three_planes_toggle(self):
         triple = cand((5, 6, 2), (5, 6, 2), (5, 6, 2))

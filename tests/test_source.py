@@ -51,12 +51,12 @@ def test_no_answer_tables():
     assert found == []
 
 
-def test_disabled_set_read_only_by_trail_active():
+def test_disabled_set_read_only_by_trail_recorders():
     # toggle_sweep reuses a verdict whose trail cites no disabled rule: sound
-    # only while Trail.active alone reads the disabled set, and only _fire,
-    # _exclude and _hypothesis, which record every rule it finds active, call it
-    allowed = {"disabled": {"Trail.__init__", "Trail.active"},
-               "active": {"Trail.active", "Trail._fire", "Trail._exclude", "Trail._hypothesis"}}
+    # only while _fire, _exclude and _hypothesis, which record every rule they
+    # find not disabled, alone read the disabled set that Trail.__init__ keeps
+    allowed = {"disabled": {"Trail.__init__", "Trail._fire", "Trail._exclude",
+                            "Trail._hypothesis"}}
     found = []
 
     def attribute(node):
@@ -245,18 +245,67 @@ def test_kernel_value_kinds_have_one_home():
     # the codec table holds the one decoder of every argument kind a kernel op
     # takes, and _replay checks no kind inline: it names int, for its
     # exact-int fast path, and no other kind
-    from cicy_bundles import classifier, verdicts
+    from cicy_bundles import verdicts
 
-    kinds = {kind for _, *arg_kinds in classifier.KERNEL_OPS.values() for kind in arg_kinds}
+    kinds = {kind for _, *arg_kinds in verdicts.KERNEL_OPS.values() for kind in arg_kinds}
     missing = [kind.__name__ for kind in kinds
                if not callable(verdicts._CODECS.get(kind, (None, None))[1])]
     assert missing == []
-    tree = ast.parse(Path(classifier.__file__).read_text(encoding="utf-8"))
+    tree = ast.parse(Path(verdicts.__file__).read_text(encoding="utf-8"))
     (replay,) = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_replay"]
     named = {getattr(node, "id", None) or getattr(node, "attr", None)
              for node in ast.walk(replay)}
     assert named & {kind.__name__ for kind in kinds} == {"int"}
+
+
+def test_audit_beside_record_and_kernels_in_kernel_modules():
+    # the audit is apart from the search it checks: only verdicts.py, which
+    # writes the payloads, defines the op table, replay and audit, and the
+    # search modules read no payload; every recorded kernel is a def of a
+    # kernel module, and no kernel module imports the engine beyond chow
+    from cicy_bundles.verdicts import KERNEL_OPS
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+
+    def defined(tree):
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+        return names
+
+    homes = {name: sorted(stem for stem, tree in trees.items() if name in defined(tree))
+             for name in ("KERNEL_OPS", "_replay", "audit_verdicts")}
+    assert homes == dict.fromkeys(homes, ["verdicts"])
+    payload_names = {"decode", "encode", "exactly_equal", "payload", "_replay", "KERNEL_OPS"}
+    named = {(stem, name) for stem in ("classifier", "constructions")
+             for node in ast.walk(trees[stem])
+             for name in ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                          else [getattr(node, "id", None), getattr(node, "attr", None)])
+             if name in payload_names}
+    assert named == set()
+    kernel_defs = {stem: {node.name for node in trees[stem].body
+                          if isinstance(node, ast.FunctionDef)}
+                   for stem in ("bounds", "chow", "ruled")}
+    misplaced = [op for op, (module, *_) in KERNEL_OPS.items()
+                 if op not in kernel_defs.get(module.__name__.rpartition(".")[2], ())]
+    assert misplaced == []
+    imports = set()
+    for stem in kernel_defs:
+        for node in ast.walk(trees[stem]):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports.update((stem, node.module or a.name) for a in node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports.update((stem, name) for name in
+                               [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                               if name.startswith("cicy_bundles"))
+    assert imports <= {("bounds", "chow"), ("ruled", "chow")}
 
 
 def test_cross_call_caches():
