@@ -46,7 +46,7 @@ from .ruled import (
     genus_quadratic,
     intersect,
 )
-from .verdicts import (RULES, SURVIVES, FrozenDict, KernelCall, Route, RuleKind, Status, Trail,
+from .verdicts import (RULES, SURVIVES, FrozenDict, KernelCall, RuleKind, Status, Trail,
                        Verdict, annotations, json_text, record)
 # not used here: the benchmark calls and wraps the audit as `classifier.audit_verdicts`
 from .verdicts import audit_verdicts  # noqa: F401
@@ -126,7 +126,7 @@ def _level_candidates(survivors: tuple[CurveComponent, ...],
 # --------------------------------------------------------------------------
 
 
-def _berzolari(route: Route, *degree: int) -> int:
+def _berzolari(route: Trail, *degree: int) -> int:
     """Sectional genus of the degree-6 surface: the bound for a sextic in P^4;
     the surface's degree is recorded when given."""
     pi, check = record(bounds.castelnuovo_pi, 6, 4)
@@ -196,7 +196,7 @@ def _nonnegative_integers(a: int, b: int, c: int) -> list[int]:
     return list(range(-(-(b - root) // m), (b + root) // m + 1))
 
 
-def _harris_surface(route: Route, d: int, r: int, genus: int, surface_degree_cap: int,
+def _harris_surface(route: Trail, d: int, r: int, genus: int, surface_degree_cap: int,
                     *note: str) -> None:
     """Genus at or above the refined bound puts the curve on a surface of degree
     at most the cap, where cubics cut it in degree at most three times the cap;
@@ -206,13 +206,13 @@ def _harris_surface(route: Route, d: int, r: int, genus: int, surface_degree_cap
     route.fire("R-pi1-cut/note" if note else "R-pi1-cut/cut", d, 3 * surface_degree_cap, *note)
 
 
-def _cut_cap(route: Route, d: int, surface_degree: int) -> None:
+def _cut_cap(route: Trail, d: int, surface_degree: int) -> None:
     """Cubics cut a curve on a base surface in degree at most three times the
     surface's degree."""
     route.fire("R-cut-cap", d, surface_degree, 3 * surface_degree)
 
 
-def _fire_ci_omega(route: Route, degrees: tuple[int, ...], *note: str) -> None:
+def _ci_omega(route: Trail, degrees: tuple[int, ...], *note: str) -> None:
     """A complete-intersection curve in P^5 needs dualizing twist 2; a
     surface's curve records the note given."""
     inv, check = record(bounds.ci_curve_invariants, degrees, 5)
@@ -220,7 +220,7 @@ def _fire_ci_omega(route: Route, degrees: tuple[int, ...], *note: str) -> None:
                degrees, inv.omega_twist, 2, (check,), *note)
 
 
-def _fire_ruled_38(route: Route) -> None:
+def _ruled_38(route: Trail) -> None:
     """Degree-17 curve on a degree-6 ruled surface over a genus-q curve.
 
     The degree equation pins the fiber coefficient to 8 + 3e/2, and the
@@ -243,7 +243,7 @@ def _fire_ruled_38(route: Route) -> None:
     route.fire("R-ruled-38", 34, table["q=2,e=0"], FrozenDict(sorted(table.items())), never_34)
 
 
-def _fire_ruled_58(route: Route) -> None:
+def _ruled_58(route: Trail) -> None:
     """Triple-section case of a degree-16 curve: -3e + 6q + 58 = 32 needs
     3e = 6q + 26, impossible since 26 is not divisible by 3."""
     solutions = tuple(
@@ -256,7 +256,7 @@ def _fire_ruled_58(route: Route) -> None:
                solutions)
 
 
-def _fire_clifford(route: Route) -> None:
+def _clifford(route: Trail) -> None:
     """Double-section case of a degree-16 curve of genus 17: a primitive
     pencil of Clifford index 2 forces h0 = 8, putting the curve in P^7 where
     the Castelnuovo bound 12 is exceeded."""
@@ -267,7 +267,7 @@ def _fire_clifford(route: Route) -> None:
     route.fire("R-clifford", g, (cliff, g - 3), h0, pi, f"{g} > {pi}", (check,))
 
 
-def _fire_ruled_e2q20(route: Route) -> None:
+def _ruled_e2q20(route: Trail) -> None:
     """Triple-section case of a degree-18 curve: 2q + 16 - e = 36 forces
     e = 2q - 20, far below the Segre-Nagata floor e >= -q for q <= 2."""
     table = FrozenDict({q: 2 * q - 20 for q in (0, 1, 2)})
@@ -286,7 +286,7 @@ _ADJUNCTION_CASES = (
 )
 
 
-def _fire_adjunction_table(route: Route) -> None:
+def _adjunction_table(route: Trail) -> None:
     """The five ruled-surface adjunction numbers against the required 2d."""
     cases, checks = {}, []
     for name, s, cls, hyper in _ADJUNCTION_CASES:
@@ -379,7 +379,7 @@ def _four_quadric_route(d: int, trail: Trail, unresolved: bool, *note: str) -> N
     if not ci.fire("R-quadric-cap", d, cap):
         return
     if d == cap:
-        _fire_ci_omega(ci, (2, 2, 2, 2))
+        _ci_omega(ci, (2, 2, 2, 2))
         ci.witness(unresolved)
     elif ci.hypothesis("A-ci-connected/ci", cap):
         ci.fire("R-ci-residual/note" if note else "R-ci-residual/twist",
@@ -399,7 +399,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         deg_s = d // 4
         surf.fire("R-x24-mod4/cut", d, deg_s)
         if deg_s == 4:
-            _fire_ci_omega(surf, (2, 2, 2, 4), "three-quadric surface cut by the quartic")
+            _ci_omega(surf, (2, 2, 2, 4), "three-quadric surface cut by the quartic")
         elif deg_s == 5:
             scrolls = FrozenDict(
                 {name: (canonical_class(RuledSurface(e)) + DivisorClass(2, 5 + e)).b + 1
@@ -434,7 +434,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         elif deg_s < _minimal_surface_degree(comp.span):  # a quadric surface spans a P^3
             r.fire("R-x24-si-degree/span", comp.d, deg_s, _minimal_surface_degree(comp.span))
         elif comp.d == 12 or comp.d == 16:
-            _fire_adjunction_table(r)
+            _adjunction_table(r)
         else:
             r.exclude({5: "A-deg-S-5/component", 6: "A-deg-S-6/component",
                        7: "A-linked-plane-7/component"}[deg_s], deg_s, comp.d)
@@ -476,17 +476,17 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         return
     if d == 17:
         r = trail.route("surface-deg-6")
-        _fire_ruled_38(r)
+        _ruled_38(r)
         r7 = trail.route("surface-deg-7")
         r7.exclude("A-linked-plane-7/route", 7)
         r8 = trail.route("surface-deg-8")
-        _fire_liaison(r8, d)
+        _liaison(r8, d)
         return
     if d == 18:
         r = trail.route("surface-deg-8")
         degrees = (2, 2, 2)
         r.fire("R-s-omega", degrees, sum(degrees) - 5 - 1)
-        _fire_liaison(r, d)
+        _liaison(r, d)
         r.witness()
         return
     # d >= 19: surface routes by degree
@@ -499,12 +499,12 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         else:
             _cut_cap(r7, d, 7)
         r8 = trail.route("surface-deg-8")
-        _fire_liaison(r8, d)
+        _liaison(r8, d)
     else:
         _cut_cap(trail.route("surface"), d, 8)
 
 
-def _fire_liaison(route: Route, d: int) -> None:
+def _liaison(route: Trail, d: int) -> None:
     total, ci_check = record(bounds.ci_curve_invariants, [2, 2, 2, 3], 5)
     linked, liaison_check = record(bounds.liaison_solve, total.degree, total.omega_twist, 2, 3)
     route.fire("R-liaison-18", linked, d, (ci_check, liaison_check))
@@ -552,13 +552,13 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
                           "the cubic cut of the quintic surface is connected")
             elif d == 16:
                 r.hypothesis("A-secant-dim", 3)
-                _fire_ruled_58(r)
-                _fire_clifford(r)
+                _ruled_58(r)
+                _clifford(r)
             elif d == 17:
-                _fire_ruled_38(r)
+                _ruled_38(r)
             elif d == 18:
                 r.hypothesis("A-secant-dim", 3)
-                _fire_ruled_e2q20(r)
+                _ruled_e2q20(r)
             else:  # R-x33-surface-budget has capped d at 24
                 r.exclude("A-x33-s2-deg8", d)
                 r.exclude("A-linked-plane-7/route", 7)
@@ -918,12 +918,12 @@ def toggle_sweep(base: ClassificationResult,
     derived from `base`, that classification with nothing disabled; a base
     judged without some rule raises ValueError.
 
-    The recording methods `Trail._fire`, `Trail._exclude` and
-    `Trail._hypothesis`, through which every firing on a trail or a route
-    passes, are the only readers of a disabled set, and each records every
-    rule it consults while that rule is not disabled, so a verdict whose
-    trail cites no rule of a toggle set is judged the same way with that set
-    disabled.  Each twist level of the base is judged again by `_level` from
+    The recording methods `Trail.fire`, `Trail.exclude` and
+    `Trail.hypothesis`, through which every firing on a trail or a route
+    passes, are the only readers of a disabled set (`Trail.route` only hands
+    it on), and each records every rule it consults while that rule is not
+    disabled, so a verdict whose trail cites no rule of a toggle set is
+    judged the same way with that set disabled.  Each twist level of the base is judged again by `_level` from
     its verdicts and the rules each cites, collected once per base verdict;
     higher-rank shapes are all judged again.  A toggle set that no verdict of
     the base cites gets the base result itself.

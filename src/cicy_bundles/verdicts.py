@@ -545,113 +545,83 @@ FORMS: dict[str, Form] = {form_id: form for rule in _CORPUS for form_id, form in
 _SOLE_ROUTE = {None: False}  # a trail with no routes opened: it realizes its candidate
 
 
-class Route(NamedTuple):
-    """An escape route of a trail: its firings and its mark are recorded on
-    the trail under its name."""
-
-    trail: Trail
-    name: str
-
-    def fire(self, form_id: str, *fields) -> bool:
-        return self.trail._fire(form_id, self.name, fields)
-
-    def exclude(self, form_id: str, *fields) -> None:
-        self.trail._exclude(form_id, self.name, fields)
-
-    def hypothesis(self, form_id: str, *fields) -> bool:
-        return self.trail._hypothesis(form_id, self.name, fields)
-
-    def witness(self, unresolved: bool = False) -> None:
-        """Mark this route as realizing its candidate, its existence `unresolved` or not."""
-        self.trail.routes[self.name] = unresolved
-
-
 class Trail:
     """The judgement of one candidate: rule firings, honoring a set of
-    disabled rule ids, made on escape routes that share its entries.  A firing
-    on the trail itself belongs to every route; with no routes opened the
-    trail counts as one marked route.  `verdict` derives the status.
+    disabled rule ids, made on escape routes that share its entries.  The
+    trail itself has `name` None; `route(name)` opens a route, a trail under
+    that name on the same containers.  A firing on the trail itself belongs to
+    every route; with no routes opened the trail counts as one marked route.
+    `verdict` derives the status.
 
     A site fires a form by its id with the form's fields, positionally: an
     arithmetic form with `fire`, which takes the outcome from the form's
     decision, an axiom that excludes with `exclude` and one taken as a
-    hypothesis with `hypothesis`."""
+    hypothesis with `hypothesis`.  Each records its entry under `name`."""
 
-    __slots__ = ("entries", "disabled", "routes", "dead")
+    __slots__ = ("entries", "disabled", "routes", "dead", "name")
 
     def __init__(self, disabled: frozenset[str] = frozenset()):
         self.entries: list[TrailEntry] = []
         self.disabled = disabled
-        # route name -> its unresolved flag once marked, else None; no reference cycle
+        # route name -> its unresolved flag once marked, else None
         self.routes: dict[str, bool | None] = {}
         # route name -> whether an arithmetic rule failed on it: each route a
         # failure killed, tallied as the failure fires; None is the trail itself
         self.dead: dict[str | None, bool] = {}
+        self.name: str | None = None
 
-    def route(self, name: str) -> Route:
-        """Open the escape route `name`, which shares this trail's entries."""
+    def route(self, name: str) -> Trail:
+        """Open the escape route `name`: a trail sharing this one's containers
+        under `name`, with no reference back to it, so no reference cycle."""
         self.routes.setdefault(name, None)
-        return tuple.__new__(Route, (self, name))
+        route = object.__new__(Trail)
+        route.entries, route.disabled, route.routes, route.dead, route.name = (
+            self.entries, self.disabled, self.routes, self.dead, name)
+        return route
 
     def fire(self, form_id: str, *fields) -> bool:
-        """Record an arithmetic firing on the trail itself and return its
-        form's decision, also when the rule is disabled.  A failure kills
-        every route."""
-        return self._fire(form_id, None, fields)
-
-    def exclude(self, form_id: str, *fields) -> None:
-        """Record an axiom failure on the trail itself, which kills every route."""
-        self._exclude(form_id, None, fields)
-
-    def hypothesis(self, form_id: str, *fields) -> bool:
-        """Record an axiom hypothesis on the trail itself; returns False when
-        disabled."""
-        return self._hypothesis(form_id, None, fields)
-
-    def _fire(self, form_id: str, route: str | None, fields: tuple) -> bool:
-        """Record an arithmetic firing on `route`, None for the trail itself,
-        its fields tuple as it came and its outcome as the form decides it; a
-        failure kills that route.  Every arithmetic firing is recorded here.
+        """Record an arithmetic firing, its fields tuple as it came and its
+        outcome as the form decides it; a failure kills the route fired on.
         Returns the decision, also for a disabled rule, which records nothing
         and kills nothing: a site steers its route by the decision either way."""
         form = FORMS[form_id]
-        rule_id = form.rule_id
-        if rule_id in self.disabled:
-            return form.decide(*fields)
-        # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
-        if form.decide(*fields):
-            self.entries.append(tuple.__new__(TrailEntry, (rule_id, "pass", form_id, fields, route)))
-            return True
-        self.entries.append(tuple.__new__(TrailEntry, (rule_id, "fail", form_id, fields, route)))
-        self.dead[route] = True
-        return False
+        decided = form.decide(*fields)
+        if form.rule_id not in self.disabled:
+            # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
+            self.entries.append(tuple.__new__(TrailEntry, (
+                form.rule_id, "pass" if decided else "fail", form_id, fields, self.name)))
+            if not decided:
+                self.dead[self.name] = True
+        return decided
 
-    def _exclude(self, form_id: str, route: str | None, fields: tuple) -> None:
-        """Record an axiom failure on `route`, None for the trail itself; it
-        kills that route, on an axiom unless an arithmetic rule has already.
-        Every axiom failure is recorded here."""
+    def exclude(self, form_id: str, *fields) -> None:
+        """Record an axiom failure; it kills the route fired on, on an axiom
+        unless an arithmetic rule has already."""
         form = FORMS[form_id]
         if form.rule_id not in self.disabled:
             self.entries.append(tuple.__new__(TrailEntry, (form.rule_id, "fail", form_id, fields,
-                                                           route)))
-            self.dead.setdefault(route, False)
+                                                           self.name)))
+            self.dead.setdefault(self.name, False)
 
-    def _hypothesis(self, form_id: str, route: str | None, fields: tuple) -> bool:
-        """Record an axiom hypothesis on `route`, None for the trail itself;
-        every hypothesis is recorded here."""
+    def hypothesis(self, form_id: str, *fields) -> bool:
+        """Record an axiom hypothesis; returns False when disabled."""
         form = FORMS[form_id]
         if form.rule_id in self.disabled:
             return False
         self.entries.append(tuple.__new__(TrailEntry, (form.rule_id, "hypothesis", form_id,
-                                                       fields, route)))
+                                                       fields, self.name)))
         return True
+
+    def witness(self, unresolved: bool = False) -> None:
+        """Mark this route as realizing its candidate, its existence `unresolved` or not."""
+        self.routes[self.name] = unresolved
 
     def verdict(self, candidate: object, witnesses: tuple[str, ...] = ()) -> Verdict:
         """The status of the judged candidate, derived from the routes its
         failures killed.
 
         A live route gives SURVIVES, naming `witnesses` when a live route is
-        marked by `Route.witness` (with no routes opened the trail counts as
+        marked by `witness` (with no routes opened the trail counts as
         marked), unresolved when a live marked route is.  When every route is
         dead the status is ELIMINATED if each route died on an arithmetic rule,
         and AXIOM-ELIMINATED otherwise.

@@ -28,7 +28,7 @@ from .chow import (
     ring_mul,
     twist_rank2,
 )
-from .classifier import HIGHER_RANK, RANK2
+from .classifier import HIGHER_RANK, RANK2, UnsupportedClassificationError
 from .constructions import incidence_dimension_check, required_genus
 from .ruled import (
     DivisorClass,
@@ -82,6 +82,15 @@ def _true(condition: bool, label: str) -> str:
     if not condition:
         raise CheckFailure(label)
     return label
+
+
+def _refuses(error: type[Exception], fn, *args) -> bool:
+    """Whether `fn(*args)` raises `error`; any other exception propagates."""
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -250,11 +259,9 @@ def check_pi_one() -> str:
     # in P^3 the refined bound is Gruson-Peskine's floor(d(d-3)/6) + 1
     for d in range(7, 16):
         _eq(bounds.pi_one(d, 3), d * (d - 3) // 6 + 1, f"pi1({d},3)")
-    try:
-        bounds.pi_one(10, 5)
-    except bounds.UnsupportedBoundError:
-        return "refined bound matches Gruson-Peskine in P^3; d < 2r + 1 refused"
-    raise CheckFailure("pi_one must refuse d < 2r + 1")
+    _true(_refuses(bounds.UnsupportedBoundError, bounds.pi_one, 10, 5),
+          "pi_one must refuse d < 2r + 1")
+    return "refined bound matches Gruson-Peskine in P^3; d < 2r + 1 refused"
 
 
 def check_plane_genus() -> str:
@@ -277,11 +284,9 @@ def check_ci_invariants() -> str:
         "plane section of the quintic")
     _eq(tuple(bounds.ci_curve_invariants([2, 2, 2], 4)), (8, 1, 5),
         "three quadrics in P^4")
-    try:
-        bounds.ci_curve_invariants([1, 1], 2)
-    except ValueError:
-        return "complete-intersection invariants and codimension guard"
-    raise CheckFailure("wrong codimension must be rejected")
+    _true(_refuses(ValueError, bounds.ci_curve_invariants, [1, 1], 2),
+          "wrong codimension must be rejected")
+    return "complete-intersection invariants and codimension guard"
 
 
 def check_max_curve_degree() -> str:
@@ -450,17 +455,10 @@ def check_required_genus() -> str:
     _eq(required_genus(1, 4), 3, "twist one, degree 4")
     _eq(required_genus(2, 18), 19, "twist two, degree 18")
     _eq(required_genus(0, 0), None, "empty curve sentinel")
-    try:
-        required_genus(2, 0)
-    except ValueError:
-        pass
-    else:
-        raise CheckFailure("degree 0 with twist 2 must be rejected")
-    try:
-        required_genus(1, 3)
-    except constructions.ParityError:
-        return "twisted-genus anchors and parity guard"
-    raise CheckFailure("odd product must raise the parity error")
+    _true(_refuses(ValueError, required_genus, 2, 0), "degree 0 with twist 2 must be rejected")
+    _true(_refuses(constructions.ParityError, required_genus, 1, 3),
+          "odd product must raise the parity error")
+    return "twisted-genus anchors and parity guard"
 
 
 def check_union_genus() -> str:
@@ -474,11 +472,9 @@ def check_liaison() -> str:
     _eq(bounds.liaison_solve(24, 3, 2, 3), 18, "linkage degree")
     brute = [d for d in range(1, 24) if (3 - 2) * d == 3 * (24 - d)]
     _eq(brute, [18], "independent scan of the linkage equation")
-    try:
-        bounds.liaison_solve(24, 3, 3, 3)
-    except bounds.LiaisonError:
-        return "liaison degree 18, cross-checked by scan; degenerate refused"
-    raise CheckFailure("zero-coefficient liaison must be refused")
+    _true(_refuses(bounds.LiaisonError, bounds.liaison_solve, 24, 3, 3, 3),
+          "zero-coefficient liaison must be refused")
+    return "liaison degree 18, cross-checked by scan; degenerate refused"
 
 
 def check_incidence_dimensions() -> str:
@@ -698,17 +694,11 @@ def check_candidate_examples() -> str:
 
 
 def check_classifier_unsupported() -> str:
-    try:
-        classifier.classify(X223, 2, RANK2)
-    except classifier.UnsupportedClassificationError:
-        pass
-    else:
-        raise CheckFailure("codimension-3 classification must be refused")
-    try:
-        classifier.classify(X24, 2, HIGHER_RANK)
-    except classifier.UnsupportedClassificationError:
-        return "out-of-scope regimes refused explicitly"
-    raise CheckFailure("higher rank off the quintic must be refused")
+    _true(_refuses(UnsupportedClassificationError, classifier.classify, X223, 2, RANK2),
+          "codimension-3 classification must be refused")
+    _true(_refuses(UnsupportedClassificationError, classifier.classify, X24, 2, HIGHER_RANK),
+          "higher rank off the quintic must be refused")
+    return "out-of-scope regimes refused explicitly"
 
 
 CHECKS: list[tuple[str, str, object]] = [

@@ -43,7 +43,7 @@ from cicy_bundles.classifier import HIGHER_RANK, RANK2, report_json, report_mark
 from cicy_bundles.constructions import witnesses_for
 from cicy_bundles.ruled import (DivisorClass, GenusSearch, RuledSurface, eliminate_by_genus,
                                 genus_quadratic)
-from cicy_bundles.verdicts import (FORMS, KERNEL_OPS, RULES, FrozenDict, KernelCall, Route,
+from cicy_bundles.verdicts import (FORMS, KERNEL_OPS, RULES, FrozenDict, KernelCall,
                                    RuleKind, Trail, TrailEntry, Verdict, decode, payload, record)
 from cicy_bundles.verify import PAPER_CASES
 
@@ -633,8 +633,8 @@ class TestToggles:
                 return method(*args, **kwargs)
             return wrapper
 
-        for cls, name in ((Trail, "_fire"), (Trail, "_exclude"), (Trail, "_hypothesis"),
-                          (Route, "witness")):
+        for cls, name in ((Trail, "fire"), (Trail, "exclude"), (Trail, "hypothesis"),
+                          (Trail, "witness")):
             monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
         for ctx, regime in PAPER_CASES:
             classifier.toggle_sweep(classify(ctx, 2, regime), sweep_toggles(regime))
@@ -939,7 +939,7 @@ class TestTrailVerdict:
         assert alone.verdict("unnamed").witnesses == ()
 
     def test_route_deaths_tallied_as_they_fire(self, monkeypatch):
-        # Trail._fire tallies the route each failure kills and whether the rule
+        # Trail.fire tallies the route each failure kills and whether the rule
         # is arithmetic; every trail judged in the four paper classifications
         # and their toggle sweeps must hold the tally a rescan of its entries
         # gives, the loop Trail.verdict once ran

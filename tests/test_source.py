@@ -53,10 +53,11 @@ def test_no_answer_tables():
 
 def test_disabled_set_read_only_by_trail_recorders():
     # toggle_sweep reuses a verdict whose trail cites no disabled rule: sound
-    # only while _fire, _exclude and _hypothesis, which record every rule they
+    # only while fire, exclude and hypothesis, which record every rule they
     # find not disabled, alone read the disabled set that Trail.__init__ keeps
-    allowed = {"disabled": {"Trail.__init__", "Trail._fire", "Trail._exclude",
-                            "Trail._hypothesis"}}
+    # and Trail.route hands to the route it opens
+    allowed = {"disabled": {"Trail.__init__", "Trail.route", "Trail.fire", "Trail.exclude",
+                            "Trail.hypothesis"}}
     found = []
 
     def attribute(node):
@@ -239,6 +240,37 @@ def test_kernel_call_records_have_one_home():
         visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
     assert built == [("verdicts.py", "record")]
     assert payloads and {name for name, _ in payloads} == {"verdicts.py"}
+
+
+def test_trail_entries_have_one_home():
+    # a TrailEntry is built only by the three recorders of Trail, one per kind
+    # of firing, so every firing is recorded under the route it was made on
+    built = []
+
+    def builds_entry(call):
+        # `TrailEntry(...)`, `x.TrailEntry(...)`, `tuple.__new__(TrailEntry, ...)`
+        # or `TrailEntry._make(...)`
+        func = call.func
+        names = {getattr(func, "id", None), getattr(func, "attr", None)}
+        if isinstance(func, ast.Attribute) and func.attr in ("__new__", "_make"):
+            names.add(getattr(func.value, "id", None))
+            names.update(getattr(a, "id", None) or getattr(a, "attr", None)
+                         for a in call.args[:1])
+        return "TrailEntry" in names
+
+    def visit(path, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if isinstance(child, ast.Call) and builds_entry(child):
+                built.append((path.name, inner))
+            visit(path, child, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    assert built == [("verdicts.py", "Trail.fire"), ("verdicts.py", "Trail.exclude"),
+                     ("verdicts.py", "Trail.hypothesis")]
 
 
 def test_kernel_value_kinds_have_one_home():

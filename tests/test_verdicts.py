@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from cicy_bundles import CurveCandidate, CurveComponent, classify
 from cicy_bundles.bounds import plane_genus
-from cicy_bundles.verdicts import (Route, Status, Trail, TrailEntry, Verdict, json_text, payload,
+from cicy_bundles.verdicts import (Status, Trail, TrailEntry, Verdict, json_text, payload,
                                    record)
 from cicy_bundles.verify import PAPER_CASES
 
@@ -91,14 +91,16 @@ def test_other_keys_raise(key):
 
 
 def test_shortcut_tuples_have_full_arity(monkeypatch):
-    # tuple.__new__ builds routes, entries and verdicts without the generated
-    # __new__, which would have checked their arity
+    # tuple.__new__ builds entries and verdicts without the generated
+    # __new__, which would have checked their arity; object.__new__ builds
+    # routes without __init__, so each must still carry its name and share
+    # its trail's containers
     routes = []
     route = Trail.route
 
     def recording(self, name):
-        routes.append(route(self, name))
-        return routes[-1]
+        routes.append((self, name, route(self, name)))
+        return routes[-1][2]
 
     monkeypatch.setattr(Trail, "route", recording)
     verdicts = []
@@ -107,8 +109,12 @@ def test_shortcut_tuples_have_full_arity(monkeypatch):
         verdicts += result.verdicts + result.component_verdicts
     entries = [e for v in verdicts for e in v.trail]
     assert routes and entries
-    for cls, built in ((Verdict, verdicts), (TrailEntry, entries), (Route, routes)):
+    for cls, built in ((Verdict, verdicts), (TrailEntry, entries)):
         assert {(type(t), len(t)) for t in built} == {(cls, len(cls._fields))}
+    for trail, name, opened in routes:
+        assert type(opened) is Trail and opened.name == name
+        assert (opened.entries is trail.entries and opened.routes is trail.routes
+                and opened.dead is trail.dead)
 
 
 def test_route_rides_on_the_entry():
@@ -116,7 +122,9 @@ def test_route_rides_on_the_entry():
     # report writes it first among the values, with each check as its payload
     trail = Trail()
     route = trail.route("surface")
-    assert tuple(route) == (trail, "surface")
+    assert (trail.name, route.name) == (None, "surface")
+    assert (route.entries is trail.entries and route.routes is trail.routes
+            and route.dead is trail.dead)
     _, call = record(plane_genus, 4)
     assert route.fire("R-plane-degree", 4, 3, 3, (4,), (call,)) is True
     assert trail.fire("R-genus-bound/degenerate", 4, 5, "degenerate") is False
