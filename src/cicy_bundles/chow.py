@@ -114,9 +114,6 @@ class CicyContext(_Frozen):
     def label(self) -> str:
         return ",".join(str(d) for d in self.multidegree)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"X_{{{self.label()}}}"
-
 
 QUINTIC = CicyContext((5,))
 X24 = CicyContext((2, 4))
@@ -125,6 +122,9 @@ X223 = CicyContext((2, 2, 3))
 X2222 = CicyContext((2, 2, 2, 2))
 
 ALL_CONTEXTS = (QUINTIC, X24, X33, X223, X2222)
+
+#: The degree aliases "X5" to "X16": the five degrees u are distinct.
+_ALIASES = {f"X{ctx.u}": ctx.multidegree for ctx in ALL_CONTEXTS}
 
 
 def _reduced(numerators: tuple[int, int, int, int], denominator: int) -> "TruncatedClass":
@@ -147,10 +147,11 @@ class TruncatedClass(_Frozen):
     """Polynomial a0 + a1*H + a2*H^2 + a3*H^3 with rational coefficients, H^4 = 0.
 
     Stored as four integer `numerators` over one positive `denominator`, in
-    lowest terms, so each spelling of a class has one representation and ring
-    operations are integer arithmetic with one gcd per result.  `coeffs` is
-    the rational view, built as four `Fraction`s only when it is read.
-    Instances are immutable.
+    lowest terms, so each spelling of a class has one representation and
+    `ring_mul` and `ring_invert` are integer arithmetic with one gcd per
+    result.  `coeffs` is the rational view, built as four `Fraction`s only
+    when it is read.  Instances are immutable values with no arithmetic
+    operators: the ring's arithmetic is `ring_mul` and `ring_invert`.
     """
 
     numerators: tuple[int, int, int, int]
@@ -200,53 +201,38 @@ class TruncatedClass(_Frozen):
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
-    def __add__(self, other: "TruncatedClass") -> "TruncatedClass":
-        d, e = self.denominator, other.denominator
-        return _reduced(tuple(a * e + b * d for a, b in zip(self.numerators, other.numerators)),
-                        d * e)
-
-    def __sub__(self, other: "TruncatedClass") -> "TruncatedClass":
-        d, e = self.denominator, other.denominator
-        return _reduced(tuple(a * e - b * d for a, b in zip(self.numerators, other.numerators)),
-                        d * e)
-
-    def __mul__(self, other: "TruncatedClass") -> "TruncatedClass":
-        a0, a1, a2, a3 = self.numerators
-        b0, b1, b2, b3 = other.numerators
-        return _reduced(
-            (
-                a0 * b0,
-                a0 * b1 + a1 * b0,
-                a0 * b2 + a1 * b1 + a2 * b0,
-                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-            ),
-            self.denominator * other.denominator,
-        )
-
-    def invert(self) -> "TruncatedClass":
-        """With numerators a_i over D, the inverse is D * B_k / a0^(k+1), where
-        B_0 = 1 and B_k = -sum_{i=1..k} a_i * B_(k-i) * a0^(i-1)."""
-        a0, a1, a2, a3 = self.numerators
-        if a0 == 0:
-            raise NotInvertibleError("not invertible: constant term is zero")
-        b1 = -a1
-        b2 = -(a1 * b1 + a2 * a0)
-        b3 = -(a1 * b2 + a2 * b1 * a0 + a3 * a0 * a0)
-        d = self.denominator
-        square = a0 * a0
-        # the common denominator a0^4 is positive whatever the sign of a0
-        return _reduced((d * square * a0, d * b1 * square, d * b2 * a0, d * b3),
-                        square * square)
-
 
 def ring_mul(x: TruncatedClass, y: TruncatedClass) -> TruncatedClass:
     """Product in Q[H]/(H^4); commutative and associative with unit (1,0,0,0)."""
-    return x * y
+    a0, a1, a2, a3 = x.numerators
+    b0, b1, b2, b3 = y.numerators
+    return _reduced(
+        (
+            a0 * b0,
+            a0 * b1 + a1 * b0,
+            a0 * b2 + a1 * b1 + a2 * b0,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+        ),
+        x.denominator * y.denominator,
+    )
 
 
 def ring_invert(x: TruncatedClass) -> TruncatedClass:
-    """Two-sided inverse under ring_mul; requires a nonzero constant term."""
-    return x.invert()
+    """Two-sided inverse under ring_mul; requires a nonzero constant term.
+
+    With numerators a_i over D, the inverse is D * B_k / a0^(k+1), where
+    B_0 = 1 and B_k = -sum_{i=1..k} a_i * B_(k-i) * a0^(i-1)."""
+    a0, a1, a2, a3 = x.numerators
+    if a0 == 0:
+        raise NotInvertibleError("not invertible: constant term is zero")
+    b1 = -a1
+    b2 = -(a1 * b1 + a2 * a0)
+    b3 = -(a1 * b2 + a2 * b1 * a0 + a3 * a0 * a0)
+    d = x.denominator
+    square = a0 * a0
+    # the common denominator a0^4 is positive whatever the sign of a0
+    return _reduced((d * square * a0, d * b1 * square, d * b2 * a0, d * b3),
+                    square * square)
 
 
 class BundleInvariants(_Frozen):
@@ -388,15 +374,8 @@ def max_rank_no_trivial(sub_twists: list[int], ctx: CicyContext) -> int:
 def context_from_label(label: str, strict: bool = True) -> CicyContext:
     """Parse a threefold label like "5", "2,4" or the degree alias "X9"."""
     text = label.strip()
-    aliases = {
-        "X5": (5,),
-        "X8": (2, 4),
-        "X9": (3, 3),
-        "X12": (2, 2, 3),
-        "X16": (2, 2, 2, 2),
-    }
-    if text.upper() in aliases:
-        md = aliases[text.upper()]
+    if text.upper() in _ALIASES:
+        md = _ALIASES[text.upper()]
     else:
         try:
             md = tuple(int(part) for part in text.replace(" ", "").split(","))

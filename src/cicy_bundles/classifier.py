@@ -25,12 +25,12 @@ from .chow import (
     CicyContext,
     chern_from_resolution,
     chern_of_extension,
-    max_rank_no_trivial,
 )
 from .constructions import (
     CurveCandidate,
     CurveComponent,
     component_admissible,
+    rank_window,
     required_genus,
     section_curve_invariants,
     witnesses_for,
@@ -638,9 +638,7 @@ def _higher_rank_verdicts(
         inv, chern_check = record(chern_from_resolution, sub, quot, ctx)
         if inv.c1 != c1:
             raise ValueError(f"resolution shape {label!r} has c1 = {inv.c1}, not {c1}")
-        trivial_part, rank_check = record(max_rank_no_trivial, sub, ctx)
-        extras = sum(1 for q in quot if q != 0)
-        window = (3, trivial_part + extras)
+        window, rank_check = rank_window(sub, quot, ctx)
         t.fire("R-resolution-shape", sub, tuple(sorted(set(quot))), inv.c1, inv.c2, window,
                (chern_check, rank_check))
         verdicts.append(t.verdict(label, witnesses_for(ctx.multidegree, c1, inv.c2,

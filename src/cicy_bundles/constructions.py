@@ -102,6 +102,15 @@ def section_curve_invariants(ctx: CicyContext) -> tuple[bounds.CurveInvariants, 
     return record(bounds.ci_curve_invariants, [1, 1, *ctx.multidegree], ctx.ambient_dim)
 
 
+def rank_window(sub: tuple[int, ...], quot: tuple[int, ...],
+                ctx: CicyContext) -> tuple[tuple[int, int], KernelCall]:
+    """Rank window [3, r] of the cokernel shape (+)O(sub) -> (+)O(quot), with
+    the record of its kernel call: r is the largest rank with no trivial
+    factor, plus one for each twisted quotient factor."""
+    trivial_part, check = record(max_rank_no_trivial, sub, ctx)
+    return (3, trivial_part + sum(1 for q in quot if q != 0)), check
+
+
 def component_admissible(
     comp: CurveComponent,
     ctx: CicyContext,
@@ -287,8 +296,8 @@ def _validate_entry(entry: Construction) -> int:
         if entry.c1 * d % 2 == 0:
             expect(f"{tag}.twist-genus", g, required_genus(entry.c1, d))
 
+    total_d = sum(c[0] for c in entry.components)
     if entry.components:
-        total_d = sum(c[0] for c in entry.components)
         genera = [c[1] for c in entry.components]
         if entry.c1 == 2 and entry.rank == 2:
             expect("union.d=g-1", bounds.union_genus(genera) - 1, total_d)
@@ -304,14 +313,12 @@ def _validate_entry(entry: Construction) -> int:
             # the residual of a twisted extension is a plane curve with
             # trivial dualizing sheaf, hence a cubic
             expect("residual.trivial-omega-degree", 3, z)
-            expect("residual.omega-twist", 0, z - 3)
+            expect("residual.omega-twist", 0, bounds.ci_curve_invariants([z], 2).omega_twist)
     elif entry.kind == "resolution":
         sub, quot = entry.params
         invariants = chern_from_resolution(list(sub), list(quot), ctx)
         if entry.rank_window:
-            trivial_part = max_rank_no_trivial(list(sub), ctx)
-            extras = sum(1 for q in quot if q != 0)
-            expect("rank-window", entry.rank_window, (3, trivial_part + extras))
+            expect("rank-window", entry.rank_window, rank_window(sub, quot, ctx)[0])
     elif entry.kind == "ci-curve":
         degrees = list(entry.params)
         inv = bounds.ci_curve_invariants(degrees, ctx.ambient_dim)
@@ -326,7 +333,6 @@ def _validate_entry(entry: Construction) -> int:
         expect("cut.genus", entry.components[0][1], required_genus(entry.c1, d))
         invariants = chern_of_extension(0, entry.c1, d, ctx)
     elif entry.kind == "union-of-sections":
-        total_d = sum(c[0] for c in entry.components)
         invariants = chern_of_extension(0, entry.c1, total_d, ctx)
     elif entry.kind == "liaison":
         ci_degrees, target_twist, cut = entry.params
@@ -345,7 +351,7 @@ def _validate_entry(entry: Construction) -> int:
     expect("c1", entry.c1, invariants.c1)
     expect("c2", entry.c2, invariants.c2)
     if entry.rank == 2:
-        cap = entry.c1**2 * ctx.u
+        cap = bounds.max_curve_degree(ctx, entry.c1, 2)
         expect("c2-cap", True, 0 <= entry.c2 <= cap)
     if failed:
         raise RegistryValidationError(

@@ -107,9 +107,10 @@ class TestContexts:
                     lax(1, 1, 1, 1, 5)):
             normal = TruncatedClass.unit()
             for d in ctx.multidegree:
-                normal = normal * TruncatedClass.line(d)
+                normal = ring_mul(normal, TruncatedClass.line(d))
             tangent = cls(*(comb(ctx.ambient_dim + 1, k) for k in range(4)))
-            assert c2_dot_hyperplane(ctx) == (tangent * normal.invert()).coeffs[2] * ctx.u
+            assert c2_dot_hyperplane(ctx) == \
+                ring_mul(tangent, ring_invert(normal)).coeffs[2] * ctx.u
 
     def test_lax_rejects_non_cy(self):
         with pytest.raises(ValueError, match="not Calabi-Yau"):
@@ -125,9 +126,12 @@ class TestContexts:
 
     def test_labels_and_aliases(self):
         assert context_from_label("2,4") == X24
-        assert context_from_label("X9") == X33
-        assert context_from_label("X12") == X223
         assert context_from_label(" 2, 2, 2, 2 ") == X2222
+        for ctx in ALL_CONTEXTS:
+            assert context_from_label(f"X{ctx.u}") == ctx
+            assert context_from_label(f"x{ctx.u}") == ctx
+        with pytest.raises(ValueError, match="cannot parse"):
+            context_from_label("X10")
 
 
 class TestValueTypes:
@@ -181,7 +185,7 @@ class TestRing:
     def test_binomial_square(self):
         power = TruncatedClass.unit()
         for k in range(1, 8):
-            power = power * cls(1, 1)
+            power = ring_mul(power, cls(1, 1))
             assert power == cls(*(comb(k, j) for j in range(4)))
 
     def test_unit(self):
@@ -226,19 +230,13 @@ class TestRing:
         assert inverse.coeffs == schoolbook_invert(x.coeffs)
         assert lowest_terms(inverse)
 
-    @given(wide_classes, wide_classes)
-    def test_add_sub_match_coefficients(self, x, y):
-        assert (x + y).coeffs == tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
-        assert (x - y).coeffs == tuple(a - b for a, b in zip(x.coeffs, y.coeffs))
-        assert lowest_terms(x + y) and lowest_terms(x - y)
-
     def test_spellings_are_one_class(self):
         half = cls(Fraction(1, 2), Fraction(-3, 6), 0, Fraction(10, 4))
         other = TruncatedClass((Fraction(2, 4), Fraction(-1, 2), Fraction(0, 7), "5/2"))
         assert half == other and hash(half) == hash(other)
         assert half.numerators == (1, -1, 0, 5) and half.denominator == 2
-        assert half + half == cls(1, -1, 0, 5)
-        assert hash(half + half) == hash(cls(1, -1, 0, 5))
+        assert ring_mul(half, cls(2)) == cls(1, -1, 0, 5)
+        assert hash(ring_mul(half, cls(2))) == hash(cls(1, -1, 0, 5))
         assert cls(1, 2) != cls(1, 2, 1) and cls(1) != Fraction(1)
 
     def test_immutable(self):
@@ -385,11 +383,11 @@ class TestResolutions:
         def ring(sub, quot):
             total = TruncatedClass.unit()
             for q in quot:
-                total = total * TruncatedClass.line(q)
+                total = ring_mul(total, TruncatedClass.line(q))
             subs = TruncatedClass.unit()
             for s in sub:
-                subs = subs * TruncatedClass.line(s)
-            c = total * subs.invert()
+                subs = ring_mul(subs, TruncatedClass.line(s))
+            c = ring_mul(total, ring_invert(subs))
             assert c.denominator == 1
             _, c1, c2, c3 = c.numerators
             return BundleInvariants(len(quot) - len(sub), c1, c2 * ctx.u, c3 * ctx.u)

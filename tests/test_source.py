@@ -365,6 +365,36 @@ def test_cross_call_caches():
         assert ast.unparse(cached[name].returns).startswith("tuple["), name
 
 
+def test_ring_rank_window_and_aliases_computed_in_one_place():
+    # the ring's arithmetic is ring_mul and ring_invert, the rank window of a
+    # resolution shape is constructions.rank_window, and the degree aliases
+    # are read from the contexts: TruncatedClass is a value with no operators,
+    # no other function of the case tree reads max_rank_no_trivial, and
+    # context_from_label types no table
+    chow = {node.name: node for node in ast.parse((PACKAGE / "chow.py").read_text(
+        encoding="utf-8")).body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    body = chow["TruncatedClass"].body
+    bound = {node.name for node in body if isinstance(node, ast.FunctionDef)} | {
+        target.id for node in body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)}
+    assert bound.isdisjoint({"__add__", "__sub__", "__mul__", "invert"})
+    assert not any(isinstance(node, ast.Dict) for node in ast.walk(chow["context_from_label"]))
+    readers = []
+
+    def visit(path, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if "max_rank_no_trivial" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                readers.append(f"{path.stem}.{scope or 'module'}")
+            visit(path, child, inner)
+
+    for name in ("classifier.py", "constructions.py"):
+        visit(PACKAGE / name, ast.parse((PACKAGE / name).read_text(encoding="utf-8")), "")
+    assert readers == ["constructions.rank_window"]
+
+
 #: The package's public names: 63 exported names and six submodules.
 PUBLIC = set("""
     ALL_CONTEXTS BundleInvariants CicyContext ClassificationResult CurveCandidate
