@@ -393,11 +393,9 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         d = comps[0].d
         _four_quadric_route(d, trail, False, "meeting the residual lowers the dualizing twist")
         surf = trail.route("base-locus-surface")
-        if d % 4:
-            surf.fire("R-x24-mod4/off", d, 4)
+        if not surf.fire("R-x24-mod4", d, 4):
             return
         deg_s = d // 4
-        surf.fire("R-x24-mod4/cut", d, deg_s)
         if deg_s == 4:
             _ci_omega(surf, (2, 2, 2, 4), "three-quadric surface cut by the quartic")
         elif deg_s == 5:

@@ -13,7 +13,8 @@ the brute-force scan it replaces lives on in the tests as their oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 
 class SearchNotFiniteError(ValueError):
@@ -73,23 +74,19 @@ def embedding_degree(c: DivisorClass, hyperplane: DivisorClass, s: RuledSurface)
     return intersect(c, hyperplane, s)
 
 
-@dataclass(frozen=True)
-class GenusSearch:
+class GenusSearch(namedtuple("GenusSearch", "hyperplane degree genus bands box",
+                             defaults=(None, (), 1000))):
     """Constraints for a search over integer classes a*h + b*f.
 
     A class qualifies when its embedding degree matches `degree`, its
     adjunction genus matches `genus` (if given), and every linear band
-    lo <= ca*a + cb*b <= hi holds (None bounds are open).  The degree
-    equation fixes b as a function of a, so the hyperplane class must have a
-    nonzero h-coefficient; the search is then solved exactly in a and its
-    result clipped to |a| <= box.
+    (ca, cb, lo, hi) of `bands` has lo <= ca*a + cb*b <= hi (None bounds
+    are open).  The degree equation fixes b as a function of a, so the
+    hyperplane class must have a nonzero h-coefficient; the search is then
+    solved exactly in a and its result clipped to |a| <= box.
     """
 
-    hyperplane: DivisorClass
-    degree: int
-    genus: int | None = None
-    bands: tuple[tuple[int, int, int | None, int | None], ...] = field(default_factory=tuple)
-    box: int = 1000
+    __slots__ = ()
 
 
 def genus_quadratic(search: GenusSearch, s: RuledSurface) -> tuple[int, int, int]:

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import NamedTuple, get_origin, get_type_hints
 
 from . import bounds, chow, ruled
-from .chow import BundleInvariants, CicyContext
+from .chow import CicyContext
 from .ruled import DivisorClass, GenusSearch, RuledSurface
 
 
@@ -299,8 +299,8 @@ _CORPUS: tuple[Rule, ...] = (
          forms=""),
     # -- degree-8 threefold, twist two --------------------------------------
     Rule("R-x24-extremal", _R,
-         "several components, each of degree at least 8, with total degree at "
-         "most 16: exactly two degree-8 space sections",
+         "several components, each of degree at least u, with total degree at "
+         "most 2u: exactly two degree-u space sections",
          "extremal-pair",
          forms=lambda total, component_floor, components: (
              components == " + ".join(
@@ -341,9 +341,7 @@ _CORPUS: tuple[Rule, ...] = (
     Rule("R-x24-mod4", _R,
          "a curve cut from a base surface by the quartic has degree 4*deg(S)",
          "quartic-cut-divisibility",
-         forms={
-             "off": lambda d, modulus: d % modulus == 0,
-             "cut": lambda d, surface_degree: d == 4 * surface_degree}),
+         forms=lambda d, modulus: d % modulus == 0),
     Rule("R-ci-residual", _R,
          "degree below 16 leaves a nonempty residual inside the four-quadric "
          "intersection; meeting it changes the dualizing twist",
@@ -684,16 +682,15 @@ def _decode_search(value) -> GenusSearch:
 #: JSON encoder and decoder of each kernel value kind, the one home of their
 #: shapes.  A decoder takes exact ints (no bools), the exact arity and None
 #: only at a search's optional fields, or raises TypeError (ValueError for a
-#: multidegree no threefold has).  `encode` writes ints and lists inline.
+#: multidegree no threefold has).  `encode` writes ints, lists and tuples
+#: inline, a record such as `GenusSearch` as its fields in order.
 _CODECS = {
     int: (None, _exact_int),
     list: (None, _fields),
     DivisorClass: (lambda c: [c.a, c.b], lambda v: DivisorClass(*_fields(v, 2))),
     RuledSurface: (lambda s: [s.e, s.q], lambda v: RuledSurface(*_fields(v, 2))),
     CicyContext: (lambda ctx: list(ctx.multidegree), lambda v: CicyContext(_fields(v))),
-    GenusSearch: (lambda g: [encode(g.hyperplane), g.degree, g.genus, encode(g.bands), g.box],
-                  _decode_search),
-    BundleInvariants: (lambda inv: [inv.rank, inv.c1, inv.c2, inv.c3], None),
+    GenusSearch: (None, _decode_search),
 }
 
 

@@ -395,6 +395,23 @@ def test_ring_rank_window_and_aliases_computed_in_one_place():
     assert readers == ["constructions.rank_window"]
 
 
+def test_records_contexts_and_quartic_cut_said_once():
+    # a kernel record is a tuple, whose JSON form is its fields in order, so
+    # the codec table holds no encoder for one; the five threefolds are built
+    # from KNOWN_MULTIDEGREES, not typed; the quartic-cut test is one form
+    from cicy_bundles import bounds, chow, ruled, verdicts
+
+    for record in (chow.BundleInvariants, ruled.GenusSearch, bounds.CurveInvariants):
+        assert issubclass(record, tuple)
+    encoders = [kind.__name__ for kind, (encoder, _) in verdicts._CODECS.items()
+                if issubclass(kind, tuple) and encoder is not None]
+    assert encoders == []
+    assert "CicyContext((" not in (PACKAGE / "chow.py").read_text(encoding="utf-8")
+    assert [ctx.multidegree for ctx in chow.ALL_CONTEXTS] == list(chow.KNOWN_MULTIDEGREES)
+    assert [form_id for form_id, form in verdicts.FORMS.items()
+            if form.rule_id == "R-x24-mod4"] == ["R-x24-mod4"]
+
+
 #: The package's public names: 63 exported names and six submodules.
 PUBLIC = set("""
     ALL_CONTEXTS BundleInvariants CicyContext ClassificationResult CurveCandidate
