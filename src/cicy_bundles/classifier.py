@@ -812,29 +812,40 @@ def _check_disabled(disabled: frozenset[str]) -> None:
         raise ValueError(f"unknown rule ids: {', '.join(sorted(map(repr, unknown)))}")
 
 
+def _rejudge(judge, verdicts: tuple[Verdict, ...], index: dict[str, list[int]],
+             ctx: CicyContext, c1: int, disabled: frozenset[str]
+             ) -> tuple[tuple[Verdict, ...], list[int]]:
+    """`verdicts` with each one that `index` lists under a rule of `disabled`
+    judged again by `judge`, in order, and the positions judged again."""
+    positions = sorted(set().union(*(index.get(rule_id, ()) for rule_id in disabled)))
+    out = list(verdicts)
+    for i in positions:
+        out[i] = judge(verdicts[i].candidate, ctx, c1, disabled)
+    return tuple(out), positions
+
+
 def _level(ctx: CicyContext, c1: int, disabled: frozenset[str],
-           base: tuple[list, list] | None = None) -> Level:
+           base: tuple[Level, dict[str, list[int]], dict[str, list[int]]] | None = None
+           ) -> Level:
     """The rank-2 twist level c1, judged under `disabled`.
 
     Without `base` every component and candidate is judged.  `base` holds the
-    (cited rule ids, verdict) pairs of the level's component and candidate
-    verdicts with nothing disabled: a verdict that cites no disabled rule is
-    reused and the others are judged again, and the base candidates stay
-    while the surviving components do."""
+    level judged with nothing disabled and, for its component verdicts and
+    then its candidate verdicts, the positions whose trails cite each rule id:
+    only the verdicts listed under a disabled rule are judged again.  The base
+    candidates stay while each component judged again keeps its survival;
+    otherwise every candidate of the surviving components is judged."""
     if base is None:
         comps = admissible_components(ctx, c1, disabled)
         kept = False
     else:
-        comp_cites, cand_cites = base
-        comps = tuple([v if ids.isdisjoint(disabled)
-                       else component_admissible(v.candidate, ctx, c1, disabled)
-                       for ids, v in comp_cites])
-        kept = all((v.status is SURVIVES) == (old.status is SURVIVES)
-                   for v, (_, old) in zip(comps, comp_cites))
+        level, comp_index, cand_index = base
+        comps, positions = _rejudge(component_admissible, level.component_verdicts,
+                                    comp_index, ctx, c1, disabled)
+        kept = all((comps[i].status is SURVIVES)
+                   == (level.component_verdicts[i].status is SURVIVES) for i in positions)
     if kept:
-        cands = tuple([v if ids.isdisjoint(disabled)
-                       else judge_candidate(v.candidate, ctx, c1, disabled)
-                       for ids, v in cand_cites])
+        cands, _ = _rejudge(judge_candidate, level.verdicts, cand_index, ctx, c1, disabled)
     else:
         survivors = tuple([v.candidate for v in comps if v.status is SURVIVES])
         candidates = _level_candidates(survivors, bounds.max_curve_degree(ctx, c1, 2))
@@ -908,6 +919,15 @@ def _cites(verdict: Verdict) -> frozenset[str]:
     return frozenset(entry.rule_id for entry in verdict.trail)
 
 
+def _index(verdicts: tuple[Verdict, ...]) -> dict[str, list[int]]:
+    """The positions of the verdicts whose trails cite each rule id, in order."""
+    index: dict[str, list[int]] = {}
+    for i, verdict in enumerate(verdicts):
+        for rule_id in _cites(verdict):
+            index.setdefault(rule_id, []).append(i)
+    return index
+
+
 def toggle_sweep(base: ClassificationResult,
                  toggles: list[frozenset[str]]) -> list[ClassificationResult]:
     """`classify(ctx, c1_max, rank_regime, disabled)` for each toggle set,
@@ -919,10 +939,16 @@ def toggle_sweep(base: ClassificationResult,
     passes, are the only readers of a disabled set (`Trail.route` only hands
     it on), and each records every rule it consults while that rule is not
     disabled, so a verdict whose trail cites no rule of a toggle set is
-    judged the same way with that set disabled.  Each twist level of the base is judged again by `_level` from
-    its verdicts and the rules each cites, collected once per base verdict;
-    higher-rank shapes are all judged again.  A toggle set that no verdict of
-    the base cites gets the base result itself.
+    judged the same way with that set disabled.
+
+    So the rules each base verdict cites are collected once, into an index
+    per twist level from rule id to the positions of the component verdicts
+    and of the candidate verdicts that cite it.  Per toggle set, `_level`
+    judges again only the verdicts listed under its rules, and every
+    candidate of the level when a component judged again changes survival;
+    a toggle's cost follows the verdicts it touches, not the level's size.
+    Higher-rank shapes are all judged again.  A toggle set that no verdict
+    of the base cites gets the base result itself.
     """
     if base.judged_without:
         raise ValueError("the base of a toggle sweep must be judged with nothing disabled, "
@@ -930,18 +956,17 @@ def toggle_sweep(base: ClassificationResult,
     for disabled in toggles:
         _check_disabled(disabled)
     ctx, c1_max, rank_regime = base.ctx, base.c1_max, base.rank_regime
-    level_cites = [(level.c1, ([(_cites(v), v) for v in level.component_verdicts],
-                               [(_cites(v), v) for v in level.verdicts]))
-                   for level in base.levels]
+    indexed = [(level, _index(level.component_verdicts), _index(level.verdicts))
+               for level in base.levels]
     cited = frozenset().union(*map(_cites, base.shapes),
-                              *(ids for _, (comps, cands) in level_cites
-                                for ids, _ in comps + cands))
+                              *(index for _, comps, cands in indexed for index in (comps, cands)))
     results = []
     for disabled in toggles:
         if cited.isdisjoint(disabled):
             results.append(base)
             continue
-        levels = [_level(ctx, c1, disabled, cites) for c1, cites in level_cites]
+        levels = [_level(ctx, level.c1, disabled, (level, comps, cands))
+                  for level, comps, cands in indexed]
         results.append(_aggregate(ctx, c1_max, rank_regime, disabled, levels))
     return results
 

@@ -878,7 +878,8 @@ def audit_verdicts(verdicts: list[Verdict]) -> list[str]:
                 except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
                     decided = f"no outcome: {type(exc).__name__}: {exc}"
                 if decided != outcome:
-                    mismatches.append(f"{form_id}: recorded {outcome}, its decision gives {decided}")
+                    mismatches.append(
+                        f"{form_id}: recorded {outcome}, its decision gives {decided}")
             if at is None:
                 continue
             checks = fields[at]

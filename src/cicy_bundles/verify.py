@@ -41,7 +41,8 @@ from .ruled import (
     embedding_degree,
     intersect,
 )
-from .verdicts import FORMS, RULES, FrozenDict, RuleKind, Status, audit_verdicts, decode, payload
+from .verdicts import (FORMS, RULES, SURVIVES, FrozenDict, RuleKind, Status, audit_verdicts,
+                       decode, payload)
 
 
 class CheckFailure(AssertionError):
@@ -132,16 +133,30 @@ def check_ring_examples() -> str:
     return _stated(inv2.coeffs, TruncatedClass.of(1, 1, 1, 1).coeffs, "1/(1-H)")
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """`rng.randint(lo, hi)`, drawn as CPython's `randint` draws it: k =
+    (hi - lo + 1).bit_length() bits from `getrandbits`, drawn again until they
+    fall below the range's width.  The same draws and values, without `randrange`'s
+    argument checks, which cost more than the draws themselves."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def _random_units() -> list[TruncatedClass]:
-    """The 1000 seeded units of the round-trip check: coefficients n/d with
-    -9 <= n <= 9 and 1 <= d <= 9, read from a table of the 171 such fractions
-    (building a Fraction per draw took half the check's time), constant term 1
-    where the draw gives 0."""
+    """The 1000 seeded units of the round-trip check.  Each of the four
+    coefficients is n/d for the draws n = randint(-9, 9), then d = randint(1,
+    9), of `random.Random(20260811)`, made through `_randint`; the constant
+    term is 1 where its draw gives 0.  The fractions are read from a table of
+    the 171 such n/d: building a Fraction per draw took half the check's time."""
     rng = random.Random(20260811)
     table = {(n, d): Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)}
     units = []
     for _ in range(1000):
-        coeffs = [table[rng.randint(-9, 9), rng.randint(1, 9)] for _ in range(4)]
+        coeffs = [table[_randint(rng, -9, 9), _randint(rng, 1, 9)] for _ in range(4)]
         if coeffs[0] == 0:
             coeffs[0] = table[1, 1]
         units.append(TruncatedClass(tuple(coeffs)))
@@ -176,8 +191,8 @@ def check_resolution_chern() -> str:
 def check_resolution_additivity() -> str:
     rng = random.Random(7)
     for _ in range(200):
-        sub = [rng.randint(-3, -1) for _ in range(rng.randint(0, 2))]
-        quot = [rng.randint(-2, 3) for _ in range(len(sub) + rng.randint(1, 4))]
+        sub = [_randint(rng, -3, -1) for _ in range(_randint(rng, 0, 2))]
+        quot = [_randint(rng, -2, 3) for _ in range(len(sub) + _randint(rng, 1, 4))]
         inv = chern_from_resolution(sub, quot, QUINTIC)
         _eq(inv.c1, sum(quot) - sum(sub), f"c1 additivity {sub}->{quot}")
     return "c1 = sum(quot) - sum(sub) on 200 random resolutions"
@@ -197,8 +212,8 @@ def check_twist_examples() -> str:
     _eq(twist_rank2(0, 0, 1, X24), (2, 8), "twist(0,0,1) on 2,4")
     rng = random.Random(11)
     for _ in range(200):
-        c1, c2, t = rng.randint(-4, 4), rng.randint(-40, 40), rng.randint(-3, 3)
-        ctx = ALL_CONTEXTS[rng.randrange(5)]
+        c1, c2, t = _randint(rng, -4, 4), _randint(rng, -40, 40), _randint(rng, -3, 3)
+        ctx = ALL_CONTEXTS[_randint(rng, 0, 4)]
         _eq(twist_rank2(*twist_rank2(c1, c2, t, ctx), -t, ctx), (c1, c2),
             "twist round-trip")
     return "twist anchors and 200 random round-trips"
@@ -527,7 +542,9 @@ def _paper(ctx, regime) -> classifier.ClassificationResult:
 
 
 def _survivors(result) -> set:
-    return {v.candidate for v in result.verdicts if v.survives}
+    # the status itself, not the `survives` property: the axiom-toggle check
+    # reads some 8,500 verdicts, and the property calls took two thirds of this set's time
+    return {v.candidate for v in result.verdicts if v.status is SURVIVES}
 
 
 def _survivor_labels(result) -> tuple[str, ...]:

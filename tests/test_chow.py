@@ -4,7 +4,7 @@ import pickle
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb, prod
 
 import pytest
@@ -51,6 +51,36 @@ units = st.tuples(
 wide = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
 wide_classes = st.tuples(wide, wide, wide, wide).map(TruncatedClass)
 wide_units = st.tuples(wide.filter(lambda x: x != 0), wide, wide, wide).map(TruncatedClass)
+
+
+def units_draws(draw):
+    # verify._random_units: a numerator, then a denominator, per coefficient
+    while True:
+        yield draw(-9, 9)
+        yield draw(1, 9)
+
+
+def resolution_draws(draw):
+    # verify.check_resolution_additivity: the length of `sub`, its twists, then
+    # the length of `quot` past len(sub), and its twists
+    while True:
+        subs = draw(0, 2)
+        yield subs
+        for _ in range(subs):
+            yield draw(-3, -1)
+        quots = draw(1, 4)
+        yield quots
+        for _ in range(subs + quots):
+            yield draw(-2, 3)
+
+
+def twist_draws(draw):
+    # verify.check_twist_examples: c1, c2, the twist, then the threefold
+    while True:
+        yield draw(-4, 4)
+        yield draw(-40, 40)
+        yield draw(-3, 3)
+        yield draw(0, 4)
 
 
 def schoolbook_mul(a, b):
@@ -213,6 +243,34 @@ class TestRing:
                 coeffs[0] = Fraction(1)
             drawn.append(TruncatedClass(tuple(coeffs)))
         assert verify._random_units() == drawn
+
+    @pytest.mark.parametrize("seed, pattern", [(20260811, units_draws), (7, resolution_draws),
+                                               (11, twist_draws)])
+    def test_draw_helper_matches_randint_in_each_check(self, seed, pattern):
+        # verify's three seeded checks draw through one helper: 10^4 of its
+        # draws, in each check's order of ranges, are randint's, and leave the
+        # generator in the same state
+        fast, slow = random.Random(seed), random.Random(seed)
+        ours = pattern(lambda lo, hi: verify._randint(fast, lo, hi))
+        assert list(islice(ours, 10**4)) == list(islice(pattern(slow.randint), 10**4))
+        assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 9, 16, 17, 19, 81])
+    def test_draw_helper_matches_randint_at_each_width(self, width):
+        # powers of two and one past them, where the number of bits drawn steps
+        fast, slow = random.Random(width), random.Random(width)
+        lo = -(width // 2)
+        hi = lo + width - 1
+        assert ([verify._randint(fast, lo, hi) for _ in range(10**4)]
+                == [slow.randint(lo, hi) for _ in range(10**4)])
+        assert fast.getstate() == slow.getstate()
+
+    def test_draw_helper_matches_randrange(self):
+        # randrange(5), the other spelling of the twist check's threefold draw,
+        # draws the same as the helper's randint(0, 4)
+        fast, slow = random.Random(11), random.Random(11)
+        assert ([verify._randint(fast, 0, 4) for _ in range(10**4)]
+                == [slow.randrange(5) for _ in range(10**4)])
 
     @given(units)
     def test_inverse_roundtrip(self, x):

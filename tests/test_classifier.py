@@ -618,6 +618,46 @@ class TestToggles:
         assert len(paths) == 7 and min(paths.values()) >= 1, paths
         assert {("2,4", "A-spannedness-h0"), ("3,3", "A-spannedness-h0")} <= grown
 
+    def test_toggle_sweep_rejudges_only_citing_verdicts(self, monkeypatch):
+        # under each single axiom toggle, the sweep judges again exactly the
+        # base verdicts whose trails cite the axiom, level by level and in
+        # order, and every candidate of a level where a component judged again
+        # changes survival
+        calls = []
+
+        def counting(name, judge):
+            def wrapper(candidate, ctx, c1, disabled=frozenset()):
+                calls.append((name, c1, candidate))
+                return judge(candidate, ctx, c1, disabled)
+            return wrapper
+
+        for name in ("component_admissible", "judge_candidate"):
+            monkeypatch.setattr(classifier, name, counting(name, getattr(classifier, name)))
+        axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
+        paths = Counter()
+        for ctx, regime in PAPER_CASES:
+            base = classify(ctx, 2, regime)
+            for axiom in axioms:
+                calls.clear()
+                (result,) = classifier.toggle_sweep(base, [frozenset({axiom})])
+                expected = []
+                for old, new in zip(base.levels, result.levels, strict=True):
+                    comps = [i for i, v in enumerate(old.component_verdicts)
+                             if axiom in {e.rule_id for e in v.trail}]
+                    expected += [("component_admissible", old.c1,
+                                  old.component_verdicts[i].candidate) for i in comps]
+                    if all(old.component_verdicts[i].survives
+                           == new.component_verdicts[i].survives for i in comps):
+                        cands = [v for v in old.verdicts if axiom in {e.rule_id for e in v.trail}]
+                        paths["citing candidates judged" if cands else "level reused"] += 1
+                    else:
+                        cands = new.verdicts
+                        paths["every candidate judged"] += 1
+                    expected += [("judge_candidate", old.c1, v.candidate) for v in cands]
+                assert calls == expected, (ctx.label(), regime, axiom)
+        assert set(paths) == {"citing candidates judged", "level reused",
+                              "every candidate judged"}, paths
+
     def test_every_rule_site_fires(self, monkeypatch):
         # every fire, hypothesis and witness call site of the case tree runs in
         # the sweeps of test_toggle_sweep_is_exact: no judge branch is dead.

@@ -22,6 +22,17 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_lines_at_most_100_characters():
+    # a long line hides a join of two sentences or a call that wants wrapping
+    found = [
+        f"{path.name}:{lineno} ({len(line)})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert found == []
+
+
 def test_verdicts_built_in_one_place():
     # every status comes from Trail.verdict
     found = [
