@@ -9,7 +9,7 @@ classifier.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .chow import CicyContext
 
@@ -63,10 +63,8 @@ def plane_genus(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
-class CurveInvariants(NamedTuple):
-    degree: int
-    omega_twist: int
-    genus: int
+#: Degree, dualizing twist and arithmetic genus of a curve.
+CurveInvariants = namedtuple("CurveInvariants", "degree omega_twist genus")
 
 
 def ci_curve_invariants(degrees: list[int], n: int) -> CurveInvariants:

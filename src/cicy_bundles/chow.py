@@ -11,10 +11,10 @@ handed a coefficient that is not an exact `int` or `Fraction`.  Resolutions
 never leave Z[H]/(H^4): `chern_from_resolution` works on plain integer
 coefficients, with no class objects at all.
 
-The two value types are plain classes that keep what `@dataclass(frozen=True)`
-would generate: `dataclasses` imports `inspect`, the largest import a `chi`
-cold start would make.  `BundleInvariants` is a `collections.namedtuple`, whose
-module `fractions` already loads; `typing` would add 3 to 4 ms to that start.
+`TruncatedClass` and `BundleInvariants` are `collections.namedtuple` records,
+whose module `fractions` already loads; `CicyContext` is a plain frozen class.
+The module imports neither `dataclasses`, which imports `inspect`, the largest
+import a `chi` cold start would make, nor `typing`, which would add 3 to 4 ms.
 """
 
 from __future__ import annotations
@@ -45,33 +45,19 @@ def _comb0(top: int, bottom: int) -> int:
     return math.comb(top, bottom)
 
 
-_new = object.__new__
+_new = tuple.__new__
 _set = object.__setattr__
 
 
-class _Frozen:
-    """Base of the two value types: no attribute can be set or deleted.  Instances
-    are built with `object.__setattr__`; pickle and deepcopy restore their
-    `__dict__`.  Each type spells out its own `__eq__`, `__hash__` and
-    `__repr__`, as a frozen dataclass would: `verify` compares and formats
-    ring classes thousands of times per pass."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class CicyContext(_Frozen):
+class CicyContext:
     """One complete-intersection Calabi-Yau threefold, given by its multidegree.
 
     In strict mode (the default) only the five smooth CICY multidegrees are
     accepted.  Lax mode accepts any multidegree satisfying the Calabi-Yau
     condition (degrees summing to ambient dimension + 1).  Two contexts are
-    equal when their multidegrees are.
+    equal when their multidegrees are.  No attribute can be set or deleted:
+    instances are built with `object.__setattr__`, and pickle and deepcopy
+    restore their `__dict__`.
     """
 
     multidegree: tuple[int, ...]
@@ -101,6 +87,12 @@ class CicyContext(_Frozen):
                 f"{self.ambient_dim + 1} in P^{self.ambient_dim}"
             )
 
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.multidegree,) == (other.multidegree,)
@@ -129,31 +121,30 @@ def _reduced(numerators: tuple[int, int, int, int], denominator: int) -> "Trunca
     if g != 1:
         numerators = tuple(n // g for n in numerators)
         denominator //= g
-    value = _new(TruncatedClass)
-    _set(value, "numerators", numerators)
-    _set(value, "denominator", denominator)
-    return value
+    return _new(TruncatedClass, (numerators, denominator))
 
 
 #: Coefficient types whose `numerator`/`denominator` the constructor reads as is.
 _EXACT = frozenset((int, Fraction))
 
 
-class TruncatedClass(_Frozen):
+class TruncatedClass(namedtuple("TruncatedClass", "numerators denominator")):
     """Polynomial a0 + a1*H + a2*H^2 + a3*H^3 with rational coefficients, H^4 = 0.
 
     Stored as four integer `numerators` over one positive `denominator`, in
     lowest terms, so each spelling of a class has one representation and
     `ring_mul` and `ring_invert` are integer arithmetic with one gcd per
     result.  `coeffs` is the rational view, built as four `Fraction`s only
-    when it is read.  Instances are immutable values with no arithmetic
-    operators: the ring's arithmetic is `ring_mul` and `ring_invert`.
+    when it is read.  A record, equal to and hashed as its two fields, built
+    from its four coefficients: `_make`, `_replace`, pickle and deepcopy go
+    through the constructor, so every instance is in lowest terms.  It has
+    no arithmetic operators: the ring's arithmetic is `ring_mul` and
+    `ring_invert`.
     """
 
-    numerators: tuple[int, int, int, int]
-    denominator: int
+    __slots__ = ()
 
-    def __init__(self, coeffs) -> None:
+    def __new__(cls, coeffs) -> TruncatedClass:
         # exact ints and Fractions are already in lowest terms; anything else,
         # bools and subclasses included, is read through Fraction
         values = [c if type(c) in _EXACT else Fraction(c) for c in coeffs]
@@ -162,11 +153,18 @@ class TruncatedClass(_Frozen):
         a, b, c, d = values
         # over the lcm of reduced denominators the numerators share no factor
         denominator = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        _set(self, "numerators", (a.numerator * (denominator // a.denominator),
-                                  b.numerator * (denominator // b.denominator),
-                                  c.numerator * (denominator // c.denominator),
-                                  d.numerator * (denominator // d.denominator)))
-        _set(self, "denominator", denominator)
+        return _new(cls, ((a.numerator * (denominator // a.denominator),
+                           b.numerator * (denominator // b.denominator),
+                           c.numerator * (denominator // c.denominator),
+                           d.numerator * (denominator // d.denominator)), denominator))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.coeffs,)
+
+    @classmethod
+    def _make(cls, fields) -> TruncatedClass:
+        numerators, denominator = fields
+        return cls([Fraction(n, denominator) for n in numerators])
 
     @classmethod
     def of(cls, *coeffs) -> "TruncatedClass":
@@ -181,18 +179,6 @@ class TruncatedClass(_Frozen):
         """Total Chern class 1 + t*H of the line bundle O(t)."""
         return _reduced((1, twist, 0, 0), 1)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.numerators, self.denominator) == (other.numerators, other.denominator)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.numerators, self.denominator))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(numerators={self.numerators!r}, "
-                f"denominator={self.denominator!r})")
-
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(Fraction(n, self.denominator) for n in self.numerators)
@@ -200,8 +186,8 @@ class TruncatedClass(_Frozen):
 
 def ring_mul(x: TruncatedClass, y: TruncatedClass) -> TruncatedClass:
     """Product in Q[H]/(H^4); commutative and associative with unit (1,0,0,0)."""
-    a0, a1, a2, a3 = x.numerators
-    b0, b1, b2, b3 = y.numerators
+    (a0, a1, a2, a3), dx = x
+    (b0, b1, b2, b3), dy = y
     return _reduced(
         (
             a0 * b0,
@@ -209,7 +195,7 @@ def ring_mul(x: TruncatedClass, y: TruncatedClass) -> TruncatedClass:
             a0 * b2 + a1 * b1 + a2 * b0,
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
         ),
-        x.denominator * y.denominator,
+        dx * dy,
     )
 
 
@@ -218,13 +204,12 @@ def ring_invert(x: TruncatedClass) -> TruncatedClass:
 
     With numerators a_i over D, the inverse is D * B_k / a0^(k+1), where
     B_0 = 1 and B_k = -sum_{i=1..k} a_i * B_(k-i) * a0^(i-1)."""
-    a0, a1, a2, a3 = x.numerators
+    (a0, a1, a2, a3), d = x
     if a0 == 0:
         raise NotInvertibleError("not invertible: constant term is zero")
     b1 = -a1
     b2 = -(a1 * b1 + a2 * a0)
     b3 = -(a1 * b2 + a2 * b1 * a0 + a3 * a0 * a0)
-    d = x.denominator
     square = a0 * a0
     # the common denominator a0^4 is positive whatever the sign of a0
     return _reduced((d * square * a0, d * b1 * square, d * b2 * a0, d * b3),

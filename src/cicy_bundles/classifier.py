@@ -161,11 +161,6 @@ _FOUR_QUADRICS = bounds.ci_curve_invariants([2, 2, 2, 2], 5)
 _SPAN5_FLOOR = next(d for d in itertools.count(5) if d + 1 <= bounds.castelnuovo_pi(d, 5))
 
 
-def _classes(hits: list[DivisorClass]) -> tuple[tuple[int, int], ...]:
-    """Divisor classes as a firing records them, each as its (a, b) pair."""
-    return tuple(tuple(cls) for cls in hits)
-
-
 def _cone_class() -> tuple[list[DivisorClass], int, tuple[KernelCall, ...]]:
     """The F3 band search, the genus of the one class it finds, both records."""
     hits, search_check = record(eliminate_by_genus, *_F3)
@@ -343,7 +338,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         if not r.fire("R-mu-d/curve", 15, d, viable, checks):
             return
         hits1, check = record(eliminate_by_genus, *_F1)
-        r.fire("R-hirzebruch-F1", _classes(hits1), _polynomial(*genus_quadratic(*_F1), "="),
+        r.fire("R-hirzebruch-F1", tuple(hits1), _polynomial(*genus_quadratic(*_F1), "="),
                (check,))
         f3 = _F3[1]
         pairings = FrozenDict({
@@ -353,7 +348,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         })
         r.fire("R-cone-disjointness", pairings, "any curve on the cone is connected")
         hits3, genus, checks = _cone_class()
-        r.fire("R-hirzebruch-F3/rank2", _classes(hits3), genus, required_genus(2, d), checks)
+        r.fire("R-hirzebruch-F3/rank2", tuple(hits3), genus, required_genus(2, d), checks)
         return
     if s == 2 and spans == [2, 2]:
         p_a, check = record(bounds.union_genus, [c.g for c in cand.components])
@@ -665,7 +660,7 @@ def _higher_rank_verdicts(
         t = Trail(disabled)
         t.hypothesis("A-base-locus/shape")
         hits, genus, checks = _cone_class()
-        t.fire("R-hirzebruch-F3/higher-rank", _classes(hits), genus,
+        t.fire("R-hirzebruch-F3/higher-rank", tuple(hits), genus,
                f"genus {genus} is allowed here: rank >= 3 needs only d <= g - 1", checks)
         shape(t, "resolution O(-1)^2 -> O^(r+2)", (-1, -1), (0,) * 5, 2)
 

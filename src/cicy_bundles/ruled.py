@@ -8,49 +8,52 @@ adjunction genus, embedding degrees, and a divisor-class search used to
 certify case eliminations.  The search is solved exactly (a congruence, a
 quadratic and linear bounds in the h-coefficient a) and clipped to a box;
 the brute-force scan it replaces lives on in the tests as their oracle.
+
+`DivisorClass`, `RuledSurface` and `GenusSearch` are `collections.namedtuple`
+records: a class is its (a, b) pair, and a report writes each record as its
+fields in order.  The module imports neither `dataclasses` nor `typing`, so a
+`query intersect` cold start loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 
 class SearchNotFiniteError(ValueError):
     """Raised when a divisor-class search is not bounded to a finite box."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Integer class a*h + b*f on a ruled surface."""
+class DivisorClass(namedtuple("DivisorClass", "a b")):
+    """Integer class a*h + b*f on a ruled surface; `+` is the sum of classes."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+    def __add__(self, other: DivisorClass) -> DivisorClass:
         return DivisorClass(self.a + other.a, self.b + other.b)
 
-    def __iter__(self):
-        return iter((self.a, self.b))
 
-
-@dataclass(frozen=True)
-class RuledSurface:
+class RuledSurface(namedtuple("RuledSurface", "e q")):
     """P^1-bundle over a genus-q curve; h^2 = -e, h.f = 1, f^2 = 0.
 
     The Segre-Nagata bound e >= -q holds for every such surface, and
-    Hirzebruch surfaces (q = 0) have e >= 0.
+    Hirzebruch surfaces (q = 0) have e >= 0; `_make` and `_replace` check
+    it too, through the constructor.
     """
 
-    e: int
-    q: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q < 0:
+    def __new__(cls, e: int, q: int = 0) -> RuledSurface:
+        if q < 0:
             raise ValueError("base genus q must be nonnegative")
-        if self.e < -self.q:
-            raise ValueError(f"e = {self.e} violates the Segre-Nagata bound e >= -q = {-self.q}")
+        if e < -q:
+            raise ValueError(f"e = {e} violates the Segre-Nagata bound e >= -q = {-q}")
+        return tuple.__new__(cls, (e, q))
+
+    @classmethod
+    def _make(cls, fields) -> RuledSurface:
+        return cls(*fields)
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass, s: RuledSurface) -> int:

@@ -683,12 +683,13 @@ def _decode_search(value) -> GenusSearch:
 #: shapes.  A decoder takes exact ints (no bools), the exact arity and None
 #: only at a search's optional fields, or raises TypeError (ValueError for a
 #: multidegree no threefold has).  `encode` writes ints, lists and tuples
-#: inline, a record such as `GenusSearch` as its fields in order.
+#: inline, a record such as `DivisorClass` or `GenusSearch` as its fields in
+#: order; a `CicyContext`, the one kind that is no tuple, as its multidegree.
 _CODECS = {
     int: (None, _exact_int),
     list: (None, _fields),
-    DivisorClass: (lambda c: [c.a, c.b], lambda v: DivisorClass(*_fields(v, 2))),
-    RuledSurface: (lambda s: [s.e, s.q], lambda v: RuledSurface(*_fields(v, 2))),
+    DivisorClass: (None, lambda v: DivisorClass(*_fields(v, 2))),
+    RuledSurface: (None, lambda v: RuledSurface(*_fields(v, 2))),
     CicyContext: (lambda ctx: list(ctx.multidegree), lambda v: CicyContext(_fields(v))),
     GenusSearch: (None, _decode_search),
 }

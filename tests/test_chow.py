@@ -19,7 +19,9 @@ from cicy_bundles import (
     X2222,
     BundleInvariants,
     CicyContext,
+    DivisorClass,
     NotInvertibleError,
+    RuledSurface,
     TruncatedClass,
     chern_from_resolution,
     chern_of_extension,
@@ -165,12 +167,16 @@ class TestContexts:
 
 
 class TestValueTypes:
-    # the contract the two value types and the BundleInvariants record keep:
-    # frozen, equal and hashed on their compared fields only, a field-by-field
-    # repr, and copies that keep the derived attributes
+    # the contract the kernel values keep: CicyContext and the records
+    # BundleInvariants, TruncatedClass, DivisorClass and RuledSurface are
+    # frozen, equal and hashed on their compared fields only, with a
+    # field-by-field repr, and copies keep the derived attributes
     def test_frozen(self):
         values = [(QUINTIC, ("multidegree", "strict", "ambient_dim", "u", "other")),
-                  (BundleInvariants(2, 1, 5), ("rank", "c1", "c2", "c3", "other"))]
+                  (BundleInvariants(2, 1, 5), ("rank", "c1", "c2", "c3", "other")),
+                  (cls(Fraction(1, 2), 1), ("numerators", "denominator", "coeffs", "other")),
+                  (DivisorClass(1, 2), ("a", "b", "other")),
+                  (RuledSurface(1), ("e", "q", "other"))]
         for value, names in values:
             for name in names:
                 with pytest.raises(AttributeError):
@@ -191,7 +197,7 @@ class TestValueTypes:
         assert b == (2, 1, 5, None)
         x = cls(Fraction(1, 2), 1)
         assert hash(x) == hash(((1, 2, 0, 0), 2))
-        assert TruncatedClass.__eq__(x, ((1, 2, 0, 0), 2)) is NotImplemented
+        assert x == ((1, 2, 0, 0), 2)
 
     def test_repr(self):
         assert repr(QUINTIC) == "CicyContext(multidegree=(5,), strict=True)"
@@ -203,13 +209,32 @@ class TestValueTypes:
             "TruncatedClass(numerators=(1, 2, 0, 0), denominator=2)"
 
     def test_copy_and_pickle(self):
-        for value in (*ALL_CONTEXTS, lax(1, 5), BundleInvariants(2, 1, 5, 5)):
+        records = (BundleInvariants(2, 1, 5, 5), cls(Fraction(-1, 3), 2, 0, Fraction(5, 9)),
+                   DivisorClass(-2, 7), RuledSurface(-1, 3))
+        for value in (*ALL_CONTEXTS, lax(1, 5), *records):
             for other in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
                 assert other == value and repr(other) == repr(value)
-                fields = BundleInvariants._asdict if type(value) is BundleInvariants else vars
+                assert type(other) is type(value)
+                fields = vars if type(value) is CicyContext else type(value)._asdict
                 assert fields(other) == fields(value)
         ctx = pickle.loads(pickle.dumps(lax(1, 5)))
         assert (ctx.strict, ctx.ambient_dim, ctx.u) == (False, 5, 5)
+
+    def test_records_rebuilt_through_their_constructors(self):
+        # _make and _replace go through the constructor: a ring class stays in
+        # lowest terms, a ruled surface keeps the Segre-Nagata bound
+        assert TruncatedClass._make(((2, 0, 0, 0), 2)) == TruncatedClass.unit()
+        half = cls(Fraction(1, 2), 1)
+        assert half._replace(denominator=4) == cls(Fraction(1, 4), Fraction(1, 2))
+        with pytest.raises(ValueError, match="exactly 4"):
+            TruncatedClass._make(((1, 2, 3), 1))
+        with pytest.raises(ValueError, match="Segre-Nagata"):
+            RuledSurface(1)._replace(e=-2)
+        with pytest.raises(ValueError, match="Segre-Nagata"):
+            RuledSurface._make((-2, 0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            RuledSurface(0, -1)
+        assert RuledSurface._make((-2, 2)) == RuledSurface(-2, 2) == (-2, 2)
 
 
 class TestRing:

@@ -226,10 +226,15 @@ def test_subprocess_entrypoint():
     assert proc.stdout.strip() == "12"
 
 
-def test_chi_cold_start_loads_only_chow():
+@pytest.mark.parametrize("argv, kernels, printed", [
+    (["chi", "--threefold", "5", "--c1", "2", "--c2", "5"], ["chow"], "10"),
+    (["query", "intersect", "--e", "1", "--c1", "1,2", "--c2", "1,2"], ["chow", "ruled"], "3"),
+], ids=["chi", "query-intersect"])
+def test_chi_cold_start_loads_only_chow(argv, kernels, printed):
     # a cold start of `chi` imports the package, the CLI and the Chow-ring
-    # kernel, and no other engine module; nor `dataclasses` or `inspect`,
-    # unless the bare interpreter with the same environment loads them itself
+    # kernel, and no other engine module, `query intersect` the ruled kernel
+    # besides; neither loads `dataclasses` or `inspect`, unless the bare
+    # interpreter with the same environment loads them itself
     watched = ("dataclasses", "inspect")
     report = ("print(*sorted(m for m in sys.modules\n"
               f"             if m.startswith('cicy_bundles') or m in {watched!r}))\n")
@@ -242,10 +247,10 @@ def test_chi_cold_start_loads_only_chow():
         return proc.stdout.splitlines()
 
     (bare,) = loaded("")
-    chi = loaded("from cicy_bundles import cli\n"
-                 "cli.main(['chi', '--threefold', '5', '--c1', '2', '--c2', '5'])\n")
-    expected = sorted(["cicy_bundles", "cicy_bundles.chow", "cicy_bundles.cli", *bare.split()])
-    assert chi == ["10", " ".join(expected)]
+    ran = loaded(f"from cicy_bundles import cli\ncli.main({argv!r})\n")
+    expected = sorted(["cicy_bundles", "cicy_bundles.cli",
+                       *(f"cicy_bundles.{name}" for name in kernels), *bare.split()])
+    assert ran == [printed, " ".join(expected)]
 
 
 def test_lax_mode_env(capsys, monkeypatch):

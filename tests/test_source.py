@@ -407,17 +407,30 @@ def test_ring_rank_window_and_aliases_computed_in_one_place():
 
 
 def test_records_contexts_and_quartic_cut_said_once():
-    # a kernel record is a tuple, whose JSON form is its fields in order, so
-    # the codec table holds no encoder for one; the five threefolds are built
-    # from KNOWN_MULTIDEGREES, not typed; the quartic-cut test is one form
+    # a kernel value is a tuple record, whose JSON form is its fields in
+    # order, so the codec table holds an encoder for CicyContext alone, the
+    # one plain class, and the kernel modules import neither dataclasses nor
+    # typing; the five threefolds are built from KNOWN_MULTIDEGREES, not
+    # typed; the quartic-cut test is one form
     from cicy_bundles import bounds, chow, ruled, verdicts
 
-    for record in (chow.BundleInvariants, ruled.GenusSearch, bounds.CurveInvariants):
-        assert issubclass(record, tuple)
+    for record in (chow.BundleInvariants, chow.TruncatedClass, ruled.DivisorClass,
+                   ruled.RuledSurface, ruled.GenusSearch, bounds.CurveInvariants):
+        assert issubclass(record, tuple), record.__name__
     encoders = [kind.__name__ for kind, (encoder, _) in verdicts._CODECS.items()
-                if issubclass(kind, tuple) and encoder is not None]
-    assert encoders == []
-    assert "CicyContext((" not in (PACKAGE / "chow.py").read_text(encoding="utf-8")
+                if encoder is not None]
+    assert encoders == ["CicyContext"]
+    imported = []
+    for stem in ("bounds", "chow", "ruled"):
+        for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                     else [])
+            imported += [f"{stem}: {name}" for name in names
+                         if name.partition(".")[0] in ("dataclasses", "typing")]
+    assert imported == []
+    chow_text = (PACKAGE / "chow.py").read_text(encoding="utf-8")
+    assert "_Frozen" not in chow_text and "CicyContext((" not in chow_text
     assert [ctx.multidegree for ctx in chow.ALL_CONTEXTS] == list(chow.KNOWN_MULTIDEGREES)
     assert [form_id for form_id, form in verdicts.FORMS.items()
             if form.rule_id == "R-x24-mod4"] == ["R-x24-mod4"]
