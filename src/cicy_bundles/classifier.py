@@ -47,7 +47,7 @@ from .ruled import (
     intersect,
 )
 from .verdicts import (RULES, SURVIVES, FrozenDict, KernelCall, RuleKind, Status, Trail,
-                       Verdict, annotations, json_text, record)
+                       Verdict, _check_disabled, annotations, json_text, record)
 # not used here: the benchmark calls and wraps the audit as `classifier.audit_verdicts`
 from .verdicts import audit_verdicts  # noqa: F401
 
@@ -83,8 +83,11 @@ def _component_grid(ctx: CicyContext, c1: int) -> tuple[CurveComponent, ...]:
 def admissible_components(
     ctx: CicyContext, c1: int, disabled: frozenset[str] = frozenset()
 ) -> tuple[Verdict, ...]:
-    """The verdict of each component triple of the given twist, in grid order."""
-    return tuple([component_admissible(comp, ctx, c1, disabled)
+    """The verdict of each component triple of the given twist, in grid order.
+    `disabled` is checked once here, and the triples' trails share one book."""
+    _check_disabled(disabled)
+    lemmas = {}
+    return tuple([component_admissible(comp, ctx, c1, disabled, lemmas=lemmas)
                   for comp in _component_grid(ctx, c1)])
 
 
@@ -124,14 +127,24 @@ def _level_candidates(survivors: tuple[CurveComponent, ...],
 # --------------------------------------------------------------------------
 # shared arithmetic helpers (recorded with replayable check payloads)
 # --------------------------------------------------------------------------
+#
+# The helpers with no parameters are lemmas: they read nothing of the
+# candidate, and a site reads each through `Trail.lemma`, once per lemma book,
+# so every trail of a twist level fires the same value and the same records.
+
+
+def _sextic_genus() -> tuple[int, tuple[KernelCall, ...]]:
+    """The Castelnuovo bound for a sextic in P^4, and its record."""
+    pi, check = record(bounds.castelnuovo_pi, 6, 4)
+    return pi, (check,)
 
 
 def _berzolari(route: Trail, *degree: int) -> int:
     """Sectional genus of the degree-6 surface: the bound for a sextic in P^4;
     the surface's degree is recorded when given."""
-    pi, check = record(bounds.castelnuovo_pi, 6, 4)
+    pi, checks = route.lemma(_sextic_genus)
     route.hypothesis("A-berzolari/degree" if degree else "A-berzolari/genus",
-                     pi, *degree, (check,))
+                     pi, *degree, checks)
     return pi
 
 
@@ -159,6 +172,18 @@ _FOUR_QUADRICS = bounds.ci_curve_invariants([2, 2, 2, 2], 5)
 
 #: The least degree whose twist-two genus d + 1 fits the Castelnuovo bound in P^5.
 _SPAN5_FLOOR = next(d for d in itertools.count(5) if d + 1 <= bounds.castelnuovo_pi(d, 5))
+
+
+def _span5_floor_checks() -> tuple[KernelCall, ...]:
+    """The record of the Castelnuovo bound at `_SPAN5_FLOOR` in P^5."""
+    _, check = record(bounds.castelnuovo_pi, _SPAN5_FLOOR, 5)
+    return (check,)
+
+
+def _smooth_scroll_search() -> tuple[tuple[DivisorClass, ...], str, tuple[KernelCall, ...]]:
+    """The F1 search: the classes it finds, its genus condition and its record."""
+    hits, check = record(eliminate_by_genus, *_F1)
+    return tuple(hits), _polynomial(*genus_quadratic(*_F1), "="), (check,)
 
 
 def _cone_class() -> tuple[list[DivisorClass], int, tuple[KernelCall, ...]]:
@@ -215,8 +240,9 @@ def _ci_omega(route: Trail, degrees: tuple[int, ...], *note: str) -> None:
                degrees, inv.omega_twist, 2, (check,), *note)
 
 
-def _ruled_38(route: Trail) -> None:
-    """Degree-17 curve on a degree-6 ruled surface over a genus-q curve.
+def _ruled_38_table() -> FrozenDict:
+    """The adjunction number of the degree-17 curve on each degree-6 ruled
+    surface over a genus-q curve, keyed `q=<q>,e=<e>`.
 
     The degree equation pins the fiber coefficient to 8 + 3e/2, and the
     adjunction number 26 + 6q is independent of e: 38 at the trisecant-forced
@@ -233,9 +259,16 @@ def _ruled_38(route: Trail) -> None:
             if degree != 17:
                 raise ValueError(f"class {tuple(cls)} on e={e}, q={q} has degree {degree}")
             table[f"q={q},e={e}"] = intersect(cls, cls + canonical_class(s), s)
+    return FrozenDict(sorted(table.items()))
+
+
+def _ruled_38(route: Trail) -> None:
+    """Degree-17 curve on a degree-6 ruled surface: `_ruled_38_table` never
+    holds the required 34."""
+    table = route.lemma(_ruled_38_table)
     _berzolari(route, 6)
     never_34 = 34 not in table.values()  # a field the report keeps; the decision reads the table
-    route.fire("R-ruled-38", 34, table["q=2,e=0"], FrozenDict(sorted(table.items())), never_34)
+    route.fire("R-ruled-38", 34, table["q=2,e=0"], table, never_34)
 
 
 def _ruled_58(route: Trail) -> None:
@@ -281,15 +314,16 @@ _ADJUNCTION_CASES = (
 )
 
 
-def _adjunction_table(route: Trail) -> None:
-    """The five ruled-surface adjunction numbers against the required 2d."""
+def _adjunction_table() -> tuple[FrozenDict, tuple[KernelCall, ...]]:
+    """The five ruled-surface adjunction numbers against the required 2d, and
+    their records."""
     cases, checks = {}, []
     for name, s, cls, hyper in _ADJUNCTION_CASES:
         genus, check = record(adjunction_genus, cls, s)
         cases[name] = FrozenDict({"2g-2": 2 * genus - 2,
                                   "required": 2 * embedding_degree(cls, hyper, s)})
         checks.append(check)
-    route.fire("R-adjunction-28-40", FrozenDict(cases), tuple(checks))
+    return FrozenDict(cases), tuple(checks)
 
 
 # --------------------------------------------------------------------------
@@ -334,12 +368,10 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         return
     if s == 1 and spans == [4]:
         d = cand.components[0].d
-        viable, checks = _mu_d_viable()
+        viable, checks = r.lemma(_mu_d_viable)
         if not r.fire("R-mu-d/curve", 15, d, viable, checks):
             return
-        hits1, check = record(eliminate_by_genus, *_F1)
-        r.fire("R-hirzebruch-F1", tuple(hits1), _polynomial(*genus_quadratic(*_F1), "="),
-               (check,))
+        r.fire("R-hirzebruch-F1", *r.lemma(_smooth_scroll_search))
         f3 = _F3[1]
         pairings = FrozenDict({
             "(c,3c+1).(d,3d+1)": intersect(DivisorClass(1, 4), DivisorClass(1, 4), f3),
@@ -347,7 +379,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
             "(c,3c).(d,3d)": intersect(DivisorClass(1, 3), DivisorClass(1, 3), f3),
         })
         r.fire("R-cone-disjointness", pairings, "any curve on the cone is connected")
-        hits3, genus, checks = _cone_class()
+        hits3, genus, checks = r.lemma(_cone_class)
         r.fire("R-hirzebruch-F3/rank2", tuple(hits3), genus, required_genus(2, d), checks)
         return
     if s == 2 and spans == [2, 2]:
@@ -417,8 +449,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
             r.witness(unresolved=True)
         return
     for comp in span5:
-        _, check = record(bounds.castelnuovo_pi, _SPAN5_FLOOR, 5)
-        r.fire("R-x24-s2-span5", comp.d, _SPAN5_FLOOR, (check,))
+        r.fire("R-x24-s2-span5", comp.d, _SPAN5_FLOOR, r.lemma(_span5_floor_checks))
     for comp in span4:
         deg_s = comp.d // 4
         if comp.d % 4 or not 2 <= deg_s <= 7:
@@ -427,7 +458,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         elif deg_s < _minimal_surface_degree(comp.span):  # a quadric surface spans a P^3
             r.fire("R-x24-si-degree/span", comp.d, deg_s, _minimal_surface_degree(comp.span))
         elif comp.d == 12 or comp.d == 16:
-            _adjunction_table(r)
+            r.fire("R-adjunction-28-40", *r.lemma(_adjunction_table))
         else:
             r.exclude({5: "A-deg-S-5/component", 6: "A-deg-S-6/component",
                        7: "A-linked-plane-7/component"}[deg_s], deg_s, comp.d)
@@ -497,10 +528,17 @@ def _judge_x33_single_span5(d: int, ctx: CicyContext, trail: Trail) -> None:
         _cut_cap(trail.route("surface"), d, 8)
 
 
-def _liaison(route: Trail, d: int) -> None:
+def _linkage() -> tuple[int, tuple[KernelCall, ...]]:
+    """The degree of the twist-two piece a cubic links inside the (2,2,2,3)
+    complete intersection, and the records of both steps."""
     total, ci_check = record(bounds.ci_curve_invariants, [2, 2, 2, 3], 5)
     linked, liaison_check = record(bounds.liaison_solve, total.degree, total.omega_twist, 2, 3)
-    route.fire("R-liaison-18", linked, d, (ci_check, liaison_check))
+    return linked, (ci_check, liaison_check)
+
+
+def _liaison(route: Trail, d: int) -> None:
+    linked, checks = route.lemma(_linkage)
+    route.fire("R-liaison-18", linked, d, checks)
 
 
 def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
@@ -580,10 +618,19 @@ def judge_candidate(
     ctx: CicyContext,
     c1: int,
     disabled: frozenset[str] = frozenset(),
+    *,
+    lemmas: dict | None = None,
 ) -> Verdict:
     """Route one candidate through the elimination tree of its regime; a route
-    that realizes it names the constructions of (c1, its degree), looked up here."""
-    trail = Trail(disabled)
+    that realizes it names the constructions of (c1, its degree), looked up here.
+
+    `lemmas` is the lemma book of the candidate's twist level (see `Trail`); a
+    caller passing one has checked `disabled`.  Without one the candidate gets
+    a fresh book, and a str or a set naming a rule id the corpus lacks raises
+    ValueError."""
+    if lemmas is None:
+        _check_disabled(disabled)
+    trail = Trail(disabled, lemmas)
     if not cand.components:  # the empty curve
         r = trail.route("split")
         inv, check = record(chern_of_extension, 0, c1, 0, ctx)
@@ -625,6 +672,7 @@ def _higher_rank_verdicts(
     """
     verdicts: list[Verdict] = []
     windows: dict[int, tuple[int, int]] = {}
+    lemmas = {}  # the book every shape's trail shares
 
     def shape(t: Trail, label: str, sub: tuple[int, ...], quot: tuple[int, ...],
               c1: int) -> None:
@@ -642,14 +690,15 @@ def _higher_rank_verdicts(
             witnesses.setdefault(inv.c2, set()).update(verdicts[-1].witnesses)
 
     if c1_max >= 1:
-        shape(Trail(disabled), "resolution O(-1) -> O^5 (twist one)", (-1,), (0,) * 5, 1)
+        shape(Trail(disabled, lemmas), "resolution O(-1) -> O^5 (twist one)",
+              (-1,), (0,) * 5, 1)
     if c1_max >= 2:
-        shape(Trail(disabled), "resolution O(-2) -> O^(r+1)", (-2,), (0,) * 4, 2)
+        shape(Trail(disabled, lemmas), "resolution O(-2) -> O^(r+1)", (-2,), (0,) * 4, 2)
 
         # the smooth-scroll branch dies on the recorded spannedness axiom
-        t = Trail(disabled)
+        t = Trail(disabled, lemmas)
         t.hypothesis("A-base-locus/shape")
-        viable, checks = _mu_d_viable()
+        viable, checks = t.lemma(_mu_d_viable)
         t.fire("R-mu-d/scroll", 15, viable, checks)
         qa, qb, qc = genus_quadratic(*_F1)
         t.exclude("A-scroll-spannedness", "30a^2 - 31a + 60 <= 0 (no integer solutions)",
@@ -657,16 +706,16 @@ def _higher_rank_verdicts(
         verdicts.append(t.verdict("smooth-scroll curve of degree 15"))
 
         # the cone branch lands on one class and realizes one shape
-        t = Trail(disabled)
+        t = Trail(disabled, lemmas)
         t.hypothesis("A-base-locus/shape")
-        hits, genus, checks = _cone_class()
+        hits, genus, checks = t.lemma(_cone_class)
         t.fire("R-hirzebruch-F3/higher-rank", tuple(hits), genus,
                f"genus {genus} is allowed here: rank >= 3 needs only d <= g - 1", checks)
         shape(t, "resolution O(-1)^2 -> O^(r+2)", (-1, -1), (0,) * 5, 2)
 
-        shape(Trail(disabled), "resolution O(-1) -> O^r + O(1)", (-1,), (0, 0, 0, 1), 2)
+        shape(Trail(disabled, lemmas), "resolution O(-1) -> O^r + O(1)", (-1,), (0, 0, 0, 1), 2)
 
-        t = Trail(disabled)
+        t = Trail(disabled, lemmas)
         t.hypothesis("A-minimal-resolution")
         inv, check = record(chern_of_extension, 1, 1, 0, ctx)
         t.fire("R-ext-split/split", inv.c1, inv.c2, "O(1) + O(1) + trivial factors", (check,))
@@ -798,24 +847,16 @@ def _check_regime(ctx: CicyContext, c1_max: int, rank_regime: str) -> None:
             )
 
 
-def _check_disabled(disabled: frozenset[str]) -> None:
-    """Refuse a toggle set naming an unknown rule id, or a str (`in` reads substrings)."""
-    if isinstance(disabled, str):
-        raise ValueError(f"disabled rules must be a set of rule ids, not the str {disabled!r}")
-    unknown = set(disabled).difference(RULES)
-    if unknown:
-        raise ValueError(f"unknown rule ids: {', '.join(sorted(map(repr, unknown)))}")
-
-
 def _rejudge(judge, verdicts: tuple[Verdict, ...], index: dict[str, list[int]],
-             ctx: CicyContext, c1: int, disabled: frozenset[str]
+             ctx: CicyContext, c1: int, disabled: frozenset[str], lemmas: dict
              ) -> tuple[tuple[Verdict, ...], list[int]]:
     """`verdicts` with each one that `index` lists under a rule of `disabled`
-    judged again by `judge`, in order, and the positions judged again."""
+    judged again by `judge` with the book `lemmas`, in order, and the
+    positions judged again."""
     positions = sorted(set().union(*(index.get(rule_id, ()) for rule_id in disabled)))
     out = list(verdicts)
     for i in positions:
-        out[i] = judge(verdicts[i].candidate, ctx, c1, disabled)
+        out[i] = judge(verdicts[i].candidate, ctx, c1, disabled, lemmas=lemmas)
     return tuple(out), positions
 
 
@@ -829,22 +870,28 @@ def _level(ctx: CicyContext, c1: int, disabled: frozenset[str],
     then its candidate verdicts, the positions whose trails cite each rule id:
     only the verdicts listed under a disabled rule are judged again.  The base
     candidates stay while each component judged again keeps its survival;
-    otherwise every candidate of the surviving components is judged."""
+    otherwise every candidate of the surviving components is judged.
+
+    The candidates judged here and the components judged again share one
+    lemma book; `disabled` is taken as checked."""
+    lemmas = {}
     if base is None:
         comps = admissible_components(ctx, c1, disabled)
         kept = False
     else:
         level, comp_index, cand_index = base
         comps, positions = _rejudge(component_admissible, level.component_verdicts,
-                                    comp_index, ctx, c1, disabled)
+                                    comp_index, ctx, c1, disabled, lemmas)
         kept = all((comps[i].status is SURVIVES)
                    == (level.component_verdicts[i].status is SURVIVES) for i in positions)
     if kept:
-        cands, _ = _rejudge(judge_candidate, level.verdicts, cand_index, ctx, c1, disabled)
+        cands, _ = _rejudge(judge_candidate, level.verdicts, cand_index, ctx, c1, disabled,
+                            lemmas)
     else:
         survivors = tuple([v.candidate for v in comps if v.status is SURVIVES])
         candidates = _level_candidates(survivors, bounds.max_curve_degree(ctx, c1, 2))
-        cands = tuple([judge_candidate(cand, ctx, c1, disabled) for cand in candidates])
+        cands = tuple([judge_candidate(cand, ctx, c1, disabled, lemmas=lemmas)
+                       for cand in candidates])
     return Level(c1, comps, cands)
 
 
@@ -900,8 +947,12 @@ def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
     component grid of each threefold and twist, the candidates of each
     surviving-component set and cap, the witness table `witnesses_for` reads
     and the module's search constants.  No verdict, trail entry or
-    kernel-call record is carried from one call to the next.  An unknown rule
-    id in `disabled` raises ValueError.
+    kernel-call record is carried from one call to the next.  Within a call,
+    the verdicts of one twist level (and the higher-rank shapes) share one
+    lemma book: each derivation that reads nothing of the candidate, such as
+    the adjunction table or the linkage degree, is made once per level, and
+    its every firing there holds the same value and the same records.  An
+    unknown rule id in `disabled`, or a str, raises ValueError.
     """
     _check_regime(ctx, c1_max, rank_regime)
     _check_disabled(disabled)
@@ -944,6 +995,11 @@ def toggle_sweep(base: ClassificationResult,
     a toggle's cost follows the verdicts it touches, not the level's size.
     Higher-rank shapes are all judged again.  A toggle set that no verdict
     of the base cites gets the base result itself.
+
+    Each level judged again gets a fresh lemma book per toggle set.  A
+    lemma reads no disabled set, and neither fires nor reads the candidate,
+    so a verdict judged again carries the value its base neighbours carry,
+    and the level is the one `classify` would judge under that set.
     """
     if base.judged_without:
         raise ValueError("the base of a toggle sweep must be judged with nothing disabled, "

@@ -21,7 +21,7 @@ from .chow import (
     max_rank_no_trivial,
     twist_rank2,
 )
-from .verdicts import KernelCall, Trail, Verdict, json_text, record
+from .verdicts import KernelCall, Trail, Verdict, _check_disabled, json_text, record
 
 
 class ParityError(ValueError):
@@ -116,6 +116,8 @@ def component_admissible(
     ctx: CicyContext,
     c1: int,
     disabled: frozenset[str] = frozenset(),
+    *,
+    lemmas: dict | None = None,
 ) -> Verdict:
     """Filter one component through the per-component elimination rules.
 
@@ -126,8 +128,14 @@ def component_admissible(
     so only a caller passing another triple sees them.  Returns a verdict
     with the full rule trail; candidates are built only from surviving
     components.
+
+    `lemmas` is the lemma book the component's trail shares (see `Trail`); a
+    caller passing one has checked `disabled`.  Without one, a str or a set
+    naming a rule id the corpus lacks raises ValueError.
     """
-    t = Trail(disabled)
+    if lemmas is None:
+        _check_disabled(disabled)
+    t = Trail(disabled, lemmas)
     d, g, span = comp.d, comp.g, comp.span
 
     expected = required_genus(c1, d) if (c1 * d) % 2 == 0 else None

@@ -514,6 +514,15 @@ _CORPUS: tuple[Rule, ...] = (
 RULES: dict[str, Rule] = {rule.id: rule for rule in _CORPUS}
 
 
+def _check_disabled(disabled: frozenset[str]) -> None:
+    """Refuse a toggle set naming an unknown rule id, or a str (`in` reads substrings)."""
+    if isinstance(disabled, str):
+        raise ValueError(f"disabled rules must be a set of rule ids, not the str {disabled!r}")
+    unknown = set(disabled).difference(RULES)
+    if unknown:
+        raise ValueError(f"unknown rule ids: {', '.join(sorted(map(repr, unknown)))}")
+
+
 def annotations() -> list[dict]:
     """The recorded discrepancy annotations, in corpus order."""
     return [
@@ -554,11 +563,17 @@ class Trail:
     A site fires a form by its id with the form's fields, positionally: an
     arithmetic form with `fire`, which takes the outcome from the form's
     decision, an axiom that excludes with `exclude` and one taken as a
-    hypothesis with `hypothesis`.  Each records its entry under `name`."""
+    hypothesis with `hypothesis`.  Each records its entry under `name`.
 
-    __slots__ = ("entries", "disabled", "routes", "dead", "name")
+    `lemmas` is the trail's lemma book, shared by its routes and by every
+    trail handed the same book: a dict from a derivation that reads nothing
+    of the candidate to its value, filled by `lemma` on first use.  A twist
+    level's trails share one book, so each of its lemmas is derived once per
+    level and its every firing carries the same value and the same records."""
 
-    def __init__(self, disabled: frozenset[str] = frozenset()):
+    __slots__ = ("entries", "disabled", "routes", "dead", "name", "lemmas")
+
+    def __init__(self, disabled: frozenset[str] = frozenset(), lemmas: dict | None = None):
         self.entries: list[TrailEntry] = []
         self.disabled = disabled
         # route name -> its unresolved flag once marked, else None
@@ -567,15 +582,28 @@ class Trail:
         # failure killed, tallied as the failure fires; None is the trail itself
         self.dead: dict[str | None, bool] = {}
         self.name: str | None = None
+        self.lemmas: dict = {} if lemmas is None else lemmas
 
     def route(self, name: str) -> Trail:
         """Open the escape route `name`: a trail sharing this one's containers
         under `name`, with no reference back to it, so no reference cycle."""
         self.routes.setdefault(name, None)
         route = object.__new__(Trail)
-        route.entries, route.disabled, route.routes, route.dead, route.name = (
-            self.entries, self.disabled, self.routes, self.dead, name)
+        route.entries, route.disabled, route.routes, route.dead, route.name, route.lemmas = (
+            self.entries, self.disabled, self.routes, self.dead, name, self.lemmas)
         return route
+
+    def lemma(self, fn: Callable[[], object]):
+        """`fn()`, derived once per lemma book and then read from it.  `fn` is
+        a module-level function with no parameters that fires nothing and
+        reads no disabled set, so its value is the same for every candidate
+        that shares the book, under every toggle set."""
+        book = self.lemmas
+        try:
+            return book[fn]
+        except KeyError:
+            value = book[fn] = fn()
+            return value
 
     def fire(self, form_id: str, *fields) -> bool:
         """Record an arithmetic firing, its fields tuple as it came and its

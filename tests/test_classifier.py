@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -626,9 +627,9 @@ class TestToggles:
         calls = []
 
         def counting(name, judge):
-            def wrapper(candidate, ctx, c1, disabled=frozenset()):
+            def wrapper(candidate, ctx, c1, disabled=frozenset(), **keywords):
                 calls.append((name, c1, candidate))
-                return judge(candidate, ctx, c1, disabled)
+                return judge(candidate, ctx, c1, disabled, **keywords)
             return wrapper
 
         for name in ("component_admissible", "judge_candidate"):
@@ -755,6 +756,24 @@ class TestToggles:
             with pytest.raises(ValueError, match="not the str"):
                 classifier.toggle_sweep(base, [bad])
         assert classify(X33, 2, disabled=frozenset({"A-no-plane"})).verdicts
+
+    def test_public_judges_refuse_bad_toggle_sets(self):
+        # a direct judge_candidate or component_admissible call checks its set
+        # as classify does: a str would be read by substring (the str
+        # "R-ext-z" let the ELIMINATED (11,12,4) on 3,3 survive) and a typo
+        # would disable nothing; admissible_components checks once for its
+        # grid.  The set spelled right is judged
+        single = cand((11, 12, 4))
+        assert verdict_for(single, X33).status is Status.ELIMINATED
+        for judge, candidate in ((judge_candidate, single),
+                                 (component_admissible, CurveComponent(11, 12, 4))):
+            with pytest.raises(ValueError, match="not the str 'R-ext-z'$"):
+                judge(candidate, X33, 2, "R-ext-z")
+            with pytest.raises(ValueError, match="unknown rule ids: 'R-typo'$"):
+                judge(candidate, X33, 2, frozenset({"R-typo"}))
+        with pytest.raises(ValueError, match="unknown rule ids: 'R-typo'$"):
+            classifier.admissible_components(X33, 2, frozenset({"R-typo"}))
+        assert judge_candidate(single, X33, 2, frozenset({"R-ext-z"})).survives
 
     def test_toggle_sweep_refuses_a_base_judged_without_rules(self):
         # a sweep derives each toggle set from its base: a base judged with
@@ -1289,6 +1308,48 @@ class TestRecords:
             assert old and len(old) == len(new)
             assert not {id(o) for o in old} & {id(o) for o in new}
         assert first[2:] == second[2:]
+
+    def test_each_lemma_is_derived_once_per_level(self, monkeypatch):
+        # a derivation that reads nothing of the candidate is made once per
+        # twist level and read from the level's lemma book: 5 adjunction
+        # genera for the 18 R-adjunction-28-40 firings on 2,4 (90 when each
+        # firing derived its own), one linkage on 3,3 (8), and the firings
+        # share one checks tuple
+        counts = Counter()
+
+        def counting(module, name):
+            kernel = getattr(module, name)
+
+            @functools.wraps(kernel)  # the record names the op by __name__
+            def wrapper(*args):
+                counts[name] += 1
+                return kernel(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(classifier, "adjunction_genus")
+        counting(classifier.bounds, "liaison_solve")
+        x24 = classify(X24, 2)
+        assert counts == {"adjunction_genus": 5}
+        counts.clear()
+        classify(X33, 2)
+        assert counts == {"liaison_solve": 1}
+        firings = [e for v in x24.verdicts for e in v.trail if e.rule_id == "R-adjunction-28-40"]
+        assert len(firings) == 18
+        assert len({id(e.values["checks"]) for e in firings}) == 1
+
+    def test_public_judgement_shares_no_record_with_classify(self):
+        # a judge_candidate call with no book derives its lemmas afresh: the
+        # same verdict as classify's, with none of its records
+        def records(verdict):
+            return [call for e in verdict.trail for call in e.values.get("checks", ())]
+
+        for ctx, rule_id in ((X24, "R-adjunction-28-40"), (X33, "R-liaison-18")):
+            within = next(v for v in classify(ctx, 2).verdicts
+                          if any(e.rule_id == rule_id for e in v.trail))
+            alone = judge_candidate(within.candidate, ctx, 2)
+            assert alone == within and records(alone) == records(within)
+            assert not {id(call) for call in records(alone)} & {
+                id(call) for call in records(within)}
 
     def test_paper_trails_cannot_be_rewritten_in_place(self):
         # every firing of the four paper classifications keeps its fields in

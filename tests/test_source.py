@@ -436,6 +436,118 @@ def test_records_contexts_and_quartic_cut_said_once():
             if form.rule_id == "R-x24-mod4"] == ["R-x24-mod4"]
 
 
+def test_lemmas_stay_lemmas():
+    # a twist level's trails share one lemma book, and toggle_sweep sets
+    # verdicts judged again beside base ones: sound only while each function
+    # handed to Trail.lemma is a module-level def with no parameters that
+    # fires nothing, opens no route and reads no disabled set, nor calls a
+    # function of its module that does
+    barred = {"fire", "exclude", "hypothesis", "witness", "route", "disabled"}
+    lemmas, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lemma"):
+                continue
+            fn = defs.get(getattr(node.args[0], "id", None)) if len(node.args) == 1 else None
+            if fn is None or node.keywords or ast.unparse(fn.args) or fn.decorator_list:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+                continue
+            lemmas.add(f"{path.stem}.{fn.name}")
+            todo, seen = [fn], set()
+            while todo:
+                reached = todo.pop()
+                if reached.name in seen:
+                    continue
+                seen.add(reached.name)
+                for sub in ast.walk(reached):
+                    name = getattr(sub, "attr", None) or getattr(sub, "id", None)
+                    if name in barred:
+                        found.append(f"{path.name}:{sub.lineno} {fn.name} reaches {name}")
+                    elif isinstance(sub, ast.Name) and sub.id in defs:
+                        todo.append(defs[sub.id])
+    assert found == []
+    assert lemmas == {f"classifier.{name}" for name in (
+        "_adjunction_table", "_cone_class", "_linkage", "_mu_d_viable", "_ruled_38_table",
+        "_sextic_genus", "_smooth_scroll_search", "_span5_floor_checks")}
+
+
+def test_records_sum_only_as_divisor_classes():
+    # DivisorClass, RuledSurface and TruncatedClass are tuples, so an
+    # inherited `*` repeats their fields and `+` joins them: no package code
+    # multiplies a record or adds a surface or a Chern class, and
+    # DivisorClass.__add__, the sum of classes, is the one sum of records.
+    # A record is read off a constructor call, a call of a function
+    # annotated to return one, a parameter annotated as one, a name its
+    # scope binds to one, or a sum of classes
+    kinds = {"DivisorClass", "RuledSurface", "TruncatedClass"}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    returns = {node.name: ast.unparse(node.returns).strip("'\"")
+               for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.returns is not None}
+    returns = {name: kind for name, kind in returns.items() if kind in kinds}
+    bound = {}
+    for stem in ("chow", "ruled"):
+        for node in trees[stem].body:
+            if isinstance(node, ast.ClassDef) and node.name in kinds:
+                bound[node.name] = {sub.name for sub in node.body
+                                    if isinstance(sub, ast.FunctionDef)} & {
+                    "__add__", "__radd__", "__iadd__", "__mul__", "__rmul__", "__imul__"}
+    assert bound == {"DivisorClass": {"__add__"}, "RuledSurface": set(),
+                     "TruncatedClass": set()}
+
+    def kind(node, names):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            return called if called in kinds else returns.get(called)
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            both = {kind(node.left, names), kind(node.right, names)}
+            return "DivisorClass" if both == {"DivisorClass"} else None
+        return None
+
+    def own(scope):
+        # the nodes of a scope, without those of the functions defined in it
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            yield node
+            if not isinstance(node, ast.FunctionDef):
+                todo += ast.iter_child_nodes(node)
+
+    sums, found = [], []
+    for stem, tree in trees.items():
+        scopes = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for scope in (tree, *scopes):
+            names = {}
+            if scope is not tree:
+                names.update((arg.arg, ast.unparse(arg.annotation)) for arg in scope.args.args
+                             if arg.annotation is not None)
+            bindings = [node for node in own(scope) if isinstance(node, ast.Assign)
+                        and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)]
+            for node in sorted(bindings, key=lambda node: (node.lineno, node.col_offset)):
+                names[node.targets[0].id] = kind(node.value, names)
+            names = {name: k for name, k in names.items() if k in kinds}
+            for node in own(scope):
+                if isinstance(node, ast.BinOp):
+                    left, right, op = node.left, node.right, node.op
+                elif isinstance(node, ast.AugAssign):
+                    left, right, op = node.target, node.value, node.op
+                else:
+                    continue
+                operands = {kind(left, names), kind(right, names)} & kinds
+                if isinstance(op, ast.Add) and operands == {"DivisorClass"}:
+                    sums.append(f"{stem}.{getattr(scope, 'name', 'module')}")
+                elif operands and isinstance(op, (ast.Add, ast.Mult)):
+                    found.append(f"{stem}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+    assert sorted(set(sums)) == ["classifier._judge_x24_nondeg", "classifier._ruled_38_table",
+                                 "ruled.adjunction_genus"]
+
+
 #: The package's public names: 63 exported names and six submodules.
 PUBLIC = set("""
     ALL_CONTEXTS BundleInvariants CicyContext ClassificationResult CurveCandidate
