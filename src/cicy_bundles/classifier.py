@@ -83,11 +83,8 @@ def _component_grid(ctx: CicyContext, c1: int) -> tuple[CurveComponent, ...]:
 def admissible_components(
     ctx: CicyContext, c1: int, disabled: frozenset[str] = frozenset()
 ) -> tuple[Verdict, ...]:
-    """The verdict of each component triple of the given twist, in grid order.
-    `disabled` is checked once here, and the triples' trails share one book."""
-    _check_disabled(disabled)
-    lemmas = {}
-    return tuple([component_admissible(comp, ctx, c1, disabled, lemmas=lemmas)
+    """The verdict of each component triple of the given twist, in grid order."""
+    return tuple([component_admissible(comp, ctx, c1, disabled)
                   for comp in _component_grid(ctx, c1)])
 
 
@@ -186,13 +183,13 @@ def _smooth_scroll_search() -> tuple[tuple[DivisorClass, ...], str, tuple[Kernel
     return tuple(hits), _polynomial(*genus_quadratic(*_F1), "="), (check,)
 
 
-def _cone_class() -> tuple[list[DivisorClass], int, tuple[KernelCall, ...]]:
+def _cone_class() -> tuple[tuple[DivisorClass, ...], int, tuple[KernelCall, ...]]:
     """The F3 band search, the genus of the one class it finds, both records."""
     hits, search_check = record(eliminate_by_genus, *_F3)
     if len(hits) != 1:
         raise ValueError(f"the F3 smoothness band holds {len(hits)} classes, not one")
     genus, genus_check = record(adjunction_genus, hits[0], _F3[1])
-    return hits, genus, (search_check, genus_check)
+    return tuple(hits), genus, (search_check, genus_check)
 
 
 def _minimal_surface_degree(span: int) -> int:
@@ -380,7 +377,7 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         })
         r.fire("R-cone-disjointness", pairings, "any curve on the cone is connected")
         hits3, genus, checks = r.lemma(_cone_class)
-        r.fire("R-hirzebruch-F3/rank2", tuple(hits3), genus, required_genus(2, d), checks)
+        r.fire("R-hirzebruch-F3/rank2", hits3, genus, required_genus(2, d), checks)
         return
     if s == 2 and spans == [2, 2]:
         p_a, check = record(bounds.union_genus, [c.g for c in cand.components])
@@ -624,12 +621,10 @@ def judge_candidate(
     """Route one candidate through the elimination tree of its regime; a route
     that realizes it names the constructions of (c1, its degree), looked up here.
 
-    `lemmas` is the lemma book of the candidate's twist level (see `Trail`); a
-    caller passing one has checked `disabled`.  Without one the candidate gets
-    a fresh book, and a str or a set naming a rule id the corpus lacks raises
-    ValueError."""
-    if lemmas is None:
-        _check_disabled(disabled)
+    `lemmas` is the lemma book of the candidate's twist level (see `Trail`);
+    without one the candidate gets a fresh book.  A str or a set naming a
+    rule id the corpus lacks raises ValueError, with a book or without."""
+    _check_disabled(disabled)
     trail = Trail(disabled, lemmas)
     if not cand.components:  # the empty curve
         r = trail.route("split")
@@ -709,7 +704,7 @@ def _higher_rank_verdicts(
         t = Trail(disabled, lemmas)
         t.hypothesis("A-base-locus/shape")
         hits, genus, checks = t.lemma(_cone_class)
-        t.fire("R-hirzebruch-F3/higher-rank", tuple(hits), genus,
+        t.fire("R-hirzebruch-F3/higher-rank", hits, genus,
                f"genus {genus} is allowed here: rank >= 3 needs only d <= g - 1", checks)
         shape(t, "resolution O(-1)^2 -> O^(r+2)", (-1, -1), (0,) * 5, 2)
 
@@ -848,15 +843,14 @@ def _check_regime(ctx: CicyContext, c1_max: int, rank_regime: str) -> None:
 
 
 def _rejudge(judge, verdicts: tuple[Verdict, ...], index: dict[str, list[int]],
-             ctx: CicyContext, c1: int, disabled: frozenset[str], lemmas: dict
-             ) -> tuple[tuple[Verdict, ...], list[int]]:
-    """`verdicts` with each one that `index` lists under a rule of `disabled`
-    judged again by `judge` with the book `lemmas`, in order, and the
-    positions judged again."""
+             disabled: frozenset[str]) -> tuple[tuple[Verdict, ...], list[int]]:
+    """`verdicts` with the candidate of each one that `index` lists under a
+    rule of `disabled` judged again by `judge`, in order, and the positions
+    judged again."""
     positions = sorted(set().union(*(index.get(rule_id, ()) for rule_id in disabled)))
     out = list(verdicts)
     for i in positions:
-        out[i] = judge(verdicts[i].candidate, ctx, c1, disabled, lemmas=lemmas)
+        out[i] = judge(verdicts[i].candidate)
     return tuple(out), positions
 
 
@@ -872,26 +866,29 @@ def _level(ctx: CicyContext, c1: int, disabled: frozenset[str],
     candidates stay while each component judged again keeps its survival;
     otherwise every candidate of the surviving components is judged.
 
-    The candidates judged here and the components judged again share one
-    lemma book; `disabled` is taken as checked."""
+    The candidates judged here share one lemma book; the components read
+    no lemma and get none."""
     lemmas = {}
+
+    def judge(cand: CurveCandidate) -> Verdict:
+        return judge_candidate(cand, ctx, c1, disabled, lemmas=lemmas)
+
     if base is None:
         comps = admissible_components(ctx, c1, disabled)
         kept = False
     else:
         level, comp_index, cand_index = base
-        comps, positions = _rejudge(component_admissible, level.component_verdicts,
-                                    comp_index, ctx, c1, disabled, lemmas)
+        comps, positions = _rejudge(
+            lambda comp: component_admissible(comp, ctx, c1, disabled),
+            level.component_verdicts, comp_index, disabled)
         kept = all((comps[i].status is SURVIVES)
                    == (level.component_verdicts[i].status is SURVIVES) for i in positions)
     if kept:
-        cands, _ = _rejudge(judge_candidate, level.verdicts, cand_index, ctx, c1, disabled,
-                            lemmas)
+        cands, _ = _rejudge(judge, level.verdicts, cand_index, disabled)
     else:
         survivors = tuple([v.candidate for v in comps if v.status is SURVIVES])
         candidates = _level_candidates(survivors, bounds.max_curve_degree(ctx, c1, 2))
-        cands = tuple([judge_candidate(cand, ctx, c1, disabled, lemmas=lemmas)
-                       for cand in candidates])
+        cands = tuple(map(judge, candidates))
     return Level(c1, comps, cands)
 
 

@@ -116,8 +116,6 @@ def component_admissible(
     ctx: CicyContext,
     c1: int,
     disabled: frozenset[str] = frozenset(),
-    *,
-    lemmas: dict | None = None,
 ) -> Verdict:
     """Filter one component through the per-component elimination rules.
 
@@ -127,15 +125,11 @@ def component_admissible(
     they fail: `admissible_components` builds only triples that meet both,
     so only a caller passing another triple sees them.  Returns a verdict
     with the full rule trail; candidates are built only from surviving
-    components.
-
-    `lemmas` is the lemma book the component's trail shares (see `Trail`); a
-    caller passing one has checked `disabled`.  Without one, a str or a set
-    naming a rule id the corpus lacks raises ValueError.
+    components.  A str or a set naming a rule id the corpus lacks raises
+    ValueError.
     """
-    if lemmas is None:
-        _check_disabled(disabled)
-    t = Trail(disabled, lemmas)
+    _check_disabled(disabled)
+    t = Trail(disabled)
     d, g, span = comp.d, comp.g, comp.span
 
     expected = required_genus(c1, d) if (c1 * d) % 2 == 0 else None

@@ -512,14 +512,17 @@ _CORPUS: tuple[Rule, ...] = (
 )
 
 RULES: dict[str, Rule] = {rule.id: rule for rule in _CORPUS}
+_RULE_IDS = frozenset(RULES)
 
 
 def _check_disabled(disabled: frozenset[str]) -> None:
-    """Refuse a toggle set naming an unknown rule id, or a str (`in` reads substrings)."""
+    """Refuse a toggle set naming an unknown rule id, or a str (`in` reads
+    substrings).  A set of known ids passes at the cost of one subset test,
+    so every public judge checks its set on every call."""
     if isinstance(disabled, str):
         raise ValueError(f"disabled rules must be a set of rule ids, not the str {disabled!r}")
-    unknown = set(disabled).difference(RULES)
-    if unknown:
+    if not _RULE_IDS.issuperset(disabled):
+        unknown = set(disabled).difference(_RULE_IDS)
         raise ValueError(f"unknown rule ids: {', '.join(sorted(map(repr, unknown)))}")
 
 
@@ -567,9 +570,10 @@ class Trail:
 
     `lemmas` is the trail's lemma book, shared by its routes and by every
     trail handed the same book: a dict from a derivation that reads nothing
-    of the candidate to its value, filled by `lemma` on first use.  A twist
-    level's trails share one book, so each of its lemmas is derived once per
-    level and its every firing carries the same value and the same records."""
+    of the candidate to its value, filled by `lemma` on first use.  The
+    candidate trails of a twist level share one book, so each of its lemmas
+    is derived once per level and its every firing carries the same value
+    and the same records."""
 
     __slots__ = ("entries", "disabled", "routes", "dead", "name", "lemmas")
 

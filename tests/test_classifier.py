@@ -761,16 +761,19 @@ class TestToggles:
         # a direct judge_candidate or component_admissible call checks its set
         # as classify does: a str would be read by substring (the str
         # "R-ext-z" let the ELIMINATED (11,12,4) on 3,3 survive) and a typo
-        # would disable nothing; admissible_components checks once for its
-        # grid.  The set spelled right is judged
+        # would disable nothing; judge_candidate checks also when handed a
+        # lemma book, and admissible_components through each component.  The
+        # set spelled right is judged
         single = cand((11, 12, 4))
         assert verdict_for(single, X33).status is Status.ELIMINATED
-        for judge, candidate in ((judge_candidate, single),
-                                 (component_admissible, CurveComponent(11, 12, 4))):
+        for judge, candidate, book in ((judge_candidate, single, {}),
+                                       (judge_candidate, single, None),
+                                       (component_admissible, CurveComponent(11, 12, 4), None)):
+            keywords = {} if book is None else {"lemmas": book}
             with pytest.raises(ValueError, match="not the str 'R-ext-z'$"):
-                judge(candidate, X33, 2, "R-ext-z")
+                judge(candidate, X33, 2, "R-ext-z", **keywords)
             with pytest.raises(ValueError, match="unknown rule ids: 'R-typo'$"):
-                judge(candidate, X33, 2, frozenset({"R-typo"}))
+                judge(candidate, X33, 2, frozenset({"R-typo"}), **keywords)
         with pytest.raises(ValueError, match="unknown rule ids: 'R-typo'$"):
             classifier.admissible_components(X33, 2, frozenset({"R-typo"}))
         assert judge_candidate(single, X33, 2, frozenset({"R-ext-z"})).survives
