@@ -624,8 +624,7 @@ def judge_candidate(
     `lemmas` is the lemma book of the candidate's twist level (see `Trail`);
     without one the candidate gets a fresh book.  A str or a set naming a
     rule id the corpus lacks raises ValueError, with a book or without."""
-    _check_disabled(disabled)
-    trail = Trail(disabled, lemmas)
+    trail = Trail(_check_disabled(disabled), lemmas)
     if not cand.components:  # the empty curve
         r = trail.route("split")
         inv, check = record(chern_of_extension, 0, c1, 0, ctx)
@@ -952,7 +951,7 @@ def classify(ctx: CicyContext, c1_max: int, rank_regime: str = RANK2,
     unknown rule id in `disabled`, or a str, raises ValueError.
     """
     _check_regime(ctx, c1_max, rank_regime)
-    _check_disabled(disabled)
+    disabled = _check_disabled(disabled)
     levels = [] if rank_regime == HIGHER_RANK else [
         _level(ctx, c1, disabled) for c1 in range(1, c1_max + 1)]
     return _aggregate(ctx, c1_max, rank_regime, disabled, levels)
@@ -1001,8 +1000,7 @@ def toggle_sweep(base: ClassificationResult,
     if base.judged_without:
         raise ValueError("the base of a toggle sweep must be judged with nothing disabled, "
                          f"not without {', '.join(sorted(base.judged_without))}")
-    for disabled in toggles:
-        _check_disabled(disabled)
+    toggles = [_check_disabled(disabled) for disabled in toggles]
     ctx, c1_max, rank_regime = base.ctx, base.c1_max, base.rank_regime
     indexed = [(level, _index(level.component_verdicts), _index(level.verdicts))
                for level in base.levels]

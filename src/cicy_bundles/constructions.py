@@ -128,8 +128,7 @@ def component_admissible(
     components.  A str or a set naming a rule id the corpus lacks raises
     ValueError.
     """
-    _check_disabled(disabled)
-    t = Trail(disabled)
+    t = Trail(_check_disabled(disabled))
     d, g, span = comp.d, comp.g, comp.span
 
     expected = required_genus(c1, d) if (c1 * d) % 2 == 0 else None

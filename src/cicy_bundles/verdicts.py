@@ -512,18 +512,27 @@ _CORPUS: tuple[Rule, ...] = (
 )
 
 RULES: dict[str, Rule] = {rule.id: rule for rule in _CORPUS}
-_RULE_IDS = frozenset(RULES)
 
 
-def _check_disabled(disabled: frozenset[str]) -> None:
-    """Refuse a toggle set naming an unknown rule id, or a str (`in` reads
-    substrings).  A set of known ids passes at the cost of one subset test,
-    so every public judge checks its set on every call."""
+class _Checked(frozenset):
+    """A toggle set `_check_disabled` has checked: only it builds one."""
+
+    __slots__ = ()
+
+
+def _check_disabled(disabled: frozenset[str]) -> _Checked:
+    """`disabled` as a checked set.  A str (`in` reads substrings) or a set
+    naming an unknown rule id raises ValueError.  A set this has checked
+    passes at the cost of a type test, so `classify` and `toggle_sweep`
+    check each set once and every public judge checks on every call."""
+    if type(disabled) is _Checked:
+        return disabled
     if isinstance(disabled, str):
         raise ValueError(f"disabled rules must be a set of rule ids, not the str {disabled!r}")
-    if not _RULE_IDS.issuperset(disabled):
-        unknown = set(disabled).difference(_RULE_IDS)
+    unknown = set(disabled).difference(RULES)
+    if unknown:
         raise ValueError(f"unknown rule ids: {', '.join(sorted(map(repr, unknown)))}")
+    return _Checked(disabled)
 
 
 def annotations() -> list[dict]:

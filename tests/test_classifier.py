@@ -763,7 +763,8 @@ class TestToggles:
         # "R-ext-z" let the ELIMINATED (11,12,4) on 3,3 survive) and a typo
         # would disable nothing; judge_candidate checks also when handed a
         # lemma book, and admissible_components through each component.  The
-        # set spelled right is judged
+        # set spelled right is judged, and a set the check built passes it
+        # as it is
         single = cand((11, 12, 4))
         assert verdict_for(single, X33).status is Status.ELIMINATED
         for judge, candidate, book in ((judge_candidate, single, {}),
@@ -776,7 +777,15 @@ class TestToggles:
                 judge(candidate, X33, 2, frozenset({"R-typo"}), **keywords)
         with pytest.raises(ValueError, match="unknown rule ids: 'R-typo'$"):
             classifier.admissible_components(X33, 2, frozenset({"R-typo"}))
+
+        class Lookalike(frozenset):  # only a set the check built skips the check
+            pass
+
+        with pytest.raises(ValueError, match="unknown rule ids: 'R-typo'$"):
+            judge_candidate(single, X33, 2, Lookalike({"R-typo"}))
         assert judge_candidate(single, X33, 2, frozenset({"R-ext-z"})).survives
+        checked = classifier._check_disabled(frozenset({"R-ext-z"}))
+        assert checked == {"R-ext-z"} and classifier._check_disabled(checked) is checked
 
     def test_toggle_sweep_refuses_a_base_judged_without_rules(self):
         # a sweep derives each toggle set from its base: a base judged with
