@@ -84,6 +84,7 @@ def admissible_components(
     ctx: CicyContext, c1: int, disabled: frozenset[str] = frozenset()
 ) -> tuple[Verdict, ...]:
     """The verdict of each component triple of the given twist, in grid order."""
+    disabled = _check_disabled(disabled)
     return tuple([component_admissible(comp, ctx, c1, disabled)
                   for comp in _component_grid(ctx, c1)])
 

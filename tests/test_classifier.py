@@ -762,7 +762,7 @@ class TestToggles:
         # as classify does: a str would be read by substring (the str
         # "R-ext-z" let the ELIMINATED (11,12,4) on 3,3 survive) and a typo
         # would disable nothing; judge_candidate checks also when handed a
-        # lemma book, and admissible_components through each component.  The
+        # lemma book, and admissible_components once for its grid.  The
         # set spelled right is judged, and a set the check built passes it
         # as it is
         single = cand((11, 12, 4))
