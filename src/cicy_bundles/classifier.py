@@ -356,15 +356,15 @@ def _judge_extension(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> No
 
 
 def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
-    spans = [c.span for c in cand.components]
-    s = len(cand.components)
+    spans = cand.spans
+    s = len(spans)
     r = trail.route("base-locus-surface")
     if not r.hypothesis("A-base-locus/candidate", cand.label()):
         return
     budget = tuple([_minimal_surface_degree(sp) for sp in spans])
     if not r.fire("R-surface-budget", budget, 3):
         return
-    if s == 1 and spans == [4]:
+    if spans == (4,):
         d = cand.components[0].d
         viable, checks = r.lemma(_mu_d_viable)
         if not r.fire("R-mu-d/curve", 15, d, viable, checks):
@@ -380,8 +380,8 @@ def _judge_quintic_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) 
         hits3, genus, checks = r.lemma(_cone_class)
         r.fire("R-hirzebruch-F3/rank2", hits3, genus, required_genus(2, d), checks)
         return
-    if s == 2 and spans == [2, 2]:
-        p_a, check = record(bounds.union_genus, [c.g for c in cand.components])
+    if spans == (2, 2):
+        p_a, check = record(bounds.union_genus, cand.genera)
         r.fire("R-union-genus/planes", p_a, cand.total_degree, (check,))
         r.hypothesis("A-two-planes")
         r.witness()
@@ -438,9 +438,7 @@ def _judge_x24_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         return
     # several components
     r = trail.route("component-surfaces")
-    span5 = [c for c in comps if c.span == 5]
-    span4 = [c for c in comps if c.span == 4]
-    sections = [c for c in comps if c.span == 3]
+    span5, span4, sections = cand.span5, cand.span4, cand.span3
     if cand.total_degree <= 2 * ctx.u:
         if r.fire("R-x24-extremal", cand.total_degree, ctx.u, cand.label()):
             r.hypothesis("A-section-pair")
@@ -546,8 +544,7 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
         _judge_x33_single_span5(comps[0].d, ctx, trail)
         return
     r = trail.route("component-surfaces")
-    sections = [c for c in comps if c.span == 3]
-    others = [c for c in comps if c.span > 3]
+    others = cand.above_span3
     if not others:
         if s == 2:
             r.hypothesis("A-section-pair")
@@ -572,7 +569,7 @@ def _judge_x33_nondeg(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> N
                        (line_check, check))
                 _harris_surface(r, d, comp.span, g, 3)
             else:  # d == 12
-                r.exclude("A-x33-span-overlap" if sections else "A-x33-two-ci", 12)
+                r.exclude("A-x33-span-overlap" if cand.span3 else "A-x33-two-ci", 12)
         else:  # span 5 beside other components
             if d == 14:
                 _harris_surface(r, d, comp.span, required_genus(2, d), 4)
@@ -601,7 +598,7 @@ def _judge_c1_one(cand: CurveCandidate, ctx: CicyContext, trail: Trail) -> None:
         return
     # several components would have to fill the connected section curve
     section, section_check = section_curve_invariants(ctx)
-    p_a, check = record(bounds.union_genus, [c.g for c in cand.components])
+    p_a, check = record(bounds.union_genus, cand.genera)
     r.hypothesis("A-ci-connected/section")
     r.fire("R-union-genus/section", p_a, section.genus, (section_check, check))
 
@@ -625,14 +622,20 @@ def judge_candidate(
     `lemmas` is the lemma book of the candidate's twist level (see `Trail`);
     without one the candidate gets a fresh book.  A str or a set naming a
     rule id the corpus lacks raises ValueError, with a book or without."""
-    trail = Trail(_check_disabled(disabled), lemmas)
+    trail = Trail(_check_disabled(disabled), {} if lemmas is None else lemmas)
     if not cand.components:  # the empty curve
         r = trail.route("split")
         inv, check = record(chern_of_extension, 0, c1, 0, ctx)
         r.fire("R-ext-split/empty", inv.c1, inv.c2, (check,))
         r.witness()
         return trail.verdict(cand, (SPLIT_WITNESS,))
-    # fired only past the cap, which enumerate_candidates never reaches
+    # fired only off the twist or past the cap, which enumerate_candidates
+    # never reaches: each component off the twist as component_admissible fires it
+    if cand.regime != c1:
+        for comp in cand.components:
+            expected = required_genus(c1, comp.d) if (c1 * comp.d) % 2 == 0 else None
+            if comp.g != expected:
+                trail.fire("R-regime-genus", comp.d, comp.g, c1, expected)
     cap = bounds.max_curve_degree(ctx, c1, 2)
     if cand.total_degree > cap:
         trail.fire("R-degree-cap/curve", cand.total_degree, cap)
@@ -640,10 +643,11 @@ def judge_candidate(
         _judge_c1_one(cand, ctx, trail)
     elif cand.span_max < ctx.ambient_dim:
         _judge_extension(cand, ctx, trail)
-    elif ctx.multidegree in _NONDEGENERATE:
-        _NONDEGENERATE[ctx.multidegree](cand, ctx, trail)
     else:
-        raise UnsupportedClassificationError(f"no rank-2 case tree for {ctx.label()}")
+        nondegenerate = _NONDEGENERATE.get(ctx.multidegree)
+        if nondegenerate is None:
+            raise UnsupportedClassificationError(f"no rank-2 case tree for {ctx.label()}")
+        nondegenerate(cand, ctx, trail)
     return trail.verdict(cand, witnesses_for(ctx.multidegree, c1, cand.total_degree))
 
 

@@ -56,24 +56,53 @@ class CurveComponent:
 
 @dataclass(frozen=True)
 class CurveCandidate:
-    """A disjoint union of components; empty components = the empty curve."""
+    """A disjoint union of components; empty components = the empty curve.
+
+    Its shape is set once, here: every field after `components` is derived
+    from the sorted components and takes no part in `==`, `hash` or `repr`.
+    The judges read it for every candidate under every toggle set, and the
+    candidates of a twist level are built once per process."""
 
     components: tuple[CurveComponent, ...]
     total_degree: int = field(init=False, compare=False, repr=False)
     #: Largest dimension the union can span: sum(span_i + 1) - 1, which is -1
     #: for the empty curve.
     span_max: int = field(init=False, compare=False, repr=False)
+    #: the span and the genus of each component, in component order
+    spans: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    genera: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    #: the components of span 3, 4 and 5 and those of span above 3, each in
+    #: component order: a curve in P^5 has no larger span
+    span3: tuple[CurveComponent, ...] = field(init=False, compare=False, repr=False)
+    span4: tuple[CurveComponent, ...] = field(init=False, compare=False, repr=False)
+    span5: tuple[CurveComponent, ...] = field(init=False, compare=False, repr=False)
+    above_span3: tuple[CurveComponent, ...] = field(init=False, compare=False, repr=False)
+    #: the twist c1 with 2g - 2 = c1 * d for every component, None when no
+    #: single twist fits them all or there are none
+    regime: int | None = field(init=False, compare=False, repr=False)
     #: "(d,g,span) + ...", or "empty"
     _label: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         components = tuple(sorted(self.components))
-        object.__setattr__(self, "components", components)
-        # set once here: the judge reads both many times per candidate
-        object.__setattr__(self, "total_degree", sum(c.d for c in components))
-        object.__setattr__(self, "span_max", sum(c.span + 1 for c in components) - 1)
-        object.__setattr__(self, "_label",
-                           " + ".join(c.label() for c in components) or "empty")
+        spans = tuple([c.span for c in components])
+        # each component's (2g - 2) / d as quotient and remainder: the regime
+        # is a quotient all of them share exactly
+        twists = {divmod(2 * c.g - 2, c.d) for c in components}
+        twist, rest = twists.pop() if len(twists) == 1 else (None, 1)
+        for name, value in (
+                ("components", components),
+                ("total_degree", sum(c.d for c in components)),
+                ("span_max", sum(spans) + len(spans) - 1),
+                ("spans", spans),
+                ("genera", tuple([c.g for c in components])),
+                ("span3", tuple([c for c in components if c.span == 3])),
+                ("span4", tuple([c for c in components if c.span == 4])),
+                ("span5", tuple([c for c in components if c.span == 5])),
+                ("above_span3", tuple([c for c in components if c.span > 3])),
+                ("regime", twist if rest == 0 else None),
+                ("_label", " + ".join(c.label() for c in components) or "empty")):
+            object.__setattr__(self, name, value)
 
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(c.triple() for c in self.components)

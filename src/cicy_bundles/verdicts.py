@@ -82,8 +82,9 @@ class FrozenDict(dict):
 
 
 class KernelCall(NamedTuple):
-    """One recorded kernel computation, frozen: list arguments and a list
-    result are kept as tuples.  `payload` gives its JSON form."""
+    """One recorded kernel computation, frozen: the list arguments of an op
+    that takes lists and a list result are kept as tuples.  `payload` gives
+    its JSON form."""
 
     op: str
     args: tuple
@@ -582,7 +583,8 @@ class Trail:
     of the candidate to its value, filled by `lemma` on first use.  The
     candidate trails of a twist level share one book, so each of its lemmas
     is derived once per level and its every firing carries the same value
-    and the same records."""
+    and the same records.  A trail built with no book, such as a
+    component's, has none, and its `lemma` raises TypeError."""
 
     __slots__ = ("entries", "disabled", "routes", "dead", "name", "lemmas")
 
@@ -595,7 +597,7 @@ class Trail:
         # failure killed, tallied as the failure fires; None is the trail itself
         self.dead: dict[str | None, bool] = {}
         self.name: str | None = None
-        self.lemmas: dict = {} if lemmas is None else lemmas
+        self.lemmas = lemmas
 
     def route(self, name: str) -> Trail:
         """Open the escape route `name`: a trail sharing this one's containers
@@ -612,6 +614,8 @@ class Trail:
         reads no disabled set, so its value is the same for every candidate
         that shares the book, under every toggle set."""
         book = self.lemmas
+        if book is None:
+            raise TypeError(f"a trail with no lemma book cannot read {fn.__name__}")
         try:
             return book[fn]
         except KeyError:
@@ -623,12 +627,12 @@ class Trail:
         outcome as the form decides it; a failure kills the route fired on.
         Returns the decision, also for a disabled rule, which records nothing
         and kills nothing: a site steers its route by the decision either way."""
-        form = FORMS[form_id]
-        decided = form.decide(*fields)
-        if form.rule_id not in self.disabled:
+        rule_id, _, decide, _ = FORMS[form_id]
+        decided = decide(*fields)
+        if rule_id not in self.disabled:
             # tuple.__new__ skips the generated __new__: this runs ~10^5 times a sweep
             self.entries.append(tuple.__new__(TrailEntry, (
-                form.rule_id, "pass" if decided else "fail", form_id, fields, self.name)))
+                rule_id, "pass" if decided else "fail", form_id, fields, self.name)))
             if not decided:
                 self.dead[self.name] = True
         return decided
@@ -844,15 +848,19 @@ def _key(k) -> str:
 def record(fn, *args) -> tuple[object, KernelCall]:
     """Call a kernel function; return its value for the rule to use and the
     frozen record of this very call.  `fn` comes from the caller's module.
-    Nothing is encoded here: `payload` does that when a record is read."""
+    Nothing is encoded here: `payload` does that when a record is read.
+
+    Only the kernels of `_LIST_OPS` take a list, so only their list
+    arguments are kept as tuples; every other record keeps its arguments as
+    passed.  The op is named by `fn.__name__`, which a `functools.wraps`
+    wrapper keeps."""
     value = fn(*args)
-    for a in args:
-        if type(a) is list:
-            args = tuple([tuple(a) if type(a) is list else a for a in args])
-            break
+    op = fn.__name__
+    if op in _LIST_OPS:
+        args = tuple([tuple(a) if type(a) is list else a for a in args])
     # tuple.__new__ skips the generated __new__: ~2.8*10^4 records a sweep
     return value, tuple.__new__(KernelCall, (
-        fn.__name__, args, tuple(value) if type(value) is list else value))
+        op, args, tuple(value) if type(value) is list else value))
 
 
 def payload(call: KernelCall) -> dict:
@@ -874,6 +882,9 @@ KERNEL_OPS: dict[str, tuple] = {
                           (chow, "chern_of_extension chern_from_resolution max_rank_no_trivial"))
     for name in names.split()
 }
+
+#: The ops with a `list` argument kind, the only records `record` converts.
+_LIST_OPS = frozenset(op for op, (_, *kinds) in KERNEL_OPS.items() if list in kinds)
 
 
 def _replay(check: dict):

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,37 @@ def cand(*triples):
     return CurveCandidate(tuple(CurveComponent(*t) for t in triples))
 
 
+def survivor_sets():
+    """Each (surviving components, degree cap) of a rank-2 twist level that the
+    base, the single and the pair axiom toggles meet on the three paper cases."""
+    met = set()
+    for ctx in (QUINTIC, X24, X33):
+        for c1 in (1, 2):
+            cap = max_curve_degree(ctx, c1, 2)
+            for disabled in sweep_toggles(RANK2):
+                components = [v.candidate for v in
+                              classifier.admissible_components(ctx, c1, disabled)
+                              if v.survives]
+                met.add((tuple(components), cap))
+    return met
+
+
+def shape_of(components):
+    """A candidate's shape fields, recomputed from its components alone."""
+    comps = sorted(components)
+    twists = {Fraction(2 * c.g - 2, c.d) for c in comps}
+    twist = twists.pop() if len(twists) == 1 else None
+    return {"spans": tuple(c.span for c in comps),
+            "genera": tuple(c.g for c in comps),
+            "span3": tuple(c for c in comps if c.span == 3),
+            "span4": tuple(c for c in comps if c.span == 4),
+            "span5": tuple(c for c in comps if c.span == 5),
+            "above_span3": tuple(c for c in comps if c.span > 3),
+            "regime": twist.numerator if twist is not None and twist.denominator == 1 else None,
+            "total_degree": sum(c.d for c in comps),
+            "span_max": sum(c.span + 1 for c in comps) - 1}
+
+
 def flip(monkeypatch, rule_id):
     """Negate the decision of every form of an arithmetic rule."""
     for form_id, form in list(FORMS.items()):
@@ -80,8 +112,9 @@ def verdict_for(candidate, ctx, c1=2):
 
 
 #: The forms that fire only on input the axiom-toggle sweeps never produce, by
-#: the module and function of their one call site.
+#: the module and function of each call site.
 GUARDS = {("classifier.py", "judge_candidate", "R-degree-cap/curve"),
+          ("classifier.py", "judge_candidate", "R-regime-genus"),
           ("constructions.py", "component_admissible", "R-degree-cap/component"),
           ("constructions.py", "component_admissible", "R-regime-genus"),
           ("classifier.py", "_judge_x24_nondeg", "R-x24-si-degree/span")}
@@ -92,12 +125,17 @@ TOGGLED = {("classifier.py", "_judge_quintic_nondeg", "A-quadric-plane")}
 
 #: Public calls past the axiom-toggle sweeps' range, each with the rule it must
 #: fail: candidates over the degree cap (5 on the quintic at twist one, 33 on
-#: 3,3), a component of the wrong genus and one over the cap 29 on 2,4, and a
-#: span-4 component of degree 8 beside a section on 2,4, which a disabled
+#: 3,3), candidates off their twist (genus 5 for a plane quintic at twist two,
+#: where 2g - 2 = 2d needs 6; odd c1 * d at twist one, where no genus fits), a
+#: component of the wrong genus and one over the cap 29 on 2,4, and a span-4
+#: component of degree 8 beside a section on 2,4, which a disabled
 #: R-genus-bound lets the enumeration reach.
 OUT_OF_RANGE = (
     (judge_candidate, "R-degree-cap", (cand((12, 7, 3)), QUINTIC, 1)),
     (judge_candidate, "R-degree-cap", (cand((36, 37, 5)), X33, 2)),
+    (judge_candidate, "R-regime-genus", (cand((5, 5, 2)), QUINTIC, 2)),
+    (judge_candidate, "R-regime-genus", (cand((5, 6, 2)), QUINTIC, 1)),
+    (judge_candidate, "R-regime-genus", (cand((9, 10, 3)), X33, 1)),
     (component_admissible, "R-regime-genus", (CurveComponent(8, 5, 3), X24, 2)),
     (component_admissible, "R-degree-cap", (CurveComponent(30, 31, 5), X24, 2)),
     (judge_candidate, "R-x24-si-degree", (cand((8, 9, 4), (9, 10, 3)), X24, 2)),
@@ -219,21 +257,32 @@ class TestCandidateCache:
         # every survivor set met under the base, the single and the pair
         # axiom toggles: the cached candidates, order included, and room for
         # all of them in the cache
-        met = set()
-        for ctx in (QUINTIC, X24, X33):
-            for c1 in (1, 2):
-                cap = max_curve_degree(ctx, c1, 2)
-                for disabled in sweep_toggles(RANK2):
-                    components = [v.candidate for v in
-                                  classifier.admissible_components(ctx, c1, disabled)
-                                  if v.survives]
-                    met.add((tuple(components), cap))
+        met = survivor_sets()
         for survivors, cap in met:
             fresh = tuple(enumerate_candidates(list(survivors), cap))
             for _ in range(2):  # a miss, then a hit
                 cached = classifier._level_candidates(survivors, cap)
                 assert type(cached) is tuple and cached == fresh
         assert len(met) <= classifier._level_candidates.cache_parameters()["maxsize"]
+
+    def test_candidate_shapes_match_their_components(self):
+        # the shape a candidate sets once is what its components give, for
+        # every candidate the paper cases and their single and pair axiom
+        # toggles judge, and for hand-built ones given out of order
+        built = [(), ((16, 17, 5), (9, 10, 3), (11, 12, 4), (5, 6, 2), (14, 15, 5)),
+                 ((9, 10, 3), (5, 6, 2), (9, 10, 3)), ((8, 5, 3), (4, 3, 2)), ((5, 5, 2),),
+                 ((4, 3, 2), (5, 6, 2)), ((3, 1, 2), (6, 1, 3)), ((2, 0, 2), (1, 0, 2)),
+                 ((1, 0, 2),), ((5, 6, 7), (12, 13, 6), (7, 8, 2))]
+        enumerated = [c for survivors, cap in survivor_sets()
+                      for c in classifier._level_candidates(survivors, cap)]
+        assert len(enumerated) == 306
+        regimes = set()
+        for c, given in [(cand(*triples), [CurveComponent(*t) for t in triples])
+                         for triples in built] + [(c, c.components) for c in enumerated]:
+            expected = shape_of(given)  # tuples: a list in a field would differ
+            assert {name: getattr(c, name) for name in expected} == expected, c
+            regimes.add(c.regime)
+        assert regimes == {None, -2, 0, 1, 2}
 
     def test_reports_identical_cold_and_warm(self):
         # the four paper reports and every single-toggle report, built with the
@@ -300,6 +349,26 @@ class TestQuinticVerdicts:
             v = judge(*args)
             assert (rule_id, "fail") in {(e.rule_id, e.outcome) for e in v.trail}, args
             assert v.status is Status.ELIMINATED, args
+
+    def test_off_regime_candidates_fail_the_regime_genus(self):
+        # a candidate off its twist is judged as its components are filtered:
+        # each component off the twist fails R-regime-genus on the trail
+        # itself, with the fields component_admissible fires, so no route of
+        # the case tree, nor its witness, lets it survive
+        for args in [args for judge, rule_id, args in OUT_OF_RANGE
+                     if judge is judge_candidate and rule_id == "R-regime-genus"]:
+            candidate, ctx, c1 = args
+            v = judge_candidate(*args)
+            assert (v.status, v.witnesses) == (Status.ELIMINATED, ()), args
+            entries = [e for e in v.trail if e.rule_id == "R-regime-genus"]
+            comp = component_admissible(candidate.components[0], ctx, c1)
+            assert entries == [e for e in comp.trail if e.rule_id == "R-regime-genus"]
+            assert [(e.outcome, e.route) for e in entries] == [("fail", None)], args
+        # one firing per component off the twist, none for the one on it
+        v = verdict_for(cand((5, 6, 2), (5, 5, 2)), QUINTIC)
+        assert [e.fields for e in v.trail if e.rule_id == "R-regime-genus"] == [(5, 5, 2, 6)]
+        assert v.status is Status.ELIMINATED
+        assert verdict_for(cand((5, 6, 2)), QUINTIC).witnesses == ("hyperplane-pair-split",)
 
     def test_mixed_pair_fails_budget(self):
         v = verdict_for(cand((5, 6, 2), (11, 12, 4)), QUINTIC)
@@ -534,7 +603,25 @@ class TestClassify:
                 judge_candidate(CurveCandidate((component,)), ctx, 2)
 
 
+#: sha256 of the concatenated JSON reports of every single-axiom toggle of the
+#: paper cases: the cases in PAPER_CASES order, the axiom ids sorted in each.
+SINGLE_AXIOM_SHA256 = "430a51d16270a5521eeb8c060c8de24329786432491b0c80e2222fc34c4eb7e4"
+
+
 class TestToggles:
+    def test_single_axiom_toggle_reports_are_pinned(self):
+        # the four base reports are pinned in verify; this pins the 108
+        # reports of the paper cases with one axiom disabled, so no change to
+        # a judge moves a toggled verdict, trail or count unseen
+        axioms = sorted(r.id for r in RULES.values() if r.kind is RuleKind.AXIOM)
+        digest = hashlib.sha256()
+        for ctx, regime in PAPER_CASES:
+            for axiom in axioms:
+                result = classify(ctx, 2, regime, frozenset({axiom}))
+                digest.update(report_json(result.report()).encode())
+        assert (len(PAPER_CASES), len(axioms)) == (4, 27)
+        assert digest.hexdigest() == SINGLE_AXIOM_SHA256
+
     def test_axiom_off_grows_survivors(self):
         # without A-spannedness-h0 the twist-one space curves below the section
         # degree are judged, and survive through A-plane-in-quadric unwitnessed
@@ -1293,6 +1380,46 @@ class TestRecords:
                     assert [inv.genus for inv in found] == [e.values["section_genus"]], (
                         ctx.label(), verdict.candidate.label(), e.rule_id)
         assert readers == {"R-section-match", "R-union-genus"}
+
+    def test_record_freezes_only_the_list_taking_kernels(self):
+        # the kernels whose KERNEL_OPS argument kinds hold `list` come back
+        # with tuple arguments, also through a functools.wraps wrapper as the
+        # benchmark installs; every other kernel keeps its arguments as
+        # passed, object for object, even a list
+        list_ops = {op for op, (_, *kinds) in KERNEL_OPS.items() if list in kinds}
+        assert len(list_ops) == 4 and cicy_bundles.verdicts._LIST_OPS == list_ops
+        recorded = {}  # op -> the arguments of one paper record
+        for ctx, regime in PAPER_CASES:
+            result = classify(ctx, 2, regime)
+            for v in result.verdicts + result.component_verdicts:
+                for e in v.trail:
+                    for call in e.values.get("checks", ()):
+                        recorded.setdefault(call.op, call.args)
+        assert recorded.keys() == KERNEL_OPS.keys()
+        for op, args in recorded.items():
+            module, *kinds = KERNEL_OPS[op]
+            kernel = getattr(module, op)
+
+            @functools.wraps(kernel)
+            def wrapped(*a, kernel=kernel):
+                return kernel(*a)
+
+            for fn in (kernel, wrapped):
+                passed = [list(a) if kind is list else a for kind, a in zip(kinds, args)]
+                value, call = record(fn, *passed)
+                assert call.op == op and call.args == args and value == kernel(*args)
+                if op in list_ops:
+                    assert [type(a) for a in call.args] == [
+                        tuple if kind is list else type(a) for kind, a in zip(kinds, passed)]
+                else:
+                    assert all(a is b for a, b in zip(call.args, passed, strict=True))
+
+        def castelnuovo_pi(degrees):  # the name of an op with no list kind: kept as passed
+            return len(degrees)
+
+        degrees = [4, 3]
+        _, call = record(castelnuovo_pi, degrees)
+        assert type(call.args[0]) is list and call.args[0] is degrees
 
     def test_record_freezes_list_arguments_and_results(self):
         degrees = [2, 2, 2, 3]

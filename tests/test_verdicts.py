@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -204,13 +205,18 @@ def test_candidate_invariants_are_derived_not_compared():
     assert hash(candidate) == hash(CurveCandidate(tuple(sorted(parts))))
     assert (candidate.total_degree, candidate.span_max) == (20, 10)
     assert (CurveCandidate(()).total_degree, CurveCandidate(()).span_max) == (0, -1)
+    # the shape fields too: equality, hash and repr read the components only
     text = repr(candidate)
-    assert "total_degree" not in text and "span_max" not in text
+    assert text == f"CurveCandidate(components={candidate.components!r})"
+    derived = [f.name for f in dataclasses.fields(CurveCandidate) if f.name != "components"]
+    assert not [f.name for f in dataclasses.fields(CurveCandidate)
+                if f.name in derived and (f.compare or f.repr or f.init)]
     altered = CurveCandidate(parts)
-    object.__setattr__(altered, "total_degree", 0)
-    object.__setattr__(altered, "span_max", 0)
+    for name in derived:
+        object.__setattr__(altered, name, None)
     assert (altered, hash(altered), repr(altered)) == (candidate, hash(candidate), text)
-    for name in ("total_degree", "span_max"):
+    assert hash(candidate) == hash((candidate.components,))
+    for name in derived:
         with pytest.raises(TypeError):
             CurveCandidate(parts, **{name: 20})
     # the labels: each is made at construction, of the sorted components,
@@ -230,3 +236,32 @@ def test_candidate_invariants_are_derived_not_compared():
         CurveCandidate(parts, _label="altered")
     with pytest.raises(TypeError):
         CurveComponent(9, 10, 3, "altered")
+
+
+def test_component_trails_have_no_lemma_book(monkeypatch):
+    # a component reads no lemma, so its trail gets no book, and a stray
+    # lemma call there raises rather than write to a dict; a candidate
+    # judged alone gets a fresh book of its own
+    from cicy_bundles import classifier, component_admissible, judge_candidate
+    from cicy_bundles.chow import CicyContext
+
+    books = []
+    original = Trail.verdict
+
+    def keeping(self, *args):
+        books.append(self.lemmas)
+        return original(self, *args)
+
+    monkeypatch.setattr(Trail, "verdict", keeping)
+    x33 = CicyContext((3, 3))
+    component_admissible(CurveComponent(17, 18, 5), x33, 2)
+    classifier.admissible_components(x33, 2)
+    assert len(books) > 1 and set(books) == {None}
+    books.clear()
+    for _ in range(2):
+        judge_candidate(CurveCandidate((CurveComponent(17, 18, 5),)), x33, 2)
+    assert [type(book) for book in books] == [dict, dict] and books[0] is not books[1]
+    assert classifier._ruled_38_table in books[0]
+    for trail in (Trail(), Trail().route("split")):
+        with pytest.raises(TypeError, match="no lemma book cannot read _linkage$"):
+            trail.lemma(classifier._linkage)
